@@ -1,9 +1,20 @@
 """Vectorised numpy arithmetic on arrays of field element codes.
 
-Multiplication uses an extended antilog table indexed by summed logs, with
-the log of zero mapped to a sentinel large enough that any sum involving
-it lands in the zero-filled tail.  Addition is digit-wise in base p, which
-is exact for every supported field order.
+Logs of nonzero elements lie in ``0..q-2``; the log of zero is the
+sentinel ``Z = 3(q-1)-2``.  ``exp_ext`` repeats the antilog table over
+every sum of two nonzero logs and is zero beyond, where every sum that
+involves ``Z`` lands, so a product is one gather.
+
+Addition in a prime field is ``(a + b) % p``.  In an extension field it
+uses the Zech logarithms of ``FieldCtx``: for nonzero a and b,
+``a + b = g^(la + zech[lb - la])``.  ``zech_pad`` holds that table for
+every difference between a log and a sum of two logs (the elimination
+kernel adds a multiple of a row, whose log is such a sum).  Its index is
+``ulog[b] - log[a]``, where ``ulog`` shifts the logs by ``Z`` and gives
+zero a sentinel of its own, and its padding makes one gather right for
+zero operands too: it returns ``lb - Z`` where a is zero, so the sum is
+b, and 0 where b is zero, so the sum is a (zero when both are).  No mask
+or branch is needed, and every table has O(q) entries.
 """
 
 from __future__ import annotations
@@ -12,48 +23,65 @@ import numpy as np
 
 
 class VecOps:
+    """Lookup tables of one field.  Only p, h and q of its FieldCtx are
+    kept: FieldCtx caches this object, and a reference back would make a
+    cycle that reference counting cannot free."""
+
     def __init__(self, ctx):
-        self.ctx = ctx
-        q = ctx.q
+        p, h, q = ctx.p, ctx.h, ctx.q
+        self.p, self.h, self.q = p, h, q
         n1 = q - 1
-        log = np.full(q, 2 * n1, dtype=np.int64)
-        for v in range(1, q):
-            log[v] = ctx.log[v]
+        z = 3 * n1 - 2
+        exp = np.array(ctx.exp, dtype=np.int64)
+        log = np.full(q, z, dtype=np.int64)
+        log[exp] = np.arange(n1)
         self.log = log
-        ext = np.zeros(4 * n1 + 1, dtype=np.int64)
-        for i in range(2 * n1 - 1):
-            ext[i] = ctx.exp[i % n1]
+        ext = np.zeros(2 * z + 1, dtype=np.int64)
+        ext[: 2 * n1 - 1] = np.resize(exp, 2 * n1 - 1)
         self.exp_ext = ext
-        inv = np.zeros(q, dtype=np.int64)
-        for v in range(1, q):
-            inv[v] = ctx.inv(v)
-        self.inv_table = inv
-        neg = np.zeros(q, dtype=np.int64)
-        for v in range(q):
-            neg[v] = ctx.neg(v)
-        self.neg_table = neg
+        self.neg_table = np.array(ctx._neg, dtype=np.int64)
+        if h > 1:
+            # the index ulog[b] - log[a], plus a factor's log in addmul, is
+            # 0..2q-4 where a = 0, 2q-3..5q-9 where a and b are nonzero
+            # (lb - la in -(q-2)..2(q-2)) and beyond where b = 0
+            ulog = log + z
+            ulog[0] = 8 * n1 - 5
+            self.ulog = ulog
+            pad = np.zeros(9 * n1 - 5, dtype=np.int64)
+            pad[: 2 * n1 - 1] = np.arange(2 * n1 - 1) - z
+            zech = np.array(ctx._zech, dtype=np.int64)
+            pad[2 * n1 - 1 : 5 * n1 - 3] = zech[np.arange(-(n1 - 1), 2 * n1 - 1) % n1]
+            self.zech_pad = pad
 
     def mul(self, a, b):
         """Element-wise (broadcasting) product of element-code arrays."""
         return self.exp_ext[self.log[a] + self.log[b]]
 
     def add(self, a, b):
-        ctx = self.ctx
-        p = ctx.p
-        if ctx.h == 1:
-            return (a + b) % p
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        s = 1
-        for _ in range(ctx.h):
-            out += ((a // s + b // s) % p) * s
-            s *= p
-        return out
+        if self.h == 1:
+            return (a + b) % self.p
+        la = self.log[a]
+        return self.exp_ext[la + self.zech_pad[self.ulog[b] - la]]
+
+    def addmul(self, block, f, row):
+        """``block + f[:, None] * row`` for a 2-D block, a column of nonzero
+        factors f and one row.  The block serves as scratch space."""
+        if self.h == 1:
+            block += np.multiply.outer(f, row)
+            block %= self.p
+            return block
+        la = self.log[block]
+        # log(f_i * row_j) is log f_i + log row_j: zech_pad covers the sum
+        e = np.add.outer(self.log[f], self.ulog[row])
+        e -= la
+        # every index is in range; "wrap" only avoids the buffered copy
+        # that out= costs under the default mode
+        np.take(self.zech_pad, e, out=block, mode="wrap")
+        block += la
+        return np.take(self.exp_ext, block, out=e, mode="wrap")
 
     def neg(self, a):
         return self.neg_table[a]
 
     def sub(self, a, b):
         return self.add(a, self.neg_table[b])
-
-    def inv(self, a):
-        return self.inv_table[a]

@@ -13,8 +13,11 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 __all__ = [
     "BudgetExceededError",
+    "InvariantError",
     "ArcConfig",
     "SearchResult",
     "det_full",
@@ -38,6 +41,11 @@ __all__ = [
 
 class BudgetExceededError(RuntimeError):
     pass
+
+
+class InvariantError(RuntimeError):
+    """An identity that holds for every arc failed: a fault in the
+    arithmetic or in the code, not in the input."""
 
 
 # ----------------------------------------------------------------------
@@ -219,19 +227,24 @@ def pencil_through(A, arc: ArcConfig):
     for lam in ctx.elements():
         coeffs = tuple(ctx.add(x, ctx.mul(lam, y)) for x, y in zip(b1, b2))
         forms.add(canonical_form(ctx, coeffs))
-    assert len(forms) == ctx.q + 1
+    if len(forms) != ctx.q + 1:
+        raise InvariantError(f"pencil has {len(forms)} members, not q+1 = {ctx.q + 1}")
     return sorted(forms)
 
 
 def cosecants_through(A, arc: ArcConfig):
     """Forms of the t hyperplanes meeting the arc exactly in A."""
-    ctx = arc.ctx
-    others = [p for i, p in enumerate(arc.points) if i not in A]
-    out = []
-    for form in pencil_through(A, arc):
-        if all(eval_form(ctx, form, p) != 0 for p in others):
-            out.append(form)
-    return out
+    ops = arc.ctx.vec_ops()
+    forms = pencil_through(A, arc)
+    others = np.array([p for i, p in enumerate(arc.points) if i not in A], dtype=np.int64)
+    others = others.reshape(-1, arc.k)
+    # every form at every other point at once: products, then a sum over k
+    terms = ops.mul(np.array(forms, dtype=np.int64)[:, None, :], others[None, :, :])
+    values = terms[:, :, 0]
+    for j in range(1, arc.k):
+        values = ops.add(values, terms[:, :, j])
+    keep = np.all(values != 0, axis=1)
+    return [form for form, ok in zip(forms, keep) if ok]
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ import numpy as np
 from .arcgeom import (
     ArcConfig,
     BudgetExceededError,
+    InvariantError,
     det_full,
     det_uC,
     eval_form,
@@ -85,14 +86,16 @@ class PropertyWMissingError(RuntimeError):
 
 
 class CertMatrix:
-    """M_n of an arc together with its row/column index maps."""
+    """M_n of an arc together with its row/column index maps and the
+    determinant table its entries are built from."""
 
-    def __init__(self, arc: ArcConfig, n: int, matrix: GFMatrix, rows, cols):
+    def __init__(self, arc: ArcConfig, n: int, matrix: GFMatrix, rows, cols, dets):
         self.arc = arc
         self.n = n
         self.matrix = matrix
         self.rows = rows          # list of (k-1)-subsets, colex
         self.cols = cols          # list of (A, E) pairs, E outer colex
+        self.dets = dets          # dets[u][i] = det(u, rows[i])
         self.row_index = {c: i for i, c in enumerate(rows)}
         self.col_index = {p: j for j, p in enumerate(cols)}
 
@@ -105,6 +108,11 @@ class CertMatrix:
         return self.arc.ctx.q + 2 * self.arc.k + self.n - 1 - self.arc.size
 
 
+def _det_table(arc: ArcConfig, rows):
+    """det(u, C) for every point u and subset C of rows (0 when u in C)."""
+    return [[det_uC(arc, arc.points[u], C) for C in rows] for u in range(arc.size)]
+
+
 def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
     """Construct M_n; requires 0 <= n <= |G| - k."""
     g = arc.size
@@ -114,8 +122,7 @@ def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
     ctx = arc.ctx
     rows = list(subset_iter(g, k - 1))
     row_index = {c: i for i, c in enumerate(rows)}
-    # det(u, C) for every point u and row subset C (0 when u in C)
-    dets = [[det_uC(arc, arc.points[u], C) for C in rows] for u in range(g)]
+    dets = _det_table(arc, rows)
     cols = []
     for E in subset_iter(g, g - n):
         out = [u for u in range(g) if u not in set(E)]
@@ -138,7 +145,7 @@ def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
                 if v == 0:
                     break
             data[i, j] = v
-    return CertMatrix(arc, n, GFMatrix(ctx, data), rows, cols)
+    return CertMatrix(arc, n, GFMatrix(ctx, data), rows, cols, dets)
 
 
 @dataclass(frozen=True)
@@ -294,13 +301,13 @@ class CosecantPrediction:
         return all(p.status == "ok" for p in self.per_A.values())
 
 
-def _P_coord(arc: ArcConfig, C) -> int:
-    """prod_{z in G-C} det(z, C)^{-1}: the v_G coordinate without alpha."""
-    ctx = arc.ctx
+def _P_coord(ctx, dets, C, i) -> int:
+    """prod_{z in G-C} det(z, C)^{-1}: the v_G coordinate without alpha,
+    read from a determinant table whose i-th subset is C."""
     acc = 1
-    for z in range(arc.size):
+    for z, row in enumerate(dets):
         if z not in C:
-            acc = ctx.mul(acc, ctx.inv(det_uC(arc, arc.points[z], C)))
+            acc = ctx.mul(acc, ctx.inv(row[i]))
     return acc
 
 
@@ -317,7 +324,7 @@ def _complete_to_directions(arc: ArcConfig, A):
             out.append(tuple(e))
             if len(out) == 2:
                 return out
-    raise AssertionError("standard basis must complete a (k-2)-space")
+    raise InvariantError("standard basis must complete a (k-2)-space")
 
 
 def _sigma(arc: ArcConfig, A, e, t) -> int:
@@ -386,13 +393,15 @@ def recover_cosecants(
             pairs = {y: (a, b) for y, a, b in wit.partners}
             ys = [y for y, _, _ in wit.partners][:t]
             rho = lambda y: ctx.neg(ctx.div(pairs[y][1], pairs[y][0]))
-        Px = _P_coord(arc, tuple(sorted(A + (x,))))
+        Cx = tuple(sorted(A + (x,)))
+        Px = _P_coord(ctx, M.dets, Cx, M.row_index[Cx])
         sx = _sigma(arc, A, x, t)
         values = {x: 1}
         for y in ys:
             # f_A(y)/f_A(x) = sigma_x sigma_y P_{A+x} / (rho P_{A+y})
             # with rho = v_G(A+x)/v_G(A+y) read off the witness
-            Py = _P_coord(arc, tuple(sorted(A + (y,))))
+            Cy = tuple(sorted(A + (y,)))
+            Py = _P_coord(ctx, M.dets, Cy, M.row_index[Cy])
             val = ctx.div(Px, ctx.mul(rho(y), Py))
             if sx * _sigma(arc, A, y, t) < 0:
                 val = ctx.neg(val)
@@ -409,7 +418,8 @@ def recover_cosecants(
                 w = tuple(ctx.add(a, ctx.mul(lam, b)) for a, b in zip(u1, u2))
             if ev(w) == 0:
                 roots.append(form)
-        assert len(roots) <= t, "degree-t function cannot vanish on t+1 directions"
+        if len(roots) > t:
+            raise InvariantError("degree-t function cannot vanish on t+1 directions")
         if len(roots) == t:
             per_A[A] = PredictedTangent(A, x, values, tuple(sorted(roots)), "ok")
         else:
@@ -435,11 +445,11 @@ def vg_vector(full_arc: ArcConfig, g: int) -> VGVector:
     The C coordinate is alpha_C prod_{z in G-C} det(z, C)^{-1}, alpha
     taken from S's tangent functions (degree t = q+k-1-|S|).
     """
+    ctx = full_arc.ctx
     table = alpha_table(full_arc)
-    G = full_arc.prefix(g)
-    coords = []
-    for C in subset_iter(g, full_arc.k - 1):
-        coords.append(full_arc.ctx.mul(table.alpha(C), _P_coord(G, C)))
+    rows = list(subset_iter(g, full_arc.k - 1))
+    dets = _det_table(full_arc.prefix(g), rows)
+    coords = [ctx.mul(table.alpha(C), _P_coord(ctx, dets, C, i)) for i, C in enumerate(rows)]
     return VGVector(g, tuple(coords))
 
 

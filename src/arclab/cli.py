@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -47,15 +46,6 @@ SCHEMA_VERSION = 1
 
 class ArcFileError(ValueError):
     pass
-
-
-def thread_cap() -> int:
-    """Parallelism cap from ARCLAB_THREADS (all work is serial today)."""
-    raw = os.environ.get("ARCLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ----------------------------------------------------------------------

@@ -88,31 +88,30 @@ def _forward_eliminate(ctx, work, pivot_cols_limit, reduced):
     Pivots are searched in the first ``pivot_cols_limit`` columns only
     (row operations still span the full width, so the tail may carry an
     augmented block).  ``reduced=True`` also clears above the pivots and
-    normalises pivot rows, yielding RREF on the pivot block.
+    normalises pivot rows, yielding RREF on the pivot block.  Rows from r
+    down are zero left of the pivot column c, so each step touches only
+    the target rows in columns c onward.
     """
     ops = ctx.vec_ops()
-    m, n = work.shape
+    m = work.shape[0]
     pivots = []
     r = 0
     for c in range(pivot_cols_limit):
         if r == m:
             break
-        nz = np.nonzero(work[r:, c])[0]
+        nz = np.flatnonzero(work[r:, c])
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            work[[r, pr]] = work[[pr, r]]
-        piv_inv = ctx.inv(int(work[r, c]))
-        work[r, c:] = ops.mul(work[r, c:], piv_inv)
-        targets = np.nonzero(work[r + 1 :, c])[0] + r + 1
+            work[[r, pr], c:] = work[[pr, r], c:]
+        row = work[r, c:]
+        row[:] = ops.mul(row, ctx.inv(int(row[0])))
+        targets = np.flatnonzero(work[r + 1 :, c]) + (r + 1)
         if reduced:
-            above = np.nonzero(work[:r, c])[0]
-            targets = np.concatenate([above, targets])
+            targets = np.concatenate([np.flatnonzero(work[:r, c]), targets])
         if targets.size:
-            factors = ops.neg(work[targets, c])
-            update = ops.mul(work[r, c:][None, :], factors[:, None])
-            work[np.ix_(targets, range(c, n))] = ops.add(work[np.ix_(targets, range(c, n))], update)
+            work[targets, c:] = ops.addmul(work[targets, c:], ops.neg(work[targets, c]), row)
         pivots.append(c)
         r += 1
     return pivots
@@ -156,7 +155,8 @@ class LeftNullBasis:
     def __init__(self, ctx, basis):
         self.ctx = ctx
         self.basis = np.asarray(basis, dtype=np.int64)
-        assert self.basis.ndim == 2
+        if self.basis.ndim != 2:
+            raise DimensionMismatchError("a left null basis is a two-dimensional array")
 
     @property
     def nullity(self) -> int:

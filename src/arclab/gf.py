@@ -7,11 +7,17 @@ of the indeterminate x.  0 and 1 are the additive and multiplicative
 identities in every field.
 
 Multiplication, inversion and powers go through the discrete-log tables of
-a fixed primitive element; addition works digit-wise in base p.  The
-primitive element is the smallest primitive root mod p when h = 1 and the
-class of x otherwise, which requires the defining polynomial to be
-primitive (the shipped Conway polynomials are; a user-supplied modulus is
-checked).
+a fixed primitive element g.  Addition in a prime field is ``(a + b) % p``.
+In an extension field it goes through Zech logarithms (Huber, IEEE Trans.
+Inf. Theory 1990): ``zech[i] = log(1 + g^i)``, so for nonzero a and b
+
+    log(a + b) = log(a) + zech[log(b) - log(a)]
+
+and ``-a = g^((q-1)/2) a`` (``-a = a`` when p = 2).  Every table has O(q)
+entries.  The primitive element is the smallest primitive root mod p when
+h = 1 and the class of x otherwise, which requires the defining polynomial
+to be primitive (the shipped Conway polynomials are; a user-supplied
+modulus is checked).
 """
 
 from __future__ import annotations
@@ -204,8 +210,10 @@ class FieldCtx:
         else:
             low = list(reversed(modulus))
             _check_irreducible(low, p)
-            # antilog by repeated multiplication with x, digits low->high
+            # antilog by repeated multiplication with x, digits low->high;
+            # 1 + g^i differs from g^i only in the constant term cur[0]
             exp = [1]
+            one_plus = [2 % p]
             cur = [1] + [0] * (h - 1)
             for _ in range(q - 2):
                 cur = [0] + cur
@@ -220,50 +228,52 @@ class FieldCtx:
                         "x is not primitive for the given modulus"
                     )
                 exp.append(val)
+                one_plus.append(val + 1 if cur[0] != p - 1 else val - cur[0])
             self.generator = p  # the class of x
 
         if len(set(exp)) != q - 1:
             raise NonPrimitiveGeneratorError("antilog table is not a bijection")
+        n1 = q - 1
         self.exp = tuple(exp)
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
         self.log = tuple(log)
-
+        # exp[i mod (q-1)] for every sum of two logs, then zeros for the
+        # Zech sentinel 2(q-1)-1 below
+        self._exp_ext = self.exp + self.exp[: n1 - 1] + (0,) * n1
+        half = n1 // 2 if p > 2 else 0  # -1 = g^half
+        self._neg = (0,) + tuple(self._exp_ext[log[v] + half] for v in range(1, q))
         if h > 1:
-            # digit-wise addition table per power of p would be overkill;
-            # keep the per-digit strides for add()
-            self._pows = tuple(p ** i for i in range(h))
+            # zech[i] = log(1 + g^i); where 1 + g^i = 0 the entry points
+            # add() into the zero tail of _exp_ext
+            self._zech = tuple(log[v] if v else 2 * n1 - 1 for v in one_plus)
         self._vec = None  # lazy numpy helper, see vec_ops()
 
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
     def add(self, a: int, b: int) -> int:
-        p = self.p
         if self.h == 1:
-            return (a + b) % p
-        out = 0
-        for s in self._pows:
-            out += ((a // s + b // s) % p) * s
-        return out
+            return (a + b) % self.p
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self.log[a]
+        # a negative difference wraps to its residue mod q-1
+        return self._exp_ext[la + self._zech[self.log[b] - la]]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if self.h == 1:
-            return (-a) % p
-        out = 0
-        for s in self._pows:
-            out += ((-(a // s)) % p) * s
-        return out
+        return self._neg[a]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return self._exp_ext[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:

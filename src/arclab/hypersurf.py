@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .arcgeom import (
     ArcConfig,
+    InvariantError,
     det_full,
     det_uC,
     eval_form,
@@ -158,7 +159,8 @@ def _pencil_sample_points(arc: ArcConfig, A, count):
             out.append(tuple(ctx.add(a, ctx.mul(lam, b)) for a, b in zip(u1, u2)))
         if len(out) == count:
             break
-    assert len(out) == count, "pencil too small for the requested sample count"
+    if len(out) != count:
+        raise InvariantError("pencil too small for the requested sample count")
     return out
 
 

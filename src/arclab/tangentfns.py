@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from .arcgeom import (
     ArcConfig,
+    InvariantError,
     cosecants_through,
     det_linear_coeffs,
     det_uC,
@@ -78,7 +79,8 @@ def tangent_fn(arc: ArcConfig, A) -> TangentFn:
     fn = cache.get(A)
     if fn is None:
         forms = cosecants_through(A, arc)
-        assert len(forms) == arc_degree(arc), "co-secant count violates t"
+        if len(forms) != arc_degree(arc):
+            raise InvariantError(f"{len(forms)} co-secants through {A}, not t = {arc_degree(arc)}")
         fn = TangentFn(arc, A, forms)
         cache[A] = fn
     return fn

@@ -16,6 +16,79 @@ ARCS_DIR = Path(__file__).resolve().parent.parent / "arcs"
 # ----------------------------------------------------------------------
 
 
+def ref_add(ctx, a, b):
+    """Digit-wise sum of two element codes in base p: the addition that
+    the library replaced by Zech logarithms, kept as the reference."""
+    out, s = 0, 1
+    for _ in range(ctx.h):
+        out += ((a // s + b // s) % ctx.p) * s
+        s *= ctx.p
+    return out
+
+
+def ref_neg(ctx, a):
+    """Digit-wise negation of an element code in base p."""
+    out, s = 0, 1
+    for _ in range(ctx.h):
+        out += ((-(a // s)) % ctx.p) * s
+        s *= ctx.p
+    return out
+
+
+def ref_mul(ctx, a, b):
+    """Product of two element codes by schoolbook multiplication of their
+    digit polynomials, reduced by the modulus (no log tables)."""
+    p, h = ctx.p, ctx.h
+    da = [a // p**i % p for i in range(h)]
+    db = [b // p**i % p for i in range(h)]
+    prod = [0] * (2 * h - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    low = ctx.modulus[::-1]  # low -> high, monic
+    for d in range(2 * h - 2, h - 1, -1):
+        c = prod[d] % p
+        for i, m in enumerate(low):
+            prod[d - h + i] -= c * m
+    return sum(prod[i] % p * p**i for i in range(h))
+
+
+def ref_rref(ctx, rows, width):
+    """Reduced row-echelon form and pivot columns of a list of rows, by
+    scalar elimination with digit-wise addition: the exactmat reference."""
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = ctx.inv(m[r][c])
+        m[r] = [ctx.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = ref_neg(ctx, m[i][c])
+                m[i] = [ref_add(ctx, x, ctx.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def ref_left_null(ctx, rows):
+    """A basis of {w : w M = 0}, read off the reduced form of M^T."""
+    m = len(rows)
+    R, pivots = ref_rref(ctx, [list(col) for col in zip(*rows)], m)
+    basis = []
+    for fc in (c for c in range(m) if c not in pivots):
+        w = [0] * m
+        w[fc] = 1
+        for i, pc in enumerate(pivots):
+            w[pc] = ref_neg(ctx, R[i][fc])
+        basis.append(w)
+    return basis
+
+
 def laplace_det(ctx, rows):
     """Cofactor-expansion determinant: the independent oracle."""
     n = len(rows)

@@ -5,6 +5,7 @@ import pytest
 from arclab.exactmat import (
     DimensionMismatchError,
     GFMatrix,
+    LeftNullBasis,
     left_null_basis,
     rank,
     rref,
@@ -14,7 +15,7 @@ from arclab.exactmat import (
 )
 from arclab.gf import FieldCtx
 
-from conftest import annihilates, mat_vec, rank_mod_p
+from conftest import annihilates, dot, mat_vec, rank_mod_p, ref_left_null, ref_rref
 
 
 def random_matrix(ctx, rng, m, n):
@@ -191,3 +192,58 @@ def test_weight_two_zero_matrix_has_no_weight_two(F5):
     Z = GFMatrix.zeros(F5, 4, 3)
     assert weight_two_in_colspace(Z, 0, 1) is None
     assert brute_weight_two(Z, 0, 1) is None
+
+
+def _random_rows(ctx, rng, m, n):
+    """Seeded m x n entries with some zero rows and zero columns, and
+    rank deficiency from a thin factorisation in half the draws."""
+    if rng.random() < 0.5:
+        r = rng.randrange(1, min(m, n) + 1)
+        X = [[rng.randrange(ctx.q) for _ in range(r)] for _ in range(m)]
+        Y = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(r)]
+        rows = [[dot(ctx, x, col) for col in zip(*Y)] for x in X]
+    else:
+        rows = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(m)]
+    for i in rng.sample(range(m), m // 4):
+        rows[i] = [0] * n
+    for j in rng.sample(range(n), n // 4):
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+SHAPES = [(1, 1), (3, 9), (5, 23), (4, 40), (8, 8), (12, 5), (9, 30)]
+
+
+@pytest.mark.parametrize("p,h", [(2, 3), (3, 4), (13, 1)])
+def test_elimination_matches_scalar_reference(p, h):
+    ctx = FieldCtx(p, h)
+    rng = random.Random(p * 10 + h)
+    for m, n in SHAPES * 3:
+        rows = _random_rows(ctx, rng, m, n)
+        M = GFMatrix.from_rows(ctx, rows)
+        R, pivots = ref_rref(ctx, rows, n)
+        assert rank(M) == len(pivots)
+        assert rref(M) == GFMatrix.from_rows(ctx, R)
+        if p == 13:
+            assert rank_mod_p(rows, p) == len(pivots)
+        # a solvable right-hand side and a random one
+        x = [rng.randrange(ctx.q) for _ in range(n)]
+        for b in (mat_vec(ctx, rows, x), [rng.randrange(ctx.q) for _ in range(m)]):
+            Rb, pb = ref_rref(ctx, [row + [bi] for row, bi in zip(rows, b)], n + 1)
+            want = None
+            if n not in pb:
+                want = [0] * n
+                for i, c in enumerate(pb):
+                    want[c] = Rb[i][n]
+            assert solve(M, b) == want
+        # left null spaces agree as row spaces: equal reduced forms
+        null = left_null_basis(M).vectors()
+        ref = ref_left_null(ctx, rows)
+        assert len(null) == len(ref) == m - len(pivots)
+        assert ref_rref(ctx, null, m)[0] == ref_rref(ctx, ref, m)[0]
+
+
+def test_left_null_basis_rejects_flat_basis(F5):
+    with pytest.raises(DimensionMismatchError):
+        LeftNullBasis(F5, [1, 2, 3])

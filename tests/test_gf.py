@@ -1,5 +1,8 @@
+import gc
 import random
+import weakref
 
+import numpy as np
 import pytest
 
 from arclab.gf import (
@@ -12,6 +15,8 @@ from arclab.gf import (
     UnsupportedFieldError,
     conway_polynomial,
 )
+
+from conftest import ref_add, ref_mul, ref_neg
 
 
 def brute_order(g, p):
@@ -191,3 +196,75 @@ def test_conway_polynomial_table():
     assert conway_polynomial(11, 1) == (1, 9)
     with pytest.raises(UnsupportedFieldError):
         conway_polynomial(17, 2)
+
+
+# Fields for the reference comparisons: every shipped extension field up
+# to GF(81), a user modulus, a prime field, and GF(2^5), GF(2^6), which
+# need a modulus because the Conway table stops at h = 4.
+REF_FIELDS = [
+    (2, 2, None), (2, 3, None), (3, 2, None), (2, 4, None), (5, 2, None),
+    (3, 3, None), (7, 2, None), (3, 4, None), (3, 2, (1, 1, 2)), (13, 1, None),
+    (2, 5, (1, 0, 0, 1, 0, 1)), (2, 6, (1, 0, 0, 0, 0, 1, 1)),
+]
+
+
+def _ref_tables(ctx):
+    q = ctx.q
+    add = np.array([[ref_add(ctx, a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[ref_mul(ctx, a, b) for b in range(q)] for a in range(q)])
+    neg = np.array([ref_neg(ctx, a) for a in range(q)])
+    return add, mul, neg
+
+
+@pytest.mark.parametrize("p,h,modulus", REF_FIELDS)
+def test_scalar_arithmetic_matches_digitwise_reference(p, h, modulus):
+    ctx = FieldCtx(p, h, modulus)
+    add, mul, neg = _ref_tables(ctx)
+    for a in range(ctx.q):
+        assert ctx.neg(a) == neg[a]
+        for b in range(ctx.q):
+            assert ctx.add(a, b) == add[a, b]
+            assert ctx.sub(a, b) == add[a, neg[b]]
+            assert ctx.mul(a, b) == mul[a, b]
+    # the two sums 1 + g^i that vanish
+    half = 0 if p == 2 else (ctx.q - 1) // 2
+    assert ctx.add(1, ctx.t(half)) == 0
+
+
+@pytest.mark.parametrize("p,h,modulus", REF_FIELDS)
+def test_vector_arithmetic_matches_digitwise_reference(p, h, modulus):
+    ctx = FieldCtx(p, h, modulus)
+    ops = ctx.vec_ops()
+    add, mul, neg = _ref_tables(ctx)
+    a = np.arange(ctx.q)[:, None]
+    b = np.arange(ctx.q)[None, :]
+    assert (ops.add(a, b) == add).all()
+    assert (ops.sub(a, b) == add[a, neg[b]]).all()
+    assert (ops.mul(a, b) == mul).all()
+    assert (ops.neg(np.arange(ctx.q)) == neg).all()
+
+
+@pytest.mark.parametrize("p,h,modulus", REF_FIELDS)
+def test_elimination_kernel_matches_digitwise_reference(p, h, modulus):
+    # every (entry, nonzero factor, pivot-row entry) triple at once
+    ctx = FieldCtx(p, h, modulus)
+    q = ctx.q
+    add, mul, _ = _ref_tables(ctx)
+    w = np.tile(np.arange(q), q)
+    r = np.repeat(np.arange(q), q)
+    f = np.arange(1, q)
+    block = np.tile(w, (q - 1, 1))
+    got = ctx.vec_ops().addmul(block, f, r)
+    assert (got == add[w[None, :], mul[f[:, None], r[None, :]]]).all()
+
+
+def test_dropped_field_is_freed_by_refcount():
+    gc.disable()
+    try:
+        ctx = FieldCtx(3, 4)
+        ctx.vec_ops()
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
