@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -31,11 +30,10 @@ __all__ = [
     "pencil_through",
     "cosecants_through",
     "projective_points",
+    "HyperplaneIncidence",
     "extensions_of",
     "complete_search",
     "subset_iter",
-    "subset_rank",
-    "subset_unrank",
 ]
 
 
@@ -152,9 +150,6 @@ class ArcConfig:
         """Sub-arc of the first m points (no re-validation needed)."""
         return ArcConfig(self.ctx, self.k, self.points[:m], check=False)
 
-    def extend(self, v, check=True) -> "ArcConfig":
-        return ArcConfig(self.ctx, self.k, self.points + (tuple(v),), check=check)
-
     def __repr__(self):
         return f"ArcConfig({self.ctx!r}, k={self.k}, size={self.size})"
 
@@ -232,23 +227,28 @@ def pencil_through(A, arc: ArcConfig):
     return sorted(forms)
 
 
+def _form_values(ctx, forms, points):
+    """Every linear form at every point at once, one row per form:
+    products, then a sum over the coordinates."""
+    ops = ctx.vec_ops()
+    terms = ops.mul(np.asarray(forms, dtype=np.int64)[:, None, :], points[None, :, :])
+    values = terms[:, :, 0]
+    for j in range(1, terms.shape[2]):
+        values = ops.add(values, terms[:, :, j])
+    return values
+
+
 def cosecants_through(A, arc: ArcConfig):
     """Forms of the t hyperplanes meeting the arc exactly in A."""
-    ops = arc.ctx.vec_ops()
     forms = pencil_through(A, arc)
     others = np.array([p for i, p in enumerate(arc.points) if i not in A], dtype=np.int64)
-    others = others.reshape(-1, arc.k)
-    # every form at every other point at once: products, then a sum over k
-    terms = ops.mul(np.array(forms, dtype=np.int64)[:, None, :], others[None, :, :])
-    values = terms[:, :, 0]
-    for j in range(1, arc.k):
-        values = ops.add(values, terms[:, :, j])
+    values = _form_values(arc.ctx, forms, others.reshape(-1, arc.k))
     keep = np.all(values != 0, axis=1)
     return [form for form, ok in zip(forms, keep) if ok]
 
 
 # ----------------------------------------------------------------------
-# projective enumeration, extension and completion search
+# projective enumeration, hyperplane incidence and completion search
 # ----------------------------------------------------------------------
 
 
@@ -262,22 +262,60 @@ def projective_points(ctx, k):
             yield prefix + rest
 
 
-def _compatible(ctx, k, points, v):
-    """Whether points + [v] still has the arc property (points is an arc)."""
-    for sub in itertools.combinations(points, k - 1):
-        if det_full(ctx, [v] + list(sub)) == 0:
-            return False
-    return True
+class HyperplaneIncidence:
+    """Which points of PG(k-1, q) lie on which hyperplanes, as bitsets.
+
+    Point i of ``projective_points`` is bit i of a Python int.  The
+    vectors of ``extra`` (arc points, which need not be in canonical form)
+    get the ids N, N+1, ... after the N projective points.  ``keep(ids)``
+    is the bitset of the points off the hyperplane spanned by the k-1
+    vectors with those ids, that is of the w with det(w, ids) != 0; it is
+    0 when the vectors are dependent, since then every such determinant
+    vanishes.  Masks are cached by id tuple for the life of the object,
+    so make one per search and drop it afterwards.
+    """
+
+    def __init__(self, ctx, k, extra=()):
+        self.ctx = ctx
+        self.k = k
+        self.points = list(projective_points(ctx, k))
+        self.vectors = self.points + [tuple(v) for v in extra]
+        self.full = (1 << len(self.points)) - 1
+        self._coords = np.array(self.points, dtype=np.int64)
+        self._masks = {}
+
+    def keep(self, ids) -> int:
+        mask = self._masks.get(ids)
+        if mask is None:
+            basis = kernel_of_points(self.ctx, [self.vectors[i] for i in ids], self.k)
+            mask = 0
+            if len(basis) == 1:
+                off = _form_values(self.ctx, basis, self._coords)[0] != 0
+                mask = int.from_bytes(np.packbits(off, bitorder="little").tobytes(), "little")
+            self._masks[ids] = mask
+        return mask
+
+    def cut(self, cands: int, cur, v: int) -> int:
+        """cands without the points on a hyperplane <v, S>, S a
+        (k-2)-subset of cur: the candidates left once v joins the arc cur."""
+        for sub in itertools.combinations(cur, self.k - 2):
+            cands &= self.keep(sub + (v,))
+        return cands
+
+    def extensions(self) -> int:
+        """Bitset of the points off every hyperplane spanned by k-1 of the
+        extra vectors: the v for which extra + [v] is still an arc."""
+        cands = self.full
+        for ids in itertools.combinations(range(len(self.points), len(self.vectors)), self.k - 1):
+            cands &= self.keep(ids)
+        return cands
 
 
 def extensions_of(arc: ArcConfig):
     """All projective representatives v with arc + v still an arc."""
-    ctx = arc.ctx
-    return [
-        v
-        for v in projective_points(ctx, arc.k)
-        if _compatible(ctx, arc.k, arc.points, v)
-    ]
+    inc = HyperplaneIncidence(arc.ctx, arc.k, arc.points)
+    cands = inc.extensions()
+    return [pt for i, pt in enumerate(inc.points) if cands >> i & 1]
 
 
 @dataclass(frozen=True)
@@ -296,18 +334,24 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
     set enumerated once in candidate order).  Raises BudgetExceededError
     when the node count exceeds the budget, so a returned result is an
     exhaustion proof.
+
+    Candidates are bitsets over ``projective_points``: adding v removes
+    the points on each hyperplane <v, S>, S a (k-2)-subset of the
+    current arc (``HyperplaneIncidence``).
     """
     ctx = arc.ctx
     k = arc.k
     if target_size is not None and target_size > ctx.q + k - 1:
         raise ValueError(f"target size {target_size} exceeds q+k-1")
-    base = list(arc.points)
-    cands = extensions_of(arc)
+    inc = HyperplaneIncidence(ctx, k, arc.points)
+    n = len(inc.points)
+    cur = list(range(n, n + arc.size))
     sizes = set()
     found = []
     nodes = 0
 
-    def dfs(cur, cands, start):
+    def dfs(cands, branches):
+        # cands: every point that extends cur; branches: those to branch on
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -315,33 +359,27 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
         if target_size is not None:
             if len(cur) >= target_size:
                 if len(cur) == target_size:
-                    found.append(tuple(cur))
+                    found.append(tuple(inc.vectors[i] for i in cur))
                 return
         elif not cands:
             sizes.add(len(cur))
             return
-        for i in range(start, len(cands)):
-            v = cands[i]
-            nxt = []
-            for j, w in enumerate(cands):
-                if j == i or not _compatible_pair(ctx, k, cur, v, w):
-                    continue
-                nxt.append((j, w))
+        while branches:
+            low = branches & -branches
+            branches ^= low
+            v = low.bit_length() - 1
+            child = inc.cut(cands & ~low, cur, v)
             cur.append(v)
-            dfs(cur, [w for _, w in nxt], _lower_count(nxt, i))
+            # the child branches only above v, so each set is visited once
+            dfs(child, child >> (v + 1) << (v + 1))
             cur.pop()
 
-    def _compatible_pair(ctx, k, cur, v, w):
-        # w stays a candidate after adding v: check only new subsets with v
-        for sub in itertools.combinations(cur, k - 2):
-            if det_full(ctx, [w, v] + list(sub)) == 0:
-                return False
-        return True
-
-    def _lower_count(indexed, i):
-        return sum(1 for j, _ in indexed if j < i)
-
-    dfs(base, cands, 0)
+    try:
+        cands = inc.extensions()
+        dfs(cands, cands)
+    finally:
+        # dfs refers to itself; without this the cycle keeps inc alive
+        dfs = None
     if target_size is not None:
         return SearchResult(None, tuple(found), nodes)
     return SearchResult(tuple(sorted(sizes)), None, nodes)
@@ -360,22 +398,3 @@ def subset_iter(n, arity):
     for last in range(arity - 1, n):
         for rest in subset_iter(last, arity - 1):
             yield rest + (last,)
-
-
-def subset_rank(ids) -> int:
-    """Colex rank of a sorted index tuple."""
-    return sum(comb(c, j + 1) for j, c in enumerate(ids))
-
-
-def subset_unrank(r, arity):
-    """Sorted index tuple of colex rank r among arity-subsets."""
-    out = [0] * arity
-    k = arity
-    while k > 0:
-        n = k - 1
-        while comb(n + 1, k) <= r:
-            n += 1
-        r -= comb(n, k)
-        k -= 1
-        out[k] = n
-    return tuple(out)

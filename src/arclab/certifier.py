@@ -15,7 +15,6 @@ exhaustive root finding over the pencil.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from math import comb
@@ -25,14 +24,13 @@ import numpy as np
 from .arcgeom import (
     ArcConfig,
     BudgetExceededError,
+    HyperplaneIncidence,
     InvariantError,
-    det_full,
+    complete_search,
     det_uC,
     eval_form,
-    extensions_of,
     kernel_of_points,
     pencil_through,
-    projective_points,
     subset_iter,
 )
 from .exactmat import (
@@ -507,22 +505,27 @@ class ConjectureScanResult:
         return self.certified / self.total if self.total else 0.0
 
 
-def _random_arc(ctx, k, size, rng):
-    pts = list(projective_points(ctx, k))
-    while True:
-        rng.shuffle(pts)
+RANDOM_ARC_ATTEMPTS = 1000
+
+
+def _random_arc(inc: HyperplaneIncidence, size, rng):
+    """Greedy arc over a random order of the points of inc, reshuffled
+    until it reaches the size; BudgetExceededError after
+    RANDOM_ARC_ATTEMPTS orders."""
+    order = list(range(len(inc.points)))
+    for _ in range(RANDOM_ARC_ATTEMPTS):
+        rng.shuffle(order)
         cur = []
-        for v in pts:
-            ok = True
-            for sub in itertools.combinations(cur, k - 1):
-                if det_full(ctx, [v] + list(sub)) == 0:
-                    ok = False
-                    break
-            if ok:
+        cands = inc.full
+        for v in order:
+            if cands >> v & 1:
+                cands = inc.cut(cands, cur, v)
                 cur.append(v)
                 if len(cur) == size:
-                    return cur
-        # extremely unlikely fall-through for the sizes scanned here: retry
+                    return [inc.points[i] for i in cur]
+    raise BudgetExceededError(
+        f"no arc of size {size} in {RANDOM_ARC_ATTEMPTS} random point orders"
+    )
 
 
 def conjecture_scan(
@@ -535,7 +538,8 @@ def conjecture_scan(
     one, and certificates are class functions), otherwise samples random
     arcs with the seeded generator.  Arcs lacking a certificate inside
     the conjectured range k <= p+n(p-2) are returned as counterexample
-    candidates.
+    candidates.  No arc is larger than q+k-1, so that enumeration is
+    empty without a search.
     """
     p = ctx.p
     size = 2 * k - 3 + n
@@ -544,44 +548,18 @@ def conjecture_scan(
     in_range = k <= p + n * (p - 2)
     frame = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
     frame.append((1,) * k)
-    base = frame[: min(size, k + 1)]
+    seed_arc = ArcConfig(ctx, k, frame[: min(size, k + 1)], check=False)
 
     arcs = []
     mode = "exhaustive"
     try:
-        if budget < 1:
-            raise BudgetExceededError("enumeration over budget")
-        nodes = 0
-
-        def dfs(cur, cands, start):
-            nonlocal nodes
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError("enumeration over budget")
-            if len(cur) == size:
-                arcs.append(tuple(cur))
-                return
-            for i in range(start, len(cands)):
-                v = cands[i]
-                nxt = [
-                    w
-                    for w in cands[i + 1 :]
-                    if all(
-                        det_full(ctx, [w, v] + list(sub)) != 0
-                        for sub in itertools.combinations(cur, k - 2)
-                    )
-                ]
-                dfs(cur + [v], nxt, 0)
-
-        if len(base) == size:
-            arcs.append(tuple(base))
-        else:
-            seed_arc = ArcConfig(ctx, k, base, check=False)
-            dfs(list(base), extensions_of(seed_arc), 0)
+        if size <= ctx.q + k - 1:
+            arcs = list(complete_search(seed_arc, target_size=size, budget=budget).arcs)
     except BudgetExceededError:
         mode = "sampled"
         rng = random.Random(seed)
-        arcs = [tuple(_random_arc(ctx, k, size, rng)) for _ in range(samples)]
+        inc = HyperplaneIncidence(ctx, k)
+        arcs = [tuple(_random_arc(inc, size, rng)) for _ in range(samples)]
 
     certified = 0
     counterexamples = []

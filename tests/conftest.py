@@ -4,7 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from arclab.arcgeom import ArcConfig, cosecants_through, subset_iter
+from arclab.arcgeom import (
+    ArcConfig,
+    BudgetExceededError,
+    SearchResult,
+    cosecants_through,
+    det_full,
+    projective_points,
+    subset_iter,
+)
 from arclab.certifier import recover_cosecants, vg_vector
 from arclab.gf import FieldCtx
 
@@ -147,6 +155,79 @@ def rank_mod_p(rows, p):
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
         r += 1
     return r
+
+
+# ----------------------------------------------------------------------
+# completion search reference: one det_full per (candidate, new point,
+# (k-2)-subset) triple, the search the library replaced by bitsets
+# ----------------------------------------------------------------------
+
+
+def _ref_compatible(ctx, k, points, v):
+    return all(
+        det_full(ctx, [v] + list(sub)) != 0 for sub in itertools.combinations(points, k - 1)
+    )
+
+
+def ref_extensions_of(arc):
+    """Projective representatives v with arc + v still an arc, by determinants."""
+    return [v for v in projective_points(arc.ctx, arc.k) if _ref_compatible(arc.ctx, arc.k, arc.points, v)]
+
+
+def ref_complete_search(arc, target_size=None, budget=2_000_000):
+    """Scalar DFS with the node order and results of complete_search."""
+    ctx, k = arc.ctx, arc.k
+    sizes, found = set(), []
+    nodes = 0
+
+    def dfs(cur, cands, start):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"search exceeded {budget} nodes")
+        if target_size is not None:
+            if len(cur) >= target_size:
+                if len(cur) == target_size:
+                    found.append(tuple(cur))
+                return
+        elif not cands:
+            sizes.add(len(cur))
+            return
+        for i in range(start, len(cands)):
+            v = cands[i]
+            nxt = [
+                (j, w)
+                for j, w in enumerate(cands)
+                if j != i
+                and all(
+                    det_full(ctx, [w, v] + list(sub)) != 0
+                    for sub in itertools.combinations(cur, k - 2)
+                )
+            ]
+            cur.append(v)
+            # the child branches only over survivors above v
+            dfs(cur, [w for _, w in nxt], sum(1 for j, _ in nxt if j < i))
+            cur.pop()
+
+    dfs(list(arc.points), ref_extensions_of(arc), 0)
+    if target_size is not None:
+        return SearchResult(None, tuple(found), nodes)
+    return SearchResult(tuple(sorted(sizes)), None, nodes)
+
+
+def ref_random_arc(ctx, k, size, rng, attempts):
+    """Greedy arc over shuffled projective points, checked by determinants;
+    None when no attempt reaches the size."""
+    pts = list(projective_points(ctx, k))
+    for _ in range(attempts):
+        rng.shuffle(pts)
+        cur = []
+        for v in pts:
+            if _ref_compatible(ctx, k, cur, v):
+                cur.append(v)
+                if len(cur) == size:
+                    return cur
+    return None
 
 
 # ----------------------------------------------------------------------

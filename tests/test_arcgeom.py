@@ -1,3 +1,4 @@
+import gc
 import random
 from math import comb
 
@@ -6,6 +7,8 @@ import pytest
 from arclab.arcgeom import (
     ArcConfig,
     BudgetExceededError,
+    HyperplaneIncidence,
+    SearchResult,
     canonical_form,
     complete_search,
     cosecants_through,
@@ -18,13 +21,20 @@ from arclab.arcgeom import (
     pencil_through,
     projective_points,
     subset_iter,
-    subset_rank,
-    subset_unrank,
     validate_arc,
 )
 from arclab.gf import FieldCtx
 
-from conftest import all_dual_reps, dot, laplace_det, moment_curve
+from conftest import (
+    all_dual_reps,
+    dot,
+    laplace_det,
+    mat_vec,
+    moment_curve,
+    ref_complete_search,
+    ref_extensions_of,
+    shuffled_nrc,
+)
 
 
 def test_det_basic(F11):
@@ -223,10 +233,7 @@ def test_subset_colex():
     subs = list(subset_iter(7, 2))
     assert len(subs) == comb(7, 2) == 21
     assert subs[0] == (0, 1)
-    # rank/unrank round trip, exhaustive at (11, 5): 462 subsets
-    for r, s in enumerate(subset_iter(11, 5)):
-        assert subset_rank(s) == r
-        assert subset_unrank(r, 5) == s
+    assert len(list(subset_iter(11, 5))) == comb(11, 5) == 462
     # colex order means reversed-tuple lexicographic order
     assert subs == sorted(subs, key=lambda s: tuple(reversed(s)))
 
@@ -238,3 +245,106 @@ def test_validate_arc_hereditary(arc_q11, F11):
     for r in range(3, 7):
         for sub in itertools.combinations(arc_q11.points, r):
             assert validate_arc(F11, 3, sub) is None
+
+
+# ----------------------------------------------------------------------
+# the bitset search against the determinant reference
+# ----------------------------------------------------------------------
+
+
+def _gl_image(ctx, points, rng):
+    """The points under a random invertible map, each rescaled by a random
+    nonzero scalar, so that none is in canonical form."""
+    k = len(points[0])
+    while True:
+        g = [tuple(rng.randrange(ctx.q) for _ in range(k)) for _ in range(k)]
+        if det_full(ctx, g):
+            break
+    return [
+        tuple(ctx.mul(c, y) for y in mat_vec(ctx, g, pt))
+        for pt, c in zip(points, (rng.randrange(1, ctx.q) for _ in points))
+    ]
+
+
+SEARCH_CASES = [
+    # (p, h, k, arc size, target)
+    (7, 1, 3, 4, None),
+    (7, 1, 3, 4, 6),
+    (7, 1, 4, 6, None),
+    (7, 1, 4, 6, 7),
+    (11, 1, 3, 6, None),
+    (11, 1, 3, 6, 9),
+    (11, 1, 4, 9, 12),
+    (13, 1, 3, 7, None),
+    (13, 1, 3, 7, 14),
+    (2, 3, 3, 5, None),
+    (2, 3, 3, 5, 7),
+    (2, 3, 4, 6, None),
+    (2, 3, 4, 6, 8),
+    (3, 2, 3, 5, None),
+    (3, 2, 3, 5, 7),
+    (3, 2, 4, 7, None),
+    (3, 2, 4, 7, 9),
+]
+
+
+@pytest.mark.parametrize("p,h,k,g,target", SEARCH_CASES)
+def test_complete_search_matches_reference(p, h, k, g, target):
+    ctx = FieldCtx(p, h)
+    rng = random.Random(p * 100 + k * 10 + g)
+    prefix = shuffled_nrc(ctx, k, p + k)[:g]
+    results = []
+    for pts in (prefix, _gl_image(ctx, prefix, rng)):
+        arc = ArcConfig(ctx, k, pts)
+        got = complete_search(arc, target_size=target)
+        assert got == ref_complete_search(arc, target_size=target)
+        assert extensions_of(arc) == ref_extensions_of(arc)
+        results.append(got)
+    # node counts and complete sizes are projective invariants
+    assert results[0].nodes == results[1].nodes
+    assert results[0].complete_sizes == results[1].complete_sizes
+
+
+def test_search_on_short_and_dependent_inputs(F5, F7):
+    # fewer than k-1 points span no hyperplane: every point extends, the
+    # rescaled base point included, and that one then leaves no candidate
+    one = ArcConfig(F5, 3, [(2, 0, 0)])
+    assert extensions_of(one) == ref_extensions_of(one) == list(projective_points(F5, 3))
+    assert complete_search(one, target_size=3) == ref_complete_search(one, target_size=3)
+    # k-1 dependent vectors pass validation (no k-subset) and block everything
+    flat = ArcConfig(F7, 3, [(1, 2, 3), (2, 4, 6)])
+    assert extensions_of(flat) == ref_extensions_of(flat) == []
+    assert complete_search(flat) == ref_complete_search(flat) == SearchResult((2,), None, 1)
+
+
+@pytest.mark.parametrize("p,h,k,g,target", [(13, 1, 3, 6, None), (3, 2, 4, 7, 9), (7, 1, 3, 4, 6)])
+def test_complete_search_budget_is_exact(p, h, k, g, target):
+    ctx = FieldCtx(p, h)
+    arc = ArcConfig(ctx, k, _gl_image(ctx, shuffled_nrc(ctx, k, 3)[:g], random.Random(g)))
+    nodes = complete_search(arc, target_size=target).nodes
+    assert complete_search(arc, target_size=target, budget=nodes).nodes == nodes
+    with pytest.raises(BudgetExceededError):
+        complete_search(arc, target_size=target, budget=nodes - 1)
+
+
+def test_search_leaves_no_cycle_behind(arc_q13_size6):
+    # the mask cache lives only as long as one call, also when it raises
+    gc.collect()
+    gc.disable()
+    try:
+        complete_search(arc_q13_size6, target_size=8)
+        with pytest.raises(BudgetExceededError):
+            complete_search(arc_q13_size6, budget=50)
+        extensions_of(arc_q13_size6)
+        assert not any(isinstance(o, HyperplaneIncidence) for o in gc.get_objects())
+    finally:
+        gc.enable()
+
+
+def test_incidence_masks_match_determinants(F9):
+    inc = HyperplaneIncidence(F9, 3, [(1, 1, 1)])
+    n = len(inc.points)
+    for ids in [(0, 5), (3, n), (7, 7)]:
+        rows = [inc.vectors[i] for i in ids]
+        want = sum(1 << i for i, w in enumerate(inc.points) if det_full(F9, [w] + rows))
+        assert inc.keep(ids) == want

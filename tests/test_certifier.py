@@ -4,11 +4,21 @@ from math import comb
 
 import pytest
 
-from arclab.arcgeom import ArcConfig, complete_search, cosecants_through, det_uC, subset_iter
+from arclab.arcgeom import (
+    ArcConfig,
+    BudgetExceededError,
+    HyperplaneIncidence,
+    complete_search,
+    cosecants_through,
+    det_uC,
+    subset_iter,
+)
 from arclab.certifier import (
+    RANDOM_ARC_ATTEMPTS,
     NoCertificateError,
     PropertyWMissingError,
     SizeOutOfRangeError,
+    _random_arc,
     bound_scan,
     build_Mn,
     conjecture_scan,
@@ -23,7 +33,7 @@ from arclab.certifier import (
 from arclab.exactmat import left_null_basis, rank
 from arclab.gf import FieldCtx
 
-from conftest import annihilates, moment_curve, recovers_extension, shuffled_nrc
+from conftest import annihilates, moment_curve, recovers_extension, ref_random_arc, shuffled_nrc
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +333,32 @@ def test_conjecture_scan_exhaustive_frame_completions(F5):
     assert res.mode == "exhaustive"
     assert res.total > 1
     assert res.certified == res.total
+
+
+def test_conjecture_scan_above_q_plus_k_minus_1():
+    # size 9 > q+k-1 = 7: no such arc exists, so the enumeration is empty
+    # and needs no node budget
+    for kwargs in ({}, {"budget": 0, "samples": 1}):
+        res = conjecture_scan(FieldCtx(3), 5, 2, **kwargs)
+        assert (res.mode, res.arc_size, res.total, res.certified) == ("exhaustive", 9, 0, 0)
+
+
+def test_random_arc_gives_up_after_a_fixed_number_of_orders():
+    # no 9-arc in V_5(F_3) (size > q+k-1) and no 7-arc in V_3(F_5)
+    # (size > q+1, q odd): each shuffle costs draws, none succeeds
+    with pytest.raises(BudgetExceededError):
+        _random_arc(HyperplaneIncidence(FieldCtx(3), 5), 9, random.Random(0))
+    with pytest.raises(BudgetExceededError):
+        conjecture_scan(FieldCtx(5), 3, 4, budget=0, samples=1)
+
+
+@pytest.mark.parametrize("p,h,k,size", [(5, 1, 3, 5), (7, 1, 4, 6), (2, 3, 4, 6), (3, 2, 3, 8), (11, 1, 3, 9)])
+def test_random_arc_matches_reference_draws(p, h, k, size):
+    ctx = FieldCtx(p, h)
+    inc = HyperplaneIncidence(ctx, k)
+    ours, ref = random.Random(size), random.Random(size)
+    for _ in range(10):
+        assert _random_arc(inc, size, ours) == ref_random_arc(ctx, k, size, ref, RANDOM_ARC_ATTEMPTS)
 
 
 def test_certificates_never_contradicted_by_search():

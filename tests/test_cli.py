@@ -143,6 +143,13 @@ def test_cmd_conjecture():
     assert rep["fraction"] == 1.0
 
 
+def test_conjecture_sampling_that_cannot_succeed_exits_3(capsys):
+    # no 7-arc exists in V_3(F_5), so every random attempt stops short
+    argv = ["conjecture-scan", "--p", "5", "--k", "3", "--n", "4", "--budget", "0", "--samples", "1"]
+    assert main(argv) == 3
+    assert "random point orders" in capsys.readouterr().err
+
+
 def test_report_determinism():
     arc = parse_arc_file(load("q13_size6.arc"))
     a = strip_timings(cmd_cosecants(arc, 2))
