@@ -22,7 +22,6 @@ __all__ = [
     "det_full",
     "det_uC",
     "det_uvA",
-    "det_linear_coeffs",
     "validate_arc",
     "canonical_form",
     "eval_form",
@@ -83,17 +82,6 @@ def det_uC(arc: "ArcConfig", u, C) -> int:
 def det_uvA(arc: "ArcConfig", u, v, A) -> int:
     """det(u, v, A): the alternating form d_A(u, v)."""
     return det_full(arc.ctx, [u, v] + arc.points_at(A))
-
-
-def det_linear_coeffs(ctx, before, after):
-    """Coefficients c of the linear form x -> det(before + [x] + after)."""
-    k = len(before) + 1 + len(after)
-    coeffs = []
-    for j in range(k):
-        e = [0] * k
-        e[j] = 1
-        coeffs.append(det_full(ctx, list(before) + [e] + list(after)))
-    return tuple(coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +219,7 @@ def _form_values(ctx, forms, points):
     """Every linear form at every point at once, one row per form:
     products, then a sum over the coordinates."""
     ops = ctx.vec_ops()
-    terms = ops.mul(np.asarray(forms, dtype=np.int64)[:, None, :], points[None, :, :])
+    terms = ops.mul(np.asarray(forms, dtype=np.int64)[:, None, :], np.asarray(points)[None, :, :])
     values = terms[:, :, 0]
     for j in range(1, terms.shape[2]):
         values = ops.add(values, terms[:, :, j])

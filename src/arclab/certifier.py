@@ -26,11 +26,9 @@ from .arcgeom import (
     BudgetExceededError,
     HyperplaneIncidence,
     InvariantError,
+    canonical_form,
     complete_search,
     det_uC,
-    eval_form,
-    kernel_of_points,
-    pencil_through,
     subset_iter,
 )
 from .exactmat import (
@@ -39,7 +37,7 @@ from .exactmat import (
     weight_one_in_colspace,
     weight_two_in_colspace,
 )
-from .tangentfns import alpha_table, interpolate_fA
+from .tangentfns import _pencil_lagrange, alpha_table, interpolate_fA
 
 __all__ = [
     "SizeOutOfRangeError",
@@ -309,22 +307,6 @@ def _P_coord(ctx, dets, C, i) -> int:
     return acc
 
 
-def _complete_to_directions(arc: ArcConfig, A):
-    """Two vectors completing span(A) to V_k, from the standard basis."""
-    ctx = arc.ctx
-    k = arc.k
-    rows = arc.points_at(A)
-    out = []
-    for j in range(k):
-        e = [0] * k
-        e[j] = 1
-        if len(kernel_of_points(ctx, rows + [tuple(e)] + out, k)) == k - len(rows) - len(out) - 1:
-            out.append(tuple(e))
-            if len(out) == 2:
-                return out
-    raise InvariantError("standard basis must complete a (k-2)-space")
-
-
 def _sigma(arc: ArcConfig, A, e, t) -> int:
     d = sum(1 for a in A if a > e)
     return -1 if (d * (t + 1)) % 2 else 1
@@ -375,6 +357,9 @@ def recover_cosecants(
             f"Property W fails for {len(report.missing)} subsets, e.g. {report.missing[0]}"
         )
 
+    ops = ctx.vec_ops()
+    # the points (1, lam) and (0, 1) of PG(1,q), one per pencil member
+    w1, w2 = np.array([(1, lam) for lam in ctx.elements()] + [(0, 1)], dtype=np.int64).T
     per_A = {}
     for A in subset_iter(g, k - 2):
         others = [x for x in range(g) if x not in A]
@@ -404,22 +389,24 @@ def recover_cosecants(
             if sx * _sigma(arc, A, y, t) < 0:
                 val = ctx.neg(val)
             values[y] = val
-        ev = interpolate_fA(arc, A, values)
-        u1, u2 = _complete_to_directions(arc, A)
-        roots = []
-        for form in pencil_through(A, arc):
-            b2 = eval_form(ctx, form, u2)
-            if b2 == 0:
-                w = u2
-            else:
-                lam = ctx.neg(ctx.div(eval_form(ctx, form, u1), b2))
-                w = tuple(ctx.add(a, ctx.mul(lam, b)) for a, b in zip(u1, u2))
-            if ev(w) == 0:
-                roots.append(form)
-        if len(roots) > t:
+        # f_A on the pencil member w2 b1 - w1 b2 through each w of PG(1,q):
+        # sum_e weight_e prod_{u != e} D(u, w), D(u, w) = b1.u w2 - b2.u w1
+        b1, b2, beta, weights = _pencil_lagrange(arc, A, values)
+        D = ops.sub(ops.mul(beta[0][:, None], w2), ops.mul(beta[1][:, None], w1))
+        f = np.zeros(ctx.q + 1, dtype=np.int64)
+        for i, weight in enumerate(weights):
+            term = np.int64(weight)
+            for row in np.delete(D, i, axis=0):
+                term = ops.mul(term, row)
+            f = ops.add(f, term)
+        hits = np.flatnonzero(f == 0)
+        if len(hits) > t:
             raise InvariantError("degree-t function cannot vanish on t+1 directions")
-        if len(roots) == t:
-            per_A[A] = PredictedTangent(A, x, values, tuple(sorted(roots)), "ok")
+        if len(hits) == t:
+            b = np.array([b1, b2], dtype=np.int64)
+            members = ops.sub(ops.mul(w2[hits, None], b[0]), ops.mul(w1[hits, None], b[1]))
+            roots = tuple(sorted(canonical_form(ctx, m) for m in members))
+            per_A[A] = PredictedTangent(A, x, values, roots, "ok")
         else:
             per_A[A] = PredictedTangent(A, x, values, None, "non-splitting")
     route = "null-vector" if null_vec is not None else "property-w"

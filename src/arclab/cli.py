@@ -10,7 +10,9 @@ Every command emits a single report, as an aligned text listing or as a
 JSON document (--emit structured) with a stable schema; reruns on the
 same input are identical except for the timing field.  Exit code 0 means
 the analysis completed (even with a negative verdict), 2 an input or
-usage error, 3 a search budget exhaustion.
+usage error, 3 a search budget exhaustion, 4 an internal fault (an
+identity that holds for every arc failed; one ``internal error:`` line
+on stderr).
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import time
 
 from . import certifier as ct
 from . import hypersurf as hs
-from .arcgeom import ArcConfig, BudgetExceededError, complete_search, cosecants_through, subset_iter
+from .arcgeom import (ArcConfig, BudgetExceededError, InvariantError, complete_search,
+                      cosecants_through, subset_iter)
 from .exactmat import left_null_basis, weight_one_in_colspace
 from .gf import FieldCtx, FieldError
 
@@ -191,19 +194,21 @@ def cmd_cosecants(arc: ArcConfig, n: int) -> dict:
     t0 = time.perf_counter()
     ctx = arc.ctx
     M = ct.build_Mn(arc, n)
-    report = ct.property_w(arc, n, M)
     nullity_one = ct.corollary2_route(arc, n, M)
+    # on that route the null vector has full support, so every pair of rows
+    # A+x, A+y carries a weight-two vector and Property W holds unsearched
+    report = None if nullity_one else ct.property_w(arc, n, M)
     t = arc.size - arc.k - n
     theorem4_flag = 2 * n >= arc.size - arc.k - 1
     body = {
         "n": n,
         "t": t,
-        "property_w": report.holds,
+        "property_w": nullity_one or report.holds,
         "corollary2_route": nullity_one,
-        "missing": [_fmt_subset(A) for A in report.missing],
+        "missing": [] if nullity_one else [_fmt_subset(A) for A in report.missing],
         "theorem4_hypersurface_licensed": theorem4_flag,
     }
-    if (report.holds or nullity_one) and t >= 1:
+    if body["property_w"] and t >= 1:
         source = None if nullity_one else report
         pred = ct.recover_cosecants(arc, n, source=source, M=M)
         body["route"] = pred.route
@@ -423,6 +428,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (ArcFileError, FieldError, ct.SizeOutOfRangeError, hs.ArcTooSmallError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,6 @@ from .arcgeom import (
     det_uC,
     eval_form,
     kernel_of_points,
-    pencil_through,
     subset_iter,
 )
 from .tangentfns import alpha_table, arc_degree, tangent_fn
@@ -136,7 +135,8 @@ def eval_surface(surface: DualSurface, ys) -> int:
 
 
 def _pencil_sample_points(arc: ArcConfig, A, count):
-    """Points x, pairwise independent modulo span(A), one per pencil member."""
+    """count points x, pairwise independent modulo span(A): u2 and
+    u1 + lam u2, with u1, u2 completing span(A) from the standard basis."""
     ctx = arc.ctx
     k = arc.k
     rows = arc.points_at(A)
@@ -149,19 +149,10 @@ def _pencil_sample_points(arc: ArcConfig, A, count):
             if len(basis) == 2:
                 break
     u1, u2 = basis
-    out = []
-    for form in pencil_through(A, arc):
-        b2 = eval_form(ctx, form, u2)
-        if b2 == 0:
-            out.append(u2)
-        else:
-            lam = ctx.neg(ctx.div(eval_form(ctx, form, u1), b2))
-            out.append(tuple(ctx.add(a, ctx.mul(lam, b)) for a, b in zip(u1, u2)))
-        if len(out) == count:
-            break
-    if len(out) != count:
+    if count > ctx.q + 1:
         raise InvariantError("pencil too small for the requested sample count")
-    return out
+    lams = ctx.elements()[: count - 1]
+    return [u2] + [tuple(ctx.add(a, ctx.mul(lam, b)) for a, b in zip(u1, u2)) for lam in lams]
 
 
 def theorem9_check(surface: DualSurface, A) -> bool:

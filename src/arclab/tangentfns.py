@@ -18,11 +18,12 @@ from __future__ import annotations
 from .arcgeom import (
     ArcConfig,
     InvariantError,
+    _form_values,
     cosecants_through,
-    det_linear_coeffs,
     det_uC,
     det_uvA,
     eval_form,
+    kernel_of_points,
     subset_iter,
 )
 
@@ -86,6 +87,37 @@ def tangent_fn(arc: ArcConfig, A) -> TangentFn:
     return fn
 
 
+def _pencil_lagrange(arc: ArcConfig, A, values):
+    """Lagrange data of f_A in the pencil coordinates beta(v) = (b1.v, b2.v),
+    b1, b2 a basis of the forms vanishing on span(A).  Then d_A(u, x) is
+    c_A D(u, x), D(u, x) = beta1(u) beta2(x) - beta2(u) beta1(x), c_A != 0,
+    and c_A cancels: each Lagrange term has t factors above the line and t
+    below.  Returns b1, b2, beta of the sorted value points (2 x (t+1)) and
+    their weights f_A(e) / prod_{u != e} D(u, e)."""
+    ctx = arc.ctx
+    pts = sorted(values)
+    if any(e in A for e in pts):
+        raise ValueError("value points must lie outside A")
+    if not pts:
+        raise ValueError("need at least one value point")
+    basis = kernel_of_points(ctx, arc.points_at(sorted(A)), arc.k)
+    if len(basis) != 2:
+        raise ValueError("subset does not span a (k-2)-space")
+    beta = _form_values(ctx, basis, arc.points_at(pts))
+    pairs = beta.T.tolist()
+    weights = [ctx.div(values[e], _prod_D(ctx, pairs, i, pairs[i])) for i, e in enumerate(pts)]
+    return basis[0], basis[1], beta, weights
+
+
+def _prod_D(ctx, pairs, skip, y) -> int:
+    """prod_{j != skip} D(u_j, y) from beta(u_j) = pairs[j] and beta(y) = y."""
+    acc = 1
+    for j, (a1, a2) in enumerate(pairs):
+        if j != skip:
+            acc = ctx.mul(acc, ctx.sub(ctx.mul(a1, y[1]), ctx.mul(a2, y[0])))
+    return acc
+
+
 def interpolate_fA(arc: ArcConfig, A, values):
     """Evaluator for f_A from its values at |values| arc points.
 
@@ -99,33 +131,14 @@ def interpolate_fA(arc: ArcConfig, A, values):
     (t+k-1)-subset E containing A recovers f_A everywhere.
     """
     ctx = arc.ctx
-    A = tuple(sorted(A))
-    pts = sorted(values)
-    if any(e in A for e in pts):
-        raise ValueError("value points must lie outside A")
-    if not pts:
-        raise ValueError("need at least one value point")
-    a_vecs = arc.points_at(A)
-    # d_A(u, .) is linear: precompute its coefficient vector per value point
-    lin = {u: det_linear_coeffs(ctx, [arc.points[u]], a_vecs) for u in pts}
-    terms = []
-    for e in pts:
-        denom = 1
-        for u in pts:
-            if u != e:
-                denom = ctx.mul(denom, eval_form(ctx, lin[u], arc.points[e]))
-        weight = ctx.div(values[e], denom)
-        terms.append((weight, [lin[u] for u in pts if u != e]))
+    b1, b2, beta, weights = _pencil_lagrange(arc, A, values)
+    pairs = beta.T.tolist()
 
     def evaluator(x):
+        y = (eval_form(ctx, b1, x), eval_form(ctx, b2, x))
         acc = 0
-        for weight, forms in terms:
-            term = weight
-            for form in forms:
-                term = ctx.mul(term, eval_form(ctx, form, x))
-                if term == 0:
-                    break
-            acc = ctx.add(acc, term)
+        for i, w in enumerate(weights):
+            acc = ctx.add(acc, ctx.mul(w, _prod_D(ctx, pairs, i, y)))
         return acc
 
     return evaluator

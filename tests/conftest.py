@@ -10,10 +10,24 @@ from arclab.arcgeom import (
     SearchResult,
     cosecants_through,
     det_full,
+    eval_form,
+    kernel_of_points,
+    pencil_through,
     projective_points,
     subset_iter,
 )
-from arclab.certifier import recover_cosecants, vg_vector
+from arclab.certifier import (
+    CosecantPrediction,
+    PredictedTangent,
+    PropertyWReport,
+    _P_coord,
+    _sigma,
+    build_Mn,
+    property_w,
+    recover_cosecants,
+    vg_vector,
+)
+from arclab.exactmat import left_null_basis, weight_one_in_colspace
 from arclab.gf import FieldCtx
 
 ARCS_DIR = Path(__file__).resolve().parent.parent / "arcs"
@@ -231,22 +245,159 @@ def ref_random_arc(ctx, k, size, rng, attempts):
 
 
 # ----------------------------------------------------------------------
+# co-secant recovery reference: each d_A(u, .) from k determinants and
+# f_A evaluated with scalar arithmetic at one direction per member of
+# pencil_through, the recovery the library replaced by one pass over the
+# points of PG(1, q) in pencil coordinates
+# ----------------------------------------------------------------------
+
+
+def ref_det_linear_coeffs(ctx, before, after):
+    """Coefficients c of the linear form x -> det(before + [x] + after)."""
+    k = len(before) + 1 + len(after)
+    coeffs = []
+    for j in range(k):
+        e = [0] * k
+        e[j] = 1
+        coeffs.append(det_full(ctx, list(before) + [e] + list(after)))
+    return tuple(coeffs)
+
+
+def ref_interpolate_fA(arc, A, values):
+    """Scalar Lagrange evaluator sum_e f_A(e) prod_{u != e} d_A(u, x) / d_A(u, e)."""
+    ctx = arc.ctx
+    pts = sorted(values)
+    a_vecs = arc.points_at(sorted(A))
+    lin = {u: ref_det_linear_coeffs(ctx, [arc.points[u]], a_vecs) for u in pts}
+    terms = []
+    for e in pts:
+        denom = 1
+        for u in pts:
+            if u != e:
+                denom = ctx.mul(denom, eval_form(ctx, lin[u], arc.points[e]))
+        terms.append((ctx.div(values[e], denom), [lin[u] for u in pts if u != e]))
+
+    def evaluator(x):
+        acc = 0
+        for weight, forms in terms:
+            for form in forms:
+                weight = ctx.mul(weight, eval_form(ctx, form, x))
+            acc = ctx.add(acc, weight)
+        return acc
+
+    return evaluator
+
+
+def _ref_complete_to_directions(arc, A):
+    """Two standard basis vectors completing span(A) to V_k."""
+    ctx, k = arc.ctx, arc.k
+    rows = arc.points_at(A)
+    out = []
+    for j in range(k):
+        e = tuple(1 if i == j else 0 for i in range(k))
+        if len(kernel_of_points(ctx, rows + [e] + out, k)) == k - len(rows) - len(out) - 1:
+            out.append(e)
+            if len(out) == 2:
+                return out
+    raise AssertionError("standard basis must complete a (k-2)-space")
+
+
+def ref_recover_cosecants(arc, n, source=None, M=None):
+    """recover_cosecants with the scalar interpolation and root finding."""
+    g, k = arc.size, arc.k
+    t = g - k - n
+    M = build_Mn(arc, n) if M is None else M
+    ctx = arc.ctx
+    null_vec = report = None
+    if isinstance(source, PropertyWReport):
+        report = source
+    elif source is not None:
+        null_vec = [int(x) for x in source]
+    elif left_null_basis(M.matrix).nullity == 1 and weight_one_in_colspace(M.matrix) is None:
+        null_vec = left_null_basis(M.matrix).vectors()[0]
+    else:
+        report = property_w(arc, n, M)
+    per_A = {}
+    for A in subset_iter(g, k - 2):
+        others = [x for x in range(g) if x not in A]
+        if null_vec is not None:
+            x, ys = others[0], others[1 : t + 1]
+            row = lambda y: null_vec[M.row_index[tuple(sorted(A + (y,)))]]
+            rho = lambda y: ctx.div(row(x), row(y))
+        else:
+            wit = report.witnesses[A]
+            x = wit.pivot
+            pairs = {y: (a, b) for y, a, b in wit.partners}
+            ys = [y for y, _, _ in wit.partners][:t]
+            rho = lambda y: ctx.neg(ctx.div(pairs[y][1], pairs[y][0]))
+        Cx = tuple(sorted(A + (x,)))
+        Px = _P_coord(ctx, M.dets, Cx, M.row_index[Cx])
+        values = {x: 1}
+        for y in ys:
+            Cy = tuple(sorted(A + (y,)))
+            val = ctx.div(Px, ctx.mul(rho(y), _P_coord(ctx, M.dets, Cy, M.row_index[Cy])))
+            if _sigma(arc, A, x, t) * _sigma(arc, A, y, t) < 0:
+                val = ctx.neg(val)
+            values[y] = val
+        ev = ref_interpolate_fA(arc, A, values)
+        u1, u2 = _ref_complete_to_directions(arc, A)
+        roots = []
+        for form in pencil_through(A, arc):
+            b2 = eval_form(ctx, form, u2)
+            if b2 == 0:
+                w = u2
+            else:
+                lam = ctx.neg(ctx.div(eval_form(ctx, form, u1), b2))
+                w = tuple(ctx.add(a, ctx.mul(lam, b)) for a, b in zip(u1, u2))
+            if ev(w) == 0:
+                roots.append(form)
+        assert len(roots) <= t
+        forms, status = (tuple(sorted(roots)), "ok") if len(roots) == t else (None, "non-splitting")
+        per_A[A] = PredictedTangent(A, x, values, forms, status)
+    return CosecantPrediction(n, t, per_A, "null-vector" if null_vec is not None else "property-w")
+
+
+def gl_image(arc, seed):
+    """The arc mapped by a seeded random invertible matrix, each point then
+    rescaled by a random nonzero scalar; order kept."""
+    ctx, k = arc.ctx, arc.k
+    rng = random.Random(seed)
+    while True:
+        g = [[rng.randrange(ctx.q) for _ in range(k)] for _ in range(k)]
+        if det_full(ctx, g) != 0:
+            break
+    pts = [
+        tuple(ctx.mul(s, c) for c in mat_vec(ctx, g, p))
+        for p, s in zip(arc.points, (rng.randrange(1, ctx.q) for _ in arc.points))
+    ]
+    return ArcConfig(ctx, k, pts)
+
+
+# ----------------------------------------------------------------------
 # recovery round trip
 # ----------------------------------------------------------------------
 
 
 def recovers_extension(S, g):
     """Whether recovery from the true v_G of S's g-point prefix G reproduces
-    cosecants_through(A, S) for every (k-2)-subset A of G.
+    cosecants_through(A, S) for every (k-2)-subset A of G, with every
+    prediction equal to the scalar reference's.
 
     S must have the extension size q+2k+n-1-g for some n >= 0; recovery
     then runs on M_n of G with t = |G|-k-n.
     """
     n = S.size + g + 1 - S.ctx.q - 2 * S.k
-    pred = recover_cosecants(S.prefix(g), n, source=vg_vector(S, g).coords)
-    return pred.all_split and all(
-        sorted(pred.per_A[A].forms) == sorted(cosecants_through(A, S))
-        for A in subset_iter(g, S.k - 2)
+    G = S.prefix(g)
+    M = build_Mn(G, n)
+    v = vg_vector(S, g).coords
+    pred = recover_cosecants(G, n, source=v, M=M)
+    return (
+        pred.all_split
+        and pred.per_A == ref_recover_cosecants(G, n, source=v, M=M).per_A
+        and all(
+            sorted(pred.per_A[A].forms) == sorted(cosecants_through(A, S))
+            for A in subset_iter(g, S.k - 2)
+        )
     )
 
 

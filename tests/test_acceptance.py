@@ -63,6 +63,7 @@ from conftest import (
     moment_curve,
     rank_mod_p,
     recovers_extension,
+    ref_recover_cosecants,
     shuffled_nrc,
 )
 
@@ -196,6 +197,7 @@ def test_criterion_3b_q81_all_split(arc_q81, q81_matrix):
         "rest_non_splitting": all(
             p.status == "non-splitting" for A, p in pred.per_A.items() if A not in Q81_SPLIT
         ),
+        "matches_scalar_recovery": pred.per_A == ref_recover_cosecants(arc_q81, 1, M=q81_matrix).per_A,
         "nullity_1": null.nullity == 1,
         "null_vector_full_support": all(v),
         "null_vector_annihilates_M1": annihilates(ctx, v, q81_matrix.matrix.data.tolist()),

@@ -13,7 +13,6 @@ from arclab.arcgeom import (
     complete_search,
     cosecants_through,
     det_full,
-    det_linear_coeffs,
     det_uC,
     det_uvA,
     eval_form,
@@ -32,6 +31,7 @@ from conftest import (
     mat_vec,
     moment_curve,
     ref_complete_search,
+    ref_det_linear_coeffs,
     ref_extensions_of,
     shuffled_nrc,
 )
@@ -61,10 +61,10 @@ def test_det_alternating_and_linear(F13):
         rows = [tuple(rng.randrange(13) for _ in range(4)) for _ in range(4)]
         swapped = [rows[1], rows[0]] + rows[2:]
         assert det_full(F13, swapped) == F13.neg(det_full(F13, rows))
-    # det_linear_coeffs really is the linear form x -> det(before+[x]+after)
+    # the recovery reference's d_A(u, .) really is x -> det(before+[x]+after)
     before = [(1, 2, 3, 4)]
     after = [(0, 1, 5, 2), (7, 0, 0, 1)]
-    coeffs = det_linear_coeffs(F13, before, after)
+    coeffs = ref_det_linear_coeffs(F13, before, after)
     for _ in range(20):
         x = tuple(rng.randrange(13) for _ in range(4))
         assert eval_form(F13, coeffs, x) == det_full(F13, before + [x] + after)

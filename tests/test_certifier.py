@@ -33,7 +33,15 @@ from arclab.certifier import (
 from arclab.exactmat import left_null_basis, rank
 from arclab.gf import FieldCtx
 
-from conftest import annihilates, moment_curve, recovers_extension, ref_random_arc, shuffled_nrc
+from conftest import (
+    annihilates,
+    gl_image,
+    moment_curve,
+    recovers_extension,
+    ref_random_arc,
+    ref_recover_cosecants,
+    shuffled_nrc,
+)
 
 
 # ----------------------------------------------------------------------
@@ -215,8 +223,24 @@ def test_recover_q13_size6_matches_conic(arc_q13_size6, F13):
     # the property-w route recovers the same forms (determinacy)
     report = property_w(arc_q13_size6, 2)
     pred2 = recover_cosecants(arc_q13_size6, 2, source=report)
+    assert pred2.route == "property-w"
     for A in subset_iter(6, 1):
         assert pred2.per_A[A].forms == pred.per_A[A].forms
+    # both routes agree with the scalar recovery prediction by prediction
+    assert pred.per_A == ref_recover_cosecants(arc_q13_size6, 2).per_A
+    assert pred2.per_A == ref_recover_cosecants(arc_q13_size6, 2, source=report).per_A
+
+
+def test_recover_matches_scalar_reference_on_q81_gl_image(arc_q81):
+    # a GL(6, 81) image of the q=81 arc with rescaled points: dense
+    # coordinates, the same 7/330 split count, and every prediction equal
+    # to the scalar reference's
+    G = gl_image(arc_q81, seed=3)
+    M = build_Mn(G, 1)
+    pred = recover_cosecants(G, 1, M=M)
+    assert pred.route == "null-vector"
+    assert sum(p.status == "ok" for p in pred.per_A.values()) == 7
+    assert pred.per_A == ref_recover_cosecants(G, 1, M=M).per_A
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from arclab import certifier
+from arclab.arcgeom import InvariantError
 from arclab.cli import (
     ArcFileError,
     cmd_analyze,
@@ -108,6 +110,35 @@ def test_cmd_cosecants_q13_size6():
     for item in rep["predictions"]:
         assert item["status"] == "ok"
         assert len(item["cosecants"]) == rep["t"] == 1
+
+
+def test_cmd_cosecants_skips_the_search_on_the_nullity_one_route(monkeypatch):
+    # there the null vector has full support, so Property W holds without
+    # a search; the report is the one the search gives
+    cases = [(parse_arc_file(load("q13_size6.arc")), 2), (parse_arc_file(load("q81_size11.arc")), 1)]
+    searched = [certifier.property_w(arc, n) for arc, n in cases]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("property_w ran on the nullity-one route")
+
+    monkeypatch.setattr(certifier, "property_w", no_search)
+    for (arc, n), w in zip(cases, searched):
+        rep = cmd_cosecants(arc, n)
+        assert rep["corollary2_route"] is True
+        assert (rep["property_w"], rep["missing"]) == (w.holds, list(w.missing)) == (True, [])
+        assert rep["route"] == "null-vector"
+        assert len(rep["predictions"]) == len(w.witnesses)
+
+
+def test_internal_fault_exits_4(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InvariantError("pencil has 13 members, not q+1 = 14")
+
+    monkeypatch.setattr(certifier, "recover_cosecants", broken)
+    assert main(["property-w", str(ARCS_DIR / "q13_size6.arc"), "--n", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: pencil has 13 members, not q+1 = 14\n"
 
 
 def test_cmd_cosecants_missing_verdict():

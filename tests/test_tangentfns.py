@@ -16,7 +16,7 @@ from arclab.tangentfns import (
     tangent_fn,
 )
 
-from conftest import moment_curve
+from conftest import mat_vec, moment_curve, ref_interpolate_fA
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,27 @@ def test_interpolation_degenerate_and_errors(hyperconic_f4, conic_f5):
         interpolate_fA(conic_f5, (0,), {0: 1})
     with pytest.raises(ValueError):
         interpolate_fA(conic_f5, (0,), {})
+
+
+def test_interpolation_matches_scalar_reference(conic_f5, nrc_f7_k4, arc_q13_size12, arc_q81):
+    # arbitrary nonzero values at 1, 2 or 4 points: the pencil-coordinate
+    # evaluator equals the determinant one on random vectors, on vectors
+    # of span(A) and on arc points, the constant t = 0 case included
+    rng = random.Random(21)
+    for arc in (conic_f5, nrc_f7_k4, arc_q13_size12, arc_q81):
+        ctx, k = arc.ctx, arc.k
+        for A in list(subset_iter(arc.size, k - 2))[:4]:
+            others = [e for e in range(arc.size) if e not in A]
+            for d in (0, 1, 3):
+                values = {e: rng.randrange(1, ctx.q) for e in rng.sample(others, d + 1)}
+                ev, ref = interpolate_fA(arc, A, values), ref_interpolate_fA(arc, A, values)
+                vecs = [tuple(rng.randrange(ctx.q) for _ in range(k)) for _ in range(20)]
+                cols = list(zip(*arc.points_at(A)))
+                for _ in range(5):
+                    vecs.append(tuple(mat_vec(ctx, cols, [rng.randrange(ctx.q) for _ in A])))
+                vecs += list(arc.points)
+                for v in vecs:
+                    assert ev(v) == ref(v)
 
 
 def test_sum_zero(conic_f5, arc_q13_size12, F13):
