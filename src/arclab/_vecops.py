@@ -36,6 +36,8 @@ class VecOps:
         log = np.full(q, z, dtype=np.int64)
         log[exp] = np.arange(n1)
         self.log = log
+        # -log b mod (q-1), so that log a + inv_log[b] is a product's index
+        self.inv_log = -log % n1
         ext = np.zeros(2 * z + 1, dtype=np.int64)
         ext[: 2 * n1 - 1] = np.resize(exp, 2 * n1 - 1)
         self.exp_ext = ext
@@ -63,6 +65,18 @@ class VecOps:
         la = self.log[a]
         return self.exp_ext[la + self.zech_pad[self.ulog[b] - la]]
 
+    def matmul(self, a, b):
+        """The matrix product a @ b of stacks of matrices (numpy's
+        broadcasting rules).  A prime field takes the integer product: an
+        entry summing n products stays below n p^2, far from overflow."""
+        if self.h == 1:
+            return a @ b % self.p
+        terms = self.mul(a[..., :, :, None], b[..., None, :, :])
+        acc = terms[..., 0, :]
+        for j in range(1, terms.shape[-2]):
+            acc = self.add(acc, terms[..., j, :])
+        return acc
+
     def addmul(self, block, f, row):
         """``block + f[:, None] * row`` for a 2-D block, a column of nonzero
         factors f and one row.  The block serves as scratch space."""
@@ -82,6 +96,10 @@ class VecOps:
 
     def neg(self, a):
         return self.neg_table[a]
+
+    def div(self, a, b):
+        """Element-wise a / b; the entries where b is zero are meaningless."""
+        return self.exp_ext[self.log[a] + self.inv_log[b]]
 
     def sub(self, a, b):
         return self.add(a, self.neg_table[b])

@@ -19,13 +19,10 @@ __all__ = [
     "InvariantError",
     "ArcConfig",
     "SearchResult",
+    "cofactor_normals",
     "det_full",
-    "det_uC",
-    "det_uvA",
     "validate_arc",
     "canonical_form",
-    "eval_form",
-    "kernel_of_points",
     "pencil_through",
     "cosecants_through",
     "projective_points",
@@ -34,6 +31,12 @@ __all__ = [
     "complete_search",
     "subset_iter",
 ]
+
+
+# stacked sets per cofactor_normals call: validate_arc's k-subsets, and the
+# incidence masks, whose form values take MASK_CHUNK x N x k cells
+DET_CHUNK = 4096
+MASK_CHUNK = 8
 
 
 class BudgetExceededError(RuntimeError):
@@ -50,38 +53,68 @@ class InvariantError(RuntimeError):
 # ----------------------------------------------------------------------
 
 
+def cofactor_normals(ctx, sets):
+    """The normal n_C of every set C of a (B, k-1, k) stack of k-1 vectors:
+    n_C . u = det(u, C) for every u, a zero row when C is dependent.
+
+    One Gauss-Jordan elimination runs on all B sets at once, row by row,
+    with a pivot column per set: the first nonzero entry of its row.  The
+    reduced set has one free column f, and n_C is det(e_f, C) times the
+    kernel vector v with v_f = 1.  det(e_f, C) is the product of the pivots
+    times the sign of the column order (f, p_1, ..., p_{k-1}).  A dependent
+    set meets a zero row, whose zero pivot zeroes the normal.
+    """
+    ops = ctx.vec_ops()
+    work = np.array(sets, dtype=np.int64)
+    b, m, k = work.shape
+    at = np.arange(b)
+    pivots = np.zeros((b, m), dtype=np.int64)
+    det = np.ones(b, dtype=np.int64)
+    odd = np.zeros(b, dtype=bool)  # parity of the column order
+    for r in range(m):
+        p = (work[:, r] != 0).argmax(1)
+        for s in range(r):
+            odd ^= pivots[:, s] > p
+        col = work[at, :, p]
+        piv = col[:, r].copy()
+        det = ops.mul(det, piv)
+        row = ops.div(work[:, r], piv[:, None])
+        col[:, r] = 0
+        work = ops.sub(work, ops.mul(col[:, :, None], row[:, None, :]))
+        work[:, r] = row
+        pivots[:, r] = p
+    # the pivot columns are all columns but f, so f precedes f smaller ones
+    f = (k * (k - 1) // 2 - pivots.sum(1)) % k
+    odd ^= f % 2 == 1
+    det[odd] = ops.neg(det[odd])
+    normals = np.zeros((b, k), dtype=np.int64)
+    normals[at[:, None], pivots] = ops.neg(ops.mul(det[:, None], work[at, :, f]))
+    normals[at, f] = det
+    return normals
+
+
+def _form_values(ctx, forms, points):
+    """Every linear form at every point at once, one row per form."""
+    points = np.asarray(points, dtype=np.int64)
+    return ctx.vec_ops().matmul(np.asarray(forms, dtype=np.int64).reshape(-1, points.shape[1]), points.T)
+
+
+def _dets(arc: "ArcConfig", sets, us):
+    """det(u, C) for every C of sets (a row each) and u of us (a column
+    each), both given as arc positions, C's members in the given order."""
+    pts = np.array(arc.points, dtype=np.int64).reshape(-1, arc.k)
+    ids = np.array(sets, dtype=np.int64).reshape(len(sets), arc.k - 1)
+    return _form_values(arc.ctx, cofactor_normals(arc.ctx, pts[ids]), pts[list(us)])
+
+
 def det_full(ctx, rows) -> int:
-    """Exact determinant of the k x k matrix whose i-th row is rows[i]."""
+    """Exact determinant of the k x k matrix whose i-th row is rows[i]:
+    the cofactor normal of rows[1:] at rows[0]."""
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("determinant requires a square matrix")
-    m = [list(r) for r in rows]
-    det = 1
-    for c in range(k):
-        piv = next((r for r in range(c, k) if m[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = ctx.neg(det)
-        det = ctx.mul(det, m[c][c])
-        inv = ctx.inv(m[c][c])
-        for r in range(c + 1, k):
-            if m[r][c]:
-                f = ctx.mul(m[r][c], inv)
-                for cc in range(c, k):
-                    m[r][cc] = ctx.sub(m[r][cc], ctx.mul(f, m[c][cc]))
-    return det
-
-
-def det_uC(arc: "ArcConfig", u, C) -> int:
-    """det(u, C) with the members of C in increasing arc order."""
-    return det_full(arc.ctx, [u] + arc.points_at(C))
-
-
-def det_uvA(arc: "ArcConfig", u, v, A) -> int:
-    """det(u, v, A): the alternating form d_A(u, v)."""
-    return det_full(arc.ctx, [u, v] + arc.points_at(A))
+    m = np.array(rows, dtype=np.int64).reshape(k, k)
+    return int(_form_values(ctx, cofactor_normals(ctx, m[None, 1:]), m[:1])[0, 0])
 
 
 # ----------------------------------------------------------------------
@@ -90,16 +123,24 @@ def det_uvA(arc: "ArcConfig", u, v, A) -> int:
 
 
 def validate_arc(ctx, k, points):
-    """None if every k-subset of points is a basis, else a witness subset."""
+    """None if every k-subset of points is a basis, else a witness subset:
+    a zero vector first, then the first degenerate k-subset in
+    ``itertools.combinations`` order, DET_CHUNK subsets per kernel call."""
     pts = [tuple(p) for p in points]
     for p in pts:
         if len(p) != k:
             raise ValueError(f"vector {p} does not have length {k}")
         if not any(p):
             return (pts.index(p),)  # zero vector: the witness is the point itself
-    for sub in itertools.combinations(range(len(pts)), k):
-        if det_full(ctx, [pts[i] for i in sub]) == 0:
-            return sub
+    arr = np.array(pts, dtype=np.int64).reshape(-1, k)
+    subsets = itertools.combinations(range(len(pts)), k)
+    while chunk := list(itertools.islice(subsets, DET_CHUNK)):
+        ids = np.array(chunk)
+        normals = cofactor_normals(ctx, arr[ids[:, 1:]])
+        dets = ctx.vec_ops().matmul(normals[:, None, :], arr[ids[:, 0], :, None])[:, 0, 0]
+        bad = np.flatnonzero(dets == 0)
+        if bad.size:
+            return chunk[bad[0]]
     return None
 
 
@@ -112,6 +153,9 @@ class ArcConfig:
         self.ctx = ctx
         self.k = k
         self.points = tuple(tuple(int(x) for x in p) for p in points)
+        for p in self.points:
+            if not all(0 <= x < ctx.q for x in p):
+                raise ValueError(f"vector {p} has a coordinate outside 0..{ctx.q - 1}")
         if len(self.points) > ctx.q + k - 1:
             raise ValueError(
                 f"arc size {len(self.points)} exceeds q+k-1 = {ctx.q + k - 1}"
@@ -149,90 +193,68 @@ class ArcConfig:
 
 def canonical_form(ctx, coeffs):
     """Scale a nonzero dual vector so its first nonzero coefficient is 1."""
-    coeffs = tuple(int(c) for c in coeffs)
-    lead = next((c for c in coeffs if c), None)
-    if lead is None:
+    if not any(coeffs):
         raise ValueError("zero vector is not a linear form")
-    if lead == 1:
-        return coeffs
-    inv = ctx.inv(lead)
-    return tuple(ctx.mul(inv, c) for c in coeffs)
+    return tuple(_canonical(ctx, np.array([coeffs], dtype=np.int64))[0].tolist())
 
 
-def eval_form(ctx, form, v) -> int:
-    acc = 0
-    for c, x in zip(form, v):
-        if c and x:
-            acc = ctx.add(acc, ctx.mul(c, x))
-    return acc
+def _pencil_basis(arc: ArcConfig, A):
+    """u1, u2, b1, b2 for a (k-2)-subset A: e_u1 is the first standard
+    basis vector outside span(A), e_u2 the first outside span(A, e_u1),
+    and b1 = n_{A+e_u1}, b2 = n_{A+e_u2} span the forms vanishing on A."""
+    k = arc.k
+    a = np.array(arc.points_at(A), dtype=np.int64).reshape(-1, k)
+    eye = np.eye(k, dtype=np.int64)[:, None]
+    normals = cofactor_normals(arc.ctx, np.concatenate([np.broadcast_to(a, (k, *a.shape)), eye], axis=1))
+    outside = np.flatnonzero(normals.any(axis=1))
+    if len(A) != k - 2 or not outside.size:
+        raise ValueError("subset does not span a (k-2)-space")
+    u1 = int(outside[0])
+    u2 = int(np.flatnonzero(normals[u1])[0])
+    return u1, u2, normals[u1], normals[u2]
 
 
-def kernel_of_points(ctx, rows, width):
-    """Basis of {w : row . w = 0 for all rows}, by elimination."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(width):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = ctx.inv(m[r][c])
-        m[r] = [ctx.mul(inv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * width
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = ctx.neg(m[i][fc])
-        basis.append(tuple(vec))
-    return basis
+def _projective_line(ctx):
+    """w1, w2: the points (1, lam), lam in F_q, and (0, 1) of PG(1,q)."""
+    return np.array([(1, lam) for lam in ctx.elements()] + [(0, 1)], dtype=np.int64).T
+
+
+def _canonical(ctx, m):
+    """The rows of m scaled so that their first nonzero entry is 1."""
+    return ctx.vec_ops().div(m, m[np.arange(len(m)), (m != 0).argmax(1)][:, None])
+
+
+def _pencil_members(ctx, b1, b2, w1, w2):
+    """The canonical forms w2 b1 - w1 b2, one row per point w of PG(1,q)."""
+    ops = ctx.vec_ops()
+    return _canonical(ctx, ops.sub(ops.mul(w2[:, None], b1), ops.mul(w1[:, None], b2)))
 
 
 def pencil_through(A, arc: ArcConfig):
     """The q+1 canonical forms vanishing on the (k-2)-space spanned by A."""
     ctx = arc.ctx
-    basis = kernel_of_points(ctx, arc.points_at(A), arc.k)
-    if len(basis) != 2:
-        raise ValueError("subset does not span a (k-2)-space")
-    b1, b2 = basis
-    forms = {canonical_form(ctx, b2)}
-    for lam in ctx.elements():
-        coeffs = tuple(ctx.add(x, ctx.mul(lam, y)) for x, y in zip(b1, b2))
-        forms.add(canonical_form(ctx, coeffs))
+    _, _, b1, b2 = _pencil_basis(arc, A)
+    forms = sorted(set(map(tuple, _pencil_members(ctx, b1, b2, *_projective_line(ctx)).tolist())))
     if len(forms) != ctx.q + 1:
         raise InvariantError(f"pencil has {len(forms)} members, not q+1 = {ctx.q + 1}")
-    return sorted(forms)
-
-
-def _form_values(ctx, forms, points):
-    """Every linear form at every point at once, one row per form:
-    products, then a sum over the coordinates."""
-    ops = ctx.vec_ops()
-    terms = ops.mul(np.asarray(forms, dtype=np.int64)[:, None, :], np.asarray(points)[None, :, :])
-    values = terms[:, :, 0]
-    for j in range(1, terms.shape[2]):
-        values = ops.add(values, terms[:, :, j])
-    return values
+    return forms
 
 
 def cosecants_through(A, arc: ArcConfig):
-    """Forms of the t hyperplanes meeting the arc exactly in A."""
-    forms = pencil_through(A, arc)
+    """Forms of the t hyperplanes meeting the arc exactly in A.  The member
+    w2 b1 - w1 b2 contains a point x iff w is proportional to
+    beta(x) = (b1.x, b2.x), so the co-secants are the members at the
+    points of PG(1,q) that no other arc point marks."""
+    ctx = arc.ctx
+    _, _, b1, b2 = _pencil_basis(arc, A)
     others = np.array([p for i, p in enumerate(arc.points) if i not in A], dtype=np.int64)
-    values = _form_values(arc.ctx, forms, others.reshape(-1, arc.k))
-    keep = np.all(values != 0, axis=1)
-    return [form for form, ok in zip(forms, keep) if ok]
+    beta1, beta2 = _form_values(ctx, [b1, b2], others.reshape(-1, arc.k))
+    if np.any((beta1 == 0) & (beta2 == 0)):
+        return []  # a point of span(A) lies on every member
+    free = np.ones(ctx.q + 1, dtype=bool)
+    free[np.where(beta1 != 0, ctx.vec_ops().div(beta2, beta1), ctx.q)] = False
+    w1, w2 = _projective_line(ctx)
+    return sorted(map(tuple, _pencil_members(ctx, b1, b2, w1[free], w2[free]).tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -255,11 +277,10 @@ class HyperplaneIncidence:
 
     Point i of ``projective_points`` is bit i of a Python int.  The
     vectors of ``extra`` (arc points, which need not be in canonical form)
-    get the ids N, N+1, ... after the N projective points.  ``keep(ids)``
-    is the bitset of the points off the hyperplane spanned by the k-1
-    vectors with those ids, that is of the w with det(w, ids) != 0; it is
-    0 when the vectors are dependent, since then every such determinant
-    vanishes.  Masks are cached by id tuple for the life of the object,
+    get the ids N, N+1, ... after the N projective points.  The mask of a
+    key, a tuple of k-1 ids, is the bitset of the points off the hyperplane
+    spanned by those vectors, that is of the w with det(w, ids) != 0; it is
+    0 when the vectors are dependent, since their normal is zero.  Masks are cached by id tuple for the life of the object,
     so make one per search and drop it afterwards.
     """
 
@@ -270,32 +291,42 @@ class HyperplaneIncidence:
         self.vectors = self.points + [tuple(v) for v in extra]
         self.full = (1 << len(self.points)) - 1
         self._coords = np.array(self.points, dtype=np.int64)
+        self._vectors = np.array(self.vectors, dtype=np.int64)
         self._masks = {}
 
-    def keep(self, ids) -> int:
-        mask = self._masks.get(ids)
-        if mask is None:
-            basis = kernel_of_points(self.ctx, [self.vectors[i] for i in ids], self.k)
-            mask = 0
-            if len(basis) == 1:
-                off = _form_values(self.ctx, basis, self._coords)[0] != 0
-                mask = int.from_bytes(np.packbits(off, bitorder="little").tobytes(), "little")
-            self._masks[ids] = mask
-        return mask
+    def masks(self, keys):
+        """The mask of every key of a list, the uncached ones computed
+        MASK_CHUNK per kernel call: a call per key costs more than the
+        scalar elimination it replaced, a call per node more memory."""
+        cache = self._masks
+        new = [ids for ids in keys if ids not in cache]
+        for i in range(0, len(new), MASK_CHUNK):
+            chunk = new[i : i + MASK_CHUNK]
+            normals = cofactor_normals(self.ctx, self._vectors[np.array(chunk)])
+            off = _form_values(self.ctx, normals, self._coords) != 0
+            for ids, row in zip(chunk, np.packbits(off, axis=1, bitorder="little")):
+                cache[ids] = int.from_bytes(row.tobytes(), "little")
+        return [cache[ids] for ids in keys]
 
-    def cut(self, cands: int, cur, v: int) -> int:
-        """cands without the points on a hyperplane <v, S>, S a
-        (k-2)-subset of cur: the candidates left once v joins the arc cur."""
-        for sub in itertools.combinations(cur, self.k - 2):
-            cands &= self.keep(sub + (v,))
-        return cands
+    def cuts(self, cands: int, cur, vs):
+        """For each v of vs, the candidates left once v joins the arc cur:
+        cands without v and without the points on a hyperplane <v, S>, S a
+        (k-2)-subset of cur.  All their masks are filled at the start."""
+        subs = list(itertools.combinations(cur, self.k - 2))
+        masks = iter(self.masks([sub + (v,) for v in vs for sub in subs]))
+        for v in vs:
+            child = cands & ~(1 << v)
+            for _ in subs:
+                child &= next(masks)
+            yield child
 
     def extensions(self) -> int:
         """Bitset of the points off every hyperplane spanned by k-1 of the
         extra vectors: the v for which extra + [v] is still an arc."""
         cands = self.full
-        for ids in itertools.combinations(range(len(self.points), len(self.vectors)), self.k - 1):
-            cands &= self.keep(ids)
+        extra = range(len(self.points), len(self.vectors))
+        for mask in self.masks(list(itertools.combinations(extra, self.k - 1))):
+            cands &= mask
         return cands
 
 
@@ -352,11 +383,12 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
         elif not cands:
             sizes.add(len(cur))
             return
+        vs = []
         while branches:
             low = branches & -branches
             branches ^= low
-            v = low.bit_length() - 1
-            child = inc.cut(cands & ~low, cur, v)
+            vs.append(low.bit_length() - 1)
+        for v, child in zip(vs, inc.cuts(cands, cur, vs)):
             cur.append(v)
             # the child branches only above v, so each set is visited once
             dfs(child, child >> (v + 1) << (v + 1))

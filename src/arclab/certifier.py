@@ -26,9 +26,10 @@ from .arcgeom import (
     BudgetExceededError,
     HyperplaneIncidence,
     InvariantError,
-    canonical_form,
+    _dets,
+    _pencil_members,
+    _projective_line,
     complete_search,
-    det_uC,
     subset_iter,
 )
 from .exactmat import (
@@ -106,7 +107,7 @@ class CertMatrix:
 
 def _det_table(arc: ArcConfig, rows):
     """det(u, C) for every point u and subset C of rows (0 when u in C)."""
-    return [[det_uC(arc, arc.points[u], C) for C in rows] for u in range(arc.size)]
+    return _dets(arc, rows, range(arc.size)).T.tolist()
 
 
 def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
@@ -116,31 +117,26 @@ def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
     if n < 0 or g < k + n:
         raise SizeOutOfRangeError(f"need 0 <= n <= |G|-k, got n={n}, |G|={g}")
     ctx = arc.ctx
+    ops = ctx.vec_ops()
     rows = list(subset_iter(g, k - 1))
     row_index = {c: i for i, c in enumerate(rows)}
     dets = _det_table(arc, rows)
-    cols = []
+    cols, stars, outs = [], [], []
     for E in subset_iter(g, g - n):
-        out = [u for u in range(g) if u not in set(E)]
+        out = [u for u in range(g) if u not in E]
         for Apos in subset_iter(g - n, k - 2):
             A = tuple(E[i] for i in Apos)
             cols.append((A, E))
+            stars.append([row_index[tuple(sorted(A + (e,)))] for e in range(g) if e not in A])
+            outs.append(out)
+    # column (A, E) has prod_{u in G-E} det(u, A+e) in each row A+e of its star
+    stars = np.array(stars, dtype=np.int64)
+    table = np.array(dets, dtype=np.int64)
+    values = np.ones(stars.shape, dtype=np.int64)
+    for u in np.array(outs, dtype=np.int64).reshape(len(cols), n).T:
+        values = ops.mul(values, table[u[:, None], stars])
     data = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    others = list(range(g))
-    for j, (A, E) in enumerate(cols):
-        Eset = set(E)
-        out = [u for u in others if u not in Eset]
-        for e in others:
-            if e in A:
-                continue
-            C = tuple(sorted(A + (e,)))
-            i = row_index[C]
-            v = 1
-            for u in out:
-                v = ctx.mul(v, dets[u][i])
-                if v == 0:
-                    break
-            data[i, j] = v
+    data[stars, np.arange(len(cols))[:, None]] = values
     return CertMatrix(arc, n, GFMatrix(ctx, data), rows, cols, dets)
 
 
@@ -300,11 +296,7 @@ class CosecantPrediction:
 def _P_coord(ctx, dets, C, i) -> int:
     """prod_{z in G-C} det(z, C)^{-1}: the v_G coordinate without alpha,
     read from a determinant table whose i-th subset is C."""
-    acc = 1
-    for z, row in enumerate(dets):
-        if z not in C:
-            acc = ctx.mul(acc, ctx.inv(row[i]))
-    return acc
+    return ctx.inv(ctx.prod(row[i] for z, row in enumerate(dets) if z not in C))
 
 
 def _sigma(arc: ArcConfig, A, e, t) -> int:
@@ -359,7 +351,7 @@ def recover_cosecants(
 
     ops = ctx.vec_ops()
     # the points (1, lam) and (0, 1) of PG(1,q), one per pencil member
-    w1, w2 = np.array([(1, lam) for lam in ctx.elements()] + [(0, 1)], dtype=np.int64).T
+    w1, w2 = _projective_line(ctx)
     per_A = {}
     for A in subset_iter(g, k - 2):
         others = [x for x in range(g) if x not in A]
@@ -403,9 +395,8 @@ def recover_cosecants(
         if len(hits) > t:
             raise InvariantError("degree-t function cannot vanish on t+1 directions")
         if len(hits) == t:
-            b = np.array([b1, b2], dtype=np.int64)
-            members = ops.sub(ops.mul(w2[hits, None], b[0]), ops.mul(w1[hits, None], b[1]))
-            roots = tuple(sorted(canonical_form(ctx, m) for m in members))
+            roots = _pencil_members(ctx, b1, b2, w1[hits], w2[hits]).tolist()
+            roots = tuple(sorted(map(tuple, roots)))
             per_A[A] = PredictedTangent(A, x, values, roots, "ok")
         else:
             per_A[A] = PredictedTangent(A, x, values, None, "non-splitting")
@@ -451,12 +442,8 @@ def vG_check(full_arc: ArcConfig, g: int, n: int) -> bool:
     G = full_arc.prefix(g)
     M = build_Mn(G, n)
     v = vg_vector(full_arc, g)
-    ops = full_arc.ctx.vec_ops()
-    acc = np.zeros(M.matrix.cols, dtype=np.int64)
-    for i, wi in enumerate(v.coords):
-        if wi:
-            acc = ops.add(acc, ops.mul(np.int64(wi), M.matrix.data[i]))
-    return not np.any(acc)
+    products = full_arc.ctx.vec_ops().matmul(np.array([v.coords], dtype=np.int64), M.matrix.data)
+    return not products.any()
 
 
 def even_nullity_check(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> bool:
@@ -506,7 +493,7 @@ def _random_arc(inc: HyperplaneIncidence, size, rng):
         cands = inc.full
         for v in order:
             if cands >> v & 1:
-                cands = inc.cut(cands, cur, v)
+                cands = next(inc.cuts(cands, cur, [v]))
                 cur.append(v)
                 if len(cur) == size:
                     return [inc.points[i] for i in cur]

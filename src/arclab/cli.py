@@ -24,10 +24,10 @@ import time
 
 from . import certifier as ct
 from . import hypersurf as hs
-from .arcgeom import (ArcConfig, BudgetExceededError, InvariantError, complete_search,
-                      cosecants_through, subset_iter)
+from .arcgeom import ArcConfig, BudgetExceededError, InvariantError, complete_search, subset_iter
 from .exactmat import left_null_basis, weight_one_in_colspace
 from .gf import FieldCtx, FieldError
+from .tangentfns import tangent_fn
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -73,7 +73,7 @@ def parse_arc_file(text: str, modulus=None) -> ArcConfig:
     except ValueError as exc:
         raise ArcFileError(f"bad field line: {lines[0]!r}") from exc
     kline = lines[1].split()
-    if kline[0] != "k" or len(kline) != 2:
+    if kline[0] != "k" or len(kline) != 2 or not kline[1].isdigit():
         raise ArcFileError(f"bad k line: {lines[1]!r}")
     k = int(kline[1])
     try:
@@ -251,7 +251,7 @@ def cmd_hypersurface(arc: ArcConfig) -> dict:
     zero_fails = 0
     for A in subset_iter(arc.size, arc.k - 2):
         checks[A] = hs.theorem9_check(surf, A)
-        for form in cosecants_through(A, arc):
+        for form in tangent_fn(arc, A).forms:
             if hs.eval_dual(surf, form) != 0:
                 zero_fails += 1
     body = {

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arcgeom import (
     ArcConfig,
     InvariantError,
-    det_full,
-    det_uC,
-    eval_form,
-    kernel_of_points,
+    _dets,
+    _form_values,
+    _pencil_basis,
+    cofactor_normals,
     subset_iter,
 )
 from .tangentfns import alpha_table, arc_degree, tangent_fn
@@ -74,32 +76,24 @@ def build_surface(arc: ArcConfig, E=None) -> DualSurface:
     if len(E) != esize:
         raise ArcTooSmallError(f"E must have size {esize}, got {len(E)}")
     table = alpha_table(arc)
+    Cs = [tuple(E[i] for i in Cpos) for Cpos in subset_iter(esize, k - 1)]
     coeffs = {}
-    for Cpos in subset_iter(esize, k - 1):
-        C = tuple(E[i] for i in Cpos)
+    for C, row in zip(Cs, _dets(arc, Cs, E).tolist()):
         a = table.alpha(C)
         if parity == "odd":
             a = ctx.mul(a, a)
-        for z in E:
-            if z not in C:
-                a = ctx.div(a, det_uC(arc, arc.points[z], C))
-        coeffs[C] = a
+        coeffs[C] = ctx.div(a, ctx.prod(d for z, d in zip(E, row) if z not in C))
     degree = t if parity == "even" else 2 * t
     return DualSurface(arc, E, parity, t, degree, coeffs)
 
 
 def dual_coords(ctx, vectors):
     """Z_i = (-1)^{i-1} det(vectors with coordinate i deleted): the dual
-    vector of the span of k-1 vectors (zero vector if dependent)."""
+    vector of the span of k-1 vectors (zero vector if dependent), which
+    is their cofactor normal."""
     k = len(vectors) + 1
-    out = []
-    sign = 1
-    for i in range(k):
-        rows = [v[:i] + v[i + 1 :] for v in [tuple(u) for u in vectors]]
-        d = det_full(ctx, rows)
-        out.append(d if sign > 0 else ctx.neg(d))
-        sign = -sign
-    return tuple(out)
+    sets = np.array(vectors, dtype=np.int64).reshape(1, k - 1, k)
+    return tuple(cofactor_normals(ctx, sets)[0].tolist())
 
 
 def eval_dual(surface: DualSurface, z) -> int:
@@ -109,15 +103,10 @@ def eval_dual(surface: DualSurface, z) -> int:
     z = tuple(z)
     if not any(z):
         raise ZeroVectorError("the zero vector is not a dual point")
+    pairing = dict(zip(surface.E, _form_values(ctx, [z], surface.arc.points_at(surface.E))[0].tolist()))
     acc = 0
-    pts = surface.arc.points
     for C, coef in surface.coeffs.items():
-        term = coef
-        for u in surface.E:
-            if u not in C:
-                term = ctx.mul(term, eval_form(ctx, pts[u], z))
-                if term == 0:
-                    break
+        term = ctx.mul(coef, ctx.prod(x for u, x in pairing.items() if u not in C))
         acc = ctx.add(acc, term)
     return acc
 
@@ -137,22 +126,11 @@ def eval_surface(surface: DualSurface, ys) -> int:
 def _pencil_sample_points(arc: ArcConfig, A, count):
     """count points x, pairwise independent modulo span(A): u2 and
     u1 + lam u2, with u1, u2 completing span(A) from the standard basis."""
-    ctx = arc.ctx
-    k = arc.k
-    rows = arc.points_at(A)
-    basis = []
-    for j in range(k):
-        e = [0] * k
-        e[j] = 1
-        if len(kernel_of_points(ctx, rows + [tuple(e)] + basis, k)) == k - len(rows) - len(basis) - 1:
-            basis.append(tuple(e))
-            if len(basis) == 2:
-                break
-    u1, u2 = basis
-    if count > ctx.q + 1:
+    if count > arc.ctx.q + 1:
         raise InvariantError("pencil too small for the requested sample count")
-    lams = ctx.elements()[: count - 1]
-    return [u2] + [tuple(ctx.add(a, ctx.mul(lam, b)) for a, b in zip(u1, u2)) for lam in lams]
+    i, j, _, _ = _pencil_basis(arc, A)
+    point = lambda a, b: tuple(a if c == i else b if c == j else 0 for c in range(arc.k))
+    return [point(0, 1)] + [point(1, lam) for lam in arc.ctx.elements()[: count - 1]]
 
 
 def theorem9_check(surface: DualSurface, A) -> bool:
@@ -169,9 +147,10 @@ def theorem9_check(surface: DualSurface, A) -> bool:
     table = alpha_table(arc)
     alpha = table.alpha(A)
     fA = tangent_fn(arc, A)
-    a_vecs = arc.points_at(A)
-    for x in _pencil_sample_points(arc, A, surface.degree + 1):
-        lhs = eval_surface(surface, [x] + a_vecs)
+    xs = _pencil_sample_points(arc, A, surface.degree + 1)
+    zs = cofactor_normals(ctx, np.array([[x] + arc.points_at(A) for x in xs], dtype=np.int64))
+    for x, z in zip(xs, zs.tolist()):
+        lhs = eval_dual(surface, z)
         rhs = ctx.mul(alpha, fA(x))
         if surface.parity == "odd":
             rhs = ctx.mul(rhs, rhs)

@@ -18,12 +18,10 @@ from __future__ import annotations
 from .arcgeom import (
     ArcConfig,
     InvariantError,
+    _dets,
     _form_values,
+    _pencil_basis,
     cosecants_through,
-    det_uC,
-    det_uvA,
-    eval_form,
-    kernel_of_points,
     subset_iter,
 )
 
@@ -57,13 +55,7 @@ class TangentFn:
         self.t = len(forms)
 
     def __call__(self, v) -> int:
-        ctx = self.arc.ctx
-        acc = 1
-        for form in self.forms:
-            acc = ctx.mul(acc, eval_form(ctx, form, v))
-            if acc == 0:
-                return 0
-        return acc
+        return self.arc.ctx.prod(_form_values(self.arc.ctx, self.forms, [v])[:, 0].tolist())
 
     def at(self, i) -> int:
         """Evaluate at arc point i (nonzero whenever i is outside A)."""
@@ -100,13 +92,11 @@ def _pencil_lagrange(arc: ArcConfig, A, values):
         raise ValueError("value points must lie outside A")
     if not pts:
         raise ValueError("need at least one value point")
-    basis = kernel_of_points(ctx, arc.points_at(sorted(A)), arc.k)
-    if len(basis) != 2:
-        raise ValueError("subset does not span a (k-2)-space")
-    beta = _form_values(ctx, basis, arc.points_at(pts))
+    _, _, b1, b2 = _pencil_basis(arc, sorted(A))
+    beta = _form_values(ctx, [b1, b2], arc.points_at(pts))
     pairs = beta.T.tolist()
     weights = [ctx.div(values[e], _prod_D(ctx, pairs, i, pairs[i])) for i, e in enumerate(pts)]
-    return basis[0], basis[1], beta, weights
+    return b1, b2, beta, weights
 
 
 def _prod_D(ctx, pairs, skip, y) -> int:
@@ -135,7 +125,7 @@ def interpolate_fA(arc: ArcConfig, A, values):
     pairs = beta.T.tolist()
 
     def evaluator(x):
-        y = (eval_form(ctx, b1, x), eval_form(ctx, b2, x))
+        y = _form_values(ctx, [b1, b2], [x])[:, 0].tolist()
         acc = 0
         for i, w in enumerate(weights):
             acc = ctx.add(acc, ctx.mul(w, _prod_D(ctx, pairs, i, y)))
@@ -159,13 +149,11 @@ def check_sum_zero(arc: ArcConfig, A, E) -> int:
         raise ValueError("E must have size t+k")
     fA = tangent_fn(arc, A)
     rest = [e for e in E if e not in A]
+    # d_A(u, e) = det(u, e, A) in row e, column u
+    dets = _dets(arc, [(e,) + A for e in rest], rest).tolist()
     acc = 0
-    for e in rest:
-        term = fA.at(e)
-        for u in rest:
-            if u != e:
-                term = ctx.div(term, det_uvA(arc, arc.points[u], arc.points[e], A))
-        acc = ctx.add(acc, term)
+    for e, row in zip(rest, dets):
+        acc = ctx.add(acc, ctx.div(fA.at(e), ctx.prod(d for u, d in zip(rest, row) if u != e)))
     return acc
 
 
@@ -296,14 +284,9 @@ def check_theeqn(table: AlphaTable, A, E) -> int:
     E = tuple(sorted(E))
     if not set(A) <= set(E):
         raise ValueError("E must contain A")
+    Cs = [tuple(sorted(A + (e,))) for e in E if e not in A]
     acc = 0
-    for e in E:
-        if e in A:
-            continue
-        C = tuple(sorted(A + (e,)))
-        term = table.alpha(C)
-        for u in E:
-            if u not in C:
-                term = ctx.div(term, det_uC(arc, arc.points[u], C))
+    for C, row in zip(Cs, _dets(arc, Cs, E).tolist()):
+        term = ctx.div(table.alpha(C), ctx.prod(d for u, d in zip(E, row) if u not in C))
         acc = ctx.add(acc, term)
     return acc

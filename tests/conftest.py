@@ -7,12 +7,9 @@ import pytest
 from arclab.arcgeom import (
     ArcConfig,
     BudgetExceededError,
+    InvariantError,
     SearchResult,
     cosecants_through,
-    det_full,
-    eval_form,
-    kernel_of_points,
-    pencil_through,
     projective_points,
     subset_iter,
 )
@@ -127,6 +124,111 @@ def laplace_det(ctx, rows):
     return acc
 
 
+# ----------------------------------------------------------------------
+# scalar eliminations: the determinant and kernel the library replaced by
+# one batched cofactor kernel, and the pencils and co-secants built on them
+# ----------------------------------------------------------------------
+
+
+def ref_det_full(ctx, rows):
+    """Exact determinant of a square matrix by scalar elimination."""
+    k = len(rows)
+    m = [list(r) for r in rows]
+    det = 1
+    for c in range(k):
+        piv = next((r for r in range(c, k) if m[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = ctx.neg(det)
+        det = ctx.mul(det, m[c][c])
+        inv = ctx.inv(m[c][c])
+        for r in range(c + 1, k):
+            if m[r][c]:
+                f = ctx.mul(m[r][c], inv)
+                for cc in range(c, k):
+                    m[r][cc] = ctx.sub(m[r][cc], ctx.mul(f, m[c][cc]))
+    return det
+
+
+def ref_validate_arc(ctx, k, points):
+    """validate_arc by one scalar determinant per k-subset."""
+    pts = [tuple(p) for p in points]
+    for i, p in enumerate(pts):
+        if not any(p):
+            return (i,)
+    for sub in itertools.combinations(range(len(pts)), k):
+        if ref_det_full(ctx, [pts[i] for i in sub]) == 0:
+            return sub
+    return None
+
+
+def ref_kernel_of_points(ctx, rows, width):
+    """Basis of {w : row . w = 0 for all rows}, by scalar elimination."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(width):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = ctx.inv(m[r][c])
+        m[r] = [ctx.mul(inv, x) for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(width) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [0] * width
+        vec[fc] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = ctx.neg(m[i][fc])
+        basis.append(tuple(vec))
+    return basis
+
+
+def ref_canonical_form(ctx, coeffs):
+    """A nonzero form scaled by scalar arithmetic so its first nonzero
+    coefficient is 1."""
+    inv = ctx.inv(next(c for c in coeffs if c))
+    return tuple(ctx.mul(inv, c) for c in coeffs)
+
+
+def ref_pencil_through(A, arc):
+    """The q+1 canonical forms vanishing on span(A): b1 + lam b2 and b2."""
+    ctx = arc.ctx
+    basis = ref_kernel_of_points(ctx, arc.points_at(A), arc.k)
+    if len(basis) != 2:
+        raise ValueError("subset does not span a (k-2)-space")
+    b1, b2 = basis
+    forms = {ref_canonical_form(ctx, b2)}
+    for lam in ctx.elements():
+        coeffs = tuple(ctx.add(x, ctx.mul(lam, y)) for x, y in zip(b1, b2))
+        forms.add(ref_canonical_form(ctx, coeffs))
+    if len(forms) != ctx.q + 1:
+        raise InvariantError(f"pencil has {len(forms)} members, not q+1 = {ctx.q + 1}")
+    return sorted(forms)
+
+
+def ref_cosecants_through(A, arc):
+    """The members of the pencil through A vanishing at no other arc point."""
+    others = [p for i, p in enumerate(arc.points) if i not in A]
+    return [
+        form
+        for form in ref_pencil_through(A, arc)
+        if all(dot(arc.ctx, form, p) for p in others)
+    ]
+
+
 def all_dual_reps(ctx, k):
     """Every projective representative of the dual space, brute force."""
     out = []
@@ -172,14 +274,14 @@ def rank_mod_p(rows, p):
 
 
 # ----------------------------------------------------------------------
-# completion search reference: one det_full per (candidate, new point,
+# completion search reference: one determinant per (candidate, new point,
 # (k-2)-subset) triple, the search the library replaced by bitsets
 # ----------------------------------------------------------------------
 
 
 def _ref_compatible(ctx, k, points, v):
     return all(
-        det_full(ctx, [v] + list(sub)) != 0 for sub in itertools.combinations(points, k - 1)
+        ref_det_full(ctx, [v] + list(sub)) != 0 for sub in itertools.combinations(points, k - 1)
     )
 
 
@@ -214,7 +316,7 @@ def ref_complete_search(arc, target_size=None, budget=2_000_000):
                 for j, w in enumerate(cands)
                 if j != i
                 and all(
-                    det_full(ctx, [w, v] + list(sub)) != 0
+                    ref_det_full(ctx, [w, v] + list(sub)) != 0
                     for sub in itertools.combinations(cur, k - 2)
                 )
             ]
@@ -247,7 +349,7 @@ def ref_random_arc(ctx, k, size, rng, attempts):
 # ----------------------------------------------------------------------
 # co-secant recovery reference: each d_A(u, .) from k determinants and
 # f_A evaluated with scalar arithmetic at one direction per member of
-# pencil_through, the recovery the library replaced by one pass over the
+# ref_pencil_through, the recovery the library replaced by one pass over the
 # points of PG(1, q) in pencil coordinates
 # ----------------------------------------------------------------------
 
@@ -259,7 +361,7 @@ def ref_det_linear_coeffs(ctx, before, after):
     for j in range(k):
         e = [0] * k
         e[j] = 1
-        coeffs.append(det_full(ctx, list(before) + [e] + list(after)))
+        coeffs.append(ref_det_full(ctx, list(before) + [e] + list(after)))
     return tuple(coeffs)
 
 
@@ -274,14 +376,14 @@ def ref_interpolate_fA(arc, A, values):
         denom = 1
         for u in pts:
             if u != e:
-                denom = ctx.mul(denom, eval_form(ctx, lin[u], arc.points[e]))
+                denom = ctx.mul(denom, dot(ctx, lin[u], arc.points[e]))
         terms.append((ctx.div(values[e], denom), [lin[u] for u in pts if u != e]))
 
     def evaluator(x):
         acc = 0
         for weight, forms in terms:
             for form in forms:
-                weight = ctx.mul(weight, eval_form(ctx, form, x))
+                weight = ctx.mul(weight, dot(ctx, form, x))
             acc = ctx.add(acc, weight)
         return acc
 
@@ -295,7 +397,7 @@ def _ref_complete_to_directions(arc, A):
     out = []
     for j in range(k):
         e = tuple(1 if i == j else 0 for i in range(k))
-        if len(kernel_of_points(ctx, rows + [e] + out, k)) == k - len(rows) - len(out) - 1:
+        if len(ref_kernel_of_points(ctx, rows + [e] + out, k)) == k - len(rows) - len(out) - 1:
             out.append(e)
             if len(out) == 2:
                 return out
@@ -342,12 +444,12 @@ def ref_recover_cosecants(arc, n, source=None, M=None):
         ev = ref_interpolate_fA(arc, A, values)
         u1, u2 = _ref_complete_to_directions(arc, A)
         roots = []
-        for form in pencil_through(A, arc):
-            b2 = eval_form(ctx, form, u2)
+        for form in ref_pencil_through(A, arc):
+            b2 = dot(ctx, form, u2)
             if b2 == 0:
                 w = u2
             else:
-                lam = ctx.neg(ctx.div(eval_form(ctx, form, u1), b2))
+                lam = ctx.neg(ctx.div(dot(ctx, form, u1), b2))
                 w = tuple(ctx.add(a, ctx.mul(lam, b)) for a, b in zip(u1, u2))
             if ev(w) == 0:
                 roots.append(form)
@@ -364,7 +466,7 @@ def gl_image(arc, seed):
     rng = random.Random(seed)
     while True:
         g = [[rng.randrange(ctx.q) for _ in range(k)] for _ in range(k)]
-        if det_full(ctx, g) != 0:
+        if ref_det_full(ctx, g) != 0:
             break
     pts = [
         tuple(ctx.mul(s, c) for c in mat_vec(ctx, g, p))

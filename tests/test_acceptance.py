@@ -21,7 +21,6 @@ from arclab.arcgeom import (
     ArcConfig,
     complete_search,
     cosecants_through,
-    det_uvA,
     subset_iter,
     validate_arc,
 )
@@ -63,6 +62,7 @@ from conftest import (
     moment_curve,
     rank_mod_p,
     recovers_extension,
+    ref_det_full,
     ref_recover_cosecants,
     shuffled_nrc,
 )
@@ -337,8 +337,9 @@ def _lemma_suite(arc, rng, failures):
         u = tuple(rng.randrange(ctx.q) for _ in range(k))
         v = tuple(rng.randrange(ctx.q) for _ in range(k))
         A = tuple(sorted(rng.sample(range(g), k - 2)))
-        record("L1", det_uvA(arc, u, v, A) == ctx.neg(det_uvA(arc, v, u, A)))
-        record("L1-diag", det_uvA(arc, u, u, A) == 0)
+        d_A = lambda x, y: ref_det_full(ctx, [x, y] + arc.points_at(A))
+        record("L1", d_A(u, v) == ctx.neg(d_A(v, u)))
+        record("L1-diag", d_A(u, u) == 0)
     # Lemma 2: co-secant count = t for sampled A
     allA = list(subset_iter(g, k - 2))
     for A in rng.sample(allA, min(20, len(allA))):

@@ -5,17 +5,17 @@ from math import comb
 import pytest
 
 from arclab.arcgeom import (
+    MASK_CHUNK,
     ArcConfig,
     BudgetExceededError,
     HyperplaneIncidence,
     SearchResult,
+    _pencil_basis,
     canonical_form,
+    cofactor_normals,
     complete_search,
     cosecants_through,
     det_full,
-    det_uC,
-    det_uvA,
-    eval_form,
     extensions_of,
     pencil_through,
     projective_points,
@@ -25,14 +25,21 @@ from arclab.arcgeom import (
 from arclab.gf import FieldCtx
 
 from conftest import (
+    _ref_complete_to_directions,
     all_dual_reps,
     dot,
+    gl_image,
     laplace_det,
     mat_vec,
     moment_curve,
     ref_complete_search,
+    ref_cosecants_through,
+    ref_det_full,
     ref_det_linear_coeffs,
     ref_extensions_of,
+    ref_canonical_form,
+    ref_pencil_through,
+    ref_validate_arc,
     shuffled_nrc,
 )
 
@@ -67,15 +74,18 @@ def test_det_alternating_and_linear(F13):
     coeffs = ref_det_linear_coeffs(F13, before, after)
     for _ in range(20):
         x = tuple(rng.randrange(13) for _ in range(4))
-        assert eval_form(F13, coeffs, x) == det_full(F13, before + [x] + after)
+        assert dot(F13, coeffs, x) == det_full(F13, before + [x] + after)
 
 
 def test_det_uC_and_uvA(arc_q11, F11):
+    # det(u, C) and d_A(u, v) = det(u, v, A) through det_full
+    det_uC = lambda u, C: det_full(F11, [u] + arc_q11.points_at(C))
+    det_uvA = lambda u, v, A: det_full(F11, [u, v] + arc_q11.points_at(A))
     # u in C gives a repeated row
-    assert det_uC(arc_q11, arc_q11.points[1], (1, 2)) == 0
+    assert det_uC(arc_q11.points[1], (1, 2)) == 0
     # spec example: point 4 against {1,2}, cross-checked by cofactor expansion
     u = arc_q11.points[4]
-    got = det_uC(arc_q11, u, (1, 2))
+    got = det_uC(u, (1, 2))
     assert got == laplace_det(F11, [u, arc_q11.points[1], arc_q11.points[2]])
     assert got != 0
     # d_A is alternating (random u, v, A)
@@ -84,8 +94,8 @@ def test_det_uC_and_uvA(arc_q11, F11):
         u = tuple(rng.randrange(11) for _ in range(3))
         v = tuple(rng.randrange(11) for _ in range(3))
         A = (rng.randrange(7),)
-        assert det_uvA(arc_q11, u, v, A) == F11.neg(det_uvA(arc_q11, v, u, A))
-        assert det_uvA(arc_q11, u, u, A) == 0
+        assert det_uvA(u, v, A) == F11.neg(det_uvA(v, u, A))
+        assert det_uvA(u, u, A) == 0
 
 
 def test_validate_arc(F11, F5, arc_q11):
@@ -169,9 +179,11 @@ def test_cosecant_counts_on_size12_extension(arc_q13_size9, F13):
         assert len(cosecants_through(A, S12)) == t == 3
 
 
-def test_canonical_form(F13):
+def test_canonical_form(F13, F9):
     assert canonical_form(F13, (0, 2, 4)) == (0, 1, 2)
     assert canonical_form(F13, (1, 5, 0)) == (1, 5, 0)
+    for coeffs in [(0, 0, 7), (3, 8, 0), (5, 4, 2)]:
+        assert canonical_form(F9, coeffs) == ref_canonical_form(F9, coeffs)
     with pytest.raises(ValueError):
         canonical_form(F13, (0, 0, 0))
 
@@ -347,4 +359,154 @@ def test_incidence_masks_match_determinants(F9):
     for ids in [(0, 5), (3, n), (7, 7)]:
         rows = [inc.vectors[i] for i in ids]
         want = sum(1 << i for i, w in enumerate(inc.points) if det_full(F9, [w] + rows))
-        assert inc.keep(ids) == want
+        assert inc.masks([ids]) == [want]
+
+
+# ----------------------------------------------------------------------
+# the cofactor kernel against the scalar eliminations it replaced
+# ----------------------------------------------------------------------
+
+KERNEL_FIELDS = [(3, 1), (13, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 4)]
+
+
+def _random_sets(ctx, rng, count, m, k):
+    """count stacks of m vectors of length k, about a fifth of them
+    dependent: a zero row, a repeated row or a combination of two rows."""
+    sets = []
+    for i in range(count):
+        rows = [[rng.randrange(ctx.q) for _ in range(k)] for _ in range(m)]
+        if m and i % 5 == 0:
+            kind = rng.randrange(3)
+            if kind == 0:
+                rows[rng.randrange(m)] = [0] * k
+            elif m >= 2 and kind == 1:
+                rows[0] = [ctx.mul(rng.randrange(ctx.q), x) for x in rows[-1]]
+            elif m >= 3:
+                a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
+                rows[1] = [ctx.add(ctx.mul(a, x), ctx.mul(b, y)) for x, y in zip(rows[0], rows[-1])]
+        sets.append(rows)
+    return sets
+
+
+@pytest.mark.parametrize("p,h", KERNEL_FIELDS)
+def test_cofactor_normals_match_scalar_reference(p, h):
+    ctx = FieldCtx(p, h)
+    rng = random.Random(p * 10 + h)
+    for k in range(2, 7):
+        unit = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+        sets = _random_sets(ctx, rng, 40, k - 1, k)
+        want = [[ref_det_full(ctx, [e] + rows) for e in unit] for rows in sets]
+        assert cofactor_normals(ctx, sets).tolist() == want
+        # dependent sets come out as zero rows, and some are there
+        assert any(not any(n) for n in want)
+
+
+@pytest.mark.parametrize("p,h", KERNEL_FIELDS)
+def test_det_full_matches_scalar_reference(p, h):
+    ctx = FieldCtx(p, h)
+    rng = random.Random(p * 100 + h)
+    assert det_full(ctx, [(0,)]) == 0
+    for x in range(ctx.q):
+        assert det_full(ctx, [(x,)]) == x
+    for k in range(2, 7):
+        for rows in _random_sets(ctx, rng, 25, k, k):
+            assert det_full(ctx, rows) == ref_det_full(ctx, rows)
+
+
+def test_validate_arc_witness_matches_reference(F11, F13, F9):
+    conic = moment_curve(F13, 3, range(8))
+    nrc6 = moment_curve(F13, 6, range(9))
+    cases = [
+        (F13, 3, conic),
+        (F13, 3, conic[:4] + [conic[2]] + conic[4:]),           # duplicate point
+        (F13, 3, conic[:5] + [tuple(F13.mul(3, x) for x in conic[1])]),  # rescaled copy
+        (F13, 3, conic[:3] + [(0, 0, 0)] + conic[3:]),           # zero vector
+        (F13, 3, conic[:6] + [(1, 1, 1)]),                       # three collinear points
+        (F13, 6, nrc6),
+        (F13, 6, nrc6[:7] + [tuple(F13.add(a, b) for a, b in zip(nrc6[0], nrc6[1]))]),
+        (F11, 6, moment_curve(F11, 6, range(7)) + [(0,) * 6]),
+        (F9, 3, moment_curve(F9, 3, range(9))[:6] + [(1, 1, 0)]),
+    ]
+    witnesses = []
+    for ctx, k, pts in cases:
+        got = validate_arc(ctx, k, pts)
+        assert got == ref_validate_arc(ctx, k, pts)
+        witnesses.append(got)
+    assert witnesses[0] is None and witnesses[5] is None
+    assert witnesses[1] == (0, 2, 4)
+    assert witnesses[3] == (3,)
+    assert all(w is not None for i, w in enumerate(witnesses) if i not in (0, 5))
+
+
+def _shipped_and_images(arcs):
+    for arc in arcs:
+        yield arc
+        yield gl_image(arc, arc.ctx.q)
+
+
+def test_pencil_basis_matches_reference_completion(
+    conic_f5, arc_q11, arc_q13_size9, hyperconic_f8, arc_q81, F7
+):
+    nrc = ArcConfig(F7, 4, moment_curve(F7, 4, range(7)))
+    for arc in _shipped_and_images([conic_f5, arc_q11, arc_q13_size9, hyperconic_f8, nrc, arc_q81]):
+        ctx, k = arc.ctx, arc.k
+        for A in list(subset_iter(arc.size, k - 2))[:12]:
+            u1, u2, b1, b2 = _pencil_basis(arc, A)
+            e = lambda j: tuple(int(i == j) for i in range(k))
+            assert [e(u1), e(u2)] == _ref_complete_to_directions(arc, A)
+            for x in arc.points_at(A):
+                assert dot(ctx, b1, x) == dot(ctx, b2, x) == 0
+            # b1 is nonzero at e_u2 and b2 is zero there: independent
+            assert b1[u2] != 0 and b2[u2] == 0 and any(b2)
+    with pytest.raises(ValueError):
+        _pencil_basis(ArcConfig(F7, 4, [(1, 2, 3, 4), (2, 4, 6, 1)], check=False), (0, 1))
+    with pytest.raises(ValueError):
+        _pencil_basis(nrc, (0,))
+
+
+def test_pencils_and_cosecants_match_scalar_reference(
+    conic_f5, arc_q11, arc_q13_size6, arc_q13_size9, hyperconic_f8, hyperconic_f4, arc_q81
+):
+    arcs = [conic_f5, arc_q11, arc_q13_size6, arc_q13_size9, hyperconic_f8, hyperconic_f4]
+    for arc in _shipped_and_images(arcs + [arc_q81]):
+        subsets = list(subset_iter(arc.size, arc.k - 2))
+        for A in subsets if arc.size < 11 else subsets[::23]:
+            assert pencil_through(A, arc) == ref_pencil_through(A, arc)
+            assert cosecants_through(A, arc) == ref_cosecants_through(A, arc)
+    # k-1 dependent points: the other one lies on every member
+    flat = ArcConfig(FieldCtx(7), 3, [(1, 2, 3), (2, 4, 6)])
+    assert cosecants_through((0,), flat) == ref_cosecants_through((0,), flat) == []
+
+
+def test_node_batched_masks_match_single_masks(F7, F9):
+    for ctx, k in ((F7, 4), (F9, 3)):
+        rng = random.Random(ctx.q)
+        extra = _gl_image(ctx, shuffled_nrc(ctx, k, 1)[: k + 2], rng)
+        batched = HyperplaneIncidence(ctx, k, extra)
+        n = len(batched.points)
+        ids = list(range(n + len(extra)))
+        keys = [tuple(rng.sample(ids, k - 1)) for _ in range(5 * MASK_CHUNK + 3)]
+        keys += [(0,) * (k - 1), (n,) * (k - 1), tuple(range(n, n + k - 1))]
+        got = batched.masks(keys)
+        for key, mask in zip(keys, got):
+            single = HyperplaneIncidence(ctx, k, extra)
+            assert single.masks([key]) == [mask]
+            rows = [single.vectors[i] for i in key]
+            assert mask == sum(1 << i for i, w in enumerate(single.points) if ref_det_full(ctx, [w] + rows))
+        assert got[-3] == got[-2] == 0  # dependent tuples
+        # the node's children, cut in one batch, equal one cut each
+        cur = list(range(n, n + len(extra)))
+        vs = [v for v in range(n) if batched.extensions() >> v & 1][:9]
+        cands = batched.extensions()
+        for v, child in zip(vs, HyperplaneIncidence(ctx, k, extra).cuts(cands, cur, vs)):
+            assert child == next(HyperplaneIncidence(ctx, k, extra).cuts(cands, cur, [v]))
+
+
+@pytest.mark.parametrize("p,h,bad", [(13, 1, -1), (13, 1, 14), (13, 1, 13), (3, 2, 9), (3, 2, -2)])
+def test_arcconfig_rejects_coordinates_outside_the_field(p, h, bad):
+    ctx = FieldCtx(p, h)
+    pts = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, bad)]
+    for check in (True, False):
+        with pytest.raises(ValueError, match="outside"):
+            ArcConfig(ctx, 3, pts, check=check)
+    ArcConfig(ctx, 3, pts[:3] + [(1, 1, ctx.q - 1)])

@@ -10,7 +10,6 @@ from arclab.arcgeom import (
     HyperplaneIncidence,
     complete_search,
     cosecants_through,
-    det_uC,
     subset_iter,
 )
 from arclab.certifier import (
@@ -38,6 +37,7 @@ from conftest import (
     gl_image,
     moment_curve,
     recovers_extension,
+    ref_det_full,
     ref_random_arc,
     ref_recover_cosecants,
     shuffled_nrc,
@@ -57,7 +57,7 @@ def entry_oracle(arc, n, C, A, E):
     acc = 1
     for u in range(arc.size):
         if u not in E:
-            acc = ctx.mul(acc, det_uC(arc, arc.points[u], C))
+            acc = ctx.mul(acc, ref_det_full(ctx, arc.points_at((u,) + C)))
     return acc
 
 

@@ -64,6 +64,16 @@ def test_parse_errors():
         parse_arc_file("field 11 1\nk 3\n1 0 0\n2 0 0\n0 1 0\n")
 
 
+def test_bad_k_line_is_an_arc_file_error(tmp_path, capsys):
+    for line in ("k x", "k 3.0", "k -3"):
+        with pytest.raises(ArcFileError, match="bad k line"):
+            parse_arc_file(f"field 11 1\n{line}\n1 0 0\n")
+    bad = tmp_path / "badk.arc"
+    bad.write_text("field 11 1\nk x\n1 0 0\n")
+    assert main(["analyze", str(bad), "--n", "0"]) == 2
+    assert capsys.readouterr().err.strip() == "error: bad k line: 'k x'"
+
+
 def test_modulus_override():
     text = "field 3 2\nk 3\nt^0 0 0\n0 t^0 0\n0 0 t^0\n"
     default = parse_arc_file(text)

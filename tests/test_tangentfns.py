@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from arclab.arcgeom import ArcConfig, det_uvA, subset_iter
+from arclab.arcgeom import ArcConfig, subset_iter
 from arclab.tangentfns import (
     alpha_table,
     arc_degree,
@@ -16,7 +16,7 @@ from arclab.tangentfns import (
     tangent_fn,
 )
 
-from conftest import mat_vec, moment_curve, ref_interpolate_fA
+from conftest import mat_vec, moment_curve, ref_det_full, ref_interpolate_fA
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +147,7 @@ def test_sum_zero_perturbation_detects(conic_f5, F5):
             for u in rest:
                 if u != e:
                     term = F5.div(
-                        term, det_uvA(conic_f5, conic_f5.points[u], conic_f5.points[e], A)
+                        term, ref_det_full(F5, conic_f5.points_at((u, e) + A))
                     )
             acc = F5.add(acc, term)
         assert acc != 0
@@ -213,8 +213,6 @@ def test_theeqn_perturbation(conic_f5, F5):
     table = alpha_table(conic_f5)
     E = (0, 1, 2, 3)
     A = (0,)
-    from arclab.arcgeom import det_uC
-
     def lhs(alpha_of):
         acc = 0
         for e in E:
@@ -224,7 +222,7 @@ def test_theeqn_perturbation(conic_f5, F5):
             term = alpha_of(C)
             for u in E:
                 if u not in C:
-                    term = F5.div(term, det_uC(conic_f5, conic_f5.points[u], C))
+                    term = F5.div(term, ref_det_full(F5, conic_f5.points_at((u,) + C)))
             acc = F5.add(acc, term)
         return acc
 
@@ -260,7 +258,7 @@ def test_scaling_invariance(arc_f5_t2, F5):
                 for u in rest:
                     if u != e:
                         term = F5.div(
-                            term, det_uvA(arc, arc.points[u], arc.points[e], A)
+                            term, ref_det_full(F5, arc.points_at((u, e) + A))
                         )
                 acc = F5.add(acc, term)
             assert acc == 0
