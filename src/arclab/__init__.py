@@ -7,7 +7,7 @@ hypersurface - all over exact finite-field arithmetic, with brute-force
 oracles at desk scale.
 """
 
-from .gf import FieldCtx, field_new, conway_polynomial
+from .gf import FieldCtx, conway_polynomial
 from .arcgeom import (
     ArcConfig,
     complete_search,

@@ -172,9 +172,6 @@ class ArcConfig:
     def __len__(self):
         return len(self.points)
 
-    def point(self, i):
-        return self.points[i]
-
     def points_at(self, ids):
         return [self.points[i] for i in ids]
 

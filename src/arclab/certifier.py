@@ -32,13 +32,8 @@ from .arcgeom import (
     complete_search,
     subset_iter,
 )
-from .exactmat import (
-    GFMatrix,
-    left_null_basis,
-    weight_one_in_colspace,
-    weight_two_in_colspace,
-)
-from .tangentfns import _pencil_lagrange, alpha_table, interpolate_fA
+from .exactmat import GFMatrix, LeftNullBasis, left_null_basis, weight_one_in_colspace
+from .tangentfns import _lagrange_sum, _pencil_lagrange, alpha_table, interpolate_fA
 
 __all__ = [
     "SizeOutOfRangeError",
@@ -83,16 +78,20 @@ class PropertyWMissingError(RuntimeError):
 
 
 class CertMatrix:
-    """M_n of an arc together with its row/column index maps and the
-    determinant table its entries are built from."""
+    """M_n of an arc together with its row/column index maps, the
+    determinant table its entries are built from and the star of every
+    (k-2)-subset A: its rows A+x, x running over the points outside A."""
 
-    def __init__(self, arc: ArcConfig, n: int, matrix: GFMatrix, rows, cols, dets):
+    def __init__(self, arc: ArcConfig, n: int, matrix: GFMatrix, rows, cols, dets, others, stars):
         self.arc = arc
         self.n = n
         self.matrix = matrix
         self.rows = rows          # list of (k-1)-subsets, colex
         self.cols = cols          # list of (A, E) pairs, E outer colex
-        self.dets = dets          # dets[u][i] = det(u, rows[i])
+        self.dets = dets          # dets[u, i] = det(u, rows[i])
+        self.subsets = list(subset_iter(arc.size, arc.k - 2))  # the A, colex
+        self.others = others      # others[s] = the points outside subsets[s]
+        self.stars = stars        # stars[s, j] = row of subsets[s] + others[s, j]
         self.row_index = {c: i for i, c in enumerate(rows)}
         self.col_index = {p: j for j, p in enumerate(cols)}
 
@@ -106,8 +105,9 @@ class CertMatrix:
 
 
 def _det_table(arc: ArcConfig, rows):
-    """det(u, C) for every point u and subset C of rows (0 when u in C)."""
-    return _dets(arc, rows, range(arc.size)).T.tolist()
+    """det(u, C) for every point u (a row each) and subset C of rows (a
+    column each), 0 when u is in C."""
+    return _dets(arc, rows, range(arc.size)).T
 
 
 def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
@@ -121,23 +121,26 @@ def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
     rows = list(subset_iter(g, k - 1))
     row_index = {c: i for i, c in enumerate(rows)}
     dets = _det_table(arc, rows)
-    cols, stars, outs = [], [], []
+    slot = {A: s for s, A in enumerate(subset_iter(g, k - 2))}
+    others = [[e for e in range(g) if e not in A] for A in slot]
+    stars = [[row_index[tuple(sorted(A + (e,)))] for e in xs] for A, xs in zip(slot, others)]
+    cols, col_slots, outs = [], [], []
     for E in subset_iter(g, g - n):
         out = [u for u in range(g) if u not in E]
         for Apos in subset_iter(g - n, k - 2):
             A = tuple(E[i] for i in Apos)
             cols.append((A, E))
-            stars.append([row_index[tuple(sorted(A + (e,)))] for e in range(g) if e not in A])
+            col_slots.append(slot[A])
             outs.append(out)
     # column (A, E) has prod_{u in G-E} det(u, A+e) in each row A+e of its star
-    stars = np.array(stars, dtype=np.int64)
-    table = np.array(dets, dtype=np.int64)
-    values = np.ones(stars.shape, dtype=np.int64)
+    others, stars = np.array(others, dtype=np.int64), np.array(stars, dtype=np.int64)
+    col_stars = stars[col_slots]
+    values = np.ones(col_stars.shape, dtype=np.int64)
     for u in np.array(outs, dtype=np.int64).reshape(len(cols), n).T:
-        values = ops.mul(values, table[u[:, None], stars])
+        values = ops.mul(values, dets[u[:, None], col_stars])
     data = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    data[stars, np.arange(len(cols))[:, None]] = values
-    return CertMatrix(arc, n, GFMatrix(ctx, data), rows, cols, dets)
+    data[col_stars, np.arange(len(cols))[:, None]] = values
+    return CertMatrix(arc, n, GFMatrix(ctx, data), rows, cols, dets, others, stars)
 
 
 @dataclass(frozen=True)
@@ -224,31 +227,29 @@ def property_w(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> PropertyW
     """
     if M is None:
         M = build_Mn(arc, n)
-    g, k = arc.size, arc.k
-    need = g - n - k + 1
+    return _property_w(M, left_null_basis(M.matrix))
+
+
+def _property_w(M: CertMatrix, null: LeftNullBasis) -> PropertyWReport:
+    """The Property W report of M_n, its column space read as the
+    annihilator of the given null basis: the partners of every x of every
+    star come from one pass over the basis columns."""
+    stars = M.stars
+    b = null.weight_two_scalars(stars[:, :, None], stars[:, None, :])
+    diag = np.arange(stars.shape[1])
+    b[:, diag, diag] = 0  # y != x
+    pivots = (b != 0).sum(2) >= M.t + 1  # |G|-n-k+1 partners
     witnesses = {}
     missing = []
-    for A in subset_iter(g, k - 2):
-        others = [x for x in range(g) if x not in A]
-        found = None
-        for x in others:
-            cx = M.row_index[tuple(sorted(A + (x,)))]
-            partners = []
-            for y in others:
-                if y == x:
-                    continue
-                cy = M.row_index[tuple(sorted(A + (y,)))]
-                ab = weight_two_in_colspace(M.matrix, cx, cy)
-                if ab is not None:
-                    partners.append((y, ab[0], ab[1]))
-            if len(partners) >= need:
-                found = PropertyWWitness(A, x, tuple(partners))
-                break
-        if found is None:
+    for s, A in enumerate(M.subsets):
+        if not pivots[s].any():
             missing.append(A)
-        else:
-            witnesses[A] = found
-    return PropertyWReport(n, M.t, not missing, witnesses, tuple(missing))
+            continue
+        i = int(pivots[s].argmax())
+        ys = np.flatnonzero(b[s, i])
+        partners = tuple((y, 1, bi) for y, bi in zip(M.others[s, ys].tolist(), b[s, i, ys].tolist()))
+        witnesses[A] = PropertyWWitness(A, int(M.others[s, i]), partners)
+    return PropertyWReport(M.n, M.t, not missing, witnesses, tuple(missing))
 
 
 def corollary2_route(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> bool:
@@ -293,10 +294,16 @@ class CosecantPrediction:
         return all(p.status == "ok" for p in self.per_A.values())
 
 
-def _P_coord(ctx, dets, C, i) -> int:
-    """prod_{z in G-C} det(z, C)^{-1}: the v_G coordinate without alpha,
-    read from a determinant table whose i-th subset is C."""
-    return ctx.inv(ctx.prod(row[i] for z, row in enumerate(dets) if z not in C))
+def _P_coords(ctx, dets, rows):
+    """prod_{z in G-C} det(z, C)^{-1} for every subset C of rows: the v_G
+    coordinates without alpha, read from the table dets[z, i] = det(z, C_i)."""
+    ops = ctx.vec_ops()
+    inside = np.zeros(dets.shape, dtype=bool)
+    inside[np.array(rows).T, np.arange(len(rows))] = True
+    acc = np.ones(len(rows), dtype=np.int64)
+    for row in np.where(inside, 1, dets):
+        acc = ops.mul(acc, row)
+    return ops.div(1, acc)
 
 
 def _sigma(arc: ArcConfig, A, e, t) -> int:
@@ -324,74 +331,51 @@ def recover_cosecants(
         M = build_Mn(arc, n)
     ctx = arc.ctx
 
-    null_vec = None
-    report = None
-    if isinstance(source, PropertyWReport):
+    route = "property-w"
+    if source is None and corollary2_route(arc, n, M):
+        source = left_null_basis(M.matrix).basis[0]
+    if source is None:
+        report = property_w(arc, n, M)
+    elif isinstance(source, PropertyWReport):
         report = source
-    elif source is not None:
-        null_vec = [int(x) for x in source]
     else:
-        null = left_null_basis(M.matrix)
-        if null.nullity == 1 and weight_one_in_colspace(M.matrix) is None:
-            null_vec = null.vectors()[0]
-        else:
-            report = property_w(arc, n, M)
-
-    if null_vec is not None:
-        if len(null_vec) != len(M.rows):
+        # one left-null vector v with no zero coordinate: any two rows of a
+        # star are partners, with rho = v(A+x)/v(A+y)
+        route = "null-vector"
+        vec = np.array([int(x) for x in source], dtype=np.int64)
+        if len(vec) != len(M.rows):
             raise SizeOutOfRangeError("null vector length does not match row count")
-        if any(v == 0 for v in null_vec):
+        if not vec.all():
             raise PropertyWMissingError(
                 "left-null vector has zero coordinates; ratios are undetermined"
             )
-    elif not report.holds:
+        report = _property_w(M, LeftNullBasis(ctx, vec[None]))
+    if not report.holds:
         raise PropertyWMissingError(
             f"Property W fails for {len(report.missing)} subsets, e.g. {report.missing[0]}"
         )
 
-    ops = ctx.vec_ops()
+    P = _P_coords(ctx, M.dets, M.rows).tolist()
     # the points (1, lam) and (0, 1) of PG(1,q), one per pencil member
     w1, w2 = _projective_line(ctx)
     per_A = {}
-    for A in subset_iter(g, k - 2):
-        others = [x for x in range(g) if x not in A]
-        if null_vec is not None:
-            x = others[0]
-            ys = others[1 : t + 1]
-            rho = lambda y: ctx.div(
-                null_vec[M.row_index[tuple(sorted(A + (x,)))]],
-                null_vec[M.row_index[tuple(sorted(A + (y,)))]],
-            )
-        else:
-            wit = report.witnesses[A]
-            x = wit.pivot
-            pairs = {y: (a, b) for y, a, b in wit.partners}
-            ys = [y for y, _, _ in wit.partners][:t]
-            rho = lambda y: ctx.neg(ctx.div(pairs[y][1], pairs[y][0]))
-        Cx = tuple(sorted(A + (x,)))
-        Px = _P_coord(ctx, M.dets, Cx, M.row_index[Cx])
+    for s, A in enumerate(M.subsets):
+        wit = report.witnesses[A]
+        x = wit.pivot
+        row = dict(zip(M.others[s].tolist(), M.stars[s].tolist()))
         sx = _sigma(arc, A, x, t)
         values = {x: 1}
-        for y in ys:
+        for y, a, b in wit.partners[:t]:
             # f_A(y)/f_A(x) = sigma_x sigma_y P_{A+x} / (rho P_{A+y})
-            # with rho = v_G(A+x)/v_G(A+y) read off the witness
-            Cy = tuple(sorted(A + (y,)))
-            Py = _P_coord(ctx, M.dets, Cy, M.row_index[Cy])
-            val = ctx.div(Px, ctx.mul(rho(y), Py))
+            # with rho = v_G(A+x)/v_G(A+y) = -b/a read off the witness
+            rho = ctx.neg(ctx.div(b, a))
+            val = ctx.div(P[row[x]], ctx.mul(rho, P[row[y]]))
             if sx * _sigma(arc, A, y, t) < 0:
                 val = ctx.neg(val)
             values[y] = val
-        # f_A on the pencil member w2 b1 - w1 b2 through each w of PG(1,q):
-        # sum_e weight_e prod_{u != e} D(u, w), D(u, w) = b1.u w2 - b2.u w1
+        # f_A on the pencil member w2 b1 - w1 b2 through each w of PG(1,q)
         b1, b2, beta, weights = _pencil_lagrange(arc, A, values)
-        D = ops.sub(ops.mul(beta[0][:, None], w2), ops.mul(beta[1][:, None], w1))
-        f = np.zeros(ctx.q + 1, dtype=np.int64)
-        for i, weight in enumerate(weights):
-            term = np.int64(weight)
-            for row in np.delete(D, i, axis=0):
-                term = ops.mul(term, row)
-            f = ops.add(f, term)
-        hits = np.flatnonzero(f == 0)
+        hits = np.flatnonzero(_lagrange_sum(ctx, beta, weights, w1, w2) == 0)
         if len(hits) > t:
             raise InvariantError("degree-t function cannot vanish on t+1 directions")
         if len(hits) == t:
@@ -400,7 +384,6 @@ def recover_cosecants(
             per_A[A] = PredictedTangent(A, x, values, roots, "ok")
         else:
             per_A[A] = PredictedTangent(A, x, values, None, "non-splitting")
-    route = "null-vector" if null_vec is not None else "property-w"
     return CosecantPrediction(n, t, per_A, route)
 
 
@@ -424,9 +407,8 @@ def vg_vector(full_arc: ArcConfig, g: int) -> VGVector:
     ctx = full_arc.ctx
     table = alpha_table(full_arc)
     rows = list(subset_iter(g, full_arc.k - 1))
-    dets = _det_table(full_arc.prefix(g), rows)
-    coords = [ctx.mul(table.alpha(C), _P_coord(ctx, dets, C, i)) for i, C in enumerate(rows)]
-    return VGVector(g, tuple(coords))
+    P = _P_coords(ctx, _det_table(full_arc.prefix(g), rows), rows).tolist()
+    return VGVector(g, tuple(ctx.mul(table.alpha(C), p) for C, p in zip(rows, P)))
 
 
 def vG_check(full_arc: ArcConfig, g: int, n: int) -> bool:

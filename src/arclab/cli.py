@@ -195,22 +195,19 @@ def cmd_cosecants(arc: ArcConfig, n: int) -> dict:
     ctx = arc.ctx
     M = ct.build_Mn(arc, n)
     nullity_one = ct.corollary2_route(arc, n, M)
-    # on that route the null vector has full support, so every pair of rows
-    # A+x, A+y carries a weight-two vector and Property W holds unsearched
-    report = None if nullity_one else ct.property_w(arc, n, M)
+    report = ct.property_w(arc, n, M)
     t = arc.size - arc.k - n
     theorem4_flag = 2 * n >= arc.size - arc.k - 1
     body = {
         "n": n,
         "t": t,
-        "property_w": nullity_one or report.holds,
+        "property_w": report.holds,
         "corollary2_route": nullity_one,
-        "missing": [] if nullity_one else [_fmt_subset(A) for A in report.missing],
+        "missing": [_fmt_subset(A) for A in report.missing],
         "theorem4_hypersurface_licensed": theorem4_flag,
     }
-    if body["property_w"] and t >= 1:
-        source = None if nullity_one else report
-        pred = ct.recover_cosecants(arc, n, source=source, M=M)
+    if report.holds and t >= 1:
+        pred = ct.recover_cosecants(arc, n, source=None if nullity_one else report, M=M)
         body["route"] = pred.route
         body["all_split"] = pred.all_split
         per = []

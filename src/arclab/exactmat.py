@@ -165,11 +165,28 @@ class LeftNullBasis:
     def vectors(self):
         return [[int(x) for x in row] for row in self.basis]
 
-    def column(self, c):
-        return [int(x) for x in self.basis[:, c]]
+    def weight_two_scalars(self, c1, c2):
+        """The b with unit_c1 + b*unit_c2 annihilated by every basis vector,
+        0 where there is none, over broadcast arrays of row indices (the
+        answer for c1 == c2 is meaningless).
 
-    def column_is_zero(self, c) -> bool:
-        return not np.any(self.basis[:, c])
+        Writing u, v for the basis columns at c1 and c2, such a b exists
+        iff u and v are both zero (b = 1) or both nonzero and proportional,
+        u = lam v, and then b = -lam.  Columns are compared in canonical
+        form, divided by their first nonzero entry (the lead), through
+        one class id per distinct canonical column, so lam is the quotient
+        of the two leads.
+        """
+        ops = self.ctx.vec_ops()
+        # one zero vector more changes no answer and leaves no column empty
+        cols = np.concatenate([self.basis, np.zeros((1, self.basis.shape[1]), np.int64)]).T
+        lead = cols[np.arange(len(cols)), (cols != 0).argmax(1)]
+        zero = lead == 0
+        lead[zero] = 1
+        canon = ops.div(cols, lead[:, None])
+        cls = np.unique(canon, axis=0, return_inverse=True)[1].reshape(-1)
+        b = np.where(zero[c1], 1, ops.neg(ops.div(lead[c1], lead[c2])))
+        return np.where(cls[c1] == cls[c2], b, 0)
 
 
 def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
@@ -206,30 +223,9 @@ def weight_one_in_colspace(matrix: GFMatrix):
 
 def weight_two_in_colspace(matrix: GFMatrix, c1: int, c2: int):
     """Scalars (a, b), both nonzero, with a*unit_c1 + b*unit_c2 in the
-    column space, or None.
-
-    Writing u, v for the left-null-basis columns at c1 and c2, such a pair
-    exists iff u and v are both zero (any pair works) or both nonzero and
-    proportional.
-    """
+    column space, or None: the column space is exactly the annihilator of
+    the left null space (``LeftNullBasis.weight_two_scalars``)."""
     if c1 == c2:
         raise DimensionMismatchError("row indices must differ")
-    ctx = matrix.ctx
-    null = left_null_basis(matrix)
-    if null.nullity == 0:
-        return (1, 1)
-    u = null.basis[:, c1]
-    v = null.basis[:, c2]
-    u_zero = not np.any(u)
-    v_zero = not np.any(v)
-    if u_zero and v_zero:
-        return (1, 1)
-    if u_zero or v_zero:
-        return None
-    i0 = int(np.nonzero(v)[0][0])
-    lam = ctx.div(int(u[i0]), int(v[i0]))
-    for a, b in zip(u, v):
-        if int(a) != ctx.mul(lam, int(b)):
-            return None
-    # u = lam v with lam != 0, so unit_c1 - lam unit_c2 kills every w
-    return (1, ctx.neg(lam))
+    b = int(left_null_basis(matrix).weight_two_scalars(c1, c2))
+    return (1, b) if b else None

@@ -358,8 +358,3 @@ class FieldCtx:
 
     def __hash__(self):
         return hash((self.p, self.h, self.modulus))
-
-
-def field_new(p: int, h: int = 1, modulus=None) -> FieldCtx:
-    """Construct a field context; see FieldCtx."""
-    return FieldCtx(p, h, modulus)

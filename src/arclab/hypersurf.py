@@ -25,6 +25,7 @@ from .arcgeom import (
     _dets,
     _form_values,
     _pencil_basis,
+    _projective_line,
     cofactor_normals,
     subset_iter,
 )
@@ -123,16 +124,6 @@ def eval_surface(surface: DualSurface, ys) -> int:
     return eval_dual(surface, z)
 
 
-def _pencil_sample_points(arc: ArcConfig, A, count):
-    """count points x, pairwise independent modulo span(A): u2 and
-    u1 + lam u2, with u1, u2 completing span(A) from the standard basis."""
-    if count > arc.ctx.q + 1:
-        raise InvariantError("pencil too small for the requested sample count")
-    i, j, _, _ = _pencil_basis(arc, A)
-    point = lambda a, b: tuple(a if c == i else b if c == j else 0 for c in range(arc.k))
-    return [point(0, 1)] + [point(1, lam) for lam in arc.ctx.elements()[: count - 1]]
-
-
 def theorem9_check(surface: DualSurface, A) -> bool:
     """Whether the surface restricted to (X, A) equals alpha_A f_A(X)
     (even q) or its square (odd q), as polynomials.
@@ -140,16 +131,27 @@ def theorem9_check(surface: DualSurface, A) -> bool:
     Both sides are homogeneous of the surface degree in the two
     coordinates transverse to span(A), so agreement at degree+1 pairwise
     independent sample directions proves the identity; A need not be a
-    subset of E."""
+    subset of E.  The samples are x = w1 e_u1 + w2 e_u2 for points w of
+    PG(1,q), u1, u2 and b1, b2 from one pencil basis; the dual of
+    span(x, A) is z = (-1)^k (w1 b1 + w2 b2), since det(u, x, A) moves x
+    past the k-2 points of A to reach det(u, A, x)."""
     arc = surface.arc
     ctx = arc.ctx
+    ops = ctx.vec_ops()
     A = tuple(sorted(A))
-    table = alpha_table(arc)
-    alpha = table.alpha(A)
+    count = surface.degree + 1
+    if count > ctx.q + 1:
+        raise InvariantError("pencil too small for the requested sample count")
+    alpha = alpha_table(arc).alpha(A)
     fA = tangent_fn(arc, A)
-    xs = _pencil_sample_points(arc, A, surface.degree + 1)
-    zs = cofactor_normals(ctx, np.array([[x] + arc.points_at(A) for x in xs], dtype=np.int64))
-    for x, z in zip(xs, zs.tolist()):
+    u1, u2, b1, b2 = _pencil_basis(arc, A)
+    w1, w2 = np.roll(_projective_line(ctx), 1, axis=1)[:, :count]
+    xs = np.zeros((count, arc.k), dtype=np.int64)
+    xs[:, u1], xs[:, u2] = w1, w2
+    zs = ops.add(ops.mul(w1[:, None], b1), ops.mul(w2[:, None], b2))
+    if arc.k % 2:
+        zs = ops.neg(zs)
+    for x, z in zip(xs.tolist(), zs.tolist()):
         lhs = eval_dual(surface, z)
         rhs = ctx.mul(alpha, fA(x))
         if surface.parity == "odd":

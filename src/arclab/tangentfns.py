@@ -15,6 +15,8 @@ transposition count s is the parity of the shuffle (F&A, F-A) -> F.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .arcgeom import (
     ArcConfig,
     InvariantError,
@@ -22,7 +24,6 @@ from .arcgeom import (
     _form_values,
     _pencil_basis,
     cosecants_through,
-    subset_iter,
 )
 
 __all__ = [
@@ -79,6 +80,23 @@ def tangent_fn(arc: ArcConfig, A) -> TangentFn:
     return fn
 
 
+def _lagrange_sum(ctx, beta, weights, w1, w2):
+    """sum_e weights_e prod_{u != e} D(u, w) at every point w = (w1, w2) of
+    two arrays, u and e running over the points whose pencil coordinates
+    are the columns of beta, D(u, w) = beta1(u) w2 - beta2(u) w1.
+
+    At w = beta(e) every term but e's has the factor D(e, e) = 0, so unit
+    weights there give the products prod_{u != e} D(u, e) themselves."""
+    ops = ctx.vec_ops()
+    D = ops.sub(ops.mul(beta[0][:, None], w2), ops.mul(beta[1][:, None], w1))
+    # prod_{u != e} is the product of the rows of D before e times those after
+    before, after = np.ones_like(D), np.ones_like(D)
+    for i in range(1, len(D)):
+        before[i] = ops.mul(before[i - 1], D[i - 1])
+        after[-1 - i] = ops.mul(after[-i], D[-i])
+    return ops.matmul(np.asarray(weights, dtype=np.int64)[None], ops.mul(before, after))[0]
+
+
 def _pencil_lagrange(arc: ArcConfig, A, values):
     """Lagrange data of f_A in the pencil coordinates beta(v) = (b1.v, b2.v),
     b1, b2 a basis of the forms vanishing on span(A).  Then d_A(u, x) is
@@ -94,18 +112,9 @@ def _pencil_lagrange(arc: ArcConfig, A, values):
         raise ValueError("need at least one value point")
     _, _, b1, b2 = _pencil_basis(arc, sorted(A))
     beta = _form_values(ctx, [b1, b2], arc.points_at(pts))
-    pairs = beta.T.tolist()
-    weights = [ctx.div(values[e], _prod_D(ctx, pairs, i, pairs[i])) for i, e in enumerate(pts)]
+    denoms = _lagrange_sum(ctx, beta, np.ones(len(pts), dtype=np.int64), beta[0], beta[1])
+    weights = ctx.vec_ops().div(np.array([values[e] for e in pts], dtype=np.int64), denoms)
     return b1, b2, beta, weights
-
-
-def _prod_D(ctx, pairs, skip, y) -> int:
-    """prod_{j != skip} D(u_j, y) from beta(u_j) = pairs[j] and beta(y) = y."""
-    acc = 1
-    for j, (a1, a2) in enumerate(pairs):
-        if j != skip:
-            acc = ctx.mul(acc, ctx.sub(ctx.mul(a1, y[1]), ctx.mul(a2, y[0])))
-    return acc
 
 
 def interpolate_fA(arc: ArcConfig, A, values):
@@ -122,14 +131,10 @@ def interpolate_fA(arc: ArcConfig, A, values):
     """
     ctx = arc.ctx
     b1, b2, beta, weights = _pencil_lagrange(arc, A, values)
-    pairs = beta.T.tolist()
 
     def evaluator(x):
-        y = _form_values(ctx, [b1, b2], [x])[:, 0].tolist()
-        acc = 0
-        for i, w in enumerate(weights):
-            acc = ctx.add(acc, ctx.mul(w, _prod_D(ctx, pairs, i, y)))
-        return acc
+        y = _form_values(ctx, [b1, b2], [x])
+        return int(_lagrange_sum(ctx, beta, weights, y[0], y[1])[0])
 
     return evaluator
 
@@ -247,12 +252,6 @@ class AlphaTable:
             val = ctx.neg(val)
         self._cache[B] = val
         return val
-
-    def all_alpha_A(self):
-        return {A: self.alpha(A) for A in subset_iter(self.arc.size, self.arc.k - 2)}
-
-    def all_alpha_C(self):
-        return {C: self.alpha(C) for C in subset_iter(self.arc.size, self.arc.k - 1)}
 
 
 def alpha_table(arc: ArcConfig) -> AlphaTable:

@@ -17,10 +17,9 @@ from arclab.certifier import (
     CosecantPrediction,
     PredictedTangent,
     PropertyWReport,
-    _P_coord,
+    PropertyWWitness,
     _sigma,
     build_Mn,
-    property_w,
     recover_cosecants,
     vg_vector,
 )
@@ -229,6 +228,17 @@ def ref_cosecants_through(A, arc):
     ]
 
 
+def points_off_span(arc, A, count):
+    """The first count projective points outside span(A), in the order of
+    projective_points, found by scalar kernels."""
+    rows = arc.points_at(A)
+    off = (
+        x for x in projective_points(arc.ctx, arc.k)
+        if len(ref_kernel_of_points(arc.ctx, rows + [x], arc.k)) == arc.k - len(rows) - 1
+    )
+    return list(itertools.islice(off, count))
+
+
 def all_dual_reps(ctx, k):
     """Every projective representative of the dual space, brute force."""
     out = []
@@ -404,8 +414,66 @@ def _ref_complete_to_directions(arc, A):
     raise AssertionError("standard basis must complete a (k-2)-space")
 
 
+# ----------------------------------------------------------------------
+# Property W reference: one scalar weight-two test per pair of star rows,
+# on a null basis from ref_left_null, the search the library replaced by
+# one pass over the canonical basis columns
+# ----------------------------------------------------------------------
+
+
+def ref_weight_two(ctx, basis, c1, c2):
+    """(1, b) with unit_c1 + b unit_c2 annihilated by every vector of the
+    basis (a list of rows), or None: the columns u, v at c1, c2 must be
+    both zero (b = 1) or both nonzero with u = lam v (b = -lam)."""
+    u = [w[c1] for w in basis]
+    v = [w[c2] for w in basis]
+    if not any(u) and not any(v):
+        return (1, 1)
+    if not any(u) or not any(v):
+        return None
+    i0 = next(i for i, x in enumerate(v) if x)
+    lam = ctx.div(u[i0], v[i0])
+    if any(a != ctx.mul(lam, b) for a, b in zip(u, v)):
+        return None
+    return (1, ctx.neg(lam))
+
+
+def ref_property_w(arc, n, M=None, basis=None):
+    """property_w by a double loop over the star of every A: the pivot is
+    the smallest x with |G|-n-k+1 partners y.  basis defaults to
+    ref_left_null of M_n."""
+    M = build_Mn(arc, n) if M is None else M
+    if basis is None:
+        basis = ref_left_null(arc.ctx, M.matrix.data.tolist())
+    g, k = arc.size, arc.k
+    need = g - n - k + 1
+    witnesses, missing = {}, []
+    for A in subset_iter(g, k - 2):
+        others = [x for x in range(g) if x not in A]
+        row = {x: M.row_index[tuple(sorted(A + (x,)))] for x in others}
+        for x in others:
+            partners = []
+            for y in others:
+                ab = None if y == x else ref_weight_two(arc.ctx, basis, row[x], row[y])
+                if ab is not None:
+                    partners.append((y, ab[0], ab[1]))
+            if len(partners) >= need:
+                witnesses[A] = PropertyWWitness(A, x, tuple(partners))
+                break
+        else:
+            missing.append(A)
+    return PropertyWReport(n, g - k - n, not missing, witnesses, tuple(missing))
+
+
+def ref_P_coord(ctx, dets, C, i):
+    """prod_{z in G-C} det(z, C)^{-1} by scalar products, read from a
+    determinant table whose i-th column is C."""
+    return ctx.inv(ctx.prod(int(row[i]) for z, row in enumerate(dets) if z not in C))
+
+
 def ref_recover_cosecants(arc, n, source=None, M=None):
-    """recover_cosecants with the scalar interpolation and root finding."""
+    """recover_cosecants with a null-vector route of its own and the scalar
+    Property W, interpolation and root finding."""
     g, k = arc.size, arc.k
     t = g - k - n
     M = build_Mn(arc, n) if M is None else M
@@ -418,7 +486,7 @@ def ref_recover_cosecants(arc, n, source=None, M=None):
     elif left_null_basis(M.matrix).nullity == 1 and weight_one_in_colspace(M.matrix) is None:
         null_vec = left_null_basis(M.matrix).vectors()[0]
     else:
-        report = property_w(arc, n, M)
+        report = ref_property_w(arc, n, M)
     per_A = {}
     for A in subset_iter(g, k - 2):
         others = [x for x in range(g) if x not in A]
@@ -433,11 +501,11 @@ def ref_recover_cosecants(arc, n, source=None, M=None):
             ys = [y for y, _, _ in wit.partners][:t]
             rho = lambda y: ctx.neg(ctx.div(pairs[y][1], pairs[y][0]))
         Cx = tuple(sorted(A + (x,)))
-        Px = _P_coord(ctx, M.dets, Cx, M.row_index[Cx])
+        Px = ref_P_coord(ctx, M.dets, Cx, M.row_index[Cx])
         values = {x: 1}
         for y in ys:
             Cy = tuple(sorted(A + (y,)))
-            val = ctx.div(Px, ctx.mul(rho(y), _P_coord(ctx, M.dets, Cy, M.row_index[Cy])))
+            val = ctx.div(Px, ctx.mul(rho(y), ref_P_coord(ctx, M.dets, Cy, M.row_index[Cy])))
             if _sigma(arc, A, x, t) * _sigma(arc, A, y, t) < 0:
                 val = ctx.neg(val)
             values[y] = val

@@ -60,6 +60,7 @@ from conftest import (
     ARCS_DIR,
     annihilates,
     moment_curve,
+    points_off_span,
     rank_mod_p,
     recovers_extension,
     ref_det_full,
@@ -396,9 +397,9 @@ def _lemma_suite(arc, rng, failures):
                 # perfect square on the dual line: checked via Theorem 9
                 al = table.alpha(A)
                 fA = tangent_fn(arc, A)
-                from arclab.hypersurf import _pencil_sample_points, dual_coords
+                from arclab.hypersurf import dual_coords
 
-                for x in _pencil_sample_points(arc, A, min(surf.degree + 1, 5)):
+                for x in points_off_span(arc, A, min(surf.degree + 1, 5)):
                     z = dual_coords(ctx, [x] + arc.points_at(A))
                     root = ctx.mul(al, fA(x))
                     record("square", eval_dual(surf, z) == ctx.mul(root, root))

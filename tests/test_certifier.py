@@ -37,7 +37,10 @@ from conftest import (
     gl_image,
     moment_curve,
     recovers_extension,
+    ARCS_DIR,
     ref_det_full,
+    ref_left_null,
+    ref_property_w,
     ref_random_arc,
     ref_recover_cosecants,
     shuffled_nrc,
@@ -195,6 +198,57 @@ def test_property_w_trivial_at_size_k_plus_n(conic_f5):
             assert property_w(G, n).holds
     assert property_w(conic_f5.prefix(4), 1).holds
     assert property_w(conic_f5.prefix(3), 0).holds
+
+
+def _property_w_cases():
+    """(arc, n) pairs for the Property W comparison: the shipped arcs at
+    every n whose M_n has at most 600 columns, their GL images at one n
+    each, seeded random arcs over GF(11), GF(13), GF(8) and GF(9) at every
+    n, and frame arcs, whose M_0 has nullity 0 over odd q."""
+    from arclab.cli import parse_arc_file
+
+    cases = []
+    for name, n0 in [("conic_f5", 2), ("hyperconic_f8", 2), ("q11_size7", 2), ("q13_size6", 2), ("q13_size9", 3)]:
+        arc = parse_arc_file((ARCS_DIR / f"{name}.arc").read_text())
+        for n in range(arc.size - arc.k + 1):
+            if comb(arc.size, n) * comb(arc.size - n, arc.k - 2) <= 600:
+                cases.append((arc, n))
+        cases.append((gl_image(arc, 7), n0))
+    rng = random.Random(41)
+    for p, h in [(11, 1), (13, 1), (2, 3), (3, 2)]:
+        ctx = FieldCtx(p, h)
+        for k, size in [(3, 6), (4, 7)]:
+            arc = ArcConfig(ctx, k, ref_random_arc(ctx, k, size, rng, 50))
+            cases += [(arc, n) for n in range(size - k + 1)]
+        for k in (4, 5):
+            frame = [tuple(int(i == j) for i in range(k)) for j in range(k)] + [(1,) * k]
+            cases.append((ArcConfig(ctx, k, frame), 0))
+    return cases
+
+
+def test_property_w_matches_scalar_reference():
+    nullities, outcomes, mixed = set(), set(), 0
+    for arc, n in _property_w_cases():
+        M = build_Mn(arc, n)
+        basis = ref_left_null(arc.ctx, M.matrix.data.tolist())
+        report = property_w(arc, n, M)
+        assert report == ref_property_w(arc, n, M, basis)
+        nullities.add(len(basis))
+        outcomes.add(report.holds)
+        zero = [not any(w[c] for w in basis) for c in range(M.matrix.rows)]
+        mixed += any(zero) and not all(zero)
+    # nullity 0, null bases with zero and nonzero columns, both outcomes
+    assert 0 in nullities and max(nullities) >= 28
+    assert mixed and outcomes == {True, False}
+
+
+def test_property_w_q81_matches_scalar_reference(arc_q81):
+    # the reference pair test on the library null basis: M_1 is too large
+    # for the scalar elimination
+    M = build_Mn(arc_q81, 1)
+    report = property_w(arc_q81, 1, M)
+    assert report.holds
+    assert report == ref_property_w(arc_q81, 1, M, left_null_basis(M.matrix).vectors())
 
 
 def test_corollary2_route(arc_q13_size6, arc_q11, F11):

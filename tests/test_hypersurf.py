@@ -15,7 +15,7 @@ from arclab.hypersurf import (
 )
 from arclab.tangentfns import alpha_table, tangent_fn
 
-from conftest import moment_curve
+from conftest import moment_curve, points_off_span
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +111,6 @@ def test_theorem9_k4(F7):
 
 def test_odd_q_restriction_is_perfect_square(conic_f5, arc_f13_t3):
     # on the dual line of <A> the surface equals (alpha_A f_A)^2 pointwise
-    from arclab.hypersurf import _pencil_sample_points
-
     for arc in (conic_f5, arc_f13_t3):
         ctx = arc.ctx
         s = build_surface(arc)
@@ -120,7 +118,7 @@ def test_odd_q_restriction_is_perfect_square(conic_f5, arc_f13_t3):
         for A in list(subset_iter(arc.size, arc.k - 2))[:6]:
             fA = tangent_fn(arc, A)
             al = table.alpha(A)
-            for x in _pencil_sample_points(arc, A, s.degree + 1):
+            for x in points_off_span(arc, A, s.degree + 1):
                 z = dual_coords(ctx, [x] + arc.points_at(A))
                 root = ctx.mul(al, fA(x))
                 assert eval_dual(s, z) == ctx.mul(root, root)
