@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "ArcInputError",
     "BudgetExceededError",
     "InvariantError",
     "ArcConfig",
@@ -41,6 +42,10 @@ MASK_CHUNK = 8
 
 class BudgetExceededError(RuntimeError):
     pass
+
+
+class ArcInputError(ValueError):
+    """Not an arc, k below 3, or a size out of range: an input error."""
 
 
 class InvariantError(RuntimeError):
@@ -129,7 +134,7 @@ def validate_arc(ctx, k, points):
     pts = [tuple(p) for p in points]
     for p in pts:
         if len(p) != k:
-            raise ValueError(f"vector {p} does not have length {k}")
+            raise ArcInputError(f"vector {p} does not have length {k}")
         if not any(p):
             return (pts.index(p),)  # zero vector: the witness is the point itself
     arr = np.array(pts, dtype=np.int64).reshape(-1, k)
@@ -149,21 +154,21 @@ class ArcConfig:
 
     def __init__(self, ctx, k, points, check=True):
         if k < 3:
-            raise ValueError("dimension k must be at least 3")
+            raise ArcInputError("dimension k must be at least 3")
         self.ctx = ctx
         self.k = k
         self.points = tuple(tuple(int(x) for x in p) for p in points)
         for p in self.points:
             if not all(0 <= x < ctx.q for x in p):
-                raise ValueError(f"vector {p} has a coordinate outside 0..{ctx.q - 1}")
+                raise ArcInputError(f"vector {p} has a coordinate outside 0..{ctx.q - 1}")
         if len(self.points) > ctx.q + k - 1:
-            raise ValueError(
+            raise ArcInputError(
                 f"arc size {len(self.points)} exceeds q+k-1 = {ctx.q + k - 1}"
             )
         if check:
             witness = validate_arc(ctx, k, self.points)
             if witness is not None:
-                raise ValueError(f"not an arc: subset {witness} is degenerate")
+                raise ArcInputError(f"not an arc: subset {witness} is degenerate")
 
     @property
     def size(self) -> int:
@@ -195,20 +200,25 @@ def canonical_form(ctx, coeffs):
     return tuple(_canonical(ctx, np.array([coeffs], dtype=np.int64))[0].tolist())
 
 
-def _pencil_basis(arc: ArcConfig, A):
-    """u1, u2, b1, b2 for a (k-2)-subset A: e_u1 is the first standard
-    basis vector outside span(A), e_u2 the first outside span(A, e_u1),
-    and b1 = n_{A+e_u1}, b2 = n_{A+e_u2} span the forms vanishing on A."""
+def _pencil_basis(arc: ArcConfig, subsets):
+    """u1, u2, b1, b2 for every (k-2)-subset A of a list, one array entry
+    per A, from one kernel call: e_u1 is the first standard basis vector
+    outside span(A), e_u2 the first outside span(A, e_u1), and
+    b1 = n_{A+e_u1}, b2 = n_{A+e_u2} span the forms vanishing on A."""
     k = arc.k
-    a = np.array(arc.points_at(A), dtype=np.int64).reshape(-1, k)
-    eye = np.eye(k, dtype=np.int64)[:, None]
-    normals = cofactor_normals(arc.ctx, np.concatenate([np.broadcast_to(a, (k, *a.shape)), eye], axis=1))
-    outside = np.flatnonzero(normals.any(axis=1))
-    if len(A) != k - 2 or not outside.size:
+    a = np.array(arc.points, dtype=np.int64).reshape(-1, k)[np.array(subsets, dtype=np.int64)]
+    if a.shape[1:] != (k - 2, k):
+        raise ValueError("subsets do not all have k-2 points")
+    eye = np.broadcast_to(np.eye(k, dtype=np.int64)[:, None], (len(a), k, 1, k))
+    sets = np.concatenate([np.broadcast_to(a[:, None], (len(a), k, k - 2, k)), eye], axis=2)
+    normals = cofactor_normals(arc.ctx, sets.reshape(-1, k - 1, k)).reshape(-1, k, k)
+    outside = normals.any(axis=2)
+    if not outside.any(axis=1).all():
         raise ValueError("subset does not span a (k-2)-space")
-    u1 = int(outside[0])
-    u2 = int(np.flatnonzero(normals[u1])[0])
-    return u1, u2, normals[u1], normals[u2]
+    at = np.arange(len(a))
+    b1 = normals[at, outside.argmax(1)]
+    u2 = (b1 != 0).argmax(1)
+    return outside.argmax(1), u2, b1, normals[at, u2]
 
 
 def _projective_line(ctx):
@@ -230,7 +240,7 @@ def _pencil_members(ctx, b1, b2, w1, w2):
 def pencil_through(A, arc: ArcConfig):
     """The q+1 canonical forms vanishing on the (k-2)-space spanned by A."""
     ctx = arc.ctx
-    _, _, b1, b2 = _pencil_basis(arc, A)
+    _, _, (b1,), (b2,) = _pencil_basis(arc, [A])
     forms = sorted(set(map(tuple, _pencil_members(ctx, b1, b2, *_projective_line(ctx)).tolist())))
     if len(forms) != ctx.q + 1:
         raise InvariantError(f"pencil has {len(forms)} members, not q+1 = {ctx.q + 1}")
@@ -243,7 +253,7 @@ def cosecants_through(A, arc: ArcConfig):
     beta(x) = (b1.x, b2.x), so the co-secants are the members at the
     points of PG(1,q) that no other arc point marks."""
     ctx = arc.ctx
-    _, _, b1, b2 = _pencil_basis(arc, A)
+    _, _, (b1,), (b2,) = _pencil_basis(arc, [A])
     others = np.array([p for i, p in enumerate(arc.points) if i not in A], dtype=np.int64)
     beta1, beta2 = _form_values(ctx, [b1, b2], others.reshape(-1, arc.k))
     if np.any((beta1 == 0) & (beta2 == 0)):
@@ -358,7 +368,7 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
     ctx = arc.ctx
     k = arc.k
     if target_size is not None and target_size > ctx.q + k - 1:
-        raise ValueError(f"target size {target_size} exceeds q+k-1")
+        raise ArcInputError(f"target size {target_size} exceeds q+k-1")
     inc = HyperplaneIncidence(ctx, k, arc.points)
     n = len(inc.points)
     cur = list(range(n, n + arc.size))

@@ -1,10 +1,12 @@
 """Certification engine: the matrix M_n and everything it proves.
 
-Rows of M_n are indexed by the (k-1)-subsets C of the arc G in colex
-order; columns by pairs (A, E) with |E| = |G|-n, A a (k-2)-subset of E,
-E outer colex and A inner colex.  The (C, (A, E)) entry is
-prod_{u in G-E} det(u, C) when A < C and 0 otherwise; members of a subset
-always enter determinants in increasing arc order.
+Rows of M_n are the (k-1)-subsets C of the arc G in colex order.  The
+paper's column (A, E), |E| = |G|-n and A a (k-2)-subset of E, holds
+prod_{u in G-E} det(u, C) in each row C > A.  Every answer here depends
+only on the column space, and for each A these columns span n+1 monomial
+columns in the pencil coordinates of A's star, so M_n keeps those: n+1
+columns per A (``build_Mn``).  Members of a subset always enter
+determinants in increasing arc order.
 
 A weight-one vector in the column space certifies that G extends to no
 arc of size q+2k+n-1-|G|.  Weight-two vectors (Property W) pin down the
@@ -23,17 +25,19 @@ import numpy as np
 
 from .arcgeom import (
     ArcConfig,
+    ArcInputError,
     BudgetExceededError,
     HyperplaneIncidence,
     InvariantError,
     _dets,
+    _pencil_basis,
     _pencil_members,
     _projective_line,
     complete_search,
     subset_iter,
 )
 from .exactmat import GFMatrix, LeftNullBasis, left_null_basis, weight_one_in_colspace
-from .tangentfns import _lagrange_sum, _pencil_lagrange, alpha_table, interpolate_fA
+from .tangentfns import _lagrange_sum, _lagrange_weights, alpha_table, interpolate_fA
 
 __all__ = [
     "SizeOutOfRangeError",
@@ -61,7 +65,7 @@ __all__ = [
 ]
 
 
-class SizeOutOfRangeError(ValueError):
+class SizeOutOfRangeError(ArcInputError):
     pass
 
 
@@ -78,22 +82,23 @@ class PropertyWMissingError(RuntimeError):
 
 
 class CertMatrix:
-    """M_n of an arc together with its row/column index maps, the
-    determinant table its entries are built from and the star of every
-    (k-2)-subset A: its rows A+x, x running over the points outside A."""
+    """M_n of an arc, one block of n+1 columns per (k-2)-subset A, with
+    the data its blocks are built from: the star of every A (its rows A+x,
+    x running over the points outside A) and a basis b1, b2 of the forms
+    vanishing on A with the pencil coordinates beta(x) = (b1.x, b2.x) of
+    its star."""
 
-    def __init__(self, arc: ArcConfig, n: int, matrix: GFMatrix, rows, cols, dets, others, stars):
+    def __init__(self, arc: ArcConfig, n: int, matrix: GFMatrix, rows, subsets, others, stars, pencils, beta):
         self.arc = arc
         self.n = n
         self.matrix = matrix
         self.rows = rows          # list of (k-1)-subsets, colex
-        self.cols = cols          # list of (A, E) pairs, E outer colex
-        self.dets = dets          # dets[u, i] = det(u, rows[i])
-        self.subsets = list(subset_iter(arc.size, arc.k - 2))  # the A, colex
+        self.subsets = subsets    # the A, colex
         self.others = others      # others[s] = the points outside subsets[s]
         self.stars = stars        # stars[s, j] = row of subsets[s] + others[s, j]
-        self.row_index = {c: i for i, c in enumerate(rows)}
-        self.col_index = {p: j for j, p in enumerate(cols)}
+        self.pencils = pencils    # pencils[s] = (b1, b2) of subsets[s]
+        self.beta = beta          # beta[s, :, j] = beta(others[s, j])
+        self._w_report = None     # the Property W report, once computed
 
     @property
     def t(self) -> int:
@@ -104,43 +109,37 @@ class CertMatrix:
         return self.arc.ctx.q + 2 * self.arc.k + self.n - 1 - self.arc.size
 
 
-def _det_table(arc: ArcConfig, rows):
-    """det(u, C) for every point u (a row each) and subset C of rows (a
-    column each), 0 when u is in C."""
-    return _dets(arc, rows, range(arc.size)).T
-
-
 def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
-    """Construct M_n; requires 0 <= n <= |G| - k."""
-    g = arc.size
-    k = arc.k
+    """Construct M_n, one block per A; requires 0 <= n <= |G| - k.
+
+    Column i of A's block holds s_e^n beta1(e)^i beta2(e)^(n-i) in each
+    row A+e of its star, s_e = (-1)^{#{a in A : a < e}}.  The paper's
+    column (A, E) is c_A^n s_e^n prod_{u in G-E} D(u, e) there, a binary
+    form of degree n in beta(e), and these forms span all n+1 monomials,
+    so both matrices have the same column space."""
+    g, k = arc.size, arc.k
     if n < 0 or g < k + n:
         raise SizeOutOfRangeError(f"need 0 <= n <= |G|-k, got n={n}, |G|={g}")
-    ctx = arc.ctx
-    ops = ctx.vec_ops()
+    ops = arc.ctx.vec_ops()
     rows = list(subset_iter(g, k - 1))
     row_index = {c: i for i, c in enumerate(rows)}
-    dets = _det_table(arc, rows)
-    slot = {A: s for s, A in enumerate(subset_iter(g, k - 2))}
-    others = [[e for e in range(g) if e not in A] for A in slot]
-    stars = [[row_index[tuple(sorted(A + (e,)))] for e in xs] for A, xs in zip(slot, others)]
-    cols, col_slots, outs = [], [], []
-    for E in subset_iter(g, g - n):
-        out = [u for u in range(g) if u not in E]
-        for Apos in subset_iter(g - n, k - 2):
-            A = tuple(E[i] for i in Apos)
-            cols.append((A, E))
-            col_slots.append(slot[A])
-            outs.append(out)
-    # column (A, E) has prod_{u in G-E} det(u, A+e) in each row A+e of its star
-    others, stars = np.array(others, dtype=np.int64), np.array(stars, dtype=np.int64)
-    col_stars = stars[col_slots]
-    values = np.ones(col_stars.shape, dtype=np.int64)
-    for u in np.array(outs, dtype=np.int64).reshape(len(cols), n).T:
-        values = ops.mul(values, dets[u[:, None], col_stars])
-    data = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    data[col_stars, np.arange(len(cols))[:, None]] = values
-    return CertMatrix(arc, n, GFMatrix(ctx, data), rows, cols, dets, others, stars)
+    subsets = list(subset_iter(g, k - 2))
+    others = np.array([[e for e in range(g) if e not in A] for A in subsets], dtype=np.int64)
+    stars = np.array([[row_index[tuple(sorted(A + (e,)))] for e in range(g) if e not in A] for A in subsets])
+    pencils = np.stack(_pencil_basis(arc, subsets)[2:], axis=1)
+    pts = np.array(arc.points, dtype=np.int64).reshape(g, k)
+    beta = ops.matmul(pencils, pts[others].transpose(0, 2, 1))
+    # powers[..., i] = beta1^i beta2^(n-i) over every star
+    powers = np.ones((*others.shape, n + 1), dtype=np.int64)
+    for i in range(n):
+        powers[..., : i + 1] = ops.mul(powers[..., : i + 1], beta[:, 1, :, None])
+        powers[..., i + 1 :] = ops.mul(powers[..., i + 1 :], beta[:, 0, :, None])
+    below = (np.array(subsets, dtype=np.int64).reshape(len(subsets), 1, k - 2) < others[:, :, None]).sum(2)
+    powers = np.where((below * n % 2 == 1)[..., None], ops.neg(powers), powers)
+    cols = np.arange(len(subsets) * (n + 1)).reshape(len(subsets), 1, n + 1)
+    data = np.zeros((len(rows), cols.size), dtype=np.int64)
+    data[stars[:, :, None], cols] = powers
+    return CertMatrix(arc, n, GFMatrix(arc.ctx, data), rows, subsets, others, stars, pencils, beta)
 
 
 @dataclass(frozen=True)
@@ -223,11 +222,14 @@ def property_w(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> PropertyW
 
     Per A the pivot is the smallest x in G-A admitting |G|-n-k+1 distinct
     partners y with a weight-two vector supported on (A+{x}, A+{y}) in the
-    column space of M_n.
+    column space of M_n.  The report is kept on M, so a second call on
+    the same matrix returns it without a second pass.
     """
     if M is None:
         M = build_Mn(arc, n)
-    return _property_w(M, left_null_basis(M.matrix))
+    if M._w_report is None:
+        M._w_report = _property_w(M, left_null_basis(M.matrix))
+    return M._w_report
 
 
 def _property_w(M: CertMatrix, null: LeftNullBasis) -> PropertyWReport:
@@ -258,10 +260,7 @@ def corollary2_route(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> boo
     weight-two vector is available."""
     if M is None:
         M = build_Mn(arc, n)
-    null = left_null_basis(M.matrix)
-    if null.nullity != 1:
-        return False
-    return weight_one_in_colspace(M.matrix) is None
+    return left_null_basis(M.matrix).nullity == 1 and weight_one_in_colspace(M.matrix) is None
 
 
 # ----------------------------------------------------------------------
@@ -294,21 +293,16 @@ class CosecantPrediction:
         return all(p.status == "ok" for p in self.per_A.values())
 
 
-def _P_coords(ctx, dets, rows):
+def _P_coords(arc: ArcConfig, rows):
     """prod_{z in G-C} det(z, C)^{-1} for every subset C of rows: the v_G
-    coordinates without alpha, read from the table dets[z, i] = det(z, C_i)."""
-    ops = ctx.vec_ops()
-    inside = np.zeros(dets.shape, dtype=bool)
-    inside[np.array(rows).T, np.arange(len(rows))] = True
+    coordinates without alpha, from one table of det(z, C), which on an
+    arc is 0 exactly for z in C."""
+    ops = arc.ctx.vec_ops()
+    dets = _dets(arc, rows, range(arc.size))
     acc = np.ones(len(rows), dtype=np.int64)
-    for row in np.where(inside, 1, dets):
-        acc = ops.mul(acc, row)
+    for col in np.where(dets == 0, 1, dets).T:
+        acc = ops.mul(acc, col)
     return ops.div(1, acc)
-
-
-def _sigma(arc: ArcConfig, A, e, t) -> int:
-    d = sum(1 for a in A if a > e)
-    return -1 if (d * (t + 1)) % 2 else 1
 
 
 def recover_cosecants(
@@ -331,59 +325,56 @@ def recover_cosecants(
         M = build_Mn(arc, n)
     ctx = arc.ctx
 
-    route = "property-w"
-    if source is None and corollary2_route(arc, n, M):
-        source = left_null_basis(M.matrix).basis[0]
-    if source is None:
-        report = property_w(arc, n, M)
-    elif isinstance(source, PropertyWReport):
-        report = source
+    if isinstance(source, PropertyWReport):
+        report, route = source, "property-w"
+    elif source is None and not corollary2_route(arc, n, M):
+        report, route = property_w(arc, n, M), "property-w"
     else:
         # one left-null vector v with no zero coordinate: any two rows of a
-        # star are partners, with rho = v(A+x)/v(A+y)
+        # star are partners, with rho = v(A+x)/v(A+y); M's own null vector
+        # spans M's null basis, whose report property_w keeps
         route = "null-vector"
-        vec = np.array([int(x) for x in source], dtype=np.int64)
+        vec = np.array(left_null_basis(M.matrix).basis[0] if source is None else [int(x) for x in source])
         if len(vec) != len(M.rows):
             raise SizeOutOfRangeError("null vector length does not match row count")
         if not vec.all():
-            raise PropertyWMissingError(
-                "left-null vector has zero coordinates; ratios are undetermined"
-            )
-        report = _property_w(M, LeftNullBasis(ctx, vec[None]))
+            raise PropertyWMissingError("left-null vector has zero coordinates; ratios are undetermined")
+        report = property_w(arc, n, M) if source is None else _property_w(M, LeftNullBasis(ctx, vec[None]))
     if not report.holds:
         raise PropertyWMissingError(
             f"Property W fails for {len(report.missing)} subsets, e.g. {report.missing[0]}"
         )
 
-    P = _P_coords(ctx, M.dets, M.rows).tolist()
-    # the points (1, lam) and (0, 1) of PG(1,q), one per pencil member
+    # per A: the pivot x, then its first t partners y with the witness
+    # scalars (a, b); x is its own partner with (1, -1).  Each e sits at
+    # place e - #{a in A : a < e} of A's star
+    ops = ctx.vec_ops()
+    wits = [report.witnesses[A] for A in M.subsets]
+    pts = np.array([[w.pivot] + [y for y, _, _ in w.partners[:t]] for w in wits], dtype=np.int64)
+    ab = np.array([[(1, ctx.neg(1))] + [(a, b) for _, a, b in w.partners[:t]] for w in wits], dtype=np.int64)
+    at = np.arange(len(wits))[:, None]
+    below = (np.array(M.subsets, dtype=np.int64)[:, None, :] < pts[:, :, None]).sum(2)
+    # f_A(y)/f_A(x) = sigma_x sigma_y P_{A+x} / (rho P_{A+y}), rho = -b/a
+    # = v_G(A+x)/v_G(A+y) read off the witness, sigma_e = (-1)^{(t+1) d_e},
+    # d_e = #{a in A : a > e} = k-2 - #{a in A : a < e}
+    P = _P_coords(arc, M.rows)[M.stars[at, pts - below]]
+    vals = ops.div(P[:, :1], ops.mul(ops.neg(ops.div(ab[..., 1], ab[..., 0])), P))
+    flip = (below[:, :1] + below) * (t + 1) % 2 == 1
+    vals[flip] = ops.neg(vals[flip])
+    # f_A on the pencil member w2 b1 - w1 b2 through each w of PG(1,q)
     w1, w2 = _projective_line(ctx)
+    beta = M.beta[at, :, pts - below].transpose(0, 2, 1)
+    hits = _lagrange_sum(ctx, beta, _lagrange_weights(ctx, beta, vals), w1, w2) == 0
+    if (hits.sum(1) > t).any():
+        raise InvariantError("degree-t function cannot vanish on t+1 directions")
     per_A = {}
     for s, A in enumerate(M.subsets):
-        wit = report.witnesses[A]
-        x = wit.pivot
-        row = dict(zip(M.others[s].tolist(), M.stars[s].tolist()))
-        sx = _sigma(arc, A, x, t)
-        values = {x: 1}
-        for y, a, b in wit.partners[:t]:
-            # f_A(y)/f_A(x) = sigma_x sigma_y P_{A+x} / (rho P_{A+y})
-            # with rho = v_G(A+x)/v_G(A+y) = -b/a read off the witness
-            rho = ctx.neg(ctx.div(b, a))
-            val = ctx.div(P[row[x]], ctx.mul(rho, P[row[y]]))
-            if sx * _sigma(arc, A, y, t) < 0:
-                val = ctx.neg(val)
-            values[y] = val
-        # f_A on the pencil member w2 b1 - w1 b2 through each w of PG(1,q)
-        b1, b2, beta, weights = _pencil_lagrange(arc, A, values)
-        hits = np.flatnonzero(_lagrange_sum(ctx, beta, weights, w1, w2) == 0)
-        if len(hits) > t:
-            raise InvariantError("degree-t function cannot vanish on t+1 directions")
-        if len(hits) == t:
-            roots = _pencil_members(ctx, b1, b2, w1[hits], w2[hits]).tolist()
-            roots = tuple(sorted(map(tuple, roots)))
-            per_A[A] = PredictedTangent(A, x, values, roots, "ok")
-        else:
-            per_A[A] = PredictedTangent(A, x, values, None, "non-splitting")
+        values = dict(zip(pts[s].tolist(), vals[s].tolist()))
+        roots, status = None, "non-splitting"
+        if hits[s].sum() == t:
+            members = _pencil_members(ctx, *M.pencils[s], w1[hits[s]], w2[hits[s]])
+            roots, status = tuple(sorted(map(tuple, members.tolist()))), "ok"
+        per_A[A] = PredictedTangent(A, wits[s].pivot, values, roots, status)
     return CosecantPrediction(n, t, per_A, route)
 
 
@@ -407,12 +398,13 @@ def vg_vector(full_arc: ArcConfig, g: int) -> VGVector:
     ctx = full_arc.ctx
     table = alpha_table(full_arc)
     rows = list(subset_iter(g, full_arc.k - 1))
-    P = _P_coords(ctx, _det_table(full_arc.prefix(g), rows), rows).tolist()
+    P = _P_coords(full_arc.prefix(g), rows).tolist()
     return VGVector(g, tuple(ctx.mul(table.alpha(C), p) for C, p in zip(rows, P)))
 
 
 def vG_check(full_arc: ArcConfig, g: int, n: int) -> bool:
-    """Whether v_G M_n = 0 for G the g-point prefix of the full arc.
+    """Whether v_G M_n = 0 for G the g-point prefix of the full arc; M_n's
+    per-A blocks span the paper's columns, so the answer is the paper's.
 
     The full arc's size must equal q+2k+n-1-g, the extension size
     Theorem-style reasoning refers to."""
@@ -421,8 +413,7 @@ def vG_check(full_arc: ArcConfig, g: int, n: int) -> bool:
         raise SizeOutOfRangeError(
             f"full arc size {full_arc.size} != q+2k+n-1-g = {q + 2 * k + n - 1 - g}"
         )
-    G = full_arc.prefix(g)
-    M = build_Mn(G, n)
+    M = build_Mn(full_arc.prefix(g), n)
     v = vg_vector(full_arc, g)
     products = full_arc.ctx.vec_ops().matmul(np.array([v.coords], dtype=np.int64), M.matrix.data)
     return not products.any()

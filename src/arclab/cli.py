@@ -21,11 +21,12 @@ import argparse
 import json
 import sys
 import time
+from math import comb
 
 from . import certifier as ct
 from . import hypersurf as hs
-from .arcgeom import ArcConfig, BudgetExceededError, InvariantError, complete_search, subset_iter
-from .exactmat import left_null_basis, weight_one_in_colspace
+from .arcgeom import ArcConfig, ArcInputError, BudgetExceededError, InvariantError, complete_search, subset_iter
+from .exactmat import left_null_basis
 from .gf import FieldCtx, FieldError
 from .tangentfns import tangent_fn
 
@@ -91,7 +92,7 @@ def parse_arc_file(text: str, modulus=None) -> ArcConfig:
             raise ArcFileError(f"{line!r}: {exc}") from exc
     try:
         return ArcConfig(ctx, k, points)
-    except ValueError as exc:
+    except ArcInputError as exc:
         raise ArcFileError(str(exc)) from exc
 
 
@@ -141,16 +142,15 @@ def cmd_analyze(arc: ArcConfig, n: int) -> dict:
     t0 = time.perf_counter()
     M = ct.build_Mn(arc, n)
     null = left_null_basis(M.matrix)
-    w1 = weight_one_in_colspace(M.matrix)
     cert = ct.theorem1_test(arc, n, M)
     body = {
         "n": n,
-        "shape": [M.matrix.rows, M.matrix.cols],
+        "shape": [M.matrix.rows, comb(arc.size, n) * comb(arc.size - n, arc.k - 2)],
         "rank": M.matrix.rows - null.nullity,
         "full_row_rank": M.matrix.rows,
         "nullity": null.nullity,
-        "weight_one": w1 is not None,
-        "weight_one_row": _fmt_subset(M.rows[w1]) if w1 is not None else None,
+        "weight_one": cert is not None,
+        "weight_one_row": _fmt_subset(cert.row) if cert else None,
         "forbidden_size": cert.forbidden_size if cert else None,
         "verdict": (
             f"cannot extend to an arc of size {cert.forbidden_size}"
@@ -197,17 +197,16 @@ def cmd_cosecants(arc: ArcConfig, n: int) -> dict:
     nullity_one = ct.corollary2_route(arc, n, M)
     report = ct.property_w(arc, n, M)
     t = arc.size - arc.k - n
-    theorem4_flag = 2 * n >= arc.size - arc.k - 1
     body = {
         "n": n,
         "t": t,
         "property_w": report.holds,
         "corollary2_route": nullity_one,
         "missing": [_fmt_subset(A) for A in report.missing],
-        "theorem4_hypersurface_licensed": theorem4_flag,
+        "theorem4_hypersurface_licensed": 2 * n >= arc.size - arc.k - 1,
     }
     if report.holds and t >= 1:
-        pred = ct.recover_cosecants(arc, n, source=None if nullity_one else report, M=M)
+        pred = ct.recover_cosecants(arc, n, M=M)
         body["route"] = pred.route
         body["all_split"] = pred.all_split
         per = []
@@ -402,20 +401,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
+        if args.command != "conjecture-scan":
             arc = _load_arc(args.arcfile, _parse_modulus(args.modulus))
+        if args.command == "analyze":
             report = cmd_analyze(arc, args.n)
         elif args.command == "bound":
-            arc = _load_arc(args.arcfile, _parse_modulus(args.modulus))
             report = cmd_bound(arc)
         elif args.command in ("property-w", "cosecants"):
-            arc = _load_arc(args.arcfile, _parse_modulus(args.modulus))
             report = cmd_cosecants(arc, args.n)
         elif args.command == "hypersurface":
-            arc = _load_arc(args.arcfile, _parse_modulus(args.modulus))
             report = cmd_hypersurface(arc)
         elif args.command == "search":
-            arc = _load_arc(args.arcfile, _parse_modulus(args.modulus))
             report = cmd_search(arc, target=args.target, budget=args.budget)
         else:
             report = cmd_conjecture(
@@ -428,7 +424,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except (ArcFileError, FieldError, ct.SizeOutOfRangeError, hs.ArcTooSmallError, ValueError) as exc:
+    except (ArcFileError, ArcInputError, FieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(_emit(report, args.emit))

@@ -21,6 +21,7 @@ import numpy as np
 
 from .arcgeom import (
     ArcConfig,
+    ArcInputError,
     InvariantError,
     _dets,
     _form_values,
@@ -43,7 +44,7 @@ __all__ = [
 ]
 
 
-class ArcTooSmallError(ValueError):
+class ArcTooSmallError(ArcInputError):
     pass
 
 
@@ -144,7 +145,7 @@ def theorem9_check(surface: DualSurface, A) -> bool:
         raise InvariantError("pencil too small for the requested sample count")
     alpha = alpha_table(arc).alpha(A)
     fA = tangent_fn(arc, A)
-    u1, u2, b1, b2 = _pencil_basis(arc, A)
+    (u1,), (u2,), (b1,), (b2,) = _pencil_basis(arc, [A])
     w1, w2 = np.roll(_projective_line(ctx), 1, axis=1)[:, :count]
     xs = np.zeros((count, arc.k), dtype=np.int64)
     xs[:, u1], xs[:, u2] = w1, w2

@@ -83,38 +83,30 @@ def tangent_fn(arc: ArcConfig, A) -> TangentFn:
 def _lagrange_sum(ctx, beta, weights, w1, w2):
     """sum_e weights_e prod_{u != e} D(u, w) at every point w = (w1, w2) of
     two arrays, u and e running over the points whose pencil coordinates
-    are the columns of beta, D(u, w) = beta1(u) w2 - beta2(u) w1.
+    are the columns of beta, D(u, w) = beta1(u) w2 - beta2(u) w1.  Leading
+    axes of beta (2 x m), weights (m) and w1, w2 broadcast.
 
     At w = beta(e) every term but e's has the factor D(e, e) = 0, so unit
     weights there give the products prod_{u != e} D(u, e) themselves."""
     ops = ctx.vec_ops()
-    D = ops.sub(ops.mul(beta[0][:, None], w2), ops.mul(beta[1][:, None], w1))
+    w1, w2 = w1[..., None, :], w2[..., None, :]
+    D = ops.sub(ops.mul(beta[..., 0, :, None], w2), ops.mul(beta[..., 1, :, None], w1))
     # prod_{u != e} is the product of the rows of D before e times those after
     before, after = np.ones_like(D), np.ones_like(D)
-    for i in range(1, len(D)):
-        before[i] = ops.mul(before[i - 1], D[i - 1])
-        after[-1 - i] = ops.mul(after[-i], D[-i])
-    return ops.matmul(np.asarray(weights, dtype=np.int64)[None], ops.mul(before, after))[0]
+    for i in range(1, D.shape[-2]):
+        before[..., i, :] = ops.mul(before[..., i - 1, :], D[..., i - 1, :])
+        after[..., -1 - i, :] = ops.mul(after[..., -i, :], D[..., -i, :])
+    return ops.matmul(weights[..., None, :], ops.mul(before, after))[..., 0, :]
 
 
-def _pencil_lagrange(arc: ArcConfig, A, values):
-    """Lagrange data of f_A in the pencil coordinates beta(v) = (b1.v, b2.v),
-    b1, b2 a basis of the forms vanishing on span(A).  Then d_A(u, x) is
-    c_A D(u, x), D(u, x) = beta1(u) beta2(x) - beta2(u) beta1(x), c_A != 0,
-    and c_A cancels: each Lagrange term has t factors above the line and t
-    below.  Returns b1, b2, beta of the sorted value points (2 x (t+1)) and
-    their weights f_A(e) / prod_{u != e} D(u, e)."""
-    ctx = arc.ctx
-    pts = sorted(values)
-    if any(e in A for e in pts):
-        raise ValueError("value points must lie outside A")
-    if not pts:
-        raise ValueError("need at least one value point")
-    _, _, b1, b2 = _pencil_basis(arc, sorted(A))
-    beta = _form_values(ctx, [b1, b2], arc.points_at(pts))
-    denoms = _lagrange_sum(ctx, beta, np.ones(len(pts), dtype=np.int64), beta[0], beta[1])
-    weights = ctx.vec_ops().div(np.array([values[e] for e in pts], dtype=np.int64), denoms)
-    return b1, b2, beta, weights
+def _lagrange_weights(ctx, beta, fvals):
+    """Lagrange weights f_A(e) / prod_{u != e} D(u, e) of the values fvals
+    at the points e whose pencil coordinates beta(e) = (b1.e, b2.e), b1, b2
+    spanning the forms vanishing on span(A), are the columns of beta.
+    d_A(u, x) is c_A D(u, x) with c_A != 0, and c_A cancels: each Lagrange
+    term has t factors above the line and t below."""
+    ones = np.ones(beta.shape[-1], dtype=np.int64)
+    return ctx.vec_ops().div(fvals, _lagrange_sum(ctx, beta, ones, beta[..., 0, :], beta[..., 1, :]))
 
 
 def interpolate_fA(arc: ArcConfig, A, values):
@@ -130,7 +122,14 @@ def interpolate_fA(arc: ArcConfig, A, values):
     (t+k-1)-subset E containing A recovers f_A everywhere.
     """
     ctx = arc.ctx
-    b1, b2, beta, weights = _pencil_lagrange(arc, A, values)
+    pts = sorted(values)
+    if any(e in A for e in pts):
+        raise ValueError("value points must lie outside A")
+    if not pts:
+        raise ValueError("need at least one value point")
+    _, _, (b1,), (b2,) = _pencil_basis(arc, [sorted(A)])
+    beta = _form_values(ctx, [b1, b2], arc.points_at(pts))
+    weights = _lagrange_weights(ctx, beta, np.array([values[e] for e in pts], dtype=np.int64))
 
     def evaluator(x):
         y = _form_values(ctx, [b1, b2], [x])

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -18,12 +19,11 @@ from arclab.certifier import (
     PredictedTangent,
     PropertyWReport,
     PropertyWWitness,
-    _sigma,
     build_Mn,
     recover_cosecants,
     vg_vector,
 )
-from arclab.exactmat import left_null_basis, weight_one_in_colspace
+from arclab.exactmat import GFMatrix, left_null_basis, rref, weight_one_in_colspace
 from arclab.gf import FieldCtx
 
 ARCS_DIR = Path(__file__).resolve().parent.parent / "arcs"
@@ -107,6 +107,14 @@ def ref_left_null(ctx, rows):
     return basis
 
 
+def null_rref(ctx, data):
+    """The reduced left null basis of a matrix, by the library elimination,
+    [] at nullity 0: equal for two matrices exactly when their left null
+    spaces are."""
+    null = left_null_basis(GFMatrix(ctx, data))
+    return rref(GFMatrix(ctx, null.basis)).data.tolist() if null.nullity else []
+
+
 def laplace_det(ctx, rows):
     """Cofactor-expansion determinant: the independent oracle."""
     n = len(rows)
@@ -149,6 +157,45 @@ def ref_det_full(ctx, rows):
                 for cc in range(c, k):
                     m[r][cc] = ctx.sub(m[r][cc], ctx.mul(f, m[c][cc]))
     return det
+
+
+def colex_subsets(m, r):
+    """The r-subsets of range(m) in colexicographic order, by sorting."""
+    return sorted(itertools.combinations(range(m), r), key=lambda c: c[::-1])
+
+
+RefMn = namedtuple("RefMn", "rows cols data")
+
+
+def ref_build_Mn(arc, n):
+    """M_n by the paper's definition: rows the (k-1)-subsets C, columns the
+    pairs (A, E) with |E| = |G|-n and A a (k-2)-subset of E, E outer and
+    A inner colex; the (C, (A, E)) entry is prod_{u in G-E} det(u, C) when
+    A < C and 0 otherwise, every determinant by ref_det_full with C's
+    members in increasing order.  data is a list of rows."""
+    ctx, g, k = arc.ctx, arc.size, arc.k
+    rows = colex_subsets(g, k - 1)
+    row_of = {C: i for i, C in enumerate(rows)}
+    cols = [
+        (tuple(E[i] for i in Apos), E)
+        for E in colex_subsets(g, g - n)
+        for Apos in colex_subsets(g - n, k - 2)
+    ]
+    dets = {}
+    data = [[0] * len(cols) for _ in rows]
+    for j, (A, E) in enumerate(cols):
+        for e in E:
+            if e in A:
+                continue
+            C = tuple(sorted(A + (e,)))
+            acc = 1
+            for u in range(g):
+                if u not in E:
+                    if (u, C) not in dets:
+                        dets[u, C] = ref_det_full(ctx, arc.points_at((u,) + C))
+                    acc = ctx.mul(acc, dets[u, C])
+            data[row_of[C]][j] = acc
+    return RefMn(rows, cols, data)
 
 
 def ref_validate_arc(ctx, k, points):
@@ -438,19 +485,19 @@ def ref_weight_two(ctx, basis, c1, c2):
     return (1, ctx.neg(lam))
 
 
-def ref_property_w(arc, n, M=None, basis=None):
+def ref_property_w(arc, n, basis=None):
     """property_w by a double loop over the star of every A: the pivot is
-    the smallest x with |G|-n-k+1 partners y.  basis defaults to
-    ref_left_null of M_n."""
-    M = build_Mn(arc, n) if M is None else M
+    the smallest x with |G|-n-k+1 partners y.  basis (rows indexed like
+    colex_subsets) defaults to ref_left_null of ref_build_Mn."""
     if basis is None:
-        basis = ref_left_null(arc.ctx, M.matrix.data.tolist())
+        basis = ref_left_null(arc.ctx, ref_build_Mn(arc, n).data)
     g, k = arc.size, arc.k
+    row_of = {C: i for i, C in enumerate(colex_subsets(g, k - 1))}
     need = g - n - k + 1
     witnesses, missing = {}, []
-    for A in subset_iter(g, k - 2):
+    for A in colex_subsets(g, k - 2):
         others = [x for x in range(g) if x not in A]
-        row = {x: M.row_index[tuple(sorted(A + (x,)))] for x in others}
+        row = {x: row_of[tuple(sorted(A + (x,)))] for x in others}
         for x in others:
             partners = []
             for y in others:
@@ -465,34 +512,38 @@ def ref_property_w(arc, n, M=None, basis=None):
     return PropertyWReport(n, g - k - n, not missing, witnesses, tuple(missing))
 
 
-def ref_P_coord(ctx, dets, C, i):
-    """prod_{z in G-C} det(z, C)^{-1} by scalar products, read from a
-    determinant table whose i-th column is C."""
-    return ctx.inv(ctx.prod(int(row[i]) for z, row in enumerate(dets) if z not in C))
+def ref_P_coord(arc, C):
+    """prod_{z in G-C} det(z, C)^{-1} by scalar determinants and products."""
+    ctx = arc.ctx
+    return ctx.inv(ctx.prod(ref_det_full(ctx, arc.points_at((z,) + C)) for z in range(arc.size) if z not in C))
 
 
 def ref_recover_cosecants(arc, n, source=None, M=None):
     """recover_cosecants with a null-vector route of its own and the scalar
-    Property W, interpolation and root finding."""
+    Property W, v_G coordinates, interpolation and root finding; M (the
+    library M_n) only decides the route when no source is given."""
     g, k = arc.size, arc.k
     t = g - k - n
-    M = build_Mn(arc, n) if M is None else M
     ctx = arc.ctx
     null_vec = report = None
     if isinstance(source, PropertyWReport):
         report = source
     elif source is not None:
         null_vec = [int(x) for x in source]
-    elif left_null_basis(M.matrix).nullity == 1 and weight_one_in_colspace(M.matrix) is None:
-        null_vec = left_null_basis(M.matrix).vectors()[0]
     else:
-        report = ref_property_w(arc, n, M)
+        M = build_Mn(arc, n) if M is None else M
+        if left_null_basis(M.matrix).nullity == 1 and weight_one_in_colspace(M.matrix) is None:
+            null_vec = left_null_basis(M.matrix).vectors()[0]
+        else:
+            report = ref_property_w(arc, n)
+    row_of = {C: i for i, C in enumerate(colex_subsets(g, k - 1))}
+    P = {}
     per_A = {}
-    for A in subset_iter(g, k - 2):
+    for A in colex_subsets(g, k - 2):
         others = [x for x in range(g) if x not in A]
         if null_vec is not None:
             x, ys = others[0], others[1 : t + 1]
-            row = lambda y: null_vec[M.row_index[tuple(sorted(A + (y,)))]]
+            row = lambda y: null_vec[row_of[tuple(sorted(A + (y,)))]]
             rho = lambda y: ctx.div(row(x), row(y))
         else:
             wit = report.witnesses[A]
@@ -500,13 +551,16 @@ def ref_recover_cosecants(arc, n, source=None, M=None):
             pairs = {y: (a, b) for y, a, b in wit.partners}
             ys = [y for y, _, _ in wit.partners][:t]
             rho = lambda y: ctx.neg(ctx.div(pairs[y][1], pairs[y][0]))
-        Cx = tuple(sorted(A + (x,)))
-        Px = ref_P_coord(ctx, M.dets, Cx, M.row_index[Cx])
+        for e in [x] + ys:
+            C = tuple(sorted(A + (e,)))
+            if C not in P:
+                P[C] = ref_P_coord(arc, C)
+        Px = P[tuple(sorted(A + (x,)))]
         values = {x: 1}
         for y in ys:
-            Cy = tuple(sorted(A + (y,)))
-            val = ctx.div(Px, ctx.mul(rho(y), ref_P_coord(ctx, M.dets, Cy, M.row_index[Cy])))
-            if _sigma(arc, A, x, t) * _sigma(arc, A, y, t) < 0:
+            val = ctx.div(Px, ctx.mul(rho(y), P[tuple(sorted(A + (y,)))]))
+            # sigma_e = (-1)^{d(t+1)}, d = #{a in A : a > e}
+            if (sum(a > x for a in A) + sum(a > y for a in A)) * (t + 1) % 2:
                 val = ctx.neg(val)
             values[y] = val
         ev = ref_interpolate_fA(arc, A, values)
@@ -563,7 +617,7 @@ def recovers_extension(S, g):
     pred = recover_cosecants(G, n, source=v, M=M)
     return (
         pred.all_split
-        and pred.per_A == ref_recover_cosecants(G, n, source=v, M=M).per_A
+        and pred.per_A == ref_recover_cosecants(G, n, source=v).per_A
         and all(
             sorted(pred.per_A[A].forms) == sorted(cosecants_through(A, S))
             for A in subset_iter(g, S.k - 2)

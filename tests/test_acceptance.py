@@ -63,6 +63,7 @@ from conftest import (
     points_off_span,
     rank_mod_p,
     recovers_extension,
+    ref_build_Mn,
     ref_det_full,
     ref_recover_cosecants,
     shuffled_nrc,
@@ -201,7 +202,7 @@ def test_criterion_3b_q81_all_split(arc_q81, q81_matrix):
         "matches_scalar_recovery": pred.per_A == ref_recover_cosecants(arc_q81, 1, M=q81_matrix).per_A,
         "nullity_1": null.nullity == 1,
         "null_vector_full_support": all(v),
-        "null_vector_annihilates_M1": annihilates(ctx, v, q81_matrix.matrix.data.tolist()),
+        "null_vector_annihilates_M1": annihilates(ctx, v, ref_build_Mn(arc_q81, 1).data),
         "vg_round_trip_gf81": recovers_extension(nrc, 11),
     }
     ok = all(checks.values())
@@ -255,11 +256,12 @@ def test_criterion_4b_q13_size9(arc_q13_size9, F13):
     t0 = time.perf_counter()
     arc = arc_q13_size9
     M = build_Mn(arc, 3)
+    full = ref_build_Mn(arc, 3)
     rep = property_w(arc, 3, M)
     completions = complete_search(arc, target_size=12).arcs
     checks = {
         "only_root_2_reads_an_arc": moduli_reading_an_arc(arc) == [F13.modulus],
-        "rank_34_of_36_mod_13": (M.matrix.rows, rank_mod_p(M.matrix.data.tolist(), 13)) == (36, 34),
+        "rank_34_of_36_mod_13": (len(full.rows), rank_mod_p(full.data, 13)) == (36, 34),
         "property_w_missing_1_to_7": rep.missing == tuple((i,) for i in range(1, 8)),
         "seven_partners_at_0_and_8": sorted(rep.witnesses) == [(0,), (8,)]
         and all(len(w.partners) == 7 for w in rep.witnesses.values()),

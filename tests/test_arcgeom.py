@@ -450,8 +450,9 @@ def test_pencil_basis_matches_reference_completion(
     nrc = ArcConfig(F7, 4, moment_curve(F7, 4, range(7)))
     for arc in _shipped_and_images([conic_f5, arc_q11, arc_q13_size9, hyperconic_f8, nrc, arc_q81]):
         ctx, k = arc.ctx, arc.k
-        for A in list(subset_iter(arc.size, k - 2))[:12]:
-            u1, u2, b1, b2 = _pencil_basis(arc, A)
+        subsets = list(subset_iter(arc.size, k - 2))[:12]
+        # one batched call for all subsets
+        for A, u1, u2, b1, b2 in zip(subsets, *_pencil_basis(arc, subsets)):
             e = lambda j: tuple(int(i == j) for i in range(k))
             assert [e(u1), e(u2)] == _ref_complete_to_directions(arc, A)
             for x in arc.points_at(A):
@@ -459,9 +460,9 @@ def test_pencil_basis_matches_reference_completion(
             # b1 is nonzero at e_u2 and b2 is zero there: independent
             assert b1[u2] != 0 and b2[u2] == 0 and any(b2)
     with pytest.raises(ValueError):
-        _pencil_basis(ArcConfig(F7, 4, [(1, 2, 3, 4), (2, 4, 6, 1)], check=False), (0, 1))
+        _pencil_basis(ArcConfig(F7, 4, [(1, 2, 3, 4), (2, 4, 6, 1)], check=False), [(0, 1)])
     with pytest.raises(ValueError):
-        _pencil_basis(nrc, (0,))
+        _pencil_basis(nrc, [(0,)])
 
 
 def test_pencils_and_cosecants_match_scalar_reference(

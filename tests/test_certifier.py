@@ -34,12 +34,16 @@ from arclab.gf import FieldCtx
 
 from conftest import (
     annihilates,
+    colex_subsets,
+    dot,
+    null_rref,
     gl_image,
     moment_curve,
     recovers_extension,
     ARCS_DIR,
     ref_det_full,
     ref_left_null,
+    ref_build_Mn,
     ref_property_w,
     ref_random_arc,
     ref_recover_cosecants,
@@ -65,10 +69,15 @@ def entry_oracle(arc, n, C, A, E):
 
 
 def test_build_shapes(arc_q11, arc_q13_size6):
+    ref = ref_build_Mn(arc_q11, 2)
+    assert (len(ref.rows), len(ref.cols)) == (21, 105)
+    assert len(ref.rows) == comb(7, 2)
+    assert len(ref.cols) == comb(7, 5) * comb(5, 1)
+    ref0 = ref_build_Mn(arc_q13_size6, 0)
+    assert (len(ref0.rows), len(ref0.cols)) == (15, 6)
+    # the library keeps n+1 columns per (k-2)-subset A
     M = build_Mn(arc_q11, 2)
-    assert (M.matrix.rows, M.matrix.cols) == (21, 105)
-    assert M.matrix.rows == comb(7, 2)
-    assert M.matrix.cols == comb(7, 5) * comb(5, 1)
+    assert (M.matrix.rows, M.matrix.cols) == (21, 3 * comb(7, 1))
     M0 = build_Mn(arc_q13_size6, 0)
     assert (M0.matrix.rows, M0.matrix.cols) == (15, 6)
 
@@ -76,22 +85,45 @@ def test_build_shapes(arc_q11, arc_q13_size6):
 def test_build_entry_law(arc_q13_size6, arc_q11):
     rng = random.Random(31)
     for arc, n in [(arc_q13_size6, 1), (arc_q13_size6, 2), (arc_q11, 2)]:
-        M = build_Mn(arc, n)
+        ref = ref_build_Mn(arc, n)
         for _ in range(150):
-            i = rng.randrange(M.matrix.rows)
-            j = rng.randrange(M.matrix.cols)
-            C = M.rows[i]
-            A, E = M.cols[j]
-            assert M.matrix.entry(i, j) == entry_oracle(arc, n, C, A, E)
+            i = rng.randrange(len(ref.rows))
+            j = rng.randrange(len(ref.cols))
+            A, E = ref.cols[j]
+            assert ref.data[i][j] == entry_oracle(arc, n, ref.rows[i], A, E)
+
+
+def test_build_block_law(arc_q13_size6, arc_q11, hyperconic_f8, arc_q81):
+    # column i of A's block: s_e^n beta1(e)^i beta2(e)^(n-i) in row A+e,
+    # s_e = (-1)^{#{a in A : a < e}}, zero off the star
+    for arc, n in [(arc_q13_size6, 2), (arc_q11, 3), (hyperconic_f8, 4), (arc_q81, 1)]:
+        ctx = arc.ctx
+        M = build_Mn(arc, n)
+        want = [[0] * M.matrix.cols for _ in M.rows]
+        for s, A in enumerate(M.subsets):
+            b1, b2 = M.pencils[s].tolist()
+            assert all(dot(ctx, b, x) == 0 for b in (b1, b2) for x in arc.points_at(A))
+            for e in range(arc.size):
+                if e in A:
+                    continue
+                x = arc.points[e]
+                sign = (-1) ** (n * sum(a < e for a in A))
+                row = want[M.rows.index(tuple(sorted(A + (e,))))]
+                for i in range(n + 1):
+                    val = ctx.mul(ctx.pow(dot(ctx, b1, x), i), ctx.pow(dot(ctx, b2, x), n - i))
+                    row[s * (n + 1) + i] = val if sign > 0 else ctx.neg(val)
+        assert M.matrix.data.tolist() == want
 
 
 def test_build_M0_is_inclusion_pattern(arc_q13_size6):
-    M0 = build_Mn(arc_q13_size6, 0)
-    for j, (A, E) in enumerate(M0.cols):
+    ref = ref_build_Mn(arc_q13_size6, 0)
+    for j, (A, E) in enumerate(ref.cols):
         assert E == tuple(range(6))
-        for i, C in enumerate(M0.rows):
+        for i, C in enumerate(ref.rows):
             want = 1 if set(A) < set(C) else 0
-            assert M0.matrix.entry(i, j) == want
+            assert ref.data[i][j] == want
+    # at n = 0 the library's blocks are the paper's columns
+    assert build_Mn(arc_q13_size6, 0).matrix.data.tolist() == ref.data
 
 
 def test_build_errors(arc_q13_size6):
@@ -102,11 +134,32 @@ def test_build_errors(arc_q13_size6):
 
 
 def test_index_round_trips(arc_q11):
+    ref = ref_build_Mn(arc_q11, 2)
+    assert len({pair: j for j, pair in enumerate(ref.cols)}) == len(ref.cols)
     M = build_Mn(arc_q11, 2)
-    for i, C in enumerate(M.rows):
-        assert M.row_index[C] == i
-    for j, pair in enumerate(M.cols):
-        assert M.col_index[pair] == j
+    assert M.rows == ref.rows
+    assert M.subsets == colex_subsets(7, 1)
+    for s, A in enumerate(M.subsets):
+        assert M.others[s].tolist() == [x for x in range(7) if x not in A]
+        for x, r in zip(M.others[s].tolist(), M.stars[s].tolist()):
+            assert M.rows[r] == tuple(sorted(A + (x,)))
+
+
+@pytest.mark.parametrize("name", ["conic_f5", "hyperconic_f8", "q11_size7", "q13_size6", "q13_size9", "q81_size11"])
+def test_build_null_space_matches_reference(name):
+    # every n (the paper-literal M_n has at most 11,550 columns), on the
+    # shipped arc and on a GL image of it (q = 81 at n = 1 only)
+    from arclab.cli import parse_arc_file
+
+    arc = parse_arc_file((ARCS_DIR / f"{name}.arc").read_text())
+    image = gl_image(arc, 5)
+    cases = [(arc, n) for n in range(arc.size - arc.k + 1)]
+    cases += [(image, n) for n in ((1,) if arc.ctx.q == 81 else range(arc.size - arc.k + 1))]
+    for G, n in cases:
+        ref = ref_build_Mn(G, n)
+        M = build_Mn(G, n)
+        assert M.matrix.cols == (n + 1) * comb(G.size, G.k - 2)
+        assert null_rref(G.ctx, M.matrix.data) == null_rref(G.ctx, ref.data), (name, n)
 
 
 # ----------------------------------------------------------------------
@@ -229,13 +282,12 @@ def _property_w_cases():
 def test_property_w_matches_scalar_reference():
     nullities, outcomes, mixed = set(), set(), 0
     for arc, n in _property_w_cases():
-        M = build_Mn(arc, n)
-        basis = ref_left_null(arc.ctx, M.matrix.data.tolist())
-        report = property_w(arc, n, M)
-        assert report == ref_property_w(arc, n, M, basis)
+        basis = ref_left_null(arc.ctx, ref_build_Mn(arc, n).data)
+        report = property_w(arc, n)
+        assert report == ref_property_w(arc, n, basis)
         nullities.add(len(basis))
         outcomes.add(report.holds)
-        zero = [not any(w[c] for w in basis) for c in range(M.matrix.rows)]
+        zero = [not any(w[c] for w in basis) for c in range(comb(arc.size, arc.k - 1))]
         mixed += any(zero) and not all(zero)
     # nullity 0, null bases with zero and nonzero columns, both outcomes
     assert 0 in nullities and max(nullities) >= 28
@@ -248,7 +300,7 @@ def test_property_w_q81_matches_scalar_reference(arc_q81):
     M = build_Mn(arc_q81, 1)
     report = property_w(arc_q81, 1, M)
     assert report.holds
-    assert report == ref_property_w(arc_q81, 1, M, left_null_basis(M.matrix).vectors())
+    assert report == ref_property_w(arc_q81, 1, left_null_basis(M.matrix).vectors())
 
 
 def test_corollary2_route(arc_q13_size6, arc_q11, F11):

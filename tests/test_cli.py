@@ -146,6 +146,39 @@ def test_internal_fault_exits_4(monkeypatch, capsys):
     assert captured.err == "internal error: pencil has 13 members, not q+1 = 14\n"
 
 
+def test_cmd_cosecants_runs_property_w_once(monkeypatch):
+    # on the nullity-one route recovery reads the report of the same matrix
+    calls = []
+    search = certifier._property_w
+    monkeypatch.setattr(certifier, "_property_w", lambda *args: calls.append(1) or search(*args))
+    rep = cmd_cosecants(parse_arc_file(load("q13_size6.arc")), 2)
+    assert (rep["corollary2_route"], rep["route"], rep["all_split"]) == (True, "null-vector", True)
+    assert len(calls) == 1
+    calls.clear()
+    # a weight-one vector there: the route is the Property W search
+    rep = cmd_cosecants(parse_arc_file(load("q11_size7.arc")), 2)
+    assert (rep["corollary2_route"], rep["route"], rep["property_w"]) == (False, "property-w", True)
+    assert len(calls) == 1
+
+
+def test_input_errors_exit_2(capsys):
+    q13 = str(ARCS_DIR / "q13_size6.arc")
+    assert main(["search", q13, "--target", "16"]) == 2  # q+k-1 = 15
+    assert capsys.readouterr().err == "error: target size 16 exceeds q+k-1\n"
+    assert main(["conjecture-scan", "--p", "7", "--k", "2", "--n", "1"]) == 2
+    assert capsys.readouterr().err == "error: dimension k must be at least 3\n"
+
+
+def test_other_value_errors_are_not_input_errors(monkeypatch):
+    # a ValueError from a fault in the code is not reported as exit 2
+    def broken(*args, **kwargs):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(certifier, "build_Mn", broken)
+    with pytest.raises(ValueError, match="not an input error"):
+        main(["analyze", str(ARCS_DIR / "q11_size7.arc"), "--n", "2"])
+
+
 def test_cmd_cosecants_missing_verdict():
     arc = parse_arc_file(load("q13_size9.arc"))
     rep = cmd_cosecants(arc, 3)
