@@ -682,6 +682,12 @@ def moment_curve(ctx, k, params, infinity=False):
     return pts
 
 
+def hyperoval(ctx):
+    """The conic of the points (1, a, a^2) and its nucleus: the q+2 points
+    of a hyperoval of PG(2, q), q even."""
+    return [(1, a, ctx.mul(a, a)) for a in range(ctx.q)] + [(0, 0, 1), (0, 1, 0)]
+
+
 def shuffled_nrc(ctx, k, seed):
     """The q+1 points of the normal rational curve of V_k(F_q), in a seeded
     random order so that prefixes are not runs of consecutive parameters."""
@@ -750,11 +756,9 @@ def arc_q81(F81):
 
 @pytest.fixture(scope="session")
 def hyperconic_f8(F8):
-    pts = [(1, a, F8.mul(a, a)) for a in range(8)] + [(0, 0, 1), (0, 1, 0)]
-    return ArcConfig(F8, 3, pts)
+    return ArcConfig(F8, 3, hyperoval(F8))
 
 
 @pytest.fixture(scope="session")
 def hyperconic_f4(F4):
-    pts = [(1, a, F4.mul(a, a)) for a in range(4)] + [(0, 0, 1), (0, 1, 0)]
-    return ArcConfig(F4, 3, pts)
+    return ArcConfig(F4, 3, hyperoval(F4))

@@ -59,6 +59,7 @@ from arclab.tangentfns import (
 from conftest import (
     ARCS_DIR,
     annihilates,
+    hyperoval,
     moment_curve,
     points_off_span,
     rank_mod_p,
@@ -435,10 +436,10 @@ def test_criterion_6_lemma_suite():
     arcs.append(ArcConfig(F7, 3, complete_search(frame7, target_size=8).arcs[0]))
     # even-q arcs for the even branch of Theorem 9
     F8 = FieldCtx(2, 3)
-    hyper = ArcConfig(F8, 3, [(1, a, F8.mul(a, a)) for a in range(8)] + [(0, 0, 1), (0, 1, 0)])
+    hyper = ArcConfig(F8, 3, hyperoval(F8))
     arcs.extend([hyper, hyper.prefix(9), hyper.prefix(8)])
     F4 = FieldCtx(2, 2)
-    arcs.append(ArcConfig(F4, 3, [(1, a, F4.mul(a, a)) for a in range(4)] + [(0, 0, 1), (0, 1, 0)]))
+    arcs.append(ArcConfig(F4, 3, hyperoval(F4)))
 
     assert len(arcs) >= 20
     failures = []

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from arclab.exactmat import (
@@ -247,3 +248,22 @@ def test_elimination_matches_scalar_reference(p, h):
 def test_left_null_basis_rejects_flat_basis(F5):
     with pytest.raises(DimensionMismatchError):
         LeftNullBasis(F5, [1, 2, 3])
+
+
+@pytest.mark.parametrize("p,h", [(5, 1), (11, 1), (2, 3), (3, 2)])
+def test_row_permutation_permutes_the_left_null_space(p, h):
+    # w M = 0 iff (w permuted alike) M[perm] = 0: the reduced bases of the
+    # two null spaces agree once the columns are put back in M's order
+    ctx = FieldCtx(p, h)
+    rng = random.Random(p * 10 + h)
+    for m, n in SHAPES * 2:
+        M = GFMatrix.from_rows(ctx, _random_rows(ctx, rng, m, n))
+        perm = list(range(m))
+        rng.shuffle(perm)
+        moved = left_null_basis(GFMatrix(ctx, M.data[perm])).basis
+        back = np.zeros_like(moved)
+        back[:, perm] = moved
+        null = left_null_basis(M)
+        assert null.nullity == len(back)
+        if null.nullity:
+            assert rref(GFMatrix(ctx, back)) == rref(GFMatrix(ctx, null.basis))
