@@ -59,6 +59,10 @@ class VecOps:
         """Element-wise (broadcasting) product of element-code arrays."""
         return self.exp_ext[self.log[a] + self.log[b]]
 
+    def prod(self, a):
+        """Product along the last axis of an array of nonzero codes."""
+        return self.exp_ext[self.log[a].sum(-1) % (self.q - 1)]
+
     def add(self, a, b):
         if self.h == 1:
             return (a + b) % self.p

@@ -104,12 +104,15 @@ def _form_values(ctx, forms, points):
     return ctx.vec_ops().matmul(np.asarray(forms, dtype=np.int64).reshape(-1, points.shape[1]), points.T)
 
 
-def _dets(arc: "ArcConfig", sets, us):
-    """det(u, C) for every C of sets (a row each) and u of us (a column
-    each), both given as arc positions, C's members in the given order."""
+def _det_products(arc: "ArcConfig", sets, us):
+    """prod_{u in us - C} det(u, C) for every C of sets, both given as arc
+    positions, C's members in the given order: one kernel call fills the
+    table of det(u, C), which on an arc is 0 exactly where u is in C, and
+    one product reduces its rows with those zeros read as 1."""
     pts = np.array(arc.points, dtype=np.int64).reshape(-1, arc.k)
     ids = np.array(sets, dtype=np.int64).reshape(len(sets), arc.k - 1)
-    return _form_values(arc.ctx, cofactor_normals(arc.ctx, pts[ids]), pts[list(us)])
+    dets = _form_values(arc.ctx, cofactor_normals(arc.ctx, pts[ids]), pts[list(us)])
+    return arc.ctx.vec_ops().prod(np.where(dets == 0, 1, dets))
 
 
 def det_full(ctx, rows) -> int:
@@ -248,12 +251,17 @@ def pencil_through(A, arc: ArcConfig):
 
 
 def cosecants_through(A, arc: ArcConfig):
-    """Forms of the t hyperplanes meeting the arc exactly in A.  The member
-    w2 b1 - w1 b2 contains a point x iff w is proportional to
+    """Forms of the t hyperplanes meeting the arc exactly in A."""
+    _, _, (b1,), (b2,) = _pencil_basis(arc, [A])
+    return _cosecants(arc, A, b1, b2)
+
+
+def _cosecants(arc: ArcConfig, A, b1, b2):
+    """The co-secants through A from a basis b1, b2 of its pencil.  The
+    member w2 b1 - w1 b2 contains a point x iff w is proportional to
     beta(x) = (b1.x, b2.x), so the co-secants are the members at the
     points of PG(1,q) that no other arc point marks."""
     ctx = arc.ctx
-    _, _, (b1,), (b2,) = _pencil_basis(arc, [A])
     others = np.array([p for i, p in enumerate(arc.points) if i not in A], dtype=np.int64)
     beta1, beta2 = _form_values(ctx, [b1, b2], others.reshape(-1, arc.k))
     if np.any((beta1 == 0) & (beta2 == 0)):

@@ -29,7 +29,7 @@ from .arcgeom import (
     BudgetExceededError,
     HyperplaneIncidence,
     InvariantError,
-    _dets,
+    _det_products,
     _pencil_basis,
     _pencil_members,
     _projective_line,
@@ -293,18 +293,6 @@ class CosecantPrediction:
         return all(p.status == "ok" for p in self.per_A.values())
 
 
-def _P_coords(arc: ArcConfig, rows):
-    """prod_{z in G-C} det(z, C)^{-1} for every subset C of rows: the v_G
-    coordinates without alpha, from one table of det(z, C), which on an
-    arc is 0 exactly for z in C."""
-    ops = arc.ctx.vec_ops()
-    dets = _dets(arc, rows, range(arc.size))
-    acc = np.ones(len(rows), dtype=np.int64)
-    for col in np.where(dets == 0, 1, dets).T:
-        acc = ops.mul(acc, col)
-    return ops.div(1, acc)
-
-
 def recover_cosecants(
     arc: ArcConfig, n: int, source=None, M: CertMatrix | None = None
 ) -> CosecantPrediction:
@@ -312,10 +300,12 @@ def recover_cosecants(
     size q+2k+n-1-|G| must restrict to, normalised to 1 at the pivot.
 
     source may be a PropertyWReport, an explicit left-null vector, or
-    None, in which case the nullity-one route is preferred and Property W
-    searched otherwise.  A recovered function that does not split into t
-    distinct pencil forms is reported as non-splitting, which itself
-    certifies that no such extension exists.
+    None for M's own report, the route then read off ``corollary2_route``.
+    With a report or None, a weight-one vector in M's column space raises
+    PropertyWMissingError: its zero null-basis column fixes no ratio.  A
+    recovered function that does not split into t distinct pencil forms
+    is reported as non-splitting, which itself certifies that no such
+    extension exists.
     """
     g, k = arc.size, arc.k
     t = g - k - n
@@ -325,21 +315,27 @@ def recover_cosecants(
         M = build_Mn(arc, n)
     ctx = arc.ctx
 
+    if source is None or isinstance(source, PropertyWReport):
+        cert = theorem1_test(arc, n, M)
+        if cert is not None:
+            raise PropertyWMissingError(
+                f"weight-one vector at row {cert.row}: its zero null-basis column fixes no ratio"
+            )
     if isinstance(source, PropertyWReport):
         report, route = source, "property-w"
-    elif source is None and not corollary2_route(arc, n, M):
-        report, route = property_w(arc, n, M), "property-w"
+    elif source is None:
+        report = property_w(arc, n, M)
+        route = "null-vector" if corollary2_route(arc, n, M) else "property-w"
     else:
         # one left-null vector v with no zero coordinate: any two rows of a
-        # star are partners, with rho = v(A+x)/v(A+y); M's own null vector
-        # spans M's null basis, whose report property_w keeps
+        # star are partners, with rho = v(A+x)/v(A+y)
         route = "null-vector"
-        vec = np.array(left_null_basis(M.matrix).basis[0] if source is None else [int(x) for x in source])
+        vec = np.array([int(x) for x in source])
         if len(vec) != len(M.rows):
             raise SizeOutOfRangeError("null vector length does not match row count")
         if not vec.all():
             raise PropertyWMissingError("left-null vector has zero coordinates; ratios are undetermined")
-        report = property_w(arc, n, M) if source is None else _property_w(M, LeftNullBasis(ctx, vec[None]))
+        report = _property_w(M, LeftNullBasis(ctx, vec[None]))
     if not report.holds:
         raise PropertyWMissingError(
             f"Property W fails for {len(report.missing)} subsets, e.g. {report.missing[0]}"
@@ -357,7 +353,7 @@ def recover_cosecants(
     # f_A(y)/f_A(x) = sigma_x sigma_y P_{A+x} / (rho P_{A+y}), rho = -b/a
     # = v_G(A+x)/v_G(A+y) read off the witness, sigma_e = (-1)^{(t+1) d_e},
     # d_e = #{a in A : a > e} = k-2 - #{a in A : a < e}
-    P = _P_coords(arc, M.rows)[M.stars[at, pts - below]]
+    P = ops.div(1, _det_products(arc, M.rows, range(g)))[M.stars[at, pts - below]]
     vals = ops.div(P[:, :1], ops.mul(ops.neg(ops.div(ab[..., 1], ab[..., 0])), P))
     flip = (below[:, :1] + below) * (t + 1) % 2 == 1
     vals[flip] = ops.neg(vals[flip])
@@ -398,7 +394,7 @@ def vg_vector(full_arc: ArcConfig, g: int) -> VGVector:
     ctx = full_arc.ctx
     table = alpha_table(full_arc)
     rows = list(subset_iter(g, full_arc.k - 1))
-    P = _P_coords(full_arc.prefix(g), rows).tolist()
+    P = ctx.vec_ops().div(1, _det_products(full_arc.prefix(g), rows, range(g))).tolist()
     return VGVector(g, tuple(ctx.mul(table.alpha(C), p) for C, p in zip(rows, P)))
 
 

@@ -205,7 +205,14 @@ def cmd_cosecants(arc: ArcConfig, n: int) -> dict:
         "missing": [_fmt_subset(A) for A in report.missing],
         "theorem4_hypersurface_licensed": 2 * n >= arc.size - arc.k - 1,
     }
-    if report.holds and t >= 1:
+    # a weight-one vector zeroes null-basis columns, which fix no ratio
+    cert = ct.theorem1_test(arc, n, M) if report.holds and t >= 1 else None
+    if cert is not None:
+        body["verdict"] = (
+            f"weight-one vector at row {_fmt_subset(cert.row)}: the arc cannot extend "
+            f"to size {cert.forbidden_size}, and its ratios are not determined"
+        )
+    elif report.holds and t >= 1:
         pred = ct.recover_cosecants(arc, n, M=M)
         body["route"] = pred.route
         body["all_split"] = pred.all_split

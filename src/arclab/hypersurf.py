@@ -23,9 +23,8 @@ from .arcgeom import (
     ArcConfig,
     ArcInputError,
     InvariantError,
-    _dets,
+    _det_products,
     _form_values,
-    _pencil_basis,
     _projective_line,
     cofactor_normals,
     subset_iter,
@@ -80,11 +79,11 @@ def build_surface(arc: ArcConfig, E=None) -> DualSurface:
     table = alpha_table(arc)
     Cs = [tuple(E[i] for i in Cpos) for Cpos in subset_iter(esize, k - 1)]
     coeffs = {}
-    for C, row in zip(Cs, _dets(arc, Cs, E).tolist()):
+    for C, p in zip(Cs, _det_products(arc, Cs, E).tolist()):
         a = table.alpha(C)
         if parity == "odd":
             a = ctx.mul(a, a)
-        coeffs[C] = ctx.div(a, ctx.prod(d for z, d in zip(E, row) if z not in C))
+        coeffs[C] = ctx.div(a, p)
     degree = t if parity == "even" else 2 * t
     return DualSurface(arc, E, parity, t, degree, coeffs)
 
@@ -133,7 +132,7 @@ def theorem9_check(surface: DualSurface, A) -> bool:
     coordinates transverse to span(A), so agreement at degree+1 pairwise
     independent sample directions proves the identity; A need not be a
     subset of E.  The samples are x = w1 e_u1 + w2 e_u2 for points w of
-    PG(1,q), u1, u2 and b1, b2 from one pencil basis; the dual of
+    PG(1,q), u1, u2 and b1, b2 the pencil basis of f_A; the dual of
     span(x, A) is z = (-1)^k (w1 b1 + w2 b2), since det(u, x, A) moves x
     past the k-2 points of A to reach det(u, A, x)."""
     arc = surface.arc
@@ -145,11 +144,10 @@ def theorem9_check(surface: DualSurface, A) -> bool:
         raise InvariantError("pencil too small for the requested sample count")
     alpha = alpha_table(arc).alpha(A)
     fA = tangent_fn(arc, A)
-    (u1,), (u2,), (b1,), (b2,) = _pencil_basis(arc, [A])
     w1, w2 = np.roll(_projective_line(ctx), 1, axis=1)[:, :count]
     xs = np.zeros((count, arc.k), dtype=np.int64)
-    xs[:, u1], xs[:, u2] = w1, w2
-    zs = ops.add(ops.mul(w1[:, None], b1), ops.mul(w2[:, None], b2))
+    xs[:, fA.u1], xs[:, fA.u2] = w1, w2
+    zs = ops.add(ops.mul(w1[:, None], fA.b1), ops.mul(w2[:, None], fA.b2))
     if arc.k % 2:
         zs = ops.neg(zs)
     for x, z in zip(xs.tolist(), zs.tolist()):

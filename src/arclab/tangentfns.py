@@ -8,9 +8,8 @@ single f_A, so the choice is free.
 
 The alpha coefficients multiply the sum-zero identity into a form whose
 terms depend only on (k-1)-subsets.  All sign exponents reduce mod 2 and
-follow the fixed arc order: F is the set of the first k-2 positions, a
-subset's members are always taken in increasing position order, and the
-transposition count s is the parity of the shuffle (F&A, F-A) -> F.
+follow the fixed arc order: F is the set of the first k-2 positions, and
+a subset's members are always taken in increasing position order.
 """
 
 from __future__ import annotations
@@ -20,10 +19,10 @@ import numpy as np
 from .arcgeom import (
     ArcConfig,
     InvariantError,
-    _dets,
+    _cosecants,
+    _det_products,
     _form_values,
     _pencil_basis,
-    cosecants_through,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "alpha_table",
     "check_atoc",
     "check_theeqn",
-    "shuffle_parity",
 ]
 
 
@@ -47,13 +45,16 @@ def arc_degree(arc: ArcConfig) -> int:
 
 
 class TangentFn:
-    """f_A as an evaluated product of its co-secant forms."""
+    """f_A as an evaluated product of its co-secant forms, with the pencil
+    basis they come from: e_u1, e_u2 complete A to a basis, and b1, b2
+    span the forms vanishing on A (``_pencil_basis``)."""
 
-    def __init__(self, arc, A, forms):
+    def __init__(self, arc, A, forms, u1, u2, b1, b2):
         self.arc = arc
         self.A = tuple(A)
         self.forms = tuple(forms)
         self.t = len(forms)
+        self.u1, self.u2, self.b1, self.b2 = u1, u2, b1, b2
 
     def __call__(self, v) -> int:
         return self.arc.ctx.prod(_form_values(self.arc.ctx, self.forms, [v])[:, 0].tolist())
@@ -72,10 +73,11 @@ def tangent_fn(arc: ArcConfig, A) -> TangentFn:
         arc._tangent_cache = cache
     fn = cache.get(A)
     if fn is None:
-        forms = cosecants_through(A, arc)
+        (u1,), (u2,), (b1,), (b2,) = _pencil_basis(arc, [A])
+        forms = _cosecants(arc, A, b1, b2)
         if len(forms) != arc_degree(arc):
             raise InvariantError(f"{len(forms)} co-secants through {A}, not t = {arc_degree(arc)}")
-        fn = TangentFn(arc, A, forms)
+        fn = TangentFn(arc, A, forms, u1, u2, b1, b2)
         cache[A] = fn
     return fn
 
@@ -153,11 +155,10 @@ def check_sum_zero(arc: ArcConfig, A, E) -> int:
         raise ValueError("E must have size t+k")
     fA = tangent_fn(arc, A)
     rest = [e for e in E if e not in A]
-    # d_A(u, e) = det(u, e, A) in row e, column u
-    dets = _dets(arc, [(e,) + A for e in rest], rest).tolist()
+    # d_A(u, e) = det(u, e, A)
     acc = 0
-    for e, row in zip(rest, dets):
-        acc = ctx.add(acc, ctx.div(fA.at(e), ctx.prod(d for u, d in zip(rest, row) if u != e)))
+    for e, p in zip(rest, _det_products(arc, [(e,) + A for e in rest], rest).tolist()):
+        acc = ctx.add(acc, ctx.div(fA.at(e), p))
     return acc
 
 
@@ -179,76 +180,47 @@ def check_segre_sign(arc: ArcConfig, D, x, y, z) -> bool:
     return lhs == rhs
 
 
-def shuffle_parity(left, right) -> int:
-    """Parity of the permutation sorting the concatenation left+right.
-
-    Both halves are increasing index tuples partitioning their union, so
-    the parity equals the inversion count of the concatenation mod 2.
-    """
-    seq = tuple(left) + tuple(right)
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return inv % 2
-
-
 class AlphaTable:
     """Signed alpha coefficients of an arc, relative to F = first k-2 points.
 
-    The degree t defaults to the arc's own co-secant count; values are
-    computed lazily from the arc's tangent functions and cached.
+    alpha_F = 1, and every other value follows from the recursion
+    alpha_{A+e} = (-1)^{d(t+1)} alpha_A f_A(e), d = #{a in A : a > e}
+    (``check_atoc``), t the arc's own co-secant count.  Values are
+    computed lazily and cached.
     """
 
     def __init__(self, arc: ArcConfig):
         self.arc = arc
         self.t = arc_degree(arc)
         self.F = tuple(range(arc.k - 2))
-        self._cache = {}
+        self._cache = {self.F: 1}
 
-    def _f(self, B, e) -> int:
-        return tangent_fn(self.arc, B).at(e)
-
-    def _chain(self, D, xs, zs) -> int:
-        """prod_i f_{D + {z_i..z_r, x_1..x_{i-1}}}(x_i) / f_{D + {z_{i+1}..z_r, x_1..x_i}}(z_i)."""
-        ctx = self.arc.ctx
-        r = len(xs)
-        acc = 1
-        for i in range(1, r + 1):
-            num_set = tuple(sorted(D + zs[i - 1 :] + xs[: i - 1]))
-            den_set = tuple(sorted(D + zs[i:] + xs[:i]))
-            acc = ctx.mul(acc, ctx.div(self._f(num_set, xs[i - 1]), self._f(den_set, zs[i - 1])))
-        return acc
+    def _step(self, A, e) -> int:
+        """(-1)^{d(t+1)} f_A(e): the factor taking alpha_A to alpha_{A+e}."""
+        f = tangent_fn(self.arc, A).at(e)
+        d = sum(1 for a in A if a > e)
+        return self.arc.ctx.neg(f) if d * (self.t + 1) % 2 else f
 
     def alpha(self, B) -> int:
-        """alpha_A for |B| = k-2, alpha_C for |B| = k-1."""
+        """alpha_A for |B| = k-2, alpha_C for |B| = k-1.
+
+        C comes from C minus e, its largest point outside F.  A (k-2)-subset
+        B != F comes from B+z, z the least point of F missing from B, and
+        B+z minus its largest point outside F is one swap closer to F."""
         B = tuple(sorted(B))
         val = self._cache.get(B)
         if val is not None:
             return val
-        arc = self.arc
-        ctx = arc.ctx
-        k = arc.k
-        F = set(self.F)
-        D = tuple(i for i in B if i in F)
-        xs = tuple(i for i in B if i not in F)
-        zs = tuple(i for i in self.F if i not in B)
-        r = len(zs)
-        s = shuffle_parity(D, zs)
-        if len(B) == k - 2:
-            if len(xs) != r:
-                raise ValueError("not a valid (k-2)-subset")
-            val = self._chain(D, xs, zs)
-        elif len(B) == k - 1:
-            if len(xs) != r + 1:
-                raise ValueError("not a valid (k-1)-subset")
-            head = tuple(sorted(D + xs[:r]))
-            val = ctx.mul(self._f(head, xs[r]), self._chain(D, xs[:r], zs))
+        ctx, k = self.arc.ctx, self.arc.k
+        if len(B) == k - 1:
+            e = max(i for i in B if i not in self.F)
+            A = tuple(i for i in B if i != e)
+            val = ctx.mul(self.alpha(A), self._step(A, e))
+        elif len(B) == k - 2:
+            z = min(i for i in self.F if i not in B)
+            val = ctx.div(self.alpha(tuple(sorted(B + (z,)))), self._step(B, z))
         else:
             raise ValueError("alpha is defined for (k-2)- and (k-1)-subsets")
-        if ((r + s) * (self.t + 1)) % 2:
-            val = ctx.neg(val)
         self._cache[B] = val
         return val
 
@@ -262,15 +234,10 @@ def alpha_table(arc: ArcConfig) -> AlphaTable:
 
 
 def check_atoc(table: AlphaTable, A, e) -> bool:
-    """Recursion alpha_{A+{e}} = (-1)^{d(t+1)} alpha_A f_A(e), d = #{a in A : a > e}."""
-    arc = table.arc
-    ctx = arc.ctx
+    """Recursion alpha_{A+{e}} = (-1)^{d(t+1)} alpha_A f_A(e), d = #{a in A : a > e}:
+    alpha follows it along one path to each subset, so this checks all others."""
     A = tuple(sorted(A))
-    rhs = ctx.mul(table.alpha(A), tangent_fn(arc, A).at(e))
-    d = sum(1 for a in A if a > e)
-    if (d * (table.t + 1)) % 2:
-        rhs = ctx.neg(rhs)
-    return table.alpha(tuple(sorted(A + (e,)))) == rhs
+    return table.alpha(A + (e,)) == table.arc.ctx.mul(table.alpha(A), table._step(A, e))
 
 
 def check_theeqn(table: AlphaTable, A, E) -> int:
@@ -284,7 +251,6 @@ def check_theeqn(table: AlphaTable, A, E) -> int:
         raise ValueError("E must contain A")
     Cs = [tuple(sorted(A + (e,))) for e in E if e not in A]
     acc = 0
-    for C, row in zip(Cs, _dets(arc, Cs, E).tolist()):
-        term = ctx.div(table.alpha(C), ctx.prod(d for u, d in zip(E, row) if u not in C))
-        acc = ctx.add(acc, term)
+    for C, p in zip(Cs, _det_products(arc, Cs, E).tolist()):
+        acc = ctx.add(acc, ctx.div(table.alpha(C), p))
     return acc

@@ -25,6 +25,7 @@ from arclab.certifier import (
 )
 from arclab.exactmat import GFMatrix, left_null_basis, rref, weight_one_in_colspace
 from arclab.gf import FieldCtx
+from arclab.tangentfns import arc_degree, tangent_fn
 
 ARCS_DIR = Path(__file__).resolve().parent.parent / "arcs"
 
@@ -516,6 +517,43 @@ def ref_P_coord(arc, C):
     """prod_{z in G-C} det(z, C)^{-1} by scalar determinants and products."""
     ctx = arc.ctx
     return ctx.inv(ctx.prod(ref_det_full(ctx, arc.points_at((z,) + C)) for z in range(arc.size) if z not in C))
+
+
+def ref_shuffle_parity(left, right):
+    """Parity of the permutation sorting the concatenation left+right of
+    two increasing tuples: its inversion count mod 2."""
+    seq = tuple(left) + tuple(right)
+    return sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :]) % 2
+
+
+def ref_alpha(arc, B):
+    """alpha_B by the chain formula that the recursion replaced.
+
+    With F the first k-2 positions, D = B & F, xs = B - F, zs = F - B
+    (r points) and s the parity of the shuffle (D, zs) -> F, alpha_A of a
+    (k-2)-subset is (-1)^{(r+s)(t+1)} times the chain
+
+        prod_i f_{D+{z_i..z_r, x_1..x_{i-1}}}(x_i) / f_{D+{z_{i+1}..z_r, x_1..x_i}}(z_i),
+
+    and alpha_C of a (k-1)-subset, with r+1 points outside F, is that sign
+    times f_{D+{x_1..x_r}}(x_{r+1}) times the chain over x_1..x_r."""
+    ctx = arc.ctx
+    F = tuple(range(arc.k - 2))
+    B = tuple(sorted(B))
+    f = lambda S, e: tangent_fn(arc, tuple(sorted(S))).at(e)
+    D = tuple(i for i in B if i in F)
+    xs = tuple(i for i in B if i not in F)
+    zs = tuple(i for i in F if i not in B)
+    r = len(zs)
+    val = 1
+    for i in range(1, r + 1):
+        num = f(D + zs[i - 1 :] + xs[: i - 1], xs[i - 1])
+        val = ctx.mul(val, ctx.div(num, f(D + zs[i:] + xs[:i], zs[i - 1])))
+    if len(xs) == r + 1:
+        val = ctx.mul(val, f(D + xs[:r], xs[r]))
+    if (r + ref_shuffle_parity(D, zs)) * (arc_degree(arc) + 1) % 2:
+        val = ctx.neg(val)
+    return val
 
 
 def ref_recover_cosecants(arc, n, source=None, M=None):

@@ -44,8 +44,10 @@ from conftest import (
     recovers_extension,
     ARCS_DIR,
     ref_det_full,
+    ref_alpha,
     ref_left_null,
     ref_build_Mn,
+    ref_P_coord,
     ref_property_w,
     ref_random_arc,
     ref_recover_cosecants,
@@ -473,6 +475,17 @@ def test_vg_coordinates_nonzero_and_perturbation(conic_f5, F5):
     bad[0] = F5.mul(bad[0], 2)
     assert annihilates(F5, v.coords, M.matrix.data.tolist())
     assert not annihilates(F5, bad, M.matrix.data.tolist())
+
+
+def test_vg_vector_matches_scalar_reference(conic_f5, hyperconic_f8, F13, F81):
+    # alpha_C by the chain formula and P_C by scalar determinants, on a
+    # conic, a hyperoval (t = 0) and shuffled normal rational curves
+    nrc13 = ArcConfig(F13, 4, shuffled_nrc(F13, 4, seed=13), check=False)
+    nrc81 = ArcConfig(F81, 6, shuffled_nrc(F81, 6, seed=81), check=False)
+    for S, g in ((conic_f5, 5), (hyperconic_f8, 7), (nrc13, 9), (nrc81, 11)):
+        ctx, G = S.ctx, S.prefix(g)
+        want = tuple(ctx.mul(ref_alpha(S, C), ref_P_coord(G, C)) for C in colex_subsets(g, S.k - 1))
+        assert vg_vector(S, g).coords == want
 
 
 # ----------------------------------------------------------------------

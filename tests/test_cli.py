@@ -155,9 +155,15 @@ def test_cmd_cosecants_runs_property_w_once(monkeypatch):
     assert (rep["corollary2_route"], rep["route"], rep["all_split"]) == (True, "null-vector", True)
     assert len(calls) == 1
     calls.clear()
-    # a weight-one vector there: the route is the Property W search
+    # a weight-one vector there: Property W holds, but its zero null-basis
+    # columns fix no ratio, so recovery is skipped and the verdict is the bound
     rep = cmd_cosecants(parse_arc_file(load("q11_size7.arc")), 2)
-    assert (rep["corollary2_route"], rep["route"], rep["property_w"]) == (False, "property-w", True)
+    assert (rep["corollary2_route"], rep["property_w"]) == (False, True)
+    assert "route" not in rep and "predictions" not in rep
+    assert rep["verdict"] == (
+        "weight-one vector at row {0,1}: the arc cannot extend to size 11, "
+        "and its ratios are not determined"
+    )
     assert len(calls) == 1
 
 

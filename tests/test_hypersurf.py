@@ -1,9 +1,12 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
+from arclab import arcgeom, hypersurf
 from arclab.arcgeom import ArcConfig, cosecants_through, subset_iter
+from arclab.cli import cmd_hypersurface, parse_arc_file
 from arclab.hypersurf import (
     ArcTooSmallError,
     ZeroVectorError,
@@ -15,7 +18,7 @@ from arclab.hypersurf import (
 )
 from arclab.tangentfns import alpha_table, tangent_fn
 
-from conftest import moment_curve, points_off_span
+from conftest import ARCS_DIR, moment_curve, points_off_span
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +150,22 @@ def test_custom_E_choice(conic_f13):
     s = build_surface(conic_f13.prefix(12), E=(2, 3, 5, 7, 8, 9, 10, 11))
     for A in [(0,), (1,), (4,)]:
         assert theorem9_check(s, A)
+
+
+def test_cmd_hypersurface_kernel_calls(monkeypatch):
+    # one pencil basis per (k-2)-subset, kept on its tangent function for
+    # the co-secants and theorem9_check, and one determinant-product table
+    calls = []
+    kernel = arcgeom.cofactor_normals
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(arcgeom, "cofactor_normals", counted)
+    monkeypatch.setattr(hypersurf, "cofactor_normals", counted)
+    for name in ("conic_f5", "hyperconic_f8"):
+        arc = parse_arc_file((ARCS_DIR / f"{name}.arc").read_text())
+        calls.clear()
+        assert cmd_hypersurface(arc)["theorem9_all"]
+        assert len(calls) <= comb(arc.size, arc.k - 2) + 1, name

@@ -3,7 +3,9 @@ GF(8) and GF(9): every A's block has rank n+1, the left null space is the
 paper-literal matrix's, and rank, nullity, weight-one existence and the
 bound scan's n0 do not change under a change of basis, the rescaling of
 one point or a reordering of the arc.  Hypothesis runs derandomized with
-a bounded number of examples, so every run draws the same arcs."""
+a bounded number of examples, so every run draws the same arcs.  On the
+shipped arcs, co-secant recovery's per-A split status does not change
+under the same maps either."""
 
 import random
 
@@ -12,11 +14,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from arclab.arcgeom import ArcConfig, HyperplaneIncidence
-from arclab.certifier import NoCertificateError, _random_arc, bound_scan, build_Mn
+from arclab.certifier import (
+    NoCertificateError,
+    PropertyWMissingError,
+    _random_arc,
+    bound_scan,
+    build_Mn,
+    recover_cosecants,
+)
+from arclab.cli import parse_arc_file
 from arclab.exactmat import GFMatrix, left_null_basis, rank, weight_one_in_colspace
 from arclab.gf import FieldCtx
 
-from conftest import mat_vec, null_rref, ref_build_Mn, ref_det_full
+from conftest import ARCS_DIR, gl_image, mat_vec, null_rref, ref_build_Mn, ref_det_full
 
 FIELDS = ((7, 1), (11, 1), (13, 1), (2, 3), (3, 2))
 
@@ -88,3 +98,37 @@ def test_facts_survive_basis_change_rescaling_and_reordering(p, h, k, extra, see
     want = _facts(arc)
     for pts in (moved, scaled, shuffled):
         assert _facts(ArcConfig(ctx, k, pts)) == want
+
+
+def _statuses(arc, n):
+    """Per-A split status of recovery, None when it raises
+    PropertyWMissingError."""
+    try:
+        pred = recover_cosecants(arc, n)
+    except PropertyWMissingError:
+        return None
+    return {A: p.status for A, p in pred.per_A.items()}
+
+
+@pytest.mark.parametrize("path", sorted(ARCS_DIR.glob("*.arc")), ids=lambda path: path.stem)
+def test_split_status_survives_basis_change_rescaling_and_reordering(path):
+    # every n with t >= 1 (q81 at n <= 2): recovery raises on all four
+    # arcs or returns the same statuses, A read through the permutation
+    arc = parse_arc_file(path.read_text())
+    ctx, k, g = arc.ctx, arc.k, arc.size
+    rng = random.Random(g)
+    scaled = list(arc.points)
+    i, lam = rng.randrange(g), rng.randrange(2, ctx.q)
+    scaled[i] = tuple(ctx.mul(lam, c) for c in scaled[i])
+    perm = list(range(g))
+    rng.shuffle(perm)
+    shuffled = ArcConfig(ctx, k, [arc.points[j] for j in perm])
+    top = min(g - k - 1, 2 if ctx.q == 81 else g)
+    for n in range(top + 1):
+        want = _statuses(arc, n)
+        assert _statuses(gl_image(arc, n), n) == want, n
+        assert _statuses(ArcConfig(ctx, k, scaled), n) == want, n
+        got = _statuses(shuffled, n)
+        if want is not None and got is not None:
+            got = {tuple(sorted(perm[j] for j in A)): st for A, st in got.items()}
+        assert got == want, n

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from arclab.arcgeom import ArcConfig, subset_iter
+from arclab.gf import FieldCtx
 from arclab.tangentfns import (
     alpha_table,
     arc_degree,
@@ -12,11 +13,18 @@ from arclab.tangentfns import (
     check_sum_zero,
     check_theeqn,
     interpolate_fA,
-    shuffle_parity,
     tangent_fn,
 )
 
-from conftest import mat_vec, moment_curve, ref_det_full, ref_interpolate_fA
+from conftest import (
+    hyperoval,
+    mat_vec,
+    moment_curve,
+    ref_alpha,
+    ref_det_full,
+    ref_interpolate_fA,
+    shuffled_nrc,
+)
 
 
 @pytest.fixture(scope="module")
@@ -164,13 +172,6 @@ def test_segre_sign(conic_f5, arc_f5_t2, nrc_f7_k4):
     assert check_segre_sign(conic_f5, (), 2, 2, 3)
 
 
-def test_shuffle_parity():
-    assert shuffle_parity((0, 1), (2, 3)) == 0
-    assert shuffle_parity((2, 3), (0, 1)) == 0  # two disjoint swaps
-    assert shuffle_parity((1,), (0,)) == 1
-    assert shuffle_parity((0, 2), (1,)) == 1
-
-
 def test_alpha_definition_cases(arc_q13_size12, F13):
     table = alpha_table(arc_q13_size12)
     F = table.F
@@ -181,6 +182,38 @@ def test_alpha_definition_cases(arc_q13_size12, F13):
         assert table.alpha(C) == tangent_fn(arc_q13_size12, F).at(x)
     with pytest.raises(ValueError):
         table.alpha((0, 1, 2, 3))  # wrong arity for k = 3
+
+
+def alpha_arcs():
+    """(name, arc, prefix): the conic of GF(5), the hyperovals of GF(8) and
+    GF(16), the shuffled normal rational curves of GF(7), GF(9), GF(11)
+    and GF(13) at k = 3, 4, 5 with their (q-2)-point moment-curve
+    prefixes, and the shuffled curve of GF(81) at k = 6.  A curve is an
+    arc by its Vandermonde minors, so the determinant validation is
+    skipped."""
+    F5, F81 = FieldCtx(5), FieldCtx(3, 4)
+    yield "conic_f5", ArcConfig(F5, 3, moment_curve(F5, 3, range(5), infinity=True)), 6
+    for ctx in (FieldCtx(2, 3), FieldCtx(2, 4)):
+        yield f"hyperoval_f{ctx.q}", ArcConfig(ctx, 3, hyperoval(ctx), check=False), 8
+    for ctx in (FieldCtx(7), FieldCtx(3, 2), FieldCtx(11), FieldCtx(13)):
+        for k in (3, 4, 5):
+            nrc = shuffled_nrc(ctx, k, seed=ctx.q + k)
+            yield f"nrc_f{ctx.q}_k{k}", ArcConfig(ctx, k, nrc, check=False), k + 5
+            short = moment_curve(ctx, k, range(ctx.q - 2))
+            yield f"mc_f{ctx.q}_k{k}", ArcConfig(ctx, k, short, check=False), k + 5
+    yield "nrc_f81_k6", ArcConfig(F81, 6, shuffled_nrc(F81, 6, seed=81), check=False), 11
+
+
+def test_alpha_recursion_matches_chain_formula():
+    # every (k-2)- and (k-1)-subset of each prefix, alpha from the full arc
+    compared = 0
+    for name, arc, m in alpha_arcs():
+        table = alpha_table(arc)
+        for arity in (arc.k - 2, arc.k - 1):
+            for B in subset_iter(min(m, arc.size), arity):
+                assert table.alpha(B) == ref_alpha(arc, B), (name, B)
+                compared += 1
+    assert compared > 3000
 
 
 def test_atoc_recursion(conic_f5, arc_f5_t2, nrc_f7_k4, arc_q13_size12):
