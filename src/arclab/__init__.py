@@ -8,17 +8,9 @@ oracles at desk scale.
 """
 
 from .gf import FieldCtx, conway_polynomial
-from .arcgeom import (
-    ArcConfig,
-    complete_search,
-    cosecants_through,
-    det_full,
-    extensions_of,
-    pencil_through,
-    validate_arc,
-)
-from .exactmat import GFMatrix, left_null_basis, rank, rref, solve
-from .tangentfns import alpha_table, arc_degree, interpolate_fA, tangent_fn
+from .arcgeom import ArcConfig, complete_search, det_full, validate_arc
+from .exactmat import GFMatrix, left_null_basis
+from .tangentfns import alpha_table, arc_degree, tangent_fn
 from .certifier import (
     bound_scan,
     build_Mn,

@@ -23,12 +23,8 @@ __all__ = [
     "cofactor_normals",
     "det_full",
     "validate_arc",
-    "canonical_form",
-    "pencil_through",
-    "cosecants_through",
     "projective_points",
     "HyperplaneIncidence",
-    "extensions_of",
     "complete_search",
     "subset_iter",
 ]
@@ -196,13 +192,6 @@ class ArcConfig:
 # ----------------------------------------------------------------------
 
 
-def canonical_form(ctx, coeffs):
-    """Scale a nonzero dual vector so its first nonzero coefficient is 1."""
-    if not any(coeffs):
-        raise ValueError("zero vector is not a linear form")
-    return tuple(_canonical(ctx, np.array([coeffs], dtype=np.int64))[0].tolist())
-
-
 def _pencil_basis(arc: ArcConfig, subsets):
     """u1, u2, b1, b2 for every (k-2)-subset A of a list, one array entry
     per A, from one kernel call: e_u1 is the first standard basis vector
@@ -238,22 +227,6 @@ def _pencil_members(ctx, b1, b2, w1, w2):
     """The canonical forms w2 b1 - w1 b2, one row per point w of PG(1,q)."""
     ops = ctx.vec_ops()
     return _canonical(ctx, ops.sub(ops.mul(w2[:, None], b1), ops.mul(w1[:, None], b2)))
-
-
-def pencil_through(A, arc: ArcConfig):
-    """The q+1 canonical forms vanishing on the (k-2)-space spanned by A."""
-    ctx = arc.ctx
-    _, _, (b1,), (b2,) = _pencil_basis(arc, [A])
-    forms = sorted(set(map(tuple, _pencil_members(ctx, b1, b2, *_projective_line(ctx)).tolist())))
-    if len(forms) != ctx.q + 1:
-        raise InvariantError(f"pencil has {len(forms)} members, not q+1 = {ctx.q + 1}")
-    return forms
-
-
-def cosecants_through(A, arc: ArcConfig):
-    """Forms of the t hyperplanes meeting the arc exactly in A."""
-    _, _, (b1,), (b2,) = _pencil_basis(arc, [A])
-    return _cosecants(arc, A, b1, b2)
 
 
 def _cosecants(arc: ArcConfig, A, b1, b2):
@@ -343,13 +316,6 @@ class HyperplaneIncidence:
         for mask in self.masks(list(itertools.combinations(extra, self.k - 1))):
             cands &= mask
         return cands
-
-
-def extensions_of(arc: ArcConfig):
-    """All projective representatives v with arc + v still an arc."""
-    inc = HyperplaneIncidence(arc.ctx, arc.k, arc.points)
-    cands = inc.extensions()
-    return [pt for i, pt in enumerate(inc.points) if cands >> i & 1]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .arcgeom import (
     subset_iter,
 )
 from .exactmat import GFMatrix, LeftNullBasis, left_null_basis, weight_one_in_colspace
-from .tangentfns import _lagrange_sum, _lagrange_weights, alpha_table, interpolate_fA
+from .tangentfns import _lagrange_sum, _lagrange_weights, alpha_table
 
 __all__ = [
     "SizeOutOfRangeError",
@@ -275,10 +275,6 @@ class PredictedTangent:
     values: dict          # arc position -> recovered f_A value (pivot -> 1)
     forms: tuple | None   # canonical co-secant forms when fully split
     status: str           # "ok" | "non-splitting"
-
-    def evaluator(self, arc: ArcConfig):
-        """The recovered tangent function (normalised to 1 at the pivot)."""
-        return interpolate_fA(arc, self.A, self.values)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ __all__ = [
     "TangentFn",
     "tangent_fn",
     "arc_degree",
-    "interpolate_fA",
     "check_sum_zero",
     "check_segre_sign",
     "AlphaTable",
@@ -109,35 +108,6 @@ def _lagrange_weights(ctx, beta, fvals):
     term has t factors above the line and t below."""
     ones = np.ones(beta.shape[-1], dtype=np.int64)
     return ctx.vec_ops().div(fvals, _lagrange_sum(ctx, beta, ones, beta[..., 0, :], beta[..., 1, :]))
-
-
-def interpolate_fA(arc: ArcConfig, A, values):
-    """Evaluator for f_A from its values at |values| arc points.
-
-    values maps arc positions e (outside A) to f_A(e); with d+1 of them
-    the evaluator reproduces the degree-d homogeneous function
-
-        f_A(x) = sum_e f_A(e) prod_{u != e} d_A(u, x) / d_A(u, e)
-
-    over all of V_k, u running over the other value points.  Passing the
-    values of a genuine tangent function at t+1 points of E - A for any
-    (t+k-1)-subset E containing A recovers f_A everywhere.
-    """
-    ctx = arc.ctx
-    pts = sorted(values)
-    if any(e in A for e in pts):
-        raise ValueError("value points must lie outside A")
-    if not pts:
-        raise ValueError("need at least one value point")
-    _, _, (b1,), (b2,) = _pencil_basis(arc, [sorted(A)])
-    beta = _form_values(ctx, [b1, b2], arc.points_at(pts))
-    weights = _lagrange_weights(ctx, beta, np.array([values[e] for e in pts], dtype=np.int64))
-
-    def evaluator(x):
-        y = _form_values(ctx, [b1, b2], [x])
-        return int(_lagrange_sum(ctx, beta, weights, y[0], y[1])[0])
-
-    return evaluator
 
 
 def check_sum_zero(arc: ArcConfig, A, E) -> int:

@@ -3,6 +3,7 @@ import random
 from collections import namedtuple
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from arclab.arcgeom import (
@@ -10,7 +11,6 @@ from arclab.arcgeom import (
     BudgetExceededError,
     InvariantError,
     SearchResult,
-    cosecants_through,
     projective_points,
     subset_iter,
 )
@@ -23,7 +23,7 @@ from arclab.certifier import (
     recover_cosecants,
     vg_vector,
 )
-from arclab.exactmat import GFMatrix, left_null_basis, rref, weight_one_in_colspace
+from arclab.exactmat import GFMatrix, left_null_basis, weight_one_in_colspace
 from arclab.gf import FieldCtx
 from arclab.tangentfns import arc_degree, tangent_fn
 
@@ -108,12 +108,35 @@ def ref_left_null(ctx, rows):
     return basis
 
 
-def null_rref(ctx, data):
-    """The reduced left null basis of a matrix, by the library elimination,
-    [] at nullity 0: equal for two matrices exactly when their left null
-    spaces are."""
-    null = left_null_basis(GFMatrix(ctx, data))
-    return rref(GFMatrix(ctx, null.basis)).data.tolist() if null.nullity else []
+def ref_colspace_test(ctx, rows):
+    """Membership in the column space of the matrix with the given rows:
+    b is in it iff the last column of [M | b] is no pivot.  One ref_rref of
+    [M | I] serves every b: it gives an invertible E with E M reduced, and
+    [M | b] reduces to [E M | E b], whose last column is a pivot iff E b is
+    nonzero in a zero row of E M."""
+    m, n = len(rows), len(rows[0])
+    eye = [[int(i == j) for j in range(m)] for i in range(m)]
+    R, pivots = ref_rref(ctx, [list(r) + e for r, e in zip(rows, eye)], n)
+    zero_rows = [row[n:] for row in R[len(pivots) :]]
+    return lambda b: not any(dot(ctx, e, b) for e in zero_rows)
+
+
+def unit_vector(m, *entries):
+    """The length-m vector with the given (index, value) entries, else 0."""
+    v = [0] * m
+    for i, x in entries:
+        v[i] = x
+    return v
+
+
+def same_left_null(ctx, a, b):
+    """Whether two matrices with the same rows have the same left null
+    space: equal nullities nu, and the 2 nu stacked basis vectors span a
+    space of dimension nu, that is their own left null space has
+    dimension nu."""
+    na, nb = left_null_basis(GFMatrix(ctx, a)).basis, left_null_basis(GFMatrix(ctx, b)).basis
+    stacked = GFMatrix(ctx, np.concatenate([na, nb]))
+    return len(na) == len(nb) == left_null_basis(stacked).nullity
 
 
 def laplace_det(ctx, rows):
@@ -348,6 +371,12 @@ def ref_extensions_of(arc):
     return [v for v in projective_points(arc.ctx, arc.k) if _ref_compatible(arc.ctx, arc.k, arc.points, v)]
 
 
+def ref_extension_mask(arc):
+    """ref_extensions_of as a bitset over the order of projective_points."""
+    exts = set(ref_extensions_of(arc))
+    return sum(1 << i for i, v in enumerate(projective_points(arc.ctx, arc.k)) if v in exts)
+
+
 def ref_complete_search(arc, target_size=None, budget=2_000_000):
     """Scalar DFS with the node order and results of complete_search."""
     ctx, k = arc.ctx, arc.k
@@ -571,7 +600,7 @@ def ref_recover_cosecants(arc, n, source=None, M=None):
     else:
         M = build_Mn(arc, n) if M is None else M
         if left_null_basis(M.matrix).nullity == 1 and weight_one_in_colspace(M.matrix) is None:
-            null_vec = left_null_basis(M.matrix).vectors()[0]
+            null_vec = left_null_basis(M.matrix).basis[0].tolist()
         else:
             report = ref_property_w(arc, n)
     row_of = {C: i for i, C in enumerate(colex_subsets(g, k - 1))}
@@ -642,8 +671,9 @@ def gl_image(arc, seed):
 
 def recovers_extension(S, g):
     """Whether recovery from the true v_G of S's g-point prefix G reproduces
-    cosecants_through(A, S) for every (k-2)-subset A of G, with every
-    prediction equal to the scalar reference's.
+    the co-secants of S (its ``tangent_fn`` forms) through every
+    (k-2)-subset A of G, with every prediction equal to the scalar
+    reference's.
 
     S must have the extension size q+2k+n-1-g for some n >= 0; recovery
     then runs on M_n of G with t = |G|-k-n.
@@ -657,7 +687,7 @@ def recovers_extension(S, g):
         pred.all_split
         and pred.per_A == ref_recover_cosecants(G, n, source=v).per_A
         and all(
-            sorted(pred.per_A[A].forms) == sorted(cosecants_through(A, S))
+            sorted(pred.per_A[A].forms) == sorted(tangent_fn(S, A).forms)
             for A in subset_iter(g, S.k - 2)
         )
     )

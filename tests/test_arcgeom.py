@@ -10,19 +10,19 @@ from arclab.arcgeom import (
     BudgetExceededError,
     HyperplaneIncidence,
     SearchResult,
+    _cosecants,
     _pencil_basis,
-    canonical_form,
+    _pencil_members,
+    _projective_line,
     cofactor_normals,
     complete_search,
-    cosecants_through,
     det_full,
-    extensions_of,
-    pencil_through,
     projective_points,
     subset_iter,
     validate_arc,
 )
 from arclab.gf import FieldCtx
+from arclab.tangentfns import tangent_fn
 
 from conftest import (
     _ref_complete_to_directions,
@@ -36,8 +36,7 @@ from conftest import (
     ref_cosecants_through,
     ref_det_full,
     ref_det_linear_coeffs,
-    ref_extensions_of,
-    ref_canonical_form,
+    ref_extension_mask,
     ref_pencil_through,
     ref_validate_arc,
     shuffled_nrc,
@@ -120,9 +119,21 @@ def test_arcconfig_invariants(F5):
     assert conic.prefix(4).size == 4
 
 
+def pencil_members(arc, A):
+    """The members of A's pencil as recovery and _cosecants build them:
+    _pencil_members over the _pencil_basis of A at every point of PG(1,q)."""
+    _, _, (b1,), (b2,) = _pencil_basis(arc, [A])
+    return [tuple(f) for f in _pencil_members(arc.ctx, b1, b2, *_projective_line(arc.ctx)).tolist()]
+
+
+def extensions(arc):
+    """The bitset of points v with arc + v still an arc."""
+    return HyperplaneIncidence(arc.ctx, arc.k, arc.points).extensions()
+
+
 def test_pencil_counts_and_annihilation(conic_f5, F5):
     for A in subset_iter(conic_f5.size, 1):
-        forms = pencil_through(A, conic_f5)
+        forms = pencil_members(conic_f5, A)
         assert len(forms) == 6  # q + 1
         assert len(set(forms)) == 6
         for form in forms:
@@ -131,7 +142,7 @@ def test_pencil_counts_and_annihilation(conic_f5, F5):
 
 def test_pencil_matches_exhaustive_dual_scan(F5):
     arc = ArcConfig(F5, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    got = set(pencil_through((0,), arc))
+    got = set(pencil_members(arc, (0,)))
     want = {z for z in all_dual_reps(F5, 3) if dot(F5, z, (1, 0, 0)) == 0}
     assert got == want
     assert len(want) == 6
@@ -142,7 +153,7 @@ def test_pencil_partition(conic_f5, F5):
     t = 5 + 3 - 1 - conic_f5.size
     for A in subset_iter(conic_f5.size, 1):
         extra_counts = []
-        for form in pencil_through(A, conic_f5):
+        for form in pencil_members(conic_f5, A):
             hits = [
                 i
                 for i in range(conic_f5.size)
@@ -157,10 +168,10 @@ def test_pencil_partition(conic_f5, F5):
 def test_cosecants(conic_f5, hyperconic_f4, arc_q13_size9, F5):
     # maximal arc: t = 0
     for A in subset_iter(hyperconic_f4.size, 1):
-        assert cosecants_through(A, hyperconic_f4) == []
+        assert tangent_fn(hyperconic_f4, A).forms == ()
     # conic: exactly one tangent per point, meeting S only in A
     for A in subset_iter(conic_f5.size, 1):
-        forms = cosecants_through(A, conic_f5)
+        forms = tangent_fn(conic_f5, A).forms
         assert len(forms) == 1
         ker_hits = [
             i
@@ -176,16 +187,7 @@ def test_cosecant_counts_on_size12_extension(arc_q13_size9, F13):
     S12 = ArcConfig(F13, 3, res.arcs[0])
     t = 13 + 3 - 1 - 12
     for A in subset_iter(12, 1):
-        assert len(cosecants_through(A, S12)) == t == 3
-
-
-def test_canonical_form(F13, F9):
-    assert canonical_form(F13, (0, 2, 4)) == (0, 1, 2)
-    assert canonical_form(F13, (1, 5, 0)) == (1, 5, 0)
-    for coeffs in [(0, 0, 7), (3, 8, 0), (5, 4, 2)]:
-        assert canonical_form(F9, coeffs) == ref_canonical_form(F9, coeffs)
-    with pytest.raises(ValueError):
-        canonical_form(F13, (0, 0, 0))
+        assert len(tangent_fn(S12, A).forms) == t == 3
 
 
 def test_projective_point_count(F5):
@@ -195,11 +197,12 @@ def test_projective_point_count(F5):
 
 
 def test_extensions(conic_f5, hyperconic_f8, arc_q13_size6):
-    assert extensions_of(hyperconic_f8) == []
+    assert extensions(hyperconic_f8) == 0
     # the F5 conic is complete (q odd: q+1 is the maximum)
-    assert extensions_of(conic_f5) == []
-    exts = extensions_of(arc_q13_size6)
+    assert extensions(conic_f5) == 0
+    exts = extensions(arc_q13_size6)
     assert exts, "the q=13 size-6 arc must extend"
+    assert exts == ref_extension_mask(arc_q13_size6)
 
 
 def test_complete_search_sizes(arc_q13_size6, arc_q11, hyperconic_f8):
@@ -235,7 +238,7 @@ def test_complete_search_verifies_eight_point_complete_arc(arc_q13_size6, F13):
     # extension at all
     res = complete_search(arc_q13_size6, target_size=8)
     complete_eights = [
-        pts for pts in res.arcs if not extensions_of(ArcConfig(F13, 3, pts))
+        pts for pts in res.arcs if not extensions(ArcConfig(F13, 3, pts))
     ]
     assert complete_eights, "a complete 8-arc contains the size-6 arc"
 
@@ -310,7 +313,7 @@ def test_complete_search_matches_reference(p, h, k, g, target):
         arc = ArcConfig(ctx, k, pts)
         got = complete_search(arc, target_size=target)
         assert got == ref_complete_search(arc, target_size=target)
-        assert extensions_of(arc) == ref_extensions_of(arc)
+        assert extensions(arc) == ref_extension_mask(arc)
         results.append(got)
     # node counts and complete sizes are projective invariants
     assert results[0].nodes == results[1].nodes
@@ -321,11 +324,11 @@ def test_search_on_short_and_dependent_inputs(F5, F7):
     # fewer than k-1 points span no hyperplane: every point extends, the
     # rescaled base point included, and that one then leaves no candidate
     one = ArcConfig(F5, 3, [(2, 0, 0)])
-    assert extensions_of(one) == ref_extensions_of(one) == list(projective_points(F5, 3))
+    assert extensions(one) == ref_extension_mask(one) == (1 << 31) - 1
     assert complete_search(one, target_size=3) == ref_complete_search(one, target_size=3)
     # k-1 dependent vectors pass validation (no k-subset) and block everything
     flat = ArcConfig(F7, 3, [(1, 2, 3), (2, 4, 6)])
-    assert extensions_of(flat) == ref_extensions_of(flat) == []
+    assert extensions(flat) == ref_extension_mask(flat) == 0
     assert complete_search(flat) == ref_complete_search(flat) == SearchResult((2,), None, 1)
 
 
@@ -347,7 +350,7 @@ def test_search_leaves_no_cycle_behind(arc_q13_size6):
         complete_search(arc_q13_size6, target_size=8)
         with pytest.raises(BudgetExceededError):
             complete_search(arc_q13_size6, budget=50)
-        extensions_of(arc_q13_size6)
+        extensions(arc_q13_size6)
         assert not any(isinstance(o, HyperplaneIncidence) for o in gc.get_objects())
     finally:
         gc.enable()
@@ -472,11 +475,12 @@ def test_pencils_and_cosecants_match_scalar_reference(
     for arc in _shipped_and_images(arcs + [arc_q81]):
         subsets = list(subset_iter(arc.size, arc.k - 2))
         for A in subsets if arc.size < 11 else subsets[::23]:
-            assert pencil_through(A, arc) == ref_pencil_through(A, arc)
-            assert cosecants_through(A, arc) == ref_cosecants_through(A, arc)
+            assert sorted(pencil_members(arc, A)) == ref_pencil_through(A, arc)
+            assert list(tangent_fn(arc, A).forms) == ref_cosecants_through(A, arc)
     # k-1 dependent points: the other one lies on every member
     flat = ArcConfig(FieldCtx(7), 3, [(1, 2, 3), (2, 4, 6)])
-    assert cosecants_through((0,), flat) == ref_cosecants_through((0,), flat) == []
+    _, _, (b1,), (b2,) = _pencil_basis(flat, [(0,)])
+    assert _cosecants(flat, (0,), b1, b2) == ref_cosecants_through((0,), flat) == []
 
 
 def test_node_batched_masks_match_single_masks(F7, F9):

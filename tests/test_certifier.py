@@ -9,7 +9,6 @@ from arclab.arcgeom import (
     BudgetExceededError,
     HyperplaneIncidence,
     complete_search,
-    cosecants_through,
     subset_iter,
 )
 from arclab.certifier import (
@@ -30,14 +29,13 @@ from arclab.certifier import (
     vg_vector,
 )
 from arclab._vecops import VecOps
-from arclab.exactmat import GFMatrix, left_null_basis, rank
+from arclab.exactmat import GFMatrix, left_null_basis
 from arclab.gf import FieldCtx
 
 from conftest import (
     annihilates,
     colex_subsets,
     dot,
-    null_rref,
     gl_image,
     hyperoval,
     moment_curve,
@@ -47,10 +45,13 @@ from conftest import (
     ref_alpha,
     ref_left_null,
     ref_build_Mn,
+    ref_cosecants_through,
+    ref_interpolate_fA,
     ref_P_coord,
     ref_property_w,
     ref_random_arc,
     ref_recover_cosecants,
+    same_left_null,
     shuffled_nrc,
 )
 
@@ -163,22 +164,24 @@ def test_build_null_space_matches_reference(name):
         ref = ref_build_Mn(G, n)
         M = build_Mn(G, n)
         assert M.matrix.cols == (n + 1) * comb(G.size, G.k - 2)
-        assert null_rref(G.ctx, M.matrix.data) == null_rref(G.ctx, ref.data), (name, n)
+        assert same_left_null(G.ctx, M.matrix.data, ref.data), (name, n)
 
 
 @pytest.mark.parametrize("image", [False, True])
 def test_q81_left_null_basis_independent_checks(arc_q81, image):
     # M_0..M_3 of the q = 81 arc or a GL image: every basis vector
-    # annihilates M under the scalar oracle, the basis is independent, and
-    # its size is rows - rank(M^T), a count made on another matrix
+    # annihilates M under the scalar oracle, the basis is independent (its
+    # own left null space is zero), and its size is rows - rank(M^T), with
+    # rank(M^T) = cols - nullity(M^T) counted on another matrix
     G = gl_image(arc_q81, 5) if image else arc_q81
     for n in range(4):
         M = build_Mn(G, n).matrix
         null = left_null_basis(M)
         rows = M.data.tolist()
-        assert all(annihilates(G.ctx, w, rows) for w in null.vectors())
-        assert rank(GFMatrix(G.ctx, null.basis)) == null.nullity
-        assert null.nullity == M.rows - rank(M.transpose())
+        assert all(annihilates(G.ctx, w, rows) for w in null.basis.tolist())
+        assert left_null_basis(GFMatrix(G.ctx, null.basis)).nullity == 0
+        rank_t = M.cols - left_null_basis(GFMatrix(G.ctx, M.data.T)).nullity
+        assert null.nullity == M.rows - rank_t
 
 
 def test_q81_left_null_fill_guard(arc_q81, monkeypatch):
@@ -204,7 +207,7 @@ def test_q81_left_null_fill_guard(arc_q81, monkeypatch):
 
 def test_paper_rank_facts_q11(arc_q11):
     M = build_Mn(arc_q11, 2)
-    assert rank(M.matrix) == 20
+    assert M.matrix.rows - left_null_basis(M.matrix).nullity == 20
     assert M.matrix.rows == 21
     cert = theorem1_test(arc_q11, 2, M)
     assert cert is not None
@@ -274,7 +277,7 @@ def test_M0_full_rank_for_small_arcs_when_k_le_p(F5, F7):
     for ctx in (F5, F7):
         arc = ArcConfig(ctx, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         M = build_Mn(arc, 0)
-        assert rank(M.matrix) == M.matrix.rows == 3
+        assert left_null_basis(M.matrix).nullity == 0 and M.matrix.rows == 3
         assert theorem1_test(arc, 0, M) is not None
 
 
@@ -362,7 +365,7 @@ def test_property_w_q81_matches_scalar_reference(arc_q81):
     M = build_Mn(arc_q81, 1)
     report = property_w(arc_q81, 1, M)
     assert report.holds
-    assert report == ref_property_w(arc_q81, 1, left_null_basis(M.matrix).vectors())
+    assert report == ref_property_w(arc_q81, 1, left_null_basis(M.matrix).basis.tolist())
 
 
 def test_corollary2_route(arc_q13_size6, arc_q11, F11):
@@ -387,7 +390,7 @@ def test_recover_q13_size6_matches_conic(arc_q13_size6, F13):
     assert pred.route == "null-vector"
     assert pred.all_split
     for A in subset_iter(6, 1):
-        assert sorted(pred.per_A[A].forms) == sorted(cosecants_through(A, S))
+        assert sorted(pred.per_A[A].forms) == ref_cosecants_through(A, S)
     # the property-w route recovers the same forms (determinacy)
     report = property_w(arc_q13_size6, 2)
     pred2 = recover_cosecants(arc_q13_size6, 2, source=report)
@@ -606,14 +609,14 @@ def test_property_w_trivial_even_q(hyperconic_f4):
 
 
 def test_prediction_evaluator(arc_q13_size6, F13):
-    # the recovered evaluator is proportional to the completion's tangent
-    # function on every arc point
+    # the function interpolated through the recovered values is
+    # proportional to the completion's tangent function on every arc point
     res = complete_search(arc_q13_size6, target_size=14)
     S = ArcConfig(F13, 3, res.arcs[0])
     pred = recover_cosecants(arc_q13_size6, 2)
     for A in subset_iter(6, 1):
         item = pred.per_A[A]
-        ev = item.evaluator(arc_q13_size6)
+        ev = ref_interpolate_fA(arc_q13_size6, A, item.values)
         assert ev(arc_q13_size6.points[item.pivot]) == 1
         from arclab.tangentfns import tangent_fn
 

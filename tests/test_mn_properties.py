@@ -23,10 +23,10 @@ from arclab.certifier import (
     recover_cosecants,
 )
 from arclab.cli import parse_arc_file
-from arclab.exactmat import GFMatrix, left_null_basis, rank, weight_one_in_colspace
+from arclab.exactmat import GFMatrix, left_null_basis, weight_one_in_colspace
 from arclab.gf import FieldCtx
 
-from conftest import ARCS_DIR, gl_image, mat_vec, null_rref, ref_build_Mn, ref_det_full
+from conftest import ARCS_DIR, gl_image, mat_vec, ref_build_Mn, ref_det_full, same_left_null
 
 FIELDS = ((7, 1), (11, 1), (13, 1), (2, 3), (3, 2))
 
@@ -60,8 +60,8 @@ def test_blocks_have_full_rank_and_the_reference_null_space(p, h, k, extra, seed
         M = build_Mn(arc, n)
         for s in range(len(M.subsets)):
             block = M.matrix.data[M.stars[s], s * (n + 1) : (s + 1) * (n + 1)]
-            assert rank(GFMatrix(ctx, block)) == n + 1
-        assert null_rref(ctx, M.matrix.data) == null_rref(ctx, ref_build_Mn(arc, n).data)
+            assert len(block) - left_null_basis(GFMatrix(ctx, block)).nullity == n + 1
+        assert same_left_null(ctx, M.matrix.data, ref_build_Mn(arc, n).data)
 
 
 def _facts(arc):

@@ -1,18 +1,20 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from arclab.arcgeom import ArcConfig, subset_iter
+from arclab.arcgeom import ArcConfig, _form_values, _pencil_basis, subset_iter
 from arclab.gf import FieldCtx
 from arclab.tangentfns import (
+    _lagrange_sum,
+    _lagrange_weights,
     alpha_table,
     arc_degree,
     check_atoc,
     check_segre_sign,
     check_sum_zero,
     check_theeqn,
-    interpolate_fA,
     tangent_fn,
 )
 
@@ -73,7 +75,7 @@ def test_interpolation_matches_direct_exhaustively(conic_f5, arc_f5_t2, F5):
         for A in subset_iter(arc.size, 1):
             fA = tangent_fn(arc, A)
             pts = [e for e in range(arc.size) if e not in A][: t + 1]
-            ev = interpolate_fA(arc, A, {e: fA.at(e) for e in pts})
+            ev = ref_interpolate_fA(arc, A, {e: fA.at(e) for e in pts})
             for v in itertools.product(range(5), repeat=3):
                 assert ev(v) == fA(v)
 
@@ -85,7 +87,7 @@ def test_interpolation_on_q13_arc(arc_q13_size12, F13):
     for A in list(subset_iter(12, 1))[:6]:
         fA = tangent_fn(arc_q13_size12, A)
         pts = [e for e in range(12) if e not in A][: t + 1]
-        ev = interpolate_fA(arc_q13_size12, A, {e: fA.at(e) for e in pts})
+        ev = ref_interpolate_fA(arc_q13_size12, A, {e: fA.at(e) for e in pts})
         for e in range(12):
             if e not in A:
                 assert ev(arc_q13_size12.points[e]) == fA.at(e)
@@ -94,35 +96,31 @@ def test_interpolation_on_q13_arc(arc_q13_size12, F13):
             assert ev(v) == fA(v)
 
 
-def test_interpolation_degenerate_and_errors(hyperconic_f4, conic_f5):
-    # t = 0: a single value point pins the constant
-    ev = interpolate_fA(hyperconic_f4, (0,), {1: 1})
-    assert ev((1, 1, 1)) == ev(hyperconic_f4.points[2]) != 0
-    with pytest.raises(ValueError):
-        interpolate_fA(conic_f5, (0,), {0: 1})
-    with pytest.raises(ValueError):
-        interpolate_fA(conic_f5, (0,), {})
-
-
 def test_interpolation_matches_scalar_reference(conic_f5, nrc_f7_k4, arc_q13_size12, arc_q81):
-    # arbitrary nonzero values at 1, 2 or 4 points: the pencil-coordinate
-    # evaluator equals the determinant one on random vectors, on vectors
-    # of span(A) and on arc points, the constant t = 0 case included
+    # arbitrary nonzero values at 1, 2 or 4 points: recovery's
+    # pencil-coordinate Lagrange routines (weights at beta of the value
+    # points, the sum at beta(x)) equal the determinant evaluator on random
+    # vectors, on vectors of span(A) and on arc points, the constant t = 0
+    # case included
     rng = random.Random(21)
     for arc in (conic_f5, nrc_f7_k4, arc_q13_size12, arc_q81):
         ctx, k = arc.ctx, arc.k
         for A in list(subset_iter(arc.size, k - 2))[:4]:
             others = [e for e in range(arc.size) if e not in A]
+            _, _, (b1,), (b2,) = _pencil_basis(arc, [A])
             for d in (0, 1, 3):
                 values = {e: rng.randrange(1, ctx.q) for e in rng.sample(others, d + 1)}
-                ev, ref = interpolate_fA(arc, A, values), ref_interpolate_fA(arc, A, values)
+                pts = sorted(values)
+                beta = _form_values(ctx, [b1, b2], arc.points_at(pts))
+                weights = _lagrange_weights(ctx, beta, np.array([values[e] for e in pts]))
                 vecs = [tuple(rng.randrange(ctx.q) for _ in range(k)) for _ in range(20)]
                 cols = list(zip(*arc.points_at(A)))
                 for _ in range(5):
                     vecs.append(tuple(mat_vec(ctx, cols, [rng.randrange(ctx.q) for _ in A])))
                 vecs += list(arc.points)
-                for v in vecs:
-                    assert ev(v) == ref(v)
+                y1, y2 = _form_values(ctx, [b1, b2], vecs)
+                ref = ref_interpolate_fA(arc, A, values)
+                assert _lagrange_sum(ctx, beta, weights, y1, y2).tolist() == [ref(v) for v in vecs]
 
 
 def test_sum_zero(conic_f5, arc_q13_size12, F13):
