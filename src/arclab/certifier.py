@@ -43,6 +43,7 @@ __all__ = [
     "SizeOutOfRangeError",
     "NoCertificateError",
     "PropertyWMissingError",
+    "NotLeftNullError",
     "CertMatrix",
     "NonExtendabilityCertificate",
     "PropertyWReport",
@@ -79,6 +80,10 @@ class NoCertificateError(RuntimeError):
 
 class PropertyWMissingError(RuntimeError):
     pass
+
+
+class NotLeftNullError(ArcInputError):
+    """A vector given as a left-null vector of M_n does not annihilate it."""
 
 
 class CertMatrix:
@@ -142,6 +147,16 @@ def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
     return CertMatrix(arc, n, GFMatrix(arc.ctx, data), rows, subsets, others, stars, pencils, beta)
 
 
+def _matrix(arc: ArcConfig, n: int, M: CertMatrix | None) -> CertMatrix:
+    """M, or M_n of the arc when M is None; a matrix built for another arc
+    object or another n would answer another question, so it raises."""
+    if M is None:
+        return build_Mn(arc, n)
+    if M.n != n or M.arc is not arc:
+        raise ValueError(f"matrix was built for another arc or n (n={M.n}, asked n={n})")
+    return M
+
+
 @dataclass(frozen=True)
 class NonExtendabilityCertificate:
     n: int
@@ -152,12 +167,9 @@ class NonExtendabilityCertificate:
 def theorem1_test(arc: ArcConfig, n: int, M: CertMatrix | None = None):
     """Certificate that the arc extends to no arc of size q+2k+n-1-|G|,
     or None when M_n has no weight-one vector in its column space."""
-    if M is None:
-        M = build_Mn(arc, n)
+    M = _matrix(arc, n, M)
     idx = weight_one_in_colspace(M.matrix)
-    if idx is None:
-        return None
-    return NonExtendabilityCertificate(n, M.rows[idx], M.forbidden_size)
+    return None if idx is None else NonExtendabilityCertificate(n, M.rows[idx], M.forbidden_size)
 
 
 @dataclass(frozen=True)
@@ -205,7 +217,7 @@ def bound_scan(arc: ArcConfig) -> BoundScan:
 class PropertyWWitness:
     A: tuple
     pivot: int
-    partners: tuple  # ((y, a, b), ...) with a*unit_{A+x} + b*unit_{A+y} in colspace
+    partners: tuple  # ((y, b), ...) with unit_{A+x} + b*unit_{A+y} in colspace
 
 
 @dataclass(frozen=True)
@@ -225,8 +237,7 @@ def property_w(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> PropertyW
     column space of M_n.  The report is kept on M, so a second call on
     the same matrix returns it without a second pass.
     """
-    if M is None:
-        M = build_Mn(arc, n)
+    M = _matrix(arc, n, M)
     if M._w_report is None:
         M._w_report = _property_w(M, left_null_basis(M.matrix))
     return M._w_report
@@ -249,7 +260,7 @@ def _property_w(M: CertMatrix, null: LeftNullBasis) -> PropertyWReport:
             continue
         i = int(pivots[s].argmax())
         ys = np.flatnonzero(b[s, i])
-        partners = tuple((y, 1, bi) for y, bi in zip(M.others[s, ys].tolist(), b[s, i, ys].tolist()))
+        partners = tuple(zip(M.others[s, ys].tolist(), b[s, i, ys].tolist()))
         witnesses[A] = PropertyWWitness(A, int(M.others[s, i]), partners)
     return PropertyWReport(M.n, M.t, not missing, witnesses, tuple(missing))
 
@@ -258,8 +269,7 @@ def corollary2_route(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> boo
     """Rank one less than full row rank and no weight-one vector: the
     single left-null vector then plays the role of v_G and every
     weight-two vector is available."""
-    if M is None:
-        M = build_Mn(arc, n)
+    M = _matrix(arc, n, M)
     return left_null_basis(M.matrix).nullity == 1 and weight_one_in_colspace(M.matrix) is None
 
 
@@ -295,62 +305,58 @@ def recover_cosecants(
     """Recover, per (k-2)-subset A, the tangent function any extension to
     size q+2k+n-1-|G| must restrict to, normalised to 1 at the pivot.
 
-    source may be a PropertyWReport, an explicit left-null vector, or
-    None for M's own report, the route then read off ``corollary2_route``.
-    With a report or None, a weight-one vector in M's column space raises
-    PropertyWMissingError: its zero null-basis column fixes no ratio.  A
-    recovered function that does not split into t distinct pencil forms
-    is reported as non-splitting, which itself certifies that no such
-    extension exists.
+    The ratios come from a left-null basis of M_n: M's own when source is
+    None, or the given left-null vector of M_n as a one-row basis (codes
+    outside the field or a vector that is not left-null raise
+    NotLeftNullError).  A zero column of that basis fixes no ratio and
+    raises PropertyWMissingError: on M's own basis it is a weight-one
+    vector in the column space, on a single vector a zero coordinate.
+    The route is "null-vector" when the basis has one row, else
+    "property-w".  A recovered function that does not split into t
+    distinct pencil forms is reported as non-splitting, which itself
+    certifies that no such extension exists.
     """
     g, k = arc.size, arc.k
     t = g - k - n
     if t < 1:
         raise SizeOutOfRangeError(f"recovery needs t = |G|-k-n >= 1, got {t}")
-    if M is None:
-        M = build_Mn(arc, n)
+    M = _matrix(arc, n, M)
     ctx = arc.ctx
-
-    if source is None or isinstance(source, PropertyWReport):
-        cert = theorem1_test(arc, n, M)
-        if cert is not None:
-            raise PropertyWMissingError(
-                f"weight-one vector at row {cert.row}: its zero null-basis column fixes no ratio"
-            )
-    if isinstance(source, PropertyWReport):
-        report, route = source, "property-w"
-    elif source is None:
-        report = property_w(arc, n, M)
-        route = "null-vector" if corollary2_route(arc, n, M) else "property-w"
+    ops = ctx.vec_ops()
+    if source is None:
+        null = left_null_basis(M.matrix)
     else:
-        # one left-null vector v with no zero coordinate: any two rows of a
-        # star are partners, with rho = v(A+x)/v(A+y)
-        route = "null-vector"
-        vec = np.array([int(x) for x in source])
-        if len(vec) != len(M.rows):
+        v = np.array([[int(x) for x in source]], dtype=np.int64)
+        if v.shape[1] != len(M.rows):
             raise SizeOutOfRangeError("null vector length does not match row count")
-        if not vec.all():
-            raise PropertyWMissingError("left-null vector has zero coordinates; ratios are undetermined")
-        report = _property_w(M, LeftNullBasis(ctx, vec[None]))
+        if not ((v >= 0) & (v < ctx.q)).all() or ops.matmul(v, M.matrix.data).any():
+            raise NotLeftNullError("the given vector is not a left-null vector of M_n")
+        null = LeftNullBasis(ctx, v)
+    zero = np.flatnonzero(~null.basis.any(0))
+    if zero.size:
+        raise PropertyWMissingError(
+            f"zero left-null basis column at row {M.rows[zero[0]]}: it fixes no ratio"
+        )
+    report = property_w(arc, n, M) if source is None else _property_w(M, null)
     if not report.holds:
         raise PropertyWMissingError(
             f"Property W fails for {len(report.missing)} subsets, e.g. {report.missing[0]}"
         )
+    route = "null-vector" if null.nullity == 1 else "property-w"
 
-    # per A: the pivot x, then its first t partners y with the witness
-    # scalars (a, b); x is its own partner with (1, -1).  Each e sits at
+    # per A: the pivot x, then its first t partners y with rho = -b from
+    # the witness; x is its own partner with rho = 1.  Each e sits at
     # place e - #{a in A : a < e} of A's star
-    ops = ctx.vec_ops()
     wits = [report.witnesses[A] for A in M.subsets]
-    pts = np.array([[w.pivot] + [y for y, _, _ in w.partners[:t]] for w in wits], dtype=np.int64)
-    ab = np.array([[(1, ctx.neg(1))] + [(a, b) for _, a, b in w.partners[:t]] for w in wits], dtype=np.int64)
+    pts = np.array([[w.pivot] + [y for y, _ in w.partners[:t]] for w in wits], dtype=np.int64)
+    rho = np.array([[1] + [ctx.neg(b) for _, b in w.partners[:t]] for w in wits], dtype=np.int64)
     at = np.arange(len(wits))[:, None]
     below = (np.array(M.subsets, dtype=np.int64)[:, None, :] < pts[:, :, None]).sum(2)
-    # f_A(y)/f_A(x) = sigma_x sigma_y P_{A+x} / (rho P_{A+y}), rho = -b/a
+    # f_A(y)/f_A(x) = sigma_x sigma_y P_{A+x} / (rho P_{A+y}), rho
     # = v_G(A+x)/v_G(A+y) read off the witness, sigma_e = (-1)^{(t+1) d_e},
     # d_e = #{a in A : a > e} = k-2 - #{a in A : a < e}
     P = ops.div(1, _det_products(arc, M.rows, range(g)))[M.stars[at, pts - below]]
-    vals = ops.div(P[:, :1], ops.mul(ops.neg(ops.div(ab[..., 1], ab[..., 0])), P))
+    vals = ops.div(P[:, :1], ops.mul(rho, P))
     flip = (below[:, :1] + below) * (t + 1) % 2 == 1
     vals[flip] = ops.neg(vals[flip])
     # f_A on the pencil member w2 b1 - w1 b2 through each w of PG(1,q)
@@ -415,9 +421,7 @@ def even_nullity_check(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> b
     """Even q: nullity of M_n must be C(|G|-n-1, k-1) exactly."""
     if arc.ctx.q % 2:
         raise ValueError("the nullity law applies to even q")
-    if M is None:
-        M = build_Mn(arc, n)
-    null = left_null_basis(M.matrix)
+    null = left_null_basis(_matrix(arc, n, M).matrix)
     return null.nullity == comb(arc.size - n - 1, arc.k - 1)
 
 

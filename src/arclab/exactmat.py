@@ -132,11 +132,7 @@ def weight_one_in_colspace(matrix: GFMatrix):
 
     unit_C lies in the column space iff every left-null vector vanishes at
     C, the column space being exactly the annihilator of the left null
-    space.
+    space; an empty basis has only zero columns.
     """
-    null = left_null_basis(matrix)
-    if null.nullity == 0:
-        return 0 if matrix.rows else None
-    zero_cols = ~np.any(null.basis, axis=0)
-    idx = np.nonzero(zero_cols)[0]
+    idx = np.flatnonzero(~left_null_basis(matrix).basis.any(0))
     return int(idx[0]) if idx.size else None

@@ -499,20 +499,20 @@ def _ref_complete_to_directions(arc, A):
 
 
 def ref_weight_two(ctx, basis, c1, c2):
-    """(1, b) with unit_c1 + b unit_c2 annihilated by every vector of the
+    """The b with unit_c1 + b unit_c2 annihilated by every vector of the
     basis (a list of rows), or None: the columns u, v at c1, c2 must be
     both zero (b = 1) or both nonzero with u = lam v (b = -lam)."""
     u = [w[c1] for w in basis]
     v = [w[c2] for w in basis]
     if not any(u) and not any(v):
-        return (1, 1)
+        return 1
     if not any(u) or not any(v):
         return None
     i0 = next(i for i, x in enumerate(v) if x)
     lam = ctx.div(u[i0], v[i0])
     if any(a != ctx.mul(lam, b) for a, b in zip(u, v)):
         return None
-    return (1, ctx.neg(lam))
+    return ctx.neg(lam)
 
 
 def ref_property_w(arc, n, basis=None):
@@ -531,9 +531,9 @@ def ref_property_w(arc, n, basis=None):
         for x in others:
             partners = []
             for y in others:
-                ab = None if y == x else ref_weight_two(arc.ctx, basis, row[x], row[y])
-                if ab is not None:
-                    partners.append((y, ab[0], ab[1]))
+                b = None if y == x else ref_weight_two(arc.ctx, basis, row[x], row[y])
+                if b is not None:
+                    partners.append((y, b))
             if len(partners) >= need:
                 witnesses[A] = PropertyWWitness(A, x, tuple(partners))
                 break
@@ -588,7 +588,9 @@ def ref_alpha(arc, B):
 def ref_recover_cosecants(arc, n, source=None, M=None):
     """recover_cosecants with a null-vector route of its own and the scalar
     Property W, v_G coordinates, interpolation and root finding; M (the
-    library M_n) only decides the route when no source is given."""
+    library M_n) only decides the route when no source is given.  source
+    may also be a PropertyWReport, whose witnesses then give the ratios:
+    the property-w route on any report, such as one of the library's."""
     g, k = arc.size, arc.k
     t = g - k - n
     ctx = arc.ctx
@@ -615,9 +617,9 @@ def ref_recover_cosecants(arc, n, source=None, M=None):
         else:
             wit = report.witnesses[A]
             x = wit.pivot
-            pairs = {y: (a, b) for y, a, b in wit.partners}
-            ys = [y for y, _, _ in wit.partners][:t]
-            rho = lambda y: ctx.neg(ctx.div(pairs[y][1], pairs[y][0]))
+            pairs = dict(wit.partners)
+            ys = [y for y, _ in wit.partners][:t]
+            rho = lambda y: ctx.neg(pairs[y])
         for e in [x] + ys:
             C = tuple(sorted(A + (e,)))
             if C not in P:

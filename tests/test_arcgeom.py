@@ -7,6 +7,7 @@ import pytest
 from arclab.arcgeom import (
     MASK_CHUNK,
     ArcConfig,
+    ArcInputError,
     BudgetExceededError,
     HyperplaneIncidence,
     SearchResult,
@@ -117,6 +118,12 @@ def test_arcconfig_invariants(F5):
     conic = ArcConfig(F5, 3, moment_curve(F5, 3, range(5), infinity=True))
     assert conic.size == 6  # q + k - 1 - t with t = 1
     assert conic.prefix(4).size == 4
+    # no arc has more than q+k-1 points, checked before any determinant
+    for check in (True, False):
+        with pytest.raises(ArcInputError, match="exceeds q\\+k-1 = 7"):
+            ArcConfig(F5, 3, [(1, i % 5, i // 5) for i in range(8)], check=check)
+    with pytest.raises(ArcInputError, match="length 3"):
+        validate_arc(F5, 3, [(1, 0, 0), (0, 1)])
 
 
 def pencil_members(arc, A):

@@ -14,6 +14,7 @@ from arclab.arcgeom import (
 from arclab.certifier import (
     RANDOM_ARC_ATTEMPTS,
     NoCertificateError,
+    NotLeftNullError,
     PropertyWMissingError,
     SizeOutOfRangeError,
     _random_arc,
@@ -293,8 +294,8 @@ def test_property_w_q13_size6(arc_q13_size6):
     need = 6 - 2 - 3 + 1
     for A, wit in report.witnesses.items():
         assert len(wit.partners) >= need
-        for y, a, b in wit.partners:
-            assert a != 0 and b != 0
+        for y, b in wit.partners:
+            assert b != 0
 
 
 def test_property_w_q13_size9_at_n3_fails(arc_q13_size9):
@@ -391,15 +392,13 @@ def test_recover_q13_size6_matches_conic(arc_q13_size6, F13):
     assert pred.all_split
     for A in subset_iter(6, 1):
         assert sorted(pred.per_A[A].forms) == ref_cosecants_through(A, S)
-    # the property-w route recovers the same forms (determinacy)
-    report = property_w(arc_q13_size6, 2)
-    pred2 = recover_cosecants(arc_q13_size6, 2, source=report)
+    # the reference's property-w route, from the witnesses of the
+    # library report, gives the same predictions (determinacy)
+    pred2 = ref_recover_cosecants(arc_q13_size6, 2, source=property_w(arc_q13_size6, 2))
     assert pred2.route == "property-w"
-    for A in subset_iter(6, 1):
-        assert pred2.per_A[A].forms == pred.per_A[A].forms
-    # both routes agree with the scalar recovery prediction by prediction
+    assert pred2.per_A == pred.per_A
+    # and the library agrees with the scalar recovery prediction by prediction
     assert pred.per_A == ref_recover_cosecants(arc_q13_size6, 2).per_A
-    assert pred2.per_A == ref_recover_cosecants(arc_q13_size6, 2, source=report).per_A
 
 
 def test_recover_matches_scalar_reference_on_q81_gl_image(arc_q81):
@@ -449,6 +448,51 @@ def test_recover_requires_positive_t(arc_q13_size6):
 def test_recover_without_property_w_raises(arc_q13_size9):
     with pytest.raises(PropertyWMissingError):
         recover_cosecants(arc_q13_size9, 3)
+
+
+def test_a_matrix_for_another_n_or_arc_raises(arc_q13_size6, hyperconic_f8):
+    # read as M_1, M_3 has a weight-one vector and M_2 gives 4 of 6
+    # subsets non-splitting: a false "cannot extend to 13" for an arc on
+    # a 14-point conic
+    arc = arc_q13_size6
+    assert theorem1_test(arc, 1) is None
+    with pytest.raises(ValueError):
+        theorem1_test(arc, 1, build_Mn(arc, 3))
+    with pytest.raises(ValueError):
+        recover_cosecants(arc, 1, M=build_Mn(arc, 2))
+    # an equal arc is another arc object: M keeps its own
+    twin = ArcConfig(arc.ctx, arc.k, arc.points)
+    M = build_Mn(twin, 2)
+    for fn in (theorem1_test, property_w, corollary2_route, recover_cosecants):
+        with pytest.raises(ValueError):
+            fn(arc, 2, M=M)
+        fn(twin, 2, M=M)
+    even = hyperconic_f8.prefix(6)
+    with pytest.raises(ValueError):
+        even_nullity_check(even, 1, build_Mn(even, 0))
+
+
+def test_recover_checks_the_given_vector(arc_q13_size6, arc_q11):
+    arc = arc_q13_size6
+    M = build_Mn(arc, 2)
+    v = left_null_basis(M.matrix).basis[0].tolist()
+    assert recover_cosecants(arc, 2, source=v, M=M) == recover_cosecants(arc, 2, M=M)
+    with pytest.raises(SizeOutOfRangeError):
+        recover_cosecants(arc, 2, source=v[:-1], M=M)
+    # ratios read off a vector that is not left-null predict nothing
+    with pytest.raises(NotLeftNullError):
+        recover_cosecants(arc, 2, source=[1] * len(v), M=M)
+    # congruent to v mod 13, but not field element codes
+    with pytest.raises(NotLeftNullError):
+        recover_cosecants(arc, 2, source=[x + 13 for x in v], M=M)
+    # left-null vectors with zero coordinates: the zero vector, and the
+    # null vector of q11 at n = 2, zero at its weight-one row {0,1}
+    with pytest.raises(PropertyWMissingError):
+        recover_cosecants(arc, 2, source=[0] * len(v), M=M)
+    w = left_null_basis(build_Mn(arc_q11, 2).matrix).basis[0]
+    assert w[0] == 0
+    with pytest.raises(PropertyWMissingError):
+        recover_cosecants(arc_q11, 2, source=w)
 
 
 # ----------------------------------------------------------------------

@@ -262,6 +262,29 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_modulus_override(capsys):
+    q13 = str(ARCS_DIR / "q13_size6.arc")
+    # the file's own modulus x - 2, spelled with a comma
+    assert main(["analyze", q13, "--n", "2", "--modulus", "1,11"]) == 0
+    capsys.readouterr()
+    # a quadratic modulus for GF(13), and a value that is no list of integers
+    assert main(["analyze", q13, "--n", "2", "--modulus", "1 2 2"]) == 2
+    assert main(["analyze", q13, "--n", "2", "--modulus", "1 t"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: modulus must have degree 1 (2 coefficients)\n"
+        "error: bad --modulus value '1 t'\n"
+    )
+
+
+def test_main_hypersurface_prints_the_report(capsys):
+    conic = ARCS_DIR / "conic_f5.arc"
+    assert main(["--emit", "structured", "hypersurface", str(conic)]) == 0
+    printed = strip_timings(json.loads(capsys.readouterr().out))
+    assert printed == strip_timings(cmd_hypersurface(parse_arc_file(conic.read_text())))
+
+
 def test_main_even_q_bound_reports_and_exits_zero(capsys):
     assert main(["bound", str(ARCS_DIR / "hyperconic_f8.arc")]) == 0
     out = capsys.readouterr().out

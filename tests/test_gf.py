@@ -9,6 +9,7 @@ from arclab.gf import (
     ElementSyntaxError,
     ExponentOutOfRangeError,
     FieldCtx,
+    FieldError,
     NonPrimitiveGeneratorError,
     NotPrimeError,
     ReduciblePolynomialError,
@@ -84,6 +85,12 @@ def test_construction_errors():
         FieldCtx(3, 2, (1, 2, 1))  # (x+1)^2
     with pytest.raises(NonPrimitiveGeneratorError):
         FieldCtx(3, 2, (1, 0, 1))  # x^2+1 irreducible, x has order 4 != 8
+    with pytest.raises(FieldError, match="extension degree"):
+        FieldCtx(5, 0)
+    with pytest.raises(FieldError, match="degree 2"):
+        FieldCtx(5, 2, (1, 0, 0, 2))  # a cubic for GF(25)
+    with pytest.raises(FieldError, match="monic"):
+        FieldCtx(5, 2, (2, 0, 2))
 
 
 def test_user_modulus_override():
