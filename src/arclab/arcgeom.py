@@ -30,10 +30,11 @@ __all__ = [
 ]
 
 
-# stacked sets per cofactor_normals call: validate_arc's k-subsets, and the
-# incidence masks, whose form values take MASK_CHUNK x N x k cells
+# per cofactor_normals call: DET_CHUNK stacked k-subsets in validate_arc,
+# and incidence masks for about MASK_CELLS form-value cells, a key taking
+# N x k of them for the N points of PG(k-1, q)
 DET_CHUNK = 4096
-MASK_CHUNK = 8
+MASK_CELLS = 1 << 16
 
 
 class BudgetExceededError(RuntimeError):
@@ -284,29 +285,32 @@ class HyperplaneIncidence:
 
     def masks(self, keys):
         """The mask of every key of a list, the uncached ones computed
-        MASK_CHUNK per kernel call: a call per key costs more than the
-        scalar elimination it replaced, a call per node more memory."""
+        about MASK_CELLS form-value cells per kernel call: at desk scale a
+        call's fixed cost outweighs its cost per key, so a node's misses go
+        in as few calls as the cell bound on memory allows."""
         cache = self._masks
         new = [ids for ids in keys if ids not in cache]
-        for i in range(0, len(new), MASK_CHUNK):
-            chunk = new[i : i + MASK_CHUNK]
+        step = max(1, MASK_CELLS // self._coords.size)
+        for i in range(0, len(new), step):
+            chunk = new[i : i + step]
             normals = cofactor_normals(self.ctx, self._vectors[np.array(chunk)])
             off = _form_values(self.ctx, normals, self._coords) != 0
             for ids, row in zip(chunk, np.packbits(off, axis=1, bitorder="little")):
                 cache[ids] = int.from_bytes(row.tobytes(), "little")
         return [cache[ids] for ids in keys]
 
-    def cuts(self, cands: int, cur, vs):
-        """For each v of vs, the candidates left once v joins the arc cur:
-        cands without v and without the points on a hyperplane <v, S>, S a
-        (k-2)-subset of cur.  All their masks are filled at the start."""
-        subs = list(itertools.combinations(cur, self.k - 2))
-        masks = iter(self.masks([sub + (v,) for v in vs for sub in subs]))
-        for v in vs:
-            child = cands & ~(1 << v)
+    def cuts(self, jobs):
+        """For each (subs, w, start) of a list of jobs, start without the
+        points on a hyperplane <S, w>, S in the list subs: the AND of start
+        and the masks of the keys S + (w,).  The uncached masks of all jobs
+        are filled first, in one masks call."""
+        masks = iter(self.masks([sub + (w,) for subs, w, _ in jobs for sub in subs]))
+        out = []
+        for subs, _, start in jobs:
             for _ in subs:
-                child &= next(masks)
-            yield child
+                start &= next(masks)
+            out.append(start)
+        return out
 
     def extensions(self) -> int:
         """Bitset of the points off every hyperplane spanned by k-1 of the
@@ -316,6 +320,16 @@ class HyperplaneIncidence:
         for mask in self.masks(list(itertools.combinations(extra, self.k - 1))):
             cands &= mask
         return cands
+
+
+def _bits(mask: int):
+    """The set bits of a bitset, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -337,7 +351,9 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
 
     Candidates are bitsets over ``projective_points``: adding v removes
     the points on each hyperplane <v, S>, S a (k-2)-subset of the
-    current arc (``HyperplaneIncidence``).
+    current arc (``HyperplaneIncidence``).  Each branch candidate w
+    carries its running cut, the AND of the masks of all <w, S>, so a
+    child ANDs in only the masks of the hyperplanes through its new point.
     """
     ctx = arc.ctx
     k = arc.k
@@ -350,8 +366,10 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
     found = []
     nodes = 0
 
-    def dfs(cands, branches):
-        # cands: every point that extends cur; branches: those to branch on
+    def dfs(cands, cut):
+        # cands: every point that extends cur; cut: for each point w to
+        # branch on, in increasing order, its running cut, the points off
+        # every hyperplane <w, S>, S a (k-2)-subset of cur
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -364,20 +382,34 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
         elif not cands:
             sizes.add(len(cur))
             return
-        vs = []
-        while branches:
-            low = branches & -branches
-            branches ^= low
-            vs.append(low.bit_length() - 1)
-        for v, child in zip(vs, inc.cuts(cands, cur, vs)):
+        if not cut:
+            return
+        vs = list(cut)
+        children = [cands & ~(1 << v) & cut[v] for v in vs]
+        if target_size is not None and len(cur) + 1 >= target_size:
+            child_cuts = [{}] * len(vs)  # the children are leaves
+        else:
+            # the child for v branches only above v, so each set is visited
+            # once; it adds the hyperplanes <w, T + v>, T a (k-3)-subset of
+            # cur, whose masks one cuts call fills for all children
+            ws = [_bits(child >> (v + 1) << (v + 1)) for v, child in zip(vs, children)]
+            subs = list(itertools.combinations(cur, k - 3))
+            jobs = []
+            for v, wv in zip(vs, ws):
+                vsubs = [T + (v,) for T in subs]
+                jobs += [(vsubs, w, cut[w]) for w in wv]
+            new = iter(inc.cuts(jobs))
+            child_cuts = [{w: next(new) for w in wv} for wv in ws]
+        for v, child, child_cut in zip(vs, children, child_cuts):
             cur.append(v)
-            # the child branches only above v, so each set is visited once
-            dfs(child, child >> (v + 1) << (v + 1))
+            dfs(child, child_cut)
             cur.pop()
 
     try:
         cands = inc.extensions()
-        dfs(cands, cands)
+        subs = list(itertools.combinations(cur, k - 2))
+        ws = _bits(cands)
+        dfs(cands, dict(zip(ws, inc.cuts([(subs, w, inc.full) for w in ws]))))
     finally:
         # dfs refers to itself; without this the cycle keeps inc alive
         dfs = None

@@ -17,7 +17,9 @@ exhaustive root finding over the pencil.
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import comb
 
@@ -306,9 +308,9 @@ def recover_cosecants(
     size q+2k+n-1-|G| must restrict to, normalised to 1 at the pivot.
 
     The ratios come from a left-null basis of M_n: M's own when source is
-    None, or the given left-null vector of M_n as a one-row basis (codes
-    outside the field or a vector that is not left-null raise
-    NotLeftNullError).  A zero column of that basis fixes no ratio and
+    None, or the given left-null vector of M_n as a one-row basis (an
+    entry that is not an integer field element code, or a vector that is
+    not left-null, raises NotLeftNullError).  A zero column of that basis fixes no ratio and
     raises PropertyWMissingError: on M's own basis it is a weight-one
     vector in the column space, on a single vector a zero coordinate.
     The route is "null-vector" when the basis has one row, else
@@ -326,10 +328,13 @@ def recover_cosecants(
     if source is None:
         null = left_null_basis(M.matrix)
     else:
-        v = np.array([[int(x) for x in source]], dtype=np.int64)
+        entries = list(source) if isinstance(source, Iterable) else [source]
+        if not all(isinstance(x, (int, np.integer)) and 0 <= x < ctx.q for x in entries):
+            raise NotLeftNullError("the given vector has entries that are not field element codes")
+        v = np.array([entries], dtype=np.int64)
         if v.shape[1] != len(M.rows):
             raise SizeOutOfRangeError("null vector length does not match row count")
-        if not ((v >= 0) & (v < ctx.q)).all() or ops.matmul(v, M.matrix.data).any():
+        if ops.matmul(v, M.matrix.data).any():
             raise NotLeftNullError("the given vector is not a left-null vector of M_n")
         null = LeftNullBasis(ctx, v)
     zero = np.flatnonzero(~null.basis.any(0))
@@ -462,7 +467,8 @@ def _random_arc(inc: HyperplaneIncidence, size, rng):
         cands = inc.full
         for v in order:
             if cands >> v & 1:
-                cands = next(inc.cuts(cands, cur, [v]))
+                subs = list(itertools.combinations(cur, inc.k - 2))
+                (cands,) = inc.cuts([(subs, v, cands & ~(1 << v))])
                 cur.append(v)
                 if len(cur) == size:
                     return [inc.points[i] for i in cur]

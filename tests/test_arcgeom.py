@@ -1,11 +1,13 @@
 import gc
+import itertools
 import random
 from math import comb
 
 import pytest
 
+import arclab.arcgeom as arcgeom
 from arclab.arcgeom import (
-    MASK_CHUNK,
+    MASK_CELLS,
     ArcConfig,
     ArcInputError,
     BudgetExceededError,
@@ -307,6 +309,10 @@ SEARCH_CASES = [
     (3, 2, 3, 5, 7),
     (3, 2, 4, 7, None),
     (3, 2, 4, 7, 9),
+    # k = 5, all q+1 = 5 points of the curve: the hyperplanes a child adds
+    # are <w, T + v>, T two points of the arc
+    (2, 2, 5, 5, None),
+    (2, 2, 5, 5, 7),
 ]
 
 
@@ -325,6 +331,21 @@ def test_complete_search_matches_reference(p, h, k, g, target):
     # node counts and complete sizes are projective invariants
     assert results[0].nodes == results[1].nodes
     assert results[0].complete_sizes == results[1].complete_sizes
+
+
+def test_search_kernel_call_guard(arc_q13_size6, monkeypatch):
+    # a node fills the masks of all its children's new hyperplanes in one
+    # batch: 8 cofactor_normals calls, against 204 with one fill per node
+    calls = []
+    normals = arcgeom.cofactor_normals
+
+    def counting(ctx, sets):
+        calls.append(len(sets))
+        return normals(ctx, sets)
+
+    monkeypatch.setattr(arcgeom, "cofactor_normals", counting)
+    assert complete_search(arc_q13_size6).nodes == 1408
+    assert len(calls) <= 12
 
 
 def test_search_on_short_and_dependent_inputs(F5, F7):
@@ -496,22 +517,24 @@ def test_node_batched_masks_match_single_masks(F7, F9):
         extra = _gl_image(ctx, shuffled_nrc(ctx, k, 1)[: k + 2], rng)
         batched = HyperplaneIncidence(ctx, k, extra)
         n = len(batched.points)
+        chunk = MASK_CELLS // (n * k)
         ids = list(range(n + len(extra)))
-        keys = [tuple(rng.sample(ids, k - 1)) for _ in range(5 * MASK_CHUNK + 3)]
+        # more than one kernel call's worth, the last one part full
+        keys = [tuple(rng.sample(ids, k - 1)) for _ in range(chunk + chunk // 2)]
         keys += [(0,) * (k - 1), (n,) * (k - 1), tuple(range(n, n + k - 1))]
         got = batched.masks(keys)
-        for key, mask in zip(keys, got):
-            single = HyperplaneIncidence(ctx, k, extra)
-            assert single.masks([key]) == [mask]
-            rows = [single.vectors[i] for i in key]
-            assert mask == sum(1 << i for i, w in enumerate(single.points) if ref_det_full(ctx, [w] + rows))
+        single = HyperplaneIncidence(ctx, k, extra)
+        assert [single.masks([key]) for key in keys] == [[mask] for mask in got]
+        for key, mask in list(zip(keys, got))[::7]:
+            rows = [batched.vectors[i] for i in key]
+            assert mask == sum(1 << i for i, w in enumerate(batched.points) if ref_det_full(ctx, [w] + rows))
         assert got[-3] == got[-2] == 0  # dependent tuples
         # the node's children, cut in one batch, equal one cut each
-        cur = list(range(n, n + len(extra)))
-        vs = [v for v in range(n) if batched.extensions() >> v & 1][:9]
+        subs = list(itertools.combinations(range(n, n + len(extra)), k - 2))
         cands = batched.extensions()
-        for v, child in zip(vs, HyperplaneIncidence(ctx, k, extra).cuts(cands, cur, vs)):
-            assert child == next(HyperplaneIncidence(ctx, k, extra).cuts(cands, cur, [v]))
+        jobs = [(subs, v, cands & ~(1 << v)) for v in range(n) if cands >> v & 1][:9]
+        cuts = HyperplaneIncidence(ctx, k, extra).cuts(jobs)
+        assert cuts == [HyperplaneIncidence(ctx, k, extra).cuts([job])[0] for job in jobs]
 
 
 @pytest.mark.parametrize("p,h,bad", [(13, 1, -1), (13, 1, 14), (13, 1, 13), (3, 2, 9), (3, 2, -2)])

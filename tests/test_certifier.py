@@ -495,6 +495,16 @@ def test_recover_checks_the_given_vector(arc_q13_size6, arc_q11):
         recover_cosecants(arc_q11, 2, source=w)
 
 
+def test_recover_rejects_a_non_integer_source(arc_q13_size6):
+    arc = arc_q13_size6
+    M = build_Mn(arc, 2)
+    v = left_null_basis(M.matrix).basis[0]
+    # floats that truncate to v, its entries as strings, and a report
+    for source in ([x + 0.9 for x in v.tolist()], v + 0.9, [str(x) for x in v], property_w(arc, 2, M)):
+        with pytest.raises(NotLeftNullError):
+            recover_cosecants(arc, 2, source=source, M=M)
+
+
 # ----------------------------------------------------------------------
 # v_G
 # ----------------------------------------------------------------------
