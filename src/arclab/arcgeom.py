@@ -299,15 +299,22 @@ class HyperplaneIncidence:
                 cache[ids] = int.from_bytes(row.tobytes(), "little")
         return [cache[ids] for ids in keys]
 
-    def cuts(self, jobs):
-        """For each (subs, w, start) of a list of jobs, start without the
-        points on a hyperplane <S, w>, S in the list subs: the AND of start
-        and the masks of the keys S + (w,).  The uncached masks of all jobs
+    def cuts(self, arc, jobs):
+        """For each (v, w, start) of a list of jobs, start without the
+        points on a hyperplane <S, w>: S a (k-2)-subset of arc + [v] through
+        v, or of arc alone when v is None.  The uncached masks of all jobs
         are filled first, in one masks call."""
-        masks = iter(self.masks([sub + (w,) for subs, w, _ in jobs for sub in subs]))
+        k = self.k
+        subs = {None: list(itertools.combinations(arc, k - 2))}
+        keys = []
+        for v, w, _ in jobs:
+            if v not in subs:
+                subs[v] = [T + (v,) for T in itertools.combinations(arc, k - 3)]
+            keys += [S + (w,) for S in subs[v]]
+        masks = iter(self.masks(keys))
         out = []
-        for subs, _, start in jobs:
-            for _ in subs:
+        for v, _, start in jobs:
+            for _ in subs[v]:
                 start &= next(masks)
             out.append(start)
         return out
@@ -369,11 +376,9 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
     def dfs(cands, cut):
         # cands: every point that extends cur; cut: for each point w to
         # branch on, in increasing order, its running cut, the points off
-        # every hyperplane <w, S>, S a (k-2)-subset of cur
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"search exceeded {budget} nodes")
+        # every hyperplane <w, S>, S a (k-2)-subset of cur.  Each node is
+        # counted before it is visited, by the node that first knows of it,
+        # so no mask is filled for a node past the budget
         if target_size is not None:
             if len(cur) >= target_size:
                 if len(cur) == target_size:
@@ -390,26 +395,32 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
             child_cuts = [{}] * len(vs)  # the children are leaves
         else:
             # the child for v branches only above v, so each set is visited
-            # once; it adds the hyperplanes <w, T + v>, T a (k-3)-subset of
-            # cur, whose masks one cuts call fills for all children
-            ws = [_bits(child >> (v + 1) << (v + 1)) for v, child in zip(vs, children)]
-            subs = list(itertools.combinations(cur, k - 3))
-            jobs = []
-            for v, wv in zip(vs, ws):
-                vsubs = [T + (v,) for T in subs]
-                jobs += [(vsubs, w, cut[w]) for w in wv]
-            new = iter(inc.cuts(jobs))
+            # once; its branch candidates are this node's grandchildren
+            above = [child >> (v + 1) << (v + 1) for v, child in zip(vs, children)]
+            count(sum(a.bit_count() for a in above))
+            # a grandchild w adds the hyperplanes <w, T + v>, T a
+            # (k-3)-subset of cur, whose masks one cuts call fills
+            ws = [_bits(a) for a in above]
+            jobs = [(v, w, cut[w]) for v, wv in zip(vs, ws) for w in wv]
+            new = iter(inc.cuts(cur, jobs))
             child_cuts = [{w: next(new) for w in wv} for wv in ws]
         for v, child, child_cut in zip(vs, children, child_cuts):
             cur.append(v)
             dfs(child, child_cut)
             cur.pop()
 
+    def count(more):
+        nonlocal nodes
+        nodes += more
+        if nodes > budget:
+            raise BudgetExceededError(f"search exceeded {budget} nodes")
+
     try:
         cands = inc.extensions()
-        subs = list(itertools.combinations(cur, k - 2))
-        ws = _bits(cands)
-        dfs(cands, dict(zip(ws, inc.cuts([(subs, w, inc.full) for w in ws]))))
+        # the root branches unless the input has reached the target size
+        ws = [] if target_size is not None and len(cur) >= target_size else _bits(cands)
+        count(1 + len(ws))  # the root and its children
+        dfs(cands, dict(zip(ws, inc.cuts(cur, [(None, w, inc.full) for w in ws]))))
     finally:
         # dfs refers to itself; without this the cycle keeps inc alive
         dfs = None

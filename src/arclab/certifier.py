@@ -17,7 +17,6 @@ exhaustive root finding over the pencil.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -467,8 +466,7 @@ def _random_arc(inc: HyperplaneIncidence, size, rng):
         cands = inc.full
         for v in order:
             if cands >> v & 1:
-                subs = list(itertools.combinations(cur, inc.k - 2))
-                (cands,) = inc.cuts([(subs, v, cands & ~(1 << v))])
+                (cands,) = inc.cuts(cur, [(None, v, cands & ~(1 << v))])
                 cur.append(v)
                 if len(cur) == size:
                     return [inc.points[i] for i in cur]

@@ -1,5 +1,4 @@
 import gc
-import itertools
 import random
 from math import comb
 
@@ -24,6 +23,7 @@ from arclab.arcgeom import (
     subset_iter,
     validate_arc,
 )
+from arclab.certifier import conjecture_scan
 from arclab.gf import FieldCtx
 from arclab.tangentfns import tangent_fn
 
@@ -360,7 +360,9 @@ def test_search_on_short_and_dependent_inputs(F5, F7):
     assert complete_search(flat) == ref_complete_search(flat) == SearchResult((2,), None, 1)
 
 
-@pytest.mark.parametrize("p,h,k,g,target", [(13, 1, 3, 6, None), (3, 2, 4, 7, 9), (7, 1, 3, 4, 6)])
+@pytest.mark.parametrize(
+    "p,h,k,g,target", [(13, 1, 3, 6, None), (3, 2, 4, 7, 9), (7, 1, 3, 4, 6), (7, 1, 3, 4, 4)]
+)
 def test_complete_search_budget_is_exact(p, h, k, g, target):
     ctx = FieldCtx(p, h)
     arc = ArcConfig(ctx, k, _gl_image(ctx, shuffled_nrc(ctx, k, 3)[:g], random.Random(g)))
@@ -368,6 +370,30 @@ def test_complete_search_budget_is_exact(p, h, k, g, target):
     assert complete_search(arc, target_size=target, budget=nodes).nodes == nodes
     with pytest.raises(BudgetExceededError):
         complete_search(arc, target_size=target, budget=nodes - 1)
+
+
+def test_search_over_budget_fills_no_grandchild_masks(monkeypatch):
+    # the 4-point frame of PG(2, 23) has about 500 children and 10^5
+    # grandchildren: a search over budget stops before their masks are
+    # filled, having made only the root's (4 per child, 6 for the frame)
+    ctx = FieldCtx(23)
+    frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    rows = []
+    normals = arcgeom.cofactor_normals
+
+    def counting(ctx, sets):
+        rows.append(len(sets))
+        return normals(ctx, sets)
+
+    monkeypatch.setattr(arcgeom, "cofactor_normals", counting)
+    with pytest.raises(BudgetExceededError):
+        complete_search(ArcConfig(ctx, 3, frame), target_size=6, budget=10_000)
+    assert sum(rows) <= 4 * (23**2 + 23 + 1) + 6
+    # and the conjecture scan falls back to sampling at once
+    rows.clear()
+    res = conjecture_scan(ctx, 3, 3, budget=10_000, samples=2, seed=0)
+    assert res.mode == "sampled" and res.total == 2
+    assert sum(rows) <= 5 * (23**2 + 23 + 1)
 
 
 def test_search_leaves_no_cycle_behind(arc_q13_size6):
@@ -529,12 +555,18 @@ def test_node_batched_masks_match_single_masks(F7, F9):
             rows = [batched.vectors[i] for i in key]
             assert mask == sum(1 << i for i, w in enumerate(batched.points) if ref_det_full(ctx, [w] + rows))
         assert got[-3] == got[-2] == 0  # dependent tuples
-        # the node's children, cut in one batch, equal one cut each
-        subs = list(itertools.combinations(range(n, n + len(extra)), k - 2))
+        # a node's cuts and its children's, in one batch, equal one cut each
+        cur = list(range(n, n + len(extra)))
         cands = batched.extensions()
-        jobs = [(subs, v, cands & ~(1 << v)) for v in range(n) if cands >> v & 1][:9]
-        cuts = HyperplaneIncidence(ctx, k, extra).cuts(jobs)
-        assert cuts == [HyperplaneIncidence(ctx, k, extra).cuts([job])[0] for job in jobs]
+        vs = [v for v in range(n) if cands >> v & 1][:9]
+        jobs = [(None, v, cands & ~(1 << v)) for v in vs]
+        jobs += [(v, w, cands) for v in vs[:3] for w in vs[3:]]
+        cuts = HyperplaneIncidence(ctx, k, extra).cuts(cur, jobs)
+        assert cuts == [HyperplaneIncidence(ctx, k, extra).cuts(cur, [job])[0] for job in jobs]
+        # the hyperplanes through v are those cur + [v] adds to cur's
+        for v, w, start in jobs[len(vs) :]:
+            (base,) = single.cuts(cur, [(None, w, start)])
+            assert single.cuts(cur, [(v, w, base)]) == single.cuts(cur + [v], [(None, w, start)])
 
 
 @pytest.mark.parametrize("p,h,bad", [(13, 1, -1), (13, 1, 14), (13, 1, 13), (3, 2, 9), (3, 2, -2)])
