@@ -436,9 +436,4 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
 
 def subset_iter(n, arity):
     """All arity-subsets of range(n) in colexicographic order."""
-    if arity == 0:
-        yield ()
-        return
-    for last in range(arity - 1, n):
-        for rest in subset_iter(last, arity - 1):
-            yield rest + (last,)
+    yield from sorted(itertools.combinations(range(n), arity), key=lambda s: s[::-1])

@@ -30,7 +30,6 @@ from .arcgeom import (
     BudgetExceededError,
     HyperplaneIncidence,
     InvariantError,
-    _det_products,
     _pencil_basis,
     _pencil_members,
     _projective_line,
@@ -38,7 +37,7 @@ from .arcgeom import (
     subset_iter,
 )
 from .exactmat import GFMatrix, LeftNullBasis, left_null_basis, weight_one_in_colspace
-from .tangentfns import _lagrange_sum, _lagrange_weights, alpha_table
+from .tangentfns import _alpha_terms, _lagrange_sum, _lagrange_weights, alpha_table
 
 __all__ = [
     "SizeOutOfRangeError",
@@ -188,9 +187,11 @@ def bound_scan(arc: ArcConfig) -> BoundScan:
     Non-extendability to size s rules out every size >= s, so the first
     certificate bounds the largest arc containing G by forbidden_size - 1.
     Raises NoCertificateError after n = |G|-k (possible only for even q),
-    carrying a per-n nullity audit.
+    carrying a per-n nullity audit, and SizeOutOfRangeError when |G| < k.
     """
     g, k, q = arc.size, arc.k, arc.ctx.q
+    if g < k:
+        raise SizeOutOfRangeError(f"need |G| >= k, got |G|={g}, k={k}")
     trace = []
     for n in range(g - k + 1):
         M = build_Mn(arc, n)
@@ -317,8 +318,7 @@ def recover_cosecants(
     distinct pencil forms is reported as non-splitting, which itself
     certifies that no such extension exists.
     """
-    g, k = arc.size, arc.k
-    t = g - k - n
+    t = arc.size - arc.k - n
     if t < 1:
         raise SizeOutOfRangeError(f"recovery needs t = |G|-k-n >= 1, got {t}")
     M = _matrix(arc, n, M)
@@ -350,22 +350,27 @@ def recover_cosecants(
 
     # per A: the pivot x, then its first t partners y with rho = -b from
     # the witness; x is its own partner with rho = 1.  Each e sits at
-    # place e - #{a in A : a < e} of A's star
+    # place e - b_e of A's star, b_e = #{a in A : a < e}
     wits = [report.witnesses[A] for A in M.subsets]
     pts = np.array([[w.pivot] + [y for y, _ in w.partners[:t]] for w in wits], dtype=np.int64)
     rho = np.array([[1] + [ctx.neg(b) for _, b in w.partners[:t]] for w in wits], dtype=np.int64)
     at = np.arange(len(wits))[:, None]
     below = (np.array(M.subsets, dtype=np.int64)[:, None, :] < pts[:, :, None]).sum(2)
-    # f_A(y)/f_A(x) = sigma_x sigma_y P_{A+x} / (rho P_{A+y}), rho
-    # = v_G(A+x)/v_G(A+y) read off the witness, sigma_e = (-1)^{(t+1) d_e},
-    # d_e = #{a in A : a > e} = k-2 - #{a in A : a < e}
-    P = ops.div(1, _det_products(arc, M.rows, range(g)))[M.stars[at, pts - below]]
-    vals = ops.div(P[:, :1], ops.mul(rho, P))
-    flip = (below[:, :1] + below) * (t + 1) % 2 == 1
+    place = pts - below
+    # v_G(A+e) = alpha_{A+e} / prod_{z in G-A-e} det(z, A+e), alpha_{A+e}
+    # = +-s_e^{t+1} alpha_A f_A(e) with s_e = (-1)^{b_e}, and the product is
+    # (c_A s_e)^{|G|-k+1} Q_A(e), Q_A(e) = prod D(z, e) over the rest of A's
+    # star.  So with rho = v_G(A+x)/v_G(A+y) read off the witness,
+    # f_A(y)/f_A(x) = (s_x s_y)^n Q_A(y) / (rho Q_A(x)): c_A cancels, and
+    # the sign is the s_e^n of M_n's own columns.  1/Q_A are the Lagrange
+    # weights of the unit values over the whole star
+    W = _lagrange_weights(ctx, M.beta, 1)[at, place]
+    vals = ops.div(W[:, :1], ops.mul(rho, W))
+    flip = (below[:, :1] + below) * n % 2 == 1
     vals[flip] = ops.neg(vals[flip])
     # f_A on the pencil member w2 b1 - w1 b2 through each w of PG(1,q)
     w1, w2 = _projective_line(ctx)
-    beta = M.beta[at, :, pts - below].transpose(0, 2, 1)
+    beta = M.beta[at, :, place].transpose(0, 2, 1)
     hits = _lagrange_sum(ctx, beta, _lagrange_weights(ctx, beta, vals), w1, w2) == 0
     if (hits.sum(1) > t).any():
         raise InvariantError("degree-t function cannot vanish on t+1 directions")
@@ -397,11 +402,8 @@ def vg_vector(full_arc: ArcConfig, g: int) -> VGVector:
     The C coordinate is alpha_C prod_{z in G-C} det(z, C)^{-1}, alpha
     taken from S's tangent functions (degree t = q+k-1-|S|).
     """
-    ctx = full_arc.ctx
-    table = alpha_table(full_arc)
     rows = list(subset_iter(g, full_arc.k - 1))
-    P = ctx.vec_ops().div(1, _det_products(full_arc.prefix(g), rows, range(g))).tolist()
-    return VGVector(g, tuple(ctx.mul(table.alpha(C), p) for C, p in zip(rows, P)))
+    return VGVector(g, tuple(_alpha_terms(alpha_table(full_arc), rows, range(g))))
 
 
 def vG_check(full_arc: ArcConfig, g: int, n: int) -> bool:

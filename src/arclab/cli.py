@@ -101,9 +101,7 @@ def format_arc_file(arc: ArcConfig) -> str:
     head = f"field {ctx.p} {ctx.h}"
     if ctx.h > 1:
         head += " " + " ".join(str(c) for c in ctx.modulus)
-    out = [head, f"k {arc.k}"]
-    for pt in arc.points:
-        out.append(" ".join(ctx.format(x) for x in pt))
+    out = [head, f"k {arc.k}"] + [_fmt_point(ctx, pt) for pt in arc.points]
     return "\n".join(out) + "\n"
 
 
@@ -125,11 +123,13 @@ def _arc_echo(arc: ArcConfig):
     }
 
 
-def _report(command, arc=None, **body):
+def _report(command, t0, arc=None, **body):
+    """The report of a command started at perf_counter() time t0."""
     rep = {"schema_version": SCHEMA_VERSION, "command": command}
     if arc is not None:
         rep["arc"] = _arc_echo(arc)
     rep.update(body)
+    rep["timings"] = {"seconds": round(time.perf_counter() - t0, 6)}
     return rep
 
 
@@ -157,9 +157,8 @@ def cmd_analyze(arc: ArcConfig, n: int) -> dict:
             if cert
             else "no weight-one certificate at this n"
         ),
-        "timings": {"seconds": round(time.perf_counter() - t0, 6)},
     }
-    return _report("analyze", arc, **body)
+    return _report("analyze", t0, arc, **body)
 
 
 def cmd_bound(arc: ArcConfig) -> dict:
@@ -186,8 +185,7 @@ def cmd_bound(arc: ArcConfig) -> dict:
                 row["nullity"] == row["even_q_nullity"] for row in exc.audit
             ),
         }
-    body["timings"] = {"seconds": round(time.perf_counter() - t0, 6)}
-    return _report("bound", arc, **body)
+    return _report("bound", t0, arc, **body)
 
 
 def cmd_cosecants(arc: ArcConfig, n: int) -> dict:
@@ -242,8 +240,7 @@ def cmd_cosecants(arc: ArcConfig, n: int) -> dict:
         body["verdict"] = "t = |G|-k-n < 1: nothing to recover"
     else:
         body["verdict"] = "PropertyWMissing: ratios are not determined by this matrix"
-    body["timings"] = {"seconds": round(time.perf_counter() - t0, 6)}
-    return _report("property-w", arc, **body)
+    return _report("property-w", t0, arc, **body)
 
 
 def cmd_hypersurface(arc: ArcConfig) -> dict:
@@ -270,9 +267,8 @@ def cmd_hypersurface(arc: ArcConfig) -> dict:
             if all(checks.values()) and zero_fails == 0
             else "surface checks FAILED"
         ),
-        "timings": {"seconds": round(time.perf_counter() - t0, 6)},
     }
-    return _report("hypersurface", arc, **body)
+    return _report("hypersurface", t0, arc, **body)
 
 
 def cmd_search(arc: ArcConfig, target=None, budget=2_000_000) -> dict:
@@ -290,8 +286,7 @@ def cmd_search(arc: ArcConfig, target=None, budget=2_000_000) -> dict:
             if res.arcs
             else f"exhaustive: no arc of size {target} contains the input"
         )
-    body["timings"] = {"seconds": round(time.perf_counter() - t0, 6)}
-    return _report("search", arc, **body)
+    return _report("search", t0, arc, **body)
 
 
 def cmd_conjecture(p, h, k, n, budget=200_000, samples=200, seed=0) -> dict:
@@ -310,18 +305,14 @@ def cmd_conjecture(p, h, k, n, budget=200_000, samples=200, seed=0) -> dict:
         "total": res.total,
         "certified": res.certified,
         "fraction": res.fraction,
-        "counterexamples": [
-            [" ".join(ctx.format(x) for x in pt) for pt in pts]
-            for pts in res.counterexamples
-        ],
+        "counterexamples": [[_fmt_point(ctx, pt) for pt in pts] for pts in res.counterexamples],
         "verdict": (
             "all scanned arcs have weight-one certificates"
             if res.certified == res.total
             else f"{res.total - res.certified} scanned arcs lack certificates"
         ),
-        "timings": {"seconds": round(time.perf_counter() - t0, 6)},
     }
-    return _report("conjecture-scan", **body)
+    return _report("conjecture-scan", t0, **body)
 
 
 # ----------------------------------------------------------------------
@@ -385,15 +376,20 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--modulus", default=None, help="override modulus, high to low coefficients")
         return sp
 
+    # each command's run(arc, args) makes its report; arc is None for
+    # conjecture-scan, the one command without an arc file
     sp = arcfile_cmd("analyze")
     sp.add_argument("--n", type=int, required=True)
-    arcfile_cmd("bound")
+    sp.set_defaults(run=lambda arc, a: cmd_analyze(arc, a.n))
+    arcfile_cmd("bound").set_defaults(run=lambda arc, a: cmd_bound(arc))
     sp = arcfile_cmd("property-w", aliases=["cosecants"])
     sp.add_argument("--n", type=int, required=True)
-    arcfile_cmd("hypersurface")
+    sp.set_defaults(run=lambda arc, a: cmd_cosecants(arc, a.n))
+    arcfile_cmd("hypersurface").set_defaults(run=lambda arc, a: cmd_hypersurface(arc))
     sp = arcfile_cmd("search")
     sp.add_argument("--target", type=int, default=None)
     sp.add_argument("--budget", type=int, default=2_000_000)
+    sp.set_defaults(run=lambda arc, a: cmd_search(arc, target=a.target, budget=a.budget))
     sp = sub.add_parser("conjecture-scan")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--h", type=int, default=1)
@@ -402,29 +398,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=200_000)
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
+    sp.set_defaults(run=lambda _, a: cmd_conjecture(a.p, a.h, a.k, a.n, a.budget, a.samples, a.seed))
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command != "conjecture-scan":
-            arc = _load_arc(args.arcfile, _parse_modulus(args.modulus))
-        if args.command == "analyze":
-            report = cmd_analyze(arc, args.n)
-        elif args.command == "bound":
-            report = cmd_bound(arc)
-        elif args.command in ("property-w", "cosecants"):
-            report = cmd_cosecants(arc, args.n)
-        elif args.command == "hypersurface":
-            report = cmd_hypersurface(arc)
-        elif args.command == "search":
-            report = cmd_search(arc, target=args.target, budget=args.budget)
-        else:
-            report = cmd_conjecture(
-                args.p, args.h, args.k, args.n,
-                budget=args.budget, samples=args.samples, seed=args.seed,
-            )
+        no_arc = args.command == "conjecture-scan"
+        arc = None if no_arc else _load_arc(args.arcfile, _parse_modulus(args.modulus))
+        report = args.run(arc, args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

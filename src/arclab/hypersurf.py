@@ -23,13 +23,12 @@ from .arcgeom import (
     ArcConfig,
     ArcInputError,
     InvariantError,
-    _det_products,
     _form_values,
     _projective_line,
     cofactor_normals,
     subset_iter,
 )
-from .tangentfns import alpha_table, arc_degree, tangent_fn
+from .tangentfns import _alpha_terms, alpha_table, arc_degree, tangent_fn
 
 __all__ = [
     "ArcTooSmallError",
@@ -64,11 +63,9 @@ class DualSurface:
 def build_surface(arc: ArcConfig, E=None) -> DualSurface:
     """Assemble the surface data for the arc, E defaulting to the first
     admissible prefix (size k+t-1 for even q, k+2t-1 for odd q)."""
-    ctx = arc.ctx
-    k = arc.k
     t = arc_degree(arc)
-    parity = "even" if ctx.q % 2 == 0 else "odd"
-    esize = k + t - 1 if parity == "even" else k + 2 * t - 1
+    parity, m = ("even", 1) if arc.ctx.q % 2 == 0 else ("odd", 2)
+    esize = arc.k + m * t - 1
     if arc.size < esize:
         raise ArcTooSmallError(
             f"need |S| >= {esize} to choose E for {parity} q, have {arc.size}"
@@ -76,16 +73,9 @@ def build_surface(arc: ArcConfig, E=None) -> DualSurface:
     E = tuple(range(esize)) if E is None else tuple(sorted(E))
     if len(E) != esize:
         raise ArcTooSmallError(f"E must have size {esize}, got {len(E)}")
-    table = alpha_table(arc)
-    Cs = [tuple(E[i] for i in Cpos) for Cpos in subset_iter(esize, k - 1)]
-    coeffs = {}
-    for C, p in zip(Cs, _det_products(arc, Cs, E).tolist()):
-        a = table.alpha(C)
-        if parity == "odd":
-            a = ctx.mul(a, a)
-        coeffs[C] = ctx.div(a, p)
-    degree = t if parity == "even" else 2 * t
-    return DualSurface(arc, E, parity, t, degree, coeffs)
+    Cs = [tuple(E[i] for i in Cpos) for Cpos in subset_iter(esize, arc.k - 1)]
+    coeffs = dict(zip(Cs, _alpha_terms(alpha_table(arc), Cs, E, m)))
+    return DualSurface(arc, E, parity, t, m * t, coeffs)
 
 
 def dual_coords(ctx, vectors):

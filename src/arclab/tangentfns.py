@@ -14,6 +14,8 @@ a subset's members are always taken in increasing position order.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .arcgeom import (
@@ -210,17 +212,21 @@ def check_atoc(table: AlphaTable, A, e) -> bool:
     return table.alpha(A + (e,)) == table.arc.ctx.mul(table.alpha(A), table._step(A, e))
 
 
+def _alpha_terms(table: AlphaTable, Cs, E, m: int = 1) -> list:
+    """alpha_C^m prod_{u in E-C} det(u, C)^{-1} for every (k-1)-subset C
+    of Cs, all given as arc positions: the terms of the-eqn, the
+    coordinates of v_G and the coefficients of the dual surface."""
+    ctx = table.arc.ctx
+    P = _det_products(table.arc, Cs, E).tolist()
+    return [ctx.div(ctx.pow(table.alpha(C), m), p) for C, p in zip(Cs, P)]
+
+
 def check_theeqn(table: AlphaTable, A, E) -> int:
     """Left side of sum_{A < C <= E} alpha_C prod_{u in E-C} det(u,C)^{-1};
     exactly 0 on genuine arcs when |E| = k+t."""
-    arc = table.arc
-    ctx = arc.ctx
     A = tuple(sorted(A))
     E = tuple(sorted(E))
     if not set(A) <= set(E):
         raise ValueError("E must contain A")
     Cs = [tuple(sorted(A + (e,))) for e in E if e not in A]
-    acc = 0
-    for C, p in zip(Cs, _det_products(arc, Cs, E).tolist()):
-        acc = ctx.add(acc, ctx.div(table.alpha(C), p))
-    return acc
+    return reduce(table.arc.ctx.add, _alpha_terms(table, Cs, E), 0)

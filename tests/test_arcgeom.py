@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 from math import comb
 
@@ -258,14 +259,15 @@ def test_subset_colex():
     assert len(subs) == comb(7, 2) == 21
     assert subs[0] == (0, 1)
     assert len(list(subset_iter(11, 5))) == comb(11, 5) == 462
-    # colex order means reversed-tuple lexicographic order
-    assert subs == sorted(subs, key=lambda s: tuple(reversed(s)))
+    # colex order is increasing order of the subsets read as bitmasks
+    for n in range(13):
+        for arity in range(7):
+            want = sorted(itertools.combinations(range(n), arity), key=lambda s: sum(1 << i for i in s))
+            assert list(subset_iter(n, arity)) == want
 
 
 def test_validate_arc_hereditary(arc_q11, F11):
     # every subset of an arc is an arc
-    import itertools
-
     for r in range(3, 7):
         for sub in itertools.combinations(arc_q11.points, r):
             assert validate_arc(F11, 3, sub) is None

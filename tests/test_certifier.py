@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from arclab import arcgeom
 from arclab.arcgeom import (
     ArcConfig,
     BudgetExceededError,
@@ -201,6 +202,25 @@ def test_q81_left_null_fill_guard(arc_q81, monkeypatch):
     assert sum(cells) <= 5_000_000
 
 
+def test_q81_recovery_kernel_call_guard(arc_q81, monkeypatch):
+    # with M_n and its Property W report built, recovery reads its ratios
+    # off M_n's pencil coordinates: no cofactor kernel call, against one
+    # over all 462 rows when it built its own determinant table
+    M = build_Mn(arc_q81, 1)
+    assert property_w(arc_q81, 1, M).holds
+    calls = []
+    normals = arcgeom.cofactor_normals
+
+    def counting(ctx, sets):
+        calls.append(len(sets))
+        return normals(ctx, sets)
+
+    monkeypatch.setattr(arcgeom, "cofactor_normals", counting)
+    pred = recover_cosecants(arc_q81, 1, M=M)
+    assert (pred.route, len(pred.per_A)) == ("null-vector", 330)
+    assert calls == []
+
+
 # ----------------------------------------------------------------------
 # Theorem 1 and the bound scan
 # ----------------------------------------------------------------------
@@ -236,6 +256,12 @@ def test_bound_scan_size_k_arc(F11):
     frame = ArcConfig(F11, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     scan = bound_scan(frame)
     assert scan.n0 == 0
+
+
+def test_bound_scan_rejects_fewer_than_k_points(F13):
+    # no n has 0 <= n <= |G|-k: an empty scan is no even-q audit
+    with pytest.raises(SizeOutOfRangeError, match=r"\|G\| >= k"):
+        bound_scan(ArcConfig(F13, 3, [(1, 0, 0), (0, 1, 0)]))
 
 
 def test_bound_scan_even_q(hyperconic_f8):

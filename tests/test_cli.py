@@ -1,11 +1,13 @@
+import inspect
 import json
 
 import pytest
 
 from arclab import certifier
-from arclab.arcgeom import InvariantError
+from arclab.arcgeom import InvariantError, complete_search
 from arclab.cli import (
     ArcFileError,
+    build_parser,
     cmd_analyze,
     cmd_bound,
     cmd_conjecture,
@@ -260,6 +262,57 @@ def test_main_exit_codes(tmp_path, capsys):
     # cosecants alias works
     assert main(["cosecants", q13, "--n", "2"]) == 0
     capsys.readouterr()
+
+
+def test_main_bound_on_fewer_than_k_points_exits_2(tmp_path, capsys):
+    two = tmp_path / "two.arc"
+    two.write_text("field 13 1\nk 3\n1 0 0\n0 1 0\n")
+    assert main(["bound", str(two)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need |G| >= k, got |G|=2, k=3\n"
+
+
+# every subcommand and alias: its arc (None for conjecture-scan), its
+# options, and the cmd_* call main must make for it
+MAIN_CASES = [
+    ("analyze", "q11_size7", ["--n", "2"], lambda arc: cmd_analyze(arc, 2)),
+    ("bound", "q11_size7", [], cmd_bound),
+    ("property-w", "q13_size6", ["--n", "2"], lambda arc: cmd_cosecants(arc, 2)),
+    ("cosecants", "q13_size9", ["--n", "1"], lambda arc: cmd_cosecants(arc, 1)),
+    ("hypersurface", "conic_f5", [], cmd_hypersurface),
+    ("search", "q13_size6", ["--target", "14"], lambda arc: cmd_search(arc, target=14)),
+    (
+        "conjecture-scan",
+        None,
+        ["--p", "5", "--k", "3", "--n", "1", "--budget", "0", "--samples", "3", "--seed", "7"],
+        lambda _: cmd_conjecture(5, 1, 3, 1, budget=0, samples=3, seed=7),
+    ),
+]
+
+
+@pytest.mark.parametrize("command,arc_name,opts,direct", MAIN_CASES, ids=[c[0] for c in MAIN_CASES])
+def test_main_runs_each_command(command, arc_name, opts, direct, capsys):
+    path = [] if arc_name is None else [str(ARCS_DIR / f"{arc_name}.arc")]
+    assert main(["--emit", "structured", command, *path, *opts]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    report = direct(None if arc_name is None else parse_arc_file(load(f"{arc_name}.arc")))
+    # same keys in the same order, timings last
+    assert list(printed) == list(report) and list(report)[-1] == "timings"
+    assert strip_timings(printed) == strip_timings(report)
+
+
+def test_parser_defaults_match_the_library():
+    search = build_parser().parse_args(["search", "x.arc"])
+    scan = build_parser().parse_args(["conjecture-scan", "--p", "5", "--k", "3", "--n", "1"])
+    for fn, args, names in [
+        (complete_search, search, ["budget"]),
+        (cmd_search, search, ["budget"]),
+        (certifier.conjecture_scan, scan, ["budget", "samples", "seed"]),
+        (cmd_conjecture, scan, ["budget", "samples", "seed"]),
+    ]:
+        params = inspect.signature(fn).parameters
+        assert [getattr(args, name) for name in names] == [params[name].default for name in names]
 
 
 def test_main_modulus_override(capsys):
