@@ -114,6 +114,31 @@ class CertMatrix:
         return self.arc.ctx.q + 2 * self.arc.k + self.n - 1 - self.arc.size
 
 
+def _star_geometry(arc: ArcConfig):
+    """The part of M_n that does not depend on n, built once per arc
+    object and kept on it: rows, subsets, others, stars, pencils and beta
+    as ``CertMatrix`` holds them, and odd[s, j] = whether an odd number
+    of points of subsets[s] lie below others[s, j].  Every M_n of the arc
+    shares these arrays, so they are read-only."""
+    geom = getattr(arc, "_star_geometry", None)
+    if geom is None:
+        g, k = arc.size, arc.k
+        rows = list(subset_iter(g, k - 1))
+        row_index = {c: i for i, c in enumerate(rows)}
+        subsets = list(subset_iter(g, k - 2))
+        others = np.array([[e for e in range(g) if e not in A] for A in subsets], dtype=np.int64)
+        stars = np.array([[row_index[tuple(sorted(A + (e,)))] for e in range(g) if e not in A] for A in subsets])
+        pencils = np.stack(_pencil_basis(arc, subsets)[2:], axis=1)
+        pts = np.array(arc.points, dtype=np.int64).reshape(g, k)
+        beta = arc.ctx.vec_ops().matmul(pencils, pts[others].transpose(0, 2, 1))
+        below = (np.array(subsets, dtype=np.int64).reshape(len(subsets), 1, k - 2) < others[:, :, None]).sum(2)
+        odd = below % 2 == 1
+        for a in (others, stars, pencils, beta, odd):
+            a.flags.writeable = False
+        geom = arc._star_geometry = (rows, subsets, others, stars, pencils, beta, odd)
+    return geom
+
+
 def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
     """Construct M_n, one block per A; requires 0 <= n <= |G| - k.
 
@@ -121,26 +146,20 @@ def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
     row A+e of its star, s_e = (-1)^{#{a in A : a < e}}.  The paper's
     column (A, E) is c_A^n s_e^n prod_{u in G-E} D(u, e) there, a binary
     form of degree n in beta(e), and these forms span all n+1 monomials,
-    so both matrices have the same column space."""
+    so both matrices have the same column space.  The stars and beta come
+    from the arc's star geometry, so each n only fills its powers."""
     g, k = arc.size, arc.k
     if n < 0 or g < k + n:
         raise SizeOutOfRangeError(f"need 0 <= n <= |G|-k, got n={n}, |G|={g}")
     ops = arc.ctx.vec_ops()
-    rows = list(subset_iter(g, k - 1))
-    row_index = {c: i for i, c in enumerate(rows)}
-    subsets = list(subset_iter(g, k - 2))
-    others = np.array([[e for e in range(g) if e not in A] for A in subsets], dtype=np.int64)
-    stars = np.array([[row_index[tuple(sorted(A + (e,)))] for e in range(g) if e not in A] for A in subsets])
-    pencils = np.stack(_pencil_basis(arc, subsets)[2:], axis=1)
-    pts = np.array(arc.points, dtype=np.int64).reshape(g, k)
-    beta = ops.matmul(pencils, pts[others].transpose(0, 2, 1))
+    rows, subsets, others, stars, pencils, beta, odd = _star_geometry(arc)
     # powers[..., i] = beta1^i beta2^(n-i) over every star
     powers = np.ones((*others.shape, n + 1), dtype=np.int64)
     for i in range(n):
         powers[..., : i + 1] = ops.mul(powers[..., : i + 1], beta[:, 1, :, None])
         powers[..., i + 1 :] = ops.mul(powers[..., i + 1 :], beta[:, 0, :, None])
-    below = (np.array(subsets, dtype=np.int64).reshape(len(subsets), 1, k - 2) < others[:, :, None]).sum(2)
-    powers = np.where((below * n % 2 == 1)[..., None], ops.neg(powers), powers)
+    if n % 2:
+        powers = np.where(odd[..., None], ops.neg(powers), powers)
     cols = np.arange(len(subsets) * (n + 1)).reshape(len(subsets), 1, n + 1)
     data = np.zeros((len(rows), cols.size), dtype=np.int64)
     data[stars[:, :, None], cols] = powers

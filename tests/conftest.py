@@ -139,6 +139,33 @@ def same_left_null(ctx, a, b):
     return len(na) == len(nb) == left_null_basis(stacked).nullity
 
 
+def ref_left_null_dense(matrix):
+    """The left null basis by the dense loop that ``left_null_basis`` used
+    before its column-sparse steps: the same bottom-up order and pivots,
+    rows exchanged in place and every target row updated across the full
+    width from the pivot column on.  The sparse loop must match it bit
+    for bit."""
+    ops = matrix.ctx.vec_ops()
+    m, n = matrix.rows, matrix.cols
+    work = np.concatenate([matrix.data[::-1], np.eye(m, dtype=np.int64)[::-1]], axis=1)
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.flatnonzero(work[r:, c])
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            work[[r, pr], c:] = work[[pr, r], c:]
+        targets = np.flatnonzero(work[r + 1 :, c]) + (r + 1)
+        if targets.size:
+            f = ops.neg(ops.div(work[targets, c], work[r, c]))
+            work[targets, c:] = ops.addmul(work[targets, c:], f, work[r, c:])
+        r += 1
+    return work[r:, n:].copy()
+
+
 def laplace_det(ctx, rows):
     """Cofactor-expansion determinant: the independent oracle."""
     n = len(rows)

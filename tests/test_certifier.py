@@ -2,6 +2,7 @@ import itertools
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from arclab import arcgeom
@@ -46,6 +47,7 @@ from conftest import (
     ref_det_full,
     ref_alpha,
     ref_left_null,
+    ref_left_null_dense,
     ref_build_Mn,
     ref_cosecants_through,
     ref_interpolate_fA,
@@ -152,7 +154,10 @@ def test_index_round_trips(arc_q11):
             assert M.rows[r] == tuple(sorted(A + (x,)))
 
 
-@pytest.mark.parametrize("name", ["conic_f5", "hyperconic_f8", "q11_size7", "q13_size6", "q13_size9", "q81_size11"])
+SHIPPED_ARCS = ["conic_f5", "hyperconic_f8", "q11_size7", "q13_size6", "q13_size9", "q81_size11"]
+
+
+@pytest.mark.parametrize("name", SHIPPED_ARCS)
 def test_build_null_space_matches_reference(name):
     # every n (the paper-literal M_n has at most 11,550 columns), on the
     # shipped arc and on a GL image of it (q = 81 at n = 1 only)
@@ -186,9 +191,26 @@ def test_q81_left_null_basis_independent_checks(arc_q81, image):
         assert null.nullity == M.rows - rank_t
 
 
+def test_left_null_basis_matches_dense_loop():
+    # the column-sparse pivot steps change no bit of the basis: all 34
+    # (arc, n) cases of the shipped arcs, and every n of a dense GL image
+    # of the q = 81 arc
+    from arclab.cli import parse_arc_file
+
+    arcs = {name: parse_arc_file((ARCS_DIR / f"{name}.arc").read_text()) for name in SHIPPED_ARCS}
+    cases = [(arc, n) for arc in arcs.values() for n in range(arc.size - arc.k + 1)]
+    assert len(cases) == 34
+    cases += [(gl_image(arcs["q81_size11"], 17), n) for n in range(6)]
+    for G, n in cases:
+        M = build_Mn(G, n).matrix
+        assert np.array_equal(left_null_basis(M).basis, ref_left_null_dense(M)), (G, n)
+
+
 def test_q81_left_null_fill_guard(arc_q81, monkeypatch):
-    # bottom-up elimination keeps the fill of M_1 in a trailing block:
-    # 4,598,686 cell updates, against 27,421,990 top-down
+    # bottom-up elimination keeps the fill of M_1 in a trailing block, and
+    # each step updates only the columns where its pivot row is nonzero:
+    # 931 k cell updates, against 4.6 M over the pivot row's whole width
+    # and 27.4 M top-down
     M = build_Mn(arc_q81, 1).matrix
     cells = []
     addmul = VecOps.addmul
@@ -200,6 +222,7 @@ def test_q81_left_null_fill_guard(arc_q81, monkeypatch):
     monkeypatch.setattr(VecOps, "addmul", counting)
     left_null_basis(M)
     assert sum(cells) <= 5_000_000
+    assert sum(cells) <= 1_000_000
 
 
 def test_q81_recovery_kernel_call_guard(arc_q81, monkeypatch):
@@ -281,6 +304,37 @@ def test_bound_scan_sound_on_normal_rational_curve_subsets(p, h, k, g):
     G = ArcConfig(ctx, k, shuffled_nrc(ctx, k, g)[:g])
     for arc in (G, gl_image(G, 3)):
         assert bound_scan(arc).max_size_bound >= ctx.q + 1
+
+
+def test_bound_scan_sound_above_desk_scale(F81):
+    # 13 points of the GF(81) normal rational curve at k = 6 extend to its
+    # q+1 = 82 points, so no n may forbid 82; the scan eliminates M_0..M_4,
+    # 1,287 rows and up to 3,575 columns, so one arc and no GL image keep
+    # this near 1 s
+    G = ArcConfig(F81, 6, shuffled_nrc(F81, 6, 13)[:13])
+    scan = bound_scan(G)
+    assert scan.max_size_bound >= F81.q + 1
+    assert (scan.n0, scan.max_size_bound) == (4, 82)
+
+
+def test_bound_scan_builds_star_geometry_once(F8, monkeypatch):
+    # every M_n of one arc object shares its star geometry, so the whole
+    # scan makes one pencil-basis kernel call (30 sets), not one per n (8)
+    arc = ArcConfig(F8, 3, hyperoval(F8))
+    calls = []
+    normals = arcgeom.cofactor_normals
+
+    def counting(ctx, sets):
+        calls.append(len(sets))
+        return normals(ctx, sets)
+
+    monkeypatch.setattr(arcgeom, "cofactor_normals", counting)
+    with pytest.raises(NoCertificateError):
+        bound_scan(arc)
+    assert calls == [30]
+    M0, M1 = build_Mn(arc, 0), build_Mn(arc, 1)
+    assert M0.stars is M1.stars and M0.beta is M1.beta
+    assert calls == [30]
 
 
 @pytest.mark.parametrize("h,modulus,g", [(4, None, 10), (5, (1, 0, 0, 1, 0, 1), 12)], ids=["q16", "q32"])
