@@ -30,11 +30,13 @@ __all__ = [
 ]
 
 
-# per cofactor_normals call: DET_CHUNK stacked k-subsets in validate_arc,
-# and incidence masks for about MASK_CELLS form-value cells, a key taking
-# N x k of them for the N points of PG(k-1, q)
+# per cofactor_normals call: DET_CHUNK stacked sets (k-subsets in
+# validate_arc, spanning sets of hyperplanes in the search); per table fill
+# about MASK_CELLS form-value cells; per search batch at most BATCH_ENTRIES
+# branch entries, except that a node with more goes alone
 DET_CHUNK = 4096
 MASK_CELLS = 1 << 16
+BATCH_ENTRIES = 1024
 
 
 class BudgetExceededError(RuntimeError):
@@ -264,13 +266,15 @@ def projective_points(ctx, k):
 class HyperplaneIncidence:
     """Which points of PG(k-1, q) lie on which hyperplanes, as bitsets.
 
-    Point i of ``projective_points`` is bit i of a Python int.  The
-    vectors of ``extra`` (arc points, which need not be in canonical form)
-    get the ids N, N+1, ... after the N projective points.  The mask of a
-    key, a tuple of k-1 ids, is the bitset of the points off the hyperplane
-    spanned by those vectors, that is of the w with det(w, ids) != 0; it is
-    0 when the vectors are dependent, since their normal is zero.  Masks are cached by id tuple for the life of the object,
-    so make one per search and drop it afterwards.
+    A bitset is a row of W = ceil(N/64) int64 words, point i of the N
+    ``projective_points`` being bit i % 64 of word i // 64.  The vectors of
+    ``extra`` (arc points, which need not be in canonical form) get the ids
+    N, N+1, ... after the points.  Hyperplane h is the one whose normal in
+    canonical form (first nonzero 1) is point h, and row h of one (N+1, W)
+    table is the bitset of the points off it; row N, the zero mask, is that
+    of a dependent set, whose normal is zero.  Rows are filled on first use
+    and kept for the life of the object, so make one per search and drop it
+    afterwards.
     """
 
     def __init__(self, ctx, k, extra=()):
@@ -278,65 +282,59 @@ class HyperplaneIncidence:
         self.k = k
         self.points = list(projective_points(ctx, k))
         self.vectors = self.points + [tuple(v) for v in extra]
-        self.full = (1 << len(self.points)) - 1
-        self._coords = np.array(self.points, dtype=np.int64)
+        n = len(self.points)
         self._vectors = np.array(self.vectors, dtype=np.int64)
-        self._masks = {}
+        self.table = np.zeros((n + 1, -(-n // 64)), dtype=np.int64)
+        self._filled = np.arange(n + 1) == n
+        self.full = _pack(np.ones((1, n), dtype=bool))[0]
+        # point c with lead l comes c . pows - pows[l] after those of lead < l
+        self._pows = ctx.q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        self._shift = np.cumsum(self._pows) - 2 * self._pows
 
-    def masks(self, keys):
-        """The mask of every key of a list, the uncached ones computed
-        about MASK_CELLS form-value cells per kernel call: at desk scale a
-        call's fixed cost outweighs its cost per key, so a node's misses go
-        in as few calls as the cell bound on memory allows."""
-        cache = self._masks
-        new = [ids for ids in keys if ids not in cache]
-        step = max(1, MASK_CELLS // self._coords.size)
-        for i in range(0, len(new), step):
-            chunk = new[i : i + step]
-            normals = cofactor_normals(self.ctx, self._vectors[np.array(chunk)])
-            off = _form_values(self.ctx, normals, self._coords) != 0
-            for ids, row in zip(chunk, np.packbits(off, axis=1, bitorder="little")):
-                cache[ids] = int.from_bytes(row.tobytes(), "little")
-        return [cache[ids] for ids in keys]
+    def index(self, normals):
+        """The hyperplane of every row of an (M, k) array of normals."""
+        lead = (normals != 0).argmax(1)
+        scale = normals[np.arange(len(normals)), lead]
+        canon = self.ctx.vec_ops().div(normals, scale[:, None])
+        return np.where(scale != 0, canon @ self._pows + self._shift[lead], len(self.points))
 
-    def cuts(self, arc, jobs):
-        """For each (v, w, start) of a list of jobs, start without the
-        points on a hyperplane <S, w>: S a (k-2)-subset of arc + [v] through
-        v, or of arc alone when v is None.  The uncached masks of all jobs
-        are filled first, in one masks call."""
-        k = self.k
-        subs = {None: list(itertools.combinations(arc, k - 2))}
-        keys = []
-        for v, w, _ in jobs:
-            if v not in subs:
-                subs[v] = [T + (v,) for T in itertools.combinations(arc, k - 3)]
-            keys += [S + (w,) for S in subs[v]]
-        masks = iter(self.masks(keys))
-        out = []
-        for v, _, start in jobs:
-            for _ in subs[v]:
-                start &= next(masks)
-            out.append(start)
+    def cut(self, base, ids):
+        """base AND the masks of the hyperplanes spanned by id tuples, an
+        (E, m, k-1) array, one row per E: DET_CHUNK tuples per kernel call,
+        then the missing rows about MASK_CELLS form-value cells at a time."""
+        ids = np.asarray(ids, dtype=np.int64).reshape(len(ids), -1, self.k - 1)
+        sets = self._vectors[ids.reshape(-1, self.k - 1)]
+        h = np.zeros(len(sets), dtype=np.int64)
+        for i in range(0, len(sets), DET_CHUNK):
+            h[i : i + DET_CHUNK] = self.index(cofactor_normals(self.ctx, sets[i : i + DET_CHUNK]))
+        new = np.zeros_like(self._filled)
+        new[h] = True
+        new = np.flatnonzero(new & ~self._filled)
+        pts = self._vectors[: len(self.points)]
+        step = max(1, MASK_CELLS // pts.size)
+        for rows in (new[i : i + step] for i in range(0, len(new), step)):
+            self.table[rows] = _pack(_form_values(self.ctx, pts[rows], pts) != 0)
+        self._filled[new] = True
+        out = np.array(np.broadcast_to(base, (len(ids), self.table.shape[1])))
+        for col in h.reshape(ids.shape[:2]).T:
+            out &= self.table[col]
         return out
 
-    def extensions(self) -> int:
+    def extensions(self):
         """Bitset of the points off every hyperplane spanned by k-1 of the
         extra vectors: the v for which extra + [v] is still an arc."""
-        cands = self.full
         extra = range(len(self.points), len(self.vectors))
-        for mask in self.masks(list(itertools.combinations(extra, self.k - 1))):
-            cands &= mask
-        return cands
+        return self.cut(self.full, [list(itertools.combinations(extra, self.k - 1))])[0]
 
 
-def _bits(mask: int):
-    """The set bits of a bitset, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return out
+def _pack(bits):
+    """Rows of booleans as rows of bitsets."""
+    wide = np.zeros((len(bits), -(-bits.shape[1] // 64) * 64), dtype=bool)
+    wide[:, : bits.shape[1]] = bits
+    return np.packbits(wide, axis=1, bitorder="little").view("<i8").astype(np.int64, copy=False)
+
+
+_BIT = np.array([1 << j for j in range(64)], dtype=np.uint64).view(np.int64)  # bit j of a word
 
 
 @dataclass(frozen=True)
@@ -357,75 +355,76 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
     exhaustion proof.
 
     Candidates are bitsets over ``projective_points``: adding v removes
-    the points on each hyperplane <v, S>, S a (k-2)-subset of the
-    current arc (``HyperplaneIncidence``).  Each branch candidate w
-    carries its running cut, the AND of the masks of all <w, S>, so a
-    child ANDs in only the masks of the hyperplanes through its new point.
+    the points on each hyperplane <v, S>, S a (k-2)-subset of the current
+    arc (``HyperplaneIncidence``).  numpy expands a batch of nodes of one
+    depth at once: their id paths and candidates, and their branch entries
+    (node, w, running cut) sorted by node, then w, the cut being the AND of
+    the masks of every <w, S>.  Each entry becomes a child, cands & cut
+    without w.  The grandchildren of the child for w are the later entries
+    w' of its node that it keeps, one bit test per pair of entries; all are
+    counted against the budget before their cuts AND in the hyperplanes
+    <w', T + w>, T a (k-3)-subset of the node's path.  The children with
+    grandchildren go on a stack in batches of whole nodes and at most
+    BATCH_ENTRIES entries, so the order stays depth first and memory stays
+    bounded.  Sorting the id paths of the arcs found gives DFS preorder.
     """
-    ctx = arc.ctx
-    k = arc.k
+    ctx, k = arc.ctx, arc.k
     if target_size is not None and target_size > ctx.q + k - 1:
         raise ArcInputError(f"target size {target_size} exceeds q+k-1")
     inc = HyperplaneIncidence(ctx, k, arc.points)
     n = len(inc.points)
-    cur = list(range(n, n + arc.size))
-    sizes = set()
-    found = []
-    nodes = 0
-
-    def dfs(cands, cut):
-        # cands: every point that extends cur; cut: for each point w to
-        # branch on, in increasing order, its running cut, the points off
-        # every hyperplane <w, S>, S a (k-2)-subset of cur.  Each node is
-        # counted before it is visited, by the node that first knows of it,
-        # so no mask is filled for a node past the budget
-        if target_size is not None:
-            if len(cur) >= target_size:
-                if len(cur) == target_size:
-                    found.append(tuple(inc.vectors[i] for i in cur))
-                return
-        elif not cands:
-            sizes.add(len(cur))
-            return
-        if not cut:
-            return
-        vs = list(cut)
-        children = [cands & ~(1 << v) & cut[v] for v in vs]
-        if target_size is not None and len(cur) + 1 >= target_size:
-            child_cuts = [{}] * len(vs)  # the children are leaves
-        else:
-            # the child for v branches only above v, so each set is visited
-            # once; its branch candidates are this node's grandchildren
-            above = [child >> (v + 1) << (v + 1) for v, child in zip(vs, children)]
-            count(sum(a.bit_count() for a in above))
-            # a grandchild w adds the hyperplanes <w, T + v>, T a
-            # (k-3)-subset of cur, whose masks one cuts call fills
-            ws = [_bits(a) for a in above]
-            jobs = [(v, w, cut[w]) for v, wv in zip(vs, ws) for w in wv]
-            new = iter(inc.cuts(cur, jobs))
-            child_cuts = [{w: next(new) for w in wv} for wv in ws]
-        for v, child, child_cut in zip(vs, children, child_cuts):
-            cur.append(v)
-            dfs(child, child_cut)
-            cur.pop()
-
-    def count(more):
-        nonlocal nodes
-        nodes += more
-        if nodes > budget:
-            raise BudgetExceededError(f"search exceeded {budget} nodes")
-
-    try:
-        cands = inc.extensions()
-        # the root branches unless the input has reached the target size
-        ws = [] if target_size is not None and len(cur) >= target_size else _bits(cands)
-        count(1 + len(ws))  # the root and its children
-        dfs(cands, dict(zip(ws, inc.cuts(cur, [(None, w, inc.full) for w in ws]))))
-    finally:
-        # dfs refers to itself; without this the cycle keeps inc alive
-        dfs = None
+    sizes, found = set(), []
+    cands = inc.extensions()[None]
+    ws = np.flatnonzero(np.unpackbits(cands.astype("<i8", copy=False).view(np.uint8), bitorder="little"))
+    if target_size is None and not cands.any():
+        sizes.add(arc.size)
+    elif target_size is not None and arc.size >= target_size:
+        ws = ws[:0]  # the input has reached the target size
+        if arc.size == target_size:
+            found.append(tuple(range(n, n + arc.size)))
+    nodes = 1 + len(ws)  # the root and its children
+    root = (np.arange(n, n + arc.size)[None], cands, np.zeros(len(ws), dtype=np.int64), ws, inc.full)
+    stack = [root] if len(ws) else []
+    while stack and nodes <= budget:
+        paths, cands, node, ws, base = stack.pop()
+        d = paths.shape[1]
+        ext = np.column_stack([paths[node], ws])  # the children's paths
+        if target_size is not None and d + 1 >= target_size:
+            if d + 1 == target_size:
+                found += map(tuple, ext.tolist())
+            continue
+        # the hyperplanes <w, S> new to each entry: S through the node's last point, any S at the root
+        cols = [S + (d,) for S in itertools.combinations(range(d), k - 2) if d == arc.size or d - 1 in S]
+        cut = inc.cut(base, ext[:, np.array(cols, dtype=np.int64).reshape(-1, k - 1)])
+        children = cands[node] & cut
+        children[np.arange(len(ws)), ws >> 6] &= ~_BIT[ws & 63]
+        if target_size is None and not children.any(1).all():
+            sizes.add(d + 1)
+        # the pairs e < f of entries of one node, then those the child keeps
+        stop = np.append(np.flatnonzero(np.diff(node)) + 1, len(node))
+        more = stop[node] - np.arange(len(node)) - 1
+        e = np.repeat(np.arange(len(node)), more)
+        f = e + 1 + np.arange(len(e)) - np.repeat(np.cumsum(more) - more, more)
+        keep = children[e, ws[f] >> 6] & _BIT[ws[f] & 63] != 0
+        e, f = e[keep], f[keep]
+        nodes += len(e)
+        kids = np.zeros(len(ws), dtype=bool)
+        kids[e] = True
+        at = np.flatnonzero(kids)
+        paths, cands, node, ws, base = ext[at], children[at], np.cumsum(kids)[e] - 1, ws[f], cut[f]
+        # batches of whole nodes and at most BATCH_ENTRIES entries, the first on top
+        stop = np.append(np.flatnonzero(np.diff(node)) + 1, len(node))
+        batches, lo, a = [], 0, 0
+        while lo < len(at):
+            hi = max(lo + 1, int(np.searchsorted(stop, a + BATCH_ENTRIES, side="right")))
+            b = int(stop[hi - 1])
+            batches.append((paths[lo:hi], cands[lo:hi], node[a:b] - lo, ws[a:b], base[a:b]))
+            lo, a = hi, b
+        stack += reversed(batches)
+    if nodes > budget:
+        raise BudgetExceededError(f"search exceeded {budget} nodes")
     if target_size is not None:
-        return SearchResult(None, tuple(found), nodes)
+        return SearchResult(None, tuple(tuple(inc.vectors[i] for i in ids) for ids in sorted(found)), nodes)
     return SearchResult(tuple(sorted(sizes)), None, nodes)
 
 

@@ -17,6 +17,7 @@ exhaustive root finding over the pencil.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -486,8 +487,9 @@ def _random_arc(inc: HyperplaneIncidence, size, rng):
         cur = []
         cands = inc.full
         for v in order:
-            if cands >> v & 1:
-                (cands,) = inc.cuts(cur, [(None, v, cands & ~(1 << v))])
+            if int(cands[v >> 6]) >> (v & 63) & 1:
+                # v is visited once, so it need not leave cands
+                cands = inc.cut(cands, [[S + (v,) for S in itertools.combinations(cur, inc.k - 2)]])[0]
                 cur.append(v)
                 if len(cur) == size:
                     return [inc.points[i] for i in cur]

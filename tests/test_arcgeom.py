@@ -1,13 +1,14 @@
+import functools
 import gc
 import itertools
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 import arclab.arcgeom as arcgeom
 from arclab.arcgeom import (
-    MASK_CELLS,
     ArcConfig,
     ArcInputError,
     BudgetExceededError,
@@ -136,9 +137,14 @@ def pencil_members(arc, A):
     return [tuple(f) for f in _pencil_members(arc.ctx, b1, b2, *_projective_line(arc.ctx)).tolist()]
 
 
+def as_int(words):
+    """A bitset of 64-bit words as a Python int: point i is bit i."""
+    return int.from_bytes(words.astype("<u8").tobytes(), "little")
+
+
 def extensions(arc):
     """The bitset of points v with arc + v still an arc."""
-    return HyperplaneIncidence(arc.ctx, arc.k, arc.points).extensions()
+    return as_int(HyperplaneIncidence(arc.ctx, arc.k, arc.points).extensions())
 
 
 def test_pencil_counts_and_annihilation(conic_f5, F5):
@@ -318,16 +324,23 @@ SEARCH_CASES = [
 ]
 
 
-@pytest.mark.parametrize("p,h,k,g,target", SEARCH_CASES)
-def test_complete_search_matches_reference(p, h, k, g, target):
+@functools.lru_cache(maxsize=None)
+def _search_case(p, h, k, g, target):
+    """The curve prefix of a search case and a GL image of it, each with
+    its reference search."""
     ctx = FieldCtx(p, h)
     rng = random.Random(p * 100 + k * 10 + g)
     prefix = shuffled_nrc(ctx, k, p + k)[:g]
+    arcs = [ArcConfig(ctx, k, pts) for pts in (prefix, _gl_image(ctx, prefix, rng))]
+    return [(arc, ref_complete_search(arc, target_size=target)) for arc in arcs]
+
+
+@pytest.mark.parametrize("p,h,k,g,target", SEARCH_CASES)
+def test_complete_search_matches_reference(p, h, k, g, target):
     results = []
-    for pts in (prefix, _gl_image(ctx, prefix, rng)):
-        arc = ArcConfig(ctx, k, pts)
+    for arc, ref in _search_case(p, h, k, g, target):
         got = complete_search(arc, target_size=target)
-        assert got == ref_complete_search(arc, target_size=target)
+        assert got == ref
         assert extensions(arc) == ref_extension_mask(arc)
         results.append(got)
     # node counts and complete sizes are projective invariants
@@ -335,9 +348,23 @@ def test_complete_search_matches_reference(p, h, k, g, target):
     assert results[0].complete_sizes == results[1].complete_sizes
 
 
+@pytest.mark.parametrize("p,h,k,g,target", SEARCH_CASES)
+def test_search_batch_cap_invariance(p, h, k, g, target, monkeypatch):
+    # one node per batch, or every node of a level in one: the same arcs
+    # in the same order, and at cap 1 the same exact budget
+    for cap in (1, 10**9):
+        monkeypatch.setattr(arcgeom, "BATCH_ENTRIES", cap)
+        for arc, ref in _search_case(p, h, k, g, target):
+            assert complete_search(arc, target_size=target) == ref
+            if cap == 1:
+                assert complete_search(arc, target_size=target, budget=ref.nodes) == ref
+                with pytest.raises(BudgetExceededError):
+                    complete_search(arc, target_size=target, budget=ref.nodes - 1)
+
+
 def test_search_kernel_call_guard(arc_q13_size6, monkeypatch):
-    # a node fills the masks of all its children's new hyperplanes in one
-    # batch: 8 cofactor_normals calls, against 204 with one fill per node
+    # one kernel call per batch of nodes for all their children's new
+    # hyperplanes: 10 cofactor_normals calls, against 204 with one per node
     calls = []
     normals = arcgeom.cofactor_normals
 
@@ -398,8 +425,25 @@ def test_search_over_budget_fills_no_grandchild_masks(monkeypatch):
     assert sum(rows) <= 5 * (23**2 + 23 + 1)
 
 
+def test_search_results_pinned_above_desk_scale():
+    # recorded from the one-node-at-a-time DFS: the 7-point conic prefixes
+    # of the prime-search benchmark at q = 17 and of a shuffle at q = 19
+    F17 = FieldCtx(17)
+    nrc17 = ArcConfig(F17, 3, moment_curve(F17, 3, range(7)))
+    want = SearchResult((10, 11, 12, 13, 14, 18), None, 11570)
+    assert complete_search(nrc17) == complete_search(gl_image(nrc17, 7)) == want
+    # the conic is the one completion to q+1, its points after the prefix
+    # in the order of projective_points
+    conic = set(moment_curve(F17, 3, range(17), infinity=True))
+    rest = tuple(v for v in projective_points(F17, 3) if v in conic and v not in nrc17.points)
+    assert complete_search(nrc17, target_size=18) == SearchResult(None, (nrc17.points + rest,), 11570)
+    F19 = FieldCtx(19)
+    prefix = ArcConfig(F19, 3, shuffled_nrc(F19, 3, 5)[:7])
+    assert complete_search(prefix) == SearchResult((10, 11, 12, 13, 14, 20), None, 111230)
+
+
 def test_search_leaves_no_cycle_behind(arc_q13_size6):
-    # the mask cache lives only as long as one call, also when it raises
+    # the mask table lives only as long as one call, also when it raises
     gc.collect()
     gc.disable()
     try:
@@ -418,7 +462,74 @@ def test_incidence_masks_match_determinants(F9):
     for ids in [(0, 5), (3, n), (7, 7)]:
         rows = [inc.vectors[i] for i in ids]
         want = sum(1 << i for i, w in enumerate(inc.points) if det_full(F9, [w] + rows))
-        assert inc.masks([ids]) == [want]
+        assert as_int(inc.cut(inc.full, [[ids]])[0]) == want
+
+
+@pytest.mark.parametrize("p,h", [(2, 2), (7, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_hyperplane_index_and_table_rows(p, h, k):
+    ctx = FieldCtx(p, h)
+    rng = random.Random(p * 100 + h * 10 + k)
+    inc = HyperplaneIncidence(ctx, k)
+    n = len(inc.points)
+    coords = np.array(inc.points)
+    # each canonical point indexes to its own position, also rescaled
+    assert inc.index(coords).tolist() == list(range(n))
+    scale = np.array([rng.randrange(1, ctx.q) for _ in range(n)])
+    assert inc.index(ctx.vec_ops().mul(coords, scale[:, None])).tolist() == list(range(n))
+    assert inc.index(np.zeros((2, k), dtype=np.int64)).tolist() == [n, n]
+    # a table row is the determinant incidence of every set spanning it;
+    # a dependent set gives the zero row N
+    spanning = [rng.sample(range(n), k - 1) for _ in range(1 if k == 5 else 3)]
+    dependent = [[0] * (k - 1), [1, 1] + rng.sample(range(n), k - 3)]
+    got = inc.cut(inc.full, np.array(spanning + dependent)[:, None])
+    for ids, row in zip(spanning, got):
+        rows = [inc.points[i] for i in ids]
+        assert as_int(row) == sum(1 << i for i, w in enumerate(inc.points) if ref_det_full(ctx, [w] + rows))
+        normal = cofactor_normals(ctx, np.array(rows)[None])
+        assert (inc.table[inc.index(normal)[0]] == row).all()
+    assert not got[len(spanning) :].any() and not inc.table[n].any()
+    filled = np.flatnonzero(inc.table.any(1))
+    for hp in filled:
+        assert as_int(inc.table[hp]) == sum(1 << i for i, w in enumerate(inc.points) if dot(ctx, inc.points[hp], w))
+
+
+def test_node_batched_masks_match_single_masks(F7, F9, monkeypatch):
+    for ctx, k in ((F7, 4), (F9, 3)):
+        rng = random.Random(ctx.q)
+        extra = _gl_image(ctx, shuffled_nrc(ctx, k, 1)[: k + 2], rng)
+        inc = HyperplaneIncidence(ctx, k, extra)
+        n = len(inc.points)
+        ids = list(range(n + len(extra)))
+        keys = [rng.sample(ids, k - 1) for _ in range(60)]
+        keys += [[0] * (k - 1), [n] * (k - 1), list(range(n, n + k - 1))]
+        # small kernel and fill chunks, the last ones part full, change no row
+        with monkeypatch.context() as m:
+            m.setattr(arcgeom, "DET_CHUNK", 8)
+            m.setattr(arcgeom, "MASK_CELLS", 3 * n * k)
+            got = HyperplaneIncidence(ctx, k, extra).cut(inc.full, np.array(keys)[:, None])
+        single = [inc.cut(inc.full, [[key]])[0] for key in keys]
+        assert (got == np.array(single)).all()
+        for key, mask in list(zip(keys, got))[::7]:
+            rows = [inc.vectors[i] for i in key]
+            assert as_int(mask) == sum(1 << i for i, w in enumerate(inc.points) if ref_det_full(ctx, [w] + rows))
+        assert not got[-3:-1].any()  # dependent tuples
+        # E blocks of m tuples: base AND each block's masks
+        blocks = np.array(keys[:60]).reshape(12, 5, k - 1)
+        base = got[:12]
+        want = base & np.bitwise_and.reduce(got[:60].reshape(12, 5, -1), axis=1)
+        assert (HyperplaneIncidence(ctx, k, extra).cut(base, blocks) == want).all()
+        # the hyperplanes through v are those cur + [v] adds to cur's
+        cur = list(range(n, n + len(extra)))
+        cands = inc.extensions()
+        vs = [v for v in range(n) if as_int(cands) >> v & 1][:6]
+
+        def spans(arc, w, through=()):
+            return [[S + (w,) for S in itertools.combinations(arc, k - 2) if set(through) <= set(S)]]
+
+        for v, w in itertools.combinations(vs, 2):
+            running = inc.cut(cands, spans(cur, w))
+            assert (inc.cut(running, spans(cur + [v], w, [v])) == inc.cut(cands, spans(cur + [v], w))).all()
 
 
 # ----------------------------------------------------------------------
@@ -537,38 +648,6 @@ def test_pencils_and_cosecants_match_scalar_reference(
     flat = ArcConfig(FieldCtx(7), 3, [(1, 2, 3), (2, 4, 6)])
     _, _, (b1,), (b2,) = _pencil_basis(flat, [(0,)])
     assert _cosecants(flat, (0,), b1, b2) == ref_cosecants_through((0,), flat) == []
-
-
-def test_node_batched_masks_match_single_masks(F7, F9):
-    for ctx, k in ((F7, 4), (F9, 3)):
-        rng = random.Random(ctx.q)
-        extra = _gl_image(ctx, shuffled_nrc(ctx, k, 1)[: k + 2], rng)
-        batched = HyperplaneIncidence(ctx, k, extra)
-        n = len(batched.points)
-        chunk = MASK_CELLS // (n * k)
-        ids = list(range(n + len(extra)))
-        # more than one kernel call's worth, the last one part full
-        keys = [tuple(rng.sample(ids, k - 1)) for _ in range(chunk + chunk // 2)]
-        keys += [(0,) * (k - 1), (n,) * (k - 1), tuple(range(n, n + k - 1))]
-        got = batched.masks(keys)
-        single = HyperplaneIncidence(ctx, k, extra)
-        assert [single.masks([key]) for key in keys] == [[mask] for mask in got]
-        for key, mask in list(zip(keys, got))[::7]:
-            rows = [batched.vectors[i] for i in key]
-            assert mask == sum(1 << i for i, w in enumerate(batched.points) if ref_det_full(ctx, [w] + rows))
-        assert got[-3] == got[-2] == 0  # dependent tuples
-        # a node's cuts and its children's, in one batch, equal one cut each
-        cur = list(range(n, n + len(extra)))
-        cands = batched.extensions()
-        vs = [v for v in range(n) if cands >> v & 1][:9]
-        jobs = [(None, v, cands & ~(1 << v)) for v in vs]
-        jobs += [(v, w, cands) for v in vs[:3] for w in vs[3:]]
-        cuts = HyperplaneIncidence(ctx, k, extra).cuts(cur, jobs)
-        assert cuts == [HyperplaneIncidence(ctx, k, extra).cuts(cur, [job])[0] for job in jobs]
-        # the hyperplanes through v are those cur + [v] adds to cur's
-        for v, w, start in jobs[len(vs) :]:
-            (base,) = single.cuts(cur, [(None, w, start)])
-            assert single.cuts(cur, [(v, w, base)]) == single.cuts(cur + [v], [(None, w, start)])
 
 
 @pytest.mark.parametrize("p,h,bad", [(13, 1, -1), (13, 1, 14), (13, 1, 13), (3, 2, 9), (3, 2, -2)])

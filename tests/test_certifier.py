@@ -701,6 +701,26 @@ def test_random_arc_matches_reference_draws(p, h, k, size):
         assert _random_arc(inc, size, ours) == ref_random_arc(ctx, k, size, ref, RANDOM_ARC_ATTEMPTS)
 
 
+def test_sampled_conjecture_scan_and_greedy_draws_pinned():
+    # recorded before the search moved to the hyperplane-indexed table
+    F23 = FieldCtx(23)
+    res = conjecture_scan(F23, 3, 3, budget=10_000, samples=2, seed=0)
+    assert (res.mode, res.arc_size, res.in_range, res.total, res.certified) == ("sampled", 6, True, 2, 2)
+    assert res.counterexamples == ()
+    rng = random.Random(0)
+    draws = [tuple(_random_arc(HyperplaneIncidence(F23, 3), 6, rng)) for _ in range(2)]
+    assert draws == [
+        ((1, 15, 14), (1, 19, 18), (1, 6, 8), (1, 1, 21), (1, 10, 21), (1, 20, 8)),
+        ((1, 18, 19), (1, 19, 20), (1, 15, 14), (1, 3, 8), (1, 15, 13), (1, 11, 3)),
+    ]
+    rng = random.Random(5)
+    inc = HyperplaneIncidence(FieldCtx(3, 2), 4)
+    assert [tuple(_random_arc(inc, 8, rng)) for _ in range(2)] == [
+        ((1, 8, 0, 1), (1, 8, 8, 8), (1, 2, 0, 2), (1, 5, 5, 3), (1, 8, 6, 1), (1, 2, 7, 5), (0, 1, 7, 1), (1, 4, 7, 0)),
+        ((0, 1, 4, 0), (1, 3, 8, 3), (1, 8, 3, 5), (0, 1, 2, 0), (0, 1, 3, 2), (1, 2, 7, 6), (1, 1, 6, 8), (1, 1, 5, 7)),
+    ]
+
+
 def test_certificates_never_contradicted_by_search():
     # whenever theorem1 certifies non-extendability, exhaustive search must
     # find no arc of the forbidden size containing G
