@@ -30,13 +30,14 @@ __all__ = [
 ]
 
 
-# per cofactor_normals call: DET_CHUNK stacked sets (k-subsets in
-# validate_arc, spanning sets of hyperplanes in the search); per table fill
-# about MASK_CELLS form-value cells; per search batch at most BATCH_ENTRIES
-# branch entries, except that a node with more goes alone
+# per cofactor_normals call: DET_CHUNK stacked sets (k-subsets in validate_arc,
+# spanning sets of hyperplanes in the search); per table fill about MASK_CELLS
+# form-value cells; per search batch at most BATCH_ENTRIES branch entries (a
+# node with more goes alone); per point ROW_CACHE_SLOTS slots of the row cache
 DET_CHUNK = 4096
 MASK_CELLS = 1 << 16
 BATCH_ENTRIES = 1024
+ROW_CACHE_SLOTS = 4
 
 
 class BudgetExceededError(RuntimeError):
@@ -255,12 +256,19 @@ def _cosecants(arc: ArcConfig, A, b1, b2):
 
 def projective_points(ctx, k):
     """One representative per projective point, first nonzero coord 1,
-    in lexicographic order of coordinate tuples."""
+    in lexicographic order of coordinate tuples (``point_index`` ranks)."""
     q = ctx.q
     for lead in range(k):
         prefix = (0,) * lead + (1,)
         for rest in itertools.product(range(q), repeat=k - 1 - lead):
             yield prefix + rest
+
+
+def point_index(ctx, canon):
+    """Positions in ``projective_points`` of canonical rows of an (M, k) array:
+    those of lead l follow the q^(k-1-j) of each lead j < l, by base-q digits."""
+    pows = ctx.q ** np.arange(canon.shape[1] - 1, -1, -1, dtype=np.int64)
+    return canon @ pows + (np.cumsum(pows) - 2 * pows)[(canon != 0).argmax(1)]
 
 
 class HyperplaneIncidence:
@@ -274,7 +282,7 @@ class HyperplaneIncidence:
     table is the bitset of the points off it; row N, the zero mask, is that
     of a dependent set, whose normal is zero.  Rows are filled on first use
     and kept for the life of the object, so make one per search and drop it
-    afterwards.
+    afterwards.  A tuple of ids whose row a cache still holds skips the kernel.
     """
 
     def __init__(self, ctx, k, extra=()):
@@ -287,29 +295,29 @@ class HyperplaneIncidence:
         self.table = np.zeros((n + 1, -(-n // 64)), dtype=np.int64)
         self._filled = np.arange(n + 1) == n
         self.full = _pack(np.ones((1, n), dtype=bool))[0]
-        # point c with lead l comes c . pows - pows[l] after those of lead < l
-        self._pows = ctx.q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        self._shift = np.cumsum(self._pows) - 2 * self._pows
+        # slot i: the ids and row of the last id tuple whose key, which may wrap, is i mod the size
+        self._radix = np.power(np.int64(len(self.vectors)), np.arange(k - 1, dtype=np.int64))
+        self._slots = np.full((ROW_CACHE_SLOTS * n, k), -1, dtype=np.int64)
 
     def index(self, normals):
         """The hyperplane of every row of an (M, k) array of normals."""
-        lead = (normals != 0).argmax(1)
-        scale = normals[np.arange(len(normals)), lead]
-        canon = self.ctx.vec_ops().div(normals, scale[:, None])
-        return np.where(scale != 0, canon @ self._pows + self._shift[lead], len(self.points))
+        return np.where(normals.any(1), point_index(self.ctx, _canonical(self.ctx, normals)), len(self.points))
 
     def cut(self, base, ids):
         """base AND the masks of the hyperplanes spanned by id tuples, an
         (E, m, k-1) array, one row per E: DET_CHUNK tuples per kernel call,
         then the missing rows about MASK_CELLS form-value cells at a time."""
         ids = np.asarray(ids, dtype=np.int64).reshape(len(ids), -1, self.k - 1)
-        sets = self._vectors[ids.reshape(-1, self.k - 1)]
-        h = np.zeros(len(sets), dtype=np.int64)
-        for i in range(0, len(sets), DET_CHUNK):
-            h[i : i + DET_CHUNK] = self.index(cofactor_normals(self.ctx, sets[i : i + DET_CHUNK]))
-        new = np.zeros_like(self._filled)
-        new[h] = True
-        new = np.flatnonzero(new & ~self._filled)
+        flat = ids.reshape(-1, self.k - 1)
+        slot = flat @ self._radix % len(self._slots)
+        h = self._slots[slot, -1]
+        miss = np.flatnonzero((self._slots[slot, :-1] != flat).any(1))
+        if len(miss):
+            sets = self._vectors[flat[miss]]
+            for i in range(0, len(miss), DET_CHUNK):
+                h[miss[i : i + DET_CHUNK]] = self.index(cofactor_normals(self.ctx, sets[i : i + DET_CHUNK]))
+            self._slots[slot[miss]] = np.column_stack([flat[miss], h[miss]])
+        new = np.flatnonzero((np.bincount(h, minlength=len(self._filled)) > 0) & ~self._filled)
         pts = self._vectors[: len(self.points)]
         step = max(1, MASK_CELLS // pts.size)
         for rows in (new[i : i + step] for i in range(0, len(new), step)):
@@ -335,6 +343,8 @@ def _pack(bits):
 
 
 _BIT = np.array([1 << j for j in range(64)], dtype=np.uint64).view(np.int64)  # bit j of a word
+_ABOVE = np.array([(1 << 64) - (2 << j) for j in range(64)], dtype=np.uint64).view(np.int64)  # bits > j
+_POP = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits of a byte
 
 
 @dataclass(frozen=True)
@@ -360,13 +370,12 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
     depth at once: their id paths and candidates, and their branch entries
     (node, w, running cut) sorted by node, then w, the cut being the AND of
     the masks of every <w, S>.  Each entry becomes a child, cands & cut
-    without w.  The grandchildren of the child for w are the later entries
-    w' of its node that it keeps, one bit test per pair of entries; all are
-    counted against the budget before their cuts AND in the hyperplanes
-    <w', T + w>, T a (k-3)-subset of the node's path.  The children with
-    grandchildren go on a stack in batches of whole nodes and at most
-    BATCH_ENTRIES entries, so the order stays depth first and memory stays
-    bounded.  Sorting the id paths of the arcs found gives DFS preorder.
+    without w, whose grandchildren are its candidates above w: a popcount
+    counts them against the budget before a bit test per pair of entries
+    of a node makes them.  Children with grandchildren go on a stack in
+    batches of whole nodes and at most BATCH_ENTRIES entries, a grandchild's
+    cut being a row of its parent batch's cuts.  Sorting the id paths of
+    the arcs found gives DFS preorder.
     """
     ctx, k = arc.ctx, arc.k
     if target_size is not None and target_size > ctx.q + k - 1:
@@ -383,10 +392,11 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
         if arc.size == target_size:
             found.append(tuple(range(n, n + arc.size)))
     nodes = 1 + len(ws)  # the root and its children
-    root = (np.arange(n, n + arc.size)[None], cands, np.zeros(len(ws), dtype=np.int64), ws, inc.full)
-    stack = [root] if len(ws) else []
+    # a batch: paths, cands, node, ws, and the running cuts as rows of an array its siblings share
+    zero = np.zeros(len(ws), dtype=np.int64)
+    stack = [(np.arange(n, n + arc.size)[None], cands, zero, ws, inc.full[None], zero)] if len(ws) else []
     while stack and nodes <= budget:
-        paths, cands, node, ws, base = stack.pop()
+        paths, cands, node, ws, cuts, rows = stack.pop()
         d = paths.shape[1]
         ext = np.column_stack([paths[node], ws])  # the children's paths
         if target_size is not None and d + 1 >= target_size:
@@ -395,11 +405,18 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
             continue
         # the hyperplanes <w, S> new to each entry: S through the node's last point, any S at the root
         cols = [S + (d,) for S in itertools.combinations(range(d), k - 2) if d == arc.size or d - 1 in S]
-        cut = inc.cut(base, ext[:, np.array(cols, dtype=np.int64).reshape(-1, k - 1)])
+        cut = inc.cut(cuts[rows], ext[:, np.array(cols, dtype=np.int64).reshape(-1, k - 1)])
         children = cands[node] & cut
-        children[np.arange(len(ws)), ws >> 6] &= ~_BIT[ws & 63]
+        i, word = np.arange(len(ws)), ws >> 6
+        children[i, word] &= ~_BIT[ws & 63]
         if target_size is None and not children.any(1).all():
             sizes.add(d + 1)
+        # count the grandchildren, the candidates of each child above its w, before making any
+        above = np.where(np.arange(children.shape[1]) > word[:, None], children, 0)
+        above[i, word] = children[i, word] & _ABOVE[ws & 63]
+        nodes += int(_POP[above.view(np.uint8)].sum())
+        if nodes > budget:
+            break
         # the pairs e < f of entries of one node, then those the child keeps
         stop = np.append(np.flatnonzero(np.diff(node)) + 1, len(node))
         more = stop[node] - np.arange(len(node)) - 1
@@ -407,18 +424,15 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
         f = e + 1 + np.arange(len(e)) - np.repeat(np.cumsum(more) - more, more)
         keep = children[e, ws[f] >> 6] & _BIT[ws[f] & 63] != 0
         e, f = e[keep], f[keep]
-        nodes += len(e)
-        kids = np.zeros(len(ws), dtype=bool)
-        kids[e] = True
-        at = np.flatnonzero(kids)
-        paths, cands, node, ws, base = ext[at], children[at], np.cumsum(kids)[e] - 1, ws[f], cut[f]
+        at = np.flatnonzero(above.any(1))  # the children with grandchildren
+        paths, cands, node, ws = ext[at], children[at], np.searchsorted(at, e), ws[f]
         # batches of whole nodes and at most BATCH_ENTRIES entries, the first on top
         stop = np.append(np.flatnonzero(np.diff(node)) + 1, len(node))
         batches, lo, a = [], 0, 0
         while lo < len(at):
             hi = max(lo + 1, int(np.searchsorted(stop, a + BATCH_ENTRIES, side="right")))
             b = int(stop[hi - 1])
-            batches.append((paths[lo:hi], cands[lo:hi], node[a:b] - lo, ws[a:b], base[a:b]))
+            batches.append((paths[lo:hi], cands[lo:hi], node[a:b] - lo, ws[a:b], cut, f[a:b]))
             lo, a = hi, b
         stack += reversed(batches)
     if nodes > budget:

@@ -488,8 +488,10 @@ def _random_arc(inc: HyperplaneIncidence, size, rng):
         cands = inc.full
         for v in order:
             if int(cands[v >> 6]) >> (v & 63) & 1:
-                # v is visited once, so it need not leave cands
-                cands = inc.cut(cands, [[S + (v,) for S in itertools.combinations(cur, inc.k - 2)]])[0]
+                # v is visited once, so it need not leave cands; fewer than k-2 points span no <S, v>
+                if len(cur) >= inc.k - 2:
+                    cuts = inc.cut(cands, [[S + (v,)] for S in itertools.combinations(cur, inc.k - 2)])
+                    cands = np.bitwise_and.reduce(cuts)
                 cur.append(v)
                 if len(cur) == size:
                     return [inc.points[i] for i in cur]

@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -363,8 +364,8 @@ def test_search_batch_cap_invariance(p, h, k, g, target, monkeypatch):
 
 
 def test_search_kernel_call_guard(arc_q13_size6, monkeypatch):
-    # one kernel call per batch of nodes for all their children's new
-    # hyperplanes: 10 cofactor_normals calls, against 204 with one per node
+    # at most one kernel call per batch of nodes, for the new hyperplanes the
+    # row cache misses: 5 cofactor_normals calls, against 204 with one per node
     calls = []
     normals = arcgeom.cofactor_normals
 
@@ -424,6 +425,22 @@ def test_search_over_budget_fills_no_grandchild_masks(monkeypatch):
     assert res.mode == "sampled" and res.total == 2
     assert sum(rows) <= 5 * (23**2 + 23 + 1)
 
+
+
+def test_search_over_budget_allocates_no_grandchild_cuts():
+    # the 4-point frame of PG(2, 31) has about 900 children and 3.5 * 10^5
+    # grandchildren, whose running cuts alone would take 45 MB (49 MB peak
+    # when they were made before the budget check): a popcount counts them
+    # and the search stops before any pair of entries is enumerated
+    frame = ArcConfig(FieldCtx(31), 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            complete_search(frame, target_size=6, budget=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 def test_search_results_pinned_above_desk_scale():
     # recorded from the one-node-at-a-time DFS: the 7-point conic prefixes
@@ -530,6 +547,28 @@ def test_node_batched_masks_match_single_masks(F7, F9, monkeypatch):
         for v, w in itertools.combinations(vs, 2):
             running = inc.cut(cands, spans(cur, w))
             assert (inc.cut(running, spans(cur + [v], w, [v])) == inc.cut(cands, spans(cur + [v], w))).all()
+
+
+def test_row_cache_collisions_change_no_cut(F7, F9, monkeypatch):
+    # the cache of table rows by id tuple: every tuple keyed to one slot,
+    # keys that wrap past 2**63, or one slot per point give the same cuts,
+    # repeated tuples within a call and across calls included
+    for ctx, k in ((F7, 4), (F9, 3)):
+        rng = random.Random(ctx.q)
+        extra = _gl_image(ctx, shuffled_nrc(ctx, k, 2)[: k + 1], rng)
+        n = len(list(projective_points(ctx, k)))
+        keys = np.array([rng.sample(range(n + len(extra)), k - 1) for _ in range(40)] * 2)
+        full = HyperplaneIncidence(ctx, k).full
+        want = np.array([HyperplaneIncidence(ctx, k, extra).cut(full, [[key]])[0] for key in keys])
+        for radix in (np.zeros(k - 1, dtype=np.int64), np.full(k - 1, 3 << 61)):
+            inc = HyperplaneIncidence(ctx, k, extra)
+            inc._radix = radix
+            assert (inc.cut(full, keys[:50, None]) == want[:50]).all()
+            assert (inc.cut(full, keys[::-1, None]) == want[::-1]).all()
+    monkeypatch.setattr(arcgeom, "ROW_CACHE_SLOTS", 1)
+    for p, h, k, g, target in ((3, 2, 3, 5, None), (7, 1, 4, 6, 7)):
+        for arc, ref in _search_case(p, h, k, g, target):
+            assert complete_search(arc, target_size=target) == ref
 
 
 # ----------------------------------------------------------------------
