@@ -16,13 +16,10 @@ from .certifier import (
     build_Mn,
     conjecture_scan,
     corollary2_route,
-    even_nullity_check,
     property_w,
     recover_cosecants,
     theorem1_test,
-    vG_check,
-    vg_vector,
 )
-from .hypersurf import build_surface, eval_dual, eval_surface, theorem9_check
+from .hypersurf import build_surface, eval_dual, theorem9_check
 
 __version__ = "0.1.0"

@@ -33,11 +33,13 @@ __all__ = [
 # per cofactor_normals call: DET_CHUNK stacked sets (k-subsets in validate_arc,
 # spanning sets of hyperplanes in the search); per table fill about MASK_CELLS
 # form-value cells; per search batch at most BATCH_ENTRIES branch entries (a
-# node with more goes alone); per point ROW_CACHE_SLOTS slots of the row cache
+# node with more goes alone); per point ROW_CACHE_SLOTS slots of the row cache;
+# per hyperplane table at most TABLE_WORDS int64 words (128 MiB, rows filled on use)
 DET_CHUNK = 4096
 MASK_CELLS = 1 << 16
 BATCH_ENTRIES = 1024
 ROW_CACHE_SLOTS = 4
+TABLE_WORDS = 1 << 24
 
 
 class BudgetExceededError(RuntimeError):
@@ -283,9 +285,18 @@ class HyperplaneIncidence:
     of a dependent set, whose normal is zero.  Rows are filled on first use
     and kept for the life of the object, so make one per search and drop it
     afterwards.  A tuple of ids whose row a cache still holds skips the kernel.
+    A table of more than TABLE_WORDS words raises BudgetExceededError before
+    anything is allocated.
     """
 
     def __init__(self, ctx, k, extra=()):
+        n = 0
+        for _ in range(k):  # N = 1 + q + ... + q^(k-1), given up once past the cap
+            n = n * ctx.q + 1
+            if (n + 1) * -(-n // 64) > TABLE_WORDS:
+                raise BudgetExceededError(
+                    f"the hyperplane table of PG({k - 1}, {ctx.q}) exceeds {TABLE_WORDS} words"
+                )
         self.ctx = ctx
         self.k = k
         self.points = list(projective_points(ctx, k))

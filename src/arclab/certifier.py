@@ -38,7 +38,7 @@ from .arcgeom import (
     subset_iter,
 )
 from .exactmat import GFMatrix, LeftNullBasis, left_null_basis, weight_one_in_colspace
-from .tangentfns import _alpha_terms, _lagrange_sum, _lagrange_weights, alpha_table
+from .tangentfns import _lagrange_sum, _lagrange_weights
 
 __all__ = [
     "SizeOutOfRangeError",
@@ -51,7 +51,6 @@ __all__ = [
     "PropertyWWitness",
     "CosecantPrediction",
     "PredictedTangent",
-    "VGVector",
     "BoundScan",
     "ConjectureScanResult",
     "build_Mn",
@@ -60,9 +59,6 @@ __all__ = [
     "property_w",
     "corollary2_route",
     "recover_cosecants",
-    "vg_vector",
-    "vG_check",
-    "even_nullity_check",
     "conjecture_scan",
 ]
 
@@ -403,52 +399,6 @@ def recover_cosecants(
             roots, status = tuple(sorted(map(tuple, members.tolist()))), "ok"
         per_A[A] = PredictedTangent(A, wits[s].pivot, values, roots, status)
     return CosecantPrediction(n, t, per_A, route)
-
-
-# ----------------------------------------------------------------------
-# v_G and the even-q nullity law
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VGVector:
-    g: int
-    coords: tuple  # aligned with subset_iter(g, k-1)
-
-
-def vg_vector(full_arc: ArcConfig, g: int) -> VGVector:
-    """v_G for the prefix G of the first g points of a full arc S.
-
-    The C coordinate is alpha_C prod_{z in G-C} det(z, C)^{-1}, alpha
-    taken from S's tangent functions (degree t = q+k-1-|S|).
-    """
-    rows = list(subset_iter(g, full_arc.k - 1))
-    return VGVector(g, tuple(_alpha_terms(alpha_table(full_arc), rows, range(g))))
-
-
-def vG_check(full_arc: ArcConfig, g: int, n: int) -> bool:
-    """Whether v_G M_n = 0 for G the g-point prefix of the full arc; M_n's
-    per-A blocks span the paper's columns, so the answer is the paper's.
-
-    The full arc's size must equal q+2k+n-1-g, the extension size
-    Theorem-style reasoning refers to."""
-    q, k = full_arc.ctx.q, full_arc.k
-    if full_arc.size != q + 2 * k + n - 1 - g:
-        raise SizeOutOfRangeError(
-            f"full arc size {full_arc.size} != q+2k+n-1-g = {q + 2 * k + n - 1 - g}"
-        )
-    M = build_Mn(full_arc.prefix(g), n)
-    v = vg_vector(full_arc, g)
-    products = full_arc.ctx.vec_ops().matmul(np.array([v.coords], dtype=np.int64), M.matrix.data)
-    return not products.any()
-
-
-def even_nullity_check(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> bool:
-    """Even q: nullity of M_n must be C(|G|-n-1, k-1) exactly."""
-    if arc.ctx.q % 2:
-        raise ValueError("the nullity law applies to even q")
-    null = left_null_basis(_matrix(arc, n, M).matrix)
-    return null.nullity == comb(arc.size - n - 1, arc.k - 1)
 
 
 # ----------------------------------------------------------------------

@@ -172,6 +172,9 @@ class FieldCtx:
     """Immutable context for GF(p^h): tables, primitive element, modulus."""
 
     def __init__(self, p: int, h: int = 1, modulus=None):
+        # before trial division by up to sqrt(p) and before forming p**h
+        if p > TABLE_CAP or h >= TABLE_CAP.bit_length():
+            raise UnsupportedFieldError(f"field order p^h exceeds table cap {TABLE_CAP}")
         if not _is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         if h < 1:
@@ -180,7 +183,7 @@ class FieldCtx:
         if q < 3:
             raise UnsupportedFieldError("field order must be at least 3")
         if q > TABLE_CAP:
-            raise UnsupportedFieldError(f"field order {q} exceeds table cap {TABLE_CAP}")
+            raise UnsupportedFieldError(f"field order {p}^{h} exceeds table cap {TABLE_CAP}")
         self.p = p
         self.h = h
         self.q = q

@@ -9,8 +9,7 @@ with m = 1 and |E| = k+t-1 for even q, m = 2 and |E| = k+2t-1 for odd q.
 Expanding det(z, Y_1..Y_{k-1}) along its first row turns each factor into
 the pairing z . Z with the dual coordinates Z_i = (-1)^{i-1} det(Y's with
 coordinate i deleted), so the surface is evaluated directly on dual
-vectors; the Y-form and the Z-form agree definitionally.  It vanishes on
-the dual of every co-secant hyperplane of S.
+vectors.  It vanishes on the dual of every co-secant hyperplane of S.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .arcgeom import (
     InvariantError,
     _form_values,
     _projective_line,
-    cofactor_normals,
     subset_iter,
 )
 from .tangentfns import _alpha_terms, alpha_table, arc_degree, tangent_fn
@@ -35,9 +33,7 @@ __all__ = [
     "ZeroVectorError",
     "DualSurface",
     "build_surface",
-    "eval_surface",
     "eval_dual",
-    "dual_coords",
     "theorem9_check",
 ]
 
@@ -78,15 +74,6 @@ def build_surface(arc: ArcConfig, E=None) -> DualSurface:
     return DualSurface(arc, E, parity, t, m * t, coeffs)
 
 
-def dual_coords(ctx, vectors):
-    """Z_i = (-1)^{i-1} det(vectors with coordinate i deleted): the dual
-    vector of the span of k-1 vectors (zero vector if dependent), which
-    is their cofactor normal."""
-    k = len(vectors) + 1
-    sets = np.array(vectors, dtype=np.int64).reshape(1, k - 1, k)
-    return tuple(cofactor_normals(ctx, sets)[0].tolist())
-
-
 def eval_dual(surface: DualSurface, z) -> int:
     """Evaluate the surface at a dual vector; homogeneous of the stated
     degree, and zero on the dual of every co-secant of the arc."""
@@ -100,18 +87,6 @@ def eval_dual(surface: DualSurface, z) -> int:
         term = ctx.mul(coef, ctx.prod(x for u, x in pairing.items() if u not in C))
         acc = ctx.add(acc, term)
     return acc
-
-
-def eval_surface(surface: DualSurface, ys) -> int:
-    """Evaluate at k-1 vector arguments (degenerate tuples allowed)."""
-    arc = surface.arc
-    if len(ys) != arc.k - 1:
-        raise ValueError(f"need k-1 = {arc.k - 1} vector arguments")
-    z = dual_coords(arc.ctx, ys)
-    if not any(z):
-        # dependent arguments: every determinant factor vanishes
-        return next(iter(surface.coeffs.values())) if surface.degree == 0 else 0
-    return eval_dual(surface, z)
 
 
 def theorem9_check(surface: DualSurface, A) -> bool:

@@ -3,8 +3,8 @@
 For a (k-2)-subset A of an arc S with t = q+k-1-|S|, the tangent function
 f_A is the product of the t linear forms whose kernels meet S exactly in
 A.  Each form is canonically scaled (first nonzero coefficient 1), which
-fixes f_A; every identity checked here is invariant under rescaling any
-single f_A, so the choice is free.
+fixes f_A; the identities of the paper are invariant under rescaling
+any single f_A, so the choice is free.
 
 The alpha coefficients multiply the sum-zero identity into a form whose
 terms depend only on (k-1)-subsets.  All sign exponents reduce mod 2 and
@@ -13,8 +13,6 @@ a subset's members are always taken in increasing position order.
 """
 
 from __future__ import annotations
-
-from functools import reduce
 
 import numpy as np
 
@@ -31,12 +29,8 @@ __all__ = [
     "TangentFn",
     "tangent_fn",
     "arc_degree",
-    "check_sum_zero",
-    "check_segre_sign",
     "AlphaTable",
     "alpha_table",
-    "check_atoc",
-    "check_theeqn",
 ]
 
 
@@ -112,53 +106,13 @@ def _lagrange_weights(ctx, beta, fvals):
     return ctx.vec_ops().div(fvals, _lagrange_sum(ctx, beta, ones, beta[..., 0, :], beta[..., 1, :]))
 
 
-def check_sum_zero(arc: ArcConfig, A, E) -> int:
-    """Left side of the sum-zero identity; exactly 0 on genuine arcs.
-
-    E must contain A and have size t+k, so the sum has t+2 terms
-    f_A(e) * prod_{u in E-(A+{e})} d_A(u, e)^{-1}.
-    """
-    ctx = arc.ctx
-    A = tuple(sorted(A))
-    E = tuple(sorted(E))
-    if not set(A) <= set(E):
-        raise ValueError("E must contain A")
-    if len(E) != arc_degree(arc) + arc.k:
-        raise ValueError("E must have size t+k")
-    fA = tangent_fn(arc, A)
-    rest = [e for e in E if e not in A]
-    # d_A(u, e) = det(u, e, A)
-    acc = 0
-    for e, p in zip(rest, _det_products(arc, [(e,) + A for e in rest], rest).tolist()):
-        acc = ctx.add(acc, ctx.div(fA.at(e), p))
-    return acc
-
-
-def check_segre_sign(arc: ArcConfig, D, x, y, z) -> bool:
-    """Lemma-of-tangents sign relation for the triple (x, y, z) over D."""
-    ctx = arc.ctx
-    D = tuple(sorted(D))
-    if x == y:
-        return True
-    f = lambda B, e: tangent_fn(arc, B).at(e)
-    Dx = tuple(sorted(D + (x,)))
-    Dy = tuple(sorted(D + (y,)))
-    Dz = tuple(sorted(D + (z,)))
-    lhs = ctx.div(ctx.mul(f(Dx, y), f(Dz, x)), f(Dx, z))
-    rhs = ctx.div(ctx.mul(f(Dy, x), f(Dz, y)), f(Dy, z))
-    t = arc_degree(arc)
-    if (t + 1) % 2:
-        rhs = ctx.neg(rhs)
-    return lhs == rhs
-
-
 class AlphaTable:
     """Signed alpha coefficients of an arc, relative to F = first k-2 points.
 
     alpha_F = 1, and every other value follows from the recursion
-    alpha_{A+e} = (-1)^{d(t+1)} alpha_A f_A(e), d = #{a in A : a > e}
-    (``check_atoc``), t the arc's own co-secant count.  Values are
-    computed lazily and cached.
+    alpha_{A+e} = (-1)^{d(t+1)} alpha_A f_A(e), d = #{a in A : a > e},
+    t the arc's own co-secant count.  Values are computed lazily and
+    cached.
     """
 
     def __init__(self, arc: ArcConfig):
@@ -205,13 +159,6 @@ def alpha_table(arc: ArcConfig) -> AlphaTable:
     return table
 
 
-def check_atoc(table: AlphaTable, A, e) -> bool:
-    """Recursion alpha_{A+{e}} = (-1)^{d(t+1)} alpha_A f_A(e), d = #{a in A : a > e}:
-    alpha follows it along one path to each subset, so this checks all others."""
-    A = tuple(sorted(A))
-    return table.alpha(A + (e,)) == table.arc.ctx.mul(table.alpha(A), table._step(A, e))
-
-
 def _alpha_terms(table: AlphaTable, Cs, E, m: int = 1) -> list:
     """alpha_C^m prod_{u in E-C} det(u, C)^{-1} for every (k-1)-subset C
     of Cs, all given as arc positions: the terms of the-eqn, the
@@ -219,14 +166,3 @@ def _alpha_terms(table: AlphaTable, Cs, E, m: int = 1) -> list:
     ctx = table.arc.ctx
     P = _det_products(table.arc, Cs, E).tolist()
     return [ctx.div(ctx.pow(table.alpha(C), m), p) for C, p in zip(Cs, P)]
-
-
-def check_theeqn(table: AlphaTable, A, E) -> int:
-    """Left side of sum_{A < C <= E} alpha_C prod_{u in E-C} det(u,C)^{-1};
-    exactly 0 on genuine arcs when |E| = k+t."""
-    A = tuple(sorted(A))
-    E = tuple(sorted(E))
-    if not set(A) <= set(E):
-        raise ValueError("E must contain A")
-    Cs = [tuple(sorted(A + (e,))) for e in E if e not in A]
-    return reduce(table.arc.ctx.add, _alpha_terms(table, Cs, E), 0)

@@ -11,6 +11,7 @@ from arclab.arcgeom import (
     BudgetExceededError,
     InvariantError,
     SearchResult,
+    cofactor_normals,
     projective_points,
     subset_iter,
 )
@@ -21,11 +22,10 @@ from arclab.certifier import (
     PropertyWWitness,
     build_Mn,
     recover_cosecants,
-    vg_vector,
 )
 from arclab.exactmat import GFMatrix, left_null_basis, weight_one_in_colspace
 from arclab.gf import FieldCtx
-from arclab.tangentfns import arc_degree, tangent_fn
+from arclab.tangentfns import _alpha_terms, alpha_table, arc_degree, tangent_fn
 
 ARCS_DIR = Path(__file__).resolve().parent.parent / "arcs"
 
@@ -569,10 +569,16 @@ def ref_property_w(arc, n, basis=None):
     return PropertyWReport(n, g - k - n, not missing, witnesses, tuple(missing))
 
 
+def ref_det_prod(arc, C, us):
+    """prod_{u in us-C} det(u, C) by scalar determinants, C's members in
+    the given order."""
+    ctx = arc.ctx
+    return ctx.prod(ref_det_full(ctx, arc.points_at((u,) + tuple(C))) for u in us if u not in C)
+
+
 def ref_P_coord(arc, C):
     """prod_{z in G-C} det(z, C)^{-1} by scalar determinants and products."""
-    ctx = arc.ctx
-    return ctx.inv(ctx.prod(ref_det_full(ctx, arc.points_at((z,) + C)) for z in range(arc.size) if z not in C))
+    return arc.ctx.inv(ref_det_prod(arc, C, range(arc.size)))
 
 
 def ref_shuffle_parity(left, right):
@@ -694,6 +700,94 @@ def gl_image(arc, seed):
 
 
 # ----------------------------------------------------------------------
+# the paper's identities: the sum-zero identity, Segre's lemma of
+# tangents, the alpha recursion, the-eqn and v_G M_n = 0
+# ----------------------------------------------------------------------
+
+
+def check_sum_zero(arc, A, E):
+    """Left side of the sum-zero identity, exactly 0 on genuine arcs: for
+    E containing A with |E| = t+k, the t+2 terms
+    f_A(e) prod_{u in E-(A+{e})} d_A(u, e)^{-1}, d_A(u, e) = det(u, e, A)."""
+    ctx = arc.ctx
+    A, E = tuple(sorted(A)), tuple(sorted(E))
+    if not set(A) <= set(E) or len(E) != arc_degree(arc) + arc.k:
+        raise ValueError("E must contain A and have size t+k")
+    fA = tangent_fn(arc, A)
+    rest = [e for e in E if e not in A]
+    acc = 0
+    for e in rest:
+        acc = ctx.add(acc, ctx.div(fA.at(e), ref_det_prod(arc, (e,) + A, rest)))
+    return acc
+
+
+def check_segre_sign(arc, D, x, y, z):
+    """Lemma-of-tangents sign relation for the triple (x, y, z) over the
+    (k-3)-subset D."""
+    ctx = arc.ctx
+    D = tuple(sorted(D))
+    if x == y:
+        return True
+    f = lambda b, e: tangent_fn(arc, tuple(sorted(D + (b,)))).at(e)  # f_{D+{b}}(e)
+    lhs = ctx.div(ctx.mul(f(x, y), f(z, x)), f(x, z))
+    rhs = ctx.div(ctx.mul(f(y, x), f(z, y)), f(y, z))
+    if (arc_degree(arc) + 1) % 2:
+        rhs = ctx.neg(rhs)
+    return lhs == rhs
+
+
+def check_atoc(table, A, e):
+    """The recursion alpha_{A+{e}} = (-1)^{d(t+1)} alpha_A f_A(e),
+    d = #{a in A : a > e}: the table follows it along one path to each
+    subset, so this checks all the others."""
+    arc, ctx = table.arc, table.arc.ctx
+    A = tuple(sorted(A))
+    f = tangent_fn(arc, A).at(e)
+    if sum(a > e for a in A) * (arc_degree(arc) + 1) % 2:
+        f = ctx.neg(f)
+    return table.alpha(tuple(sorted(A + (e,)))) == ctx.mul(table.alpha(A), f)
+
+
+def check_theeqn(table, A, E):
+    """Left side of the-eqn, sum_{A < C <= E} alpha_C prod_{u in E-C}
+    det(u, C)^{-1}: exactly 0 on genuine arcs when |E| = k+t."""
+    arc, ctx = table.arc, table.arc.ctx
+    A, E = tuple(sorted(A)), tuple(sorted(E))
+    if not set(A) <= set(E):
+        raise ValueError("E must contain A")
+    acc = 0
+    for e in E:
+        if e not in A:
+            C = tuple(sorted(A + (e,)))
+            acc = ctx.add(acc, ctx.div(table.alpha(C), ref_det_prod(arc, C, E)))
+    return acc
+
+
+def vg_vector(S, g):
+    """The coordinates of v_G, G the prefix of the first g points of the
+    arc S, in colex order: alpha_C prod_{z in G-C} det(z, C)^{-1}, alpha
+    taken from S's tangent functions (the terms ``build_surface`` uses)."""
+    return tuple(_alpha_terms(alpha_table(S), list(subset_iter(g, S.k - 1)), range(g)))
+
+
+def vG_check(S, g, n):
+    """Whether v_G M_n = 0, column by column, for G the g-point prefix of S;
+    S must have the extension size q+2k+n-1-g.  The library M_n's blocks
+    span the paper's columns, so the answer is the paper's."""
+    if S.size != S.ctx.q + 2 * S.k + n - 1 - g:
+        raise ValueError(f"arc size {S.size} != q+2k+n-1-g")
+    return annihilates(S.ctx, vg_vector(S, g), build_Mn(S.prefix(g), n).matrix.data.tolist())
+
+
+def dual_coords(ctx, vectors):
+    """Z_i = (-1)^{i-1} det(vectors with coordinate i deleted): the dual
+    vector of the span of k-1 vectors (zero if they are dependent), which
+    is their cofactor normal."""
+    sets = np.array(vectors, dtype=np.int64)[None]
+    return tuple(cofactor_normals(ctx, sets)[0].tolist())
+
+
+# ----------------------------------------------------------------------
 # recovery round trip
 # ----------------------------------------------------------------------
 
@@ -710,7 +804,7 @@ def recovers_extension(S, g):
     n = S.size + g + 1 - S.ctx.q - 2 * S.k
     G = S.prefix(g)
     M = build_Mn(G, n)
-    v = vg_vector(S, g).coords
+    v = vg_vector(S, g)
     pred = recover_cosecants(G, n, source=v, M=M)
     return (
         pred.all_split

@@ -31,7 +31,6 @@ from arclab.certifier import (
     property_w,
     recover_cosecants,
     theorem1_test,
-    vG_check,
 )
 from arclab.exactmat import GFMatrix, left_null_basis, weight_one_in_colspace
 from arclab.cli import parse_arc_file
@@ -40,16 +39,17 @@ from arclab.hypersurf import ArcTooSmallError, build_surface, eval_dual, theorem
 from arclab.tangentfns import (
     alpha_table,
     arc_degree,
-    check_atoc,
-    check_segre_sign,
-    check_sum_zero,
-    check_theeqn,
     tangent_fn,
 )
 
 from conftest import (
     ARCS_DIR,
     annihilates,
+    check_atoc,
+    check_segre_sign,
+    check_sum_zero,
+    check_theeqn,
+    dual_coords,
     hyperoval,
     moment_curve,
     points_off_span,
@@ -63,6 +63,7 @@ from conftest import (
     ref_recover_cosecants,
     shuffled_nrc,
     unit_vector,
+    vG_check,
 )
 
 
@@ -398,8 +399,6 @@ def _lemma_suite(arc, rng, failures):
                 # perfect square on the dual line: checked via Theorem 9
                 al = table.alpha(A)
                 fA = tangent_fn(arc, A)
-                from arclab.hypersurf import dual_coords
-
                 for x in points_off_span(arc, A, min(surf.degree + 1, 5)):
                     z = dual_coords(ctx, [x] + arc.points_at(A))
                     root = ctx.mul(al, fA(x))

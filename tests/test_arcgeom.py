@@ -442,6 +442,29 @@ def test_search_over_budget_allocates_no_grandchild_cuts():
         tracemalloc.stop()
     assert peak < 4 * 2**20
 
+
+def test_search_past_the_table_cap_allocates_nothing(arc_q81):
+    # PG(5, 81) has about 3.5 * 10^9 points, whose hyperplane table would
+    # take 10^17 bytes: the search raises before it lists a single point
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="hyperplane table of PG\\(5, 81\\)"):
+            complete_search(arc_q81)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_table_cap_is_exact(F5, monkeypatch):
+    # PG(2, 5) has 31 points: a table of 32 rows of one word
+    monkeypatch.setattr(arcgeom, "TABLE_WORDS", 32)
+    assert HyperplaneIncidence(F5, 3).table.size == 32
+    monkeypatch.setattr(arcgeom, "TABLE_WORDS", 31)
+    with pytest.raises(BudgetExceededError):
+        HyperplaneIncidence(F5, 3)
+
+
 def test_search_results_pinned_above_desk_scale():
     # recorded from the one-node-at-a-time DFS: the 7-point conic prefixes
     # of the prime-search benchmark at q = 17 and of a shuffle at q = 19

@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from arclab import certifier
-from arclab.arcgeom import InvariantError, complete_search
+from arclab import certifier, gf
+from arclab.arcgeom import TABLE_WORDS, InvariantError, complete_search
 from arclab.cli import (
     ArcFileError,
     build_parser,
@@ -175,6 +175,30 @@ def test_input_errors_exit_2(capsys):
     assert capsys.readouterr().err == "error: target size 16 exceeds q+k-1\n"
     assert main(["conjecture-scan", "--p", "7", "--k", "2", "--n", "1"]) == 2
     assert capsys.readouterr().err == "error: dimension k must be at least 3\n"
+
+
+def test_fields_past_the_table_cap_exit_2_before_a_primality_test(tmp_path, capsys, monkeypatch):
+    # 3^10000 has more digits than an int may print, and trial division
+    # of a 19-digit prime takes hours: the table cap refuses both first
+    def no_trial_division(p):
+        raise AssertionError("the primality test ran before the table cap")
+
+    monkeypatch.setattr(gf, "_is_prime", no_trial_division)
+    for head in ("field 3 10000", "field 1000000000000000003 1"):
+        path = tmp_path / "big.arc"
+        path.write_text(f"{head}\nk 3\n1 0 0\n0 1 0\n0 0 1\n")
+        assert main(["analyze", str(path), "--n", "0"]) == 2
+        assert capsys.readouterr().err == f"error: field order p^h exceeds table cap {gf.TABLE_CAP}\n"
+    assert main(["conjecture-scan", "--p", "1000000000000000003", "--k", "3", "--n", "1"]) == 2
+    assert main(["conjecture-scan", "--p", "3", "--h", "10000", "--k", "3", "--n", "1"]) == 2
+
+
+def test_searches_past_the_table_cap_exit_3(capsys):
+    assert main(["search", str(ARCS_DIR / "q81_size11.arc")]) == 3
+    assert capsys.readouterr().err == f"error: the hyperplane table of PG(5, 81) exceeds {TABLE_WORDS} words\n"
+    # PG(13, 13): the exhaustive search and the sampling both give up
+    assert main(["conjecture-scan", "--p", "13", "--k", "14", "--n", "1"]) == 3
+    assert "PG(13, 13)" in capsys.readouterr().err
 
 
 def test_other_value_errors_are_not_input_errors(monkeypatch):

@@ -4,21 +4,32 @@ from math import comb
 
 import pytest
 
-from arclab import arcgeom, hypersurf
+from arclab import arcgeom
 from arclab.arcgeom import ArcConfig, subset_iter
 from arclab.cli import cmd_hypersurface, parse_arc_file
 from arclab.hypersurf import (
     ArcTooSmallError,
     ZeroVectorError,
     build_surface,
-    dual_coords,
     eval_dual,
-    eval_surface,
     theorem9_check,
 )
 from arclab.tangentfns import alpha_table, tangent_fn
 
-from conftest import ARCS_DIR, moment_curve, points_off_span, ref_cosecants_through
+from conftest import ARCS_DIR, dual_coords, moment_curve, points_off_span, ref_cosecants_through, ref_det_full
+
+
+def eval_surface(surface, ys):
+    """The surface at k-1 vectors Y in its defining form,
+    sum_C coef_C prod_{z in E-C} det(z, Y_1, ..., Y_{k-1}), each
+    determinant by scalar elimination: zero at dependent Y unless the
+    degree is 0."""
+    ctx, E = surface.arc.ctx, surface.E
+    det = {z: ref_det_full(ctx, [surface.arc.points[z]] + list(ys)) for z in E}
+    acc = 0
+    for C, coef in surface.coeffs.items():
+        acc = ctx.add(acc, ctx.mul(coef, ctx.prod(det[z] for z in E if z not in C)))
+    return acc
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +67,6 @@ def test_eval_degenerate_and_zero_vec(conic_f5):
     assert eval_surface(s, [(1, 2, 3), (1, 2, 3)]) == 0
     with pytest.raises(ZeroVectorError):
         eval_dual(s, (0, 0, 0))
-    with pytest.raises(ValueError):
-        eval_surface(s, [(1, 2, 3)])
 
 
 def test_dual_consistency(conic_f5, arc_f8_t2, F5):
@@ -163,7 +172,6 @@ def test_cmd_hypersurface_kernel_calls(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(arcgeom, "cofactor_normals", counted)
-    monkeypatch.setattr(hypersurf, "cofactor_normals", counted)
     for name in ("conic_f5", "hyperconic_f8"):
         arc = parse_arc_file((ARCS_DIR / f"{name}.arc").read_text())
         calls.clear()

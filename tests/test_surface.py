@@ -1,20 +1,35 @@
-"""The module surface of arclab: every name a module exports exists, and
-no library check is an ``assert``.
+"""The module surface of arclab: every name a module exports exists, every
+exported function is reached by a command, and no library check is an
+``assert``.
 
 Tools that walk ``__all__`` and look each name up (the benchmark tracer
-wraps every exported function this way) fail on a stale entry, and
-``python -O`` strips assert statements, so a check written as one would
-silently vanish.
+wraps every exported function this way) fail on a stale entry.  A function
+that no command calls is code that only its tests use, so it belongs with
+the tests.  ``python -O`` strips assert statements, so a check written as
+one would silently vanish.
 """
 
+import argparse
 import ast
 import importlib
+import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
+from arclab.cli import build_parser, main
+
+from conftest import ARCS_DIR
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "arclab"
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+
+# exported functions that no command calls, each with the reason it stays
+UNREACHED = {
+    "arcgeom.det_full": "perfbench/inputs.py draws its invertible matrices with it",
+    "cli.format_arc_file": "perfbench/inputs.py writes its generated arcs with it",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -34,3 +49,55 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/arclab (stripped by python -O): {found}"
+
+
+def command_lines():
+    """Every command and alias: the arc-file commands on each shipped arc
+    (in text, search on the q=81 arc exiting 3 and hypersurface on the
+    arcs too small for a surface exiting 2), then an exhaustive and a
+    sampled conjecture scan (structured)."""
+    for path in sorted(ARCS_DIR.glob("*.arc")):
+        arc = str(path)
+        yield from (
+            ["analyze", arc, "--n", "1"],
+            ["property-w", arc, "--n", "1"],
+            ["cosecants", arc, "--n", "2"],
+            ["bound", arc],
+            ["hypersurface", arc],
+            ["search", arc],
+        )
+    scan = ["--emit", "structured", "conjecture-scan", "--p", "5", "--k", "3", "--n", "1"]
+    yield scan
+    yield scan + ["--budget", "1", "--samples", "2"]
+
+
+def test_every_exported_function_is_reached_by_a_command(capsys):
+    lines = list(command_lines())
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {parser.parse_args(argv).command for argv in lines} == set(sub.choices)
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    codes = []
+    sys.setprofile(profile)
+    try:
+        for argv in lines:
+            codes.append(main(argv))
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert 4 not in codes and {2, 3} < set(codes)
+    unreached, exported = [], set()
+    for name in MODULES:
+        module = importlib.import_module(f"arclab.{name}")
+        for attr in getattr(module, "__all__", ()):
+            fn = getattr(module, attr)
+            exported.add(f"{name}.{attr}")
+            if inspect.isfunction(fn) and fn.__code__ not in called and f"{name}.{attr}" not in UNREACHED:
+                unreached.append(f"{name}.{attr}")
+    assert set(UNREACHED) <= exported, f"stale entries in UNREACHED: {set(UNREACHED) - exported}"
+    assert not unreached, f"exported functions that no command reaches: {unreached}"
