@@ -9,10 +9,10 @@ columns per A (``build_Mn``).  Members of a subset always enter
 determinants in increasing arc order.
 
 A weight-one vector in the column space certifies that G extends to no
-arc of size q+2k+n-1-|G|.  Weight-two vectors (Property W) pin down the
-ratios f_A(y)/f_A(x) of the tangent functions of any extension, from
-which the co-secants through each A are recovered by interpolation and
-exhaustive root finding over the pencil.
+arc of size q+2k+n-1-|G|.  Without one, Property W holds exactly when the
+left null space is one vector, which pins down the ratios f_A(y)/f_A(x)
+of the tangent functions of any extension; the co-secants through each A
+follow by interpolation and exhaustive root finding over the pencil.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .arcgeom import (
     complete_search,
     subset_iter,
 )
-from .exactmat import GFMatrix, LeftNullBasis, left_null_basis, weight_one_in_colspace
+from .exactmat import GFMatrix, left_null_basis, weight_one_in_colspace
 from .tangentfns import _lagrange_sum, _lagrange_weights
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "CertMatrix",
     "NonExtendabilityCertificate",
     "PropertyWReport",
-    "PropertyWWitness",
     "CosecantPrediction",
     "PredictedTangent",
     "BoundScan",
@@ -100,7 +99,6 @@ class CertMatrix:
         self.stars = stars        # stars[s, j] = row of subsets[s] + others[s, j]
         self.pencils = pencils    # pencils[s] = (b1, b2) of subsets[s]
         self.beta = beta          # beta[s, :, j] = beta(others[s, j])
-        self._w_report = None     # the Property W report, once computed
 
     @property
     def t(self) -> int:
@@ -232,55 +230,27 @@ def bound_scan(arc: ArcConfig) -> BoundScan:
 
 
 @dataclass(frozen=True)
-class PropertyWWitness:
-    A: tuple
-    pivot: int
-    partners: tuple  # ((y, b), ...) with unit_{A+x} + b*unit_{A+y} in colspace
-
-
-@dataclass(frozen=True)
 class PropertyWReport:
-    n: int
-    t: int
-    holds: bool
-    witnesses: dict
-    missing: tuple
+    missing: tuple  # the (k-2)-subsets without a pivot
+
+    @property
+    def holds(self) -> bool:
+        return not self.missing
 
 
 def property_w(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> PropertyWReport:
-    """Search weight-two witnesses for every (k-2)-subset A.
+    """The (k-2)-subsets A for which M_n lacks the weight-two property.
 
-    Per A the pivot is the smallest x in G-A admitting |G|-n-k+1 distinct
-    partners y with a weight-two vector supported on (A+{x}, A+{y}) in the
-    column space of M_n.  The report is kept on M, so a second call on
-    the same matrix returns it without a second pass.
+    A has it when some pivot x of its star has |G|-n-k+1 = t+1 partners
+    y != x: rows with a weight-two vector supported on (A+{x}, A+{y}) in
+    the column space of M_n.  The partners of every x of every star come
+    from one pass over the left-null basis columns.
     """
     M = _matrix(arc, n, M)
-    if M._w_report is None:
-        M._w_report = _property_w(M, left_null_basis(M.matrix))
-    return M._w_report
-
-
-def _property_w(M: CertMatrix, null: LeftNullBasis) -> PropertyWReport:
-    """The Property W report of M_n, its column space read as the
-    annihilator of the given null basis: the partners of every x of every
-    star come from one pass over the basis columns."""
     stars = M.stars
-    b = null.weight_two_scalars(stars[:, :, None], stars[:, None, :])
-    diag = np.arange(stars.shape[1])
-    b[:, diag, diag] = 0  # y != x
-    pivots = (b != 0).sum(2) >= M.t + 1  # |G|-n-k+1 partners
-    witnesses = {}
-    missing = []
-    for s, A in enumerate(M.subsets):
-        if not pivots[s].any():
-            missing.append(A)
-            continue
-        i = int(pivots[s].argmax())
-        ys = np.flatnonzero(b[s, i])
-        partners = tuple(zip(M.others[s, ys].tolist(), b[s, i, ys].tolist()))
-        witnesses[A] = PropertyWWitness(A, int(M.others[s, i]), partners)
-    return PropertyWReport(M.n, M.t, not missing, witnesses, tuple(missing))
+    same = left_null_basis(M.matrix).partners(stars[:, :, None], stars[:, None, :])
+    pivots = (same.sum(2) >= M.t + 2).any(1)  # x is its own partner
+    return PropertyWReport(tuple(A for A, ok in zip(M.subsets, pivots) if not ok))
 
 
 def corollary2_route(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> bool:
@@ -310,7 +280,7 @@ class CosecantPrediction:
     n: int
     t: int
     per_A: dict
-    route: str            # "null-vector" | "property-w"
+    route: str            # "null-vector": the ratios come from one null vector
 
     @property
     def all_split(self) -> bool:
@@ -321,18 +291,31 @@ def recover_cosecants(
     arc: ArcConfig, n: int, source=None, M: CertMatrix | None = None
 ) -> CosecantPrediction:
     """Recover, per (k-2)-subset A, the tangent function any extension to
-    size q+2k+n-1-|G| must restrict to, normalised to 1 at the pivot.
+    size q+2k+n-1-|G| must restrict to, normalised to 1 at the first
+    point x of A's star.
 
-    The ratios come from a left-null basis of M_n: M's own when source is
-    None, or the given left-null vector of M_n as a one-row basis (an
-    entry that is not an integer field element code, or a vector that is
-    not left-null, raises NotLeftNullError).  A zero column of that basis fixes no ratio and
-    raises PropertyWMissingError: on M's own basis it is a weight-one
-    vector in the column space, on a single vector a zero coordinate.
-    The route is "null-vector" when the basis has one row, else
-    "property-w".  A recovered function that does not split into t
-    distinct pencil forms is reported as non-splitting, which itself
-    certifies that no such extension exists.
+    The ratios come from one left-null vector v of M_n, M's own or the
+    given one (NotLeftNullError unless it is a left-null vector of field
+    element codes), a multiple of the v_G of any extension: at the first
+    t+1 points e of the star f_A(e)/f_A(x) = (s_x s_e)^n Q_A(e) v(A+e) /
+    (Q_A(x) v(A+x)), Q_A(e) = prod D(z, e) over the rest of the star.  A
+    zero basis column (on M's own basis, a weight-one vector) fixes no
+    ratio and raises PropertyWMissingError, and so does a basis of two or
+    more rows, as with no zero column Property W forces nullity 1.
+    (1) On A's star each v of the null space N is e -> h_A(beta(e)) /
+    (s_e^n Q_A(e)), h_A a degree-t binary form linear in v, since block A
+    holds every degree-n form at the pairwise-independent beta(e).
+    (2) Property W gives t+2 star rows with nonzero proportional columns;
+    where v vanishes on one, h_A has t+2 zeros in PG(1, q), so h_A = 0:
+    all rows C of a star share the kernel {v : v(C) = 0}.  (3) Subsets
+    that differ in one point share a row, and such links connect all
+    (k-2)-subsets, so one hyperplane of N vanishes on every row: it is 0.
+    (4) Conversely one vector with no zero entry makes all |G|-k+2 >= t+2
+    rows of a star partners: with no zero column, Property W holds exactly
+    when corollary2_route does.  Property W on two or more rows raises
+    InvariantError.  A function that does not split into t distinct
+    pencil forms is reported non-splitting, which itself certifies that
+    no such extension exists.
     """
     t = arc.size - arc.k - n
     if t < 1:
@@ -341,64 +324,45 @@ def recover_cosecants(
     ctx = arc.ctx
     ops = ctx.vec_ops()
     if source is None:
-        null = left_null_basis(M.matrix)
+        null = left_null_basis(M.matrix).basis
     else:
         entries = list(source) if isinstance(source, Iterable) else [source]
         if not all(isinstance(x, (int, np.integer)) and 0 <= x < ctx.q for x in entries):
             raise NotLeftNullError("the given vector has entries that are not field element codes")
-        v = np.array([entries], dtype=np.int64)
-        if v.shape[1] != len(M.rows):
+        null = np.array([entries], dtype=np.int64)
+        if null.shape[1] != len(M.rows):
             raise SizeOutOfRangeError("null vector length does not match row count")
-        if ops.matmul(v, M.matrix.data).any():
+        if ops.matmul(null, M.matrix.data).any():
             raise NotLeftNullError("the given vector is not a left-null vector of M_n")
-        null = LeftNullBasis(ctx, v)
-    zero = np.flatnonzero(~null.basis.any(0))
+    zero = np.flatnonzero(~null.any(0))
     if zero.size:
-        raise PropertyWMissingError(
-            f"zero left-null basis column at row {M.rows[zero[0]]}: it fixes no ratio"
-        )
-    report = property_w(arc, n, M) if source is None else _property_w(M, null)
-    if not report.holds:
-        raise PropertyWMissingError(
-            f"Property W fails for {len(report.missing)} subsets, e.g. {report.missing[0]}"
-        )
-    route = "null-vector" if null.nullity == 1 else "property-w"
-
-    # per A: the pivot x, then its first t partners y with rho = -b from
-    # the witness; x is its own partner with rho = 1.  Each e sits at
-    # place e - b_e of A's star, b_e = #{a in A : a < e}
-    wits = [report.witnesses[A] for A in M.subsets]
-    pts = np.array([[w.pivot] + [y for y, _ in w.partners[:t]] for w in wits], dtype=np.int64)
-    rho = np.array([[1] + [ctx.neg(b) for _, b in w.partners[:t]] for w in wits], dtype=np.int64)
-    at = np.arange(len(wits))[:, None]
-    below = (np.array(M.subsets, dtype=np.int64)[:, None, :] < pts[:, :, None]).sum(2)
-    place = pts - below
-    # v_G(A+e) = alpha_{A+e} / prod_{z in G-A-e} det(z, A+e), alpha_{A+e}
-    # = +-s_e^{t+1} alpha_A f_A(e) with s_e = (-1)^{b_e}, and the product is
-    # (c_A s_e)^{|G|-k+1} Q_A(e), Q_A(e) = prod D(z, e) over the rest of A's
-    # star.  So with rho = v_G(A+x)/v_G(A+y) read off the witness,
-    # f_A(y)/f_A(x) = (s_x s_y)^n Q_A(y) / (rho Q_A(x)): c_A cancels, and
-    # the sign is the s_e^n of M_n's own columns.  1/Q_A are the Lagrange
-    # weights of the unit values over the whole star
-    W = _lagrange_weights(ctx, M.beta, 1)[at, place]
-    vals = ops.div(W[:, :1], ops.mul(rho, W))
-    flip = (below[:, :1] + below) * n % 2 == 1
-    vals[flip] = ops.neg(vals[flip])
+        raise PropertyWMissingError(f"zero left-null basis column at row {M.rows[zero[0]]}: it fixes no ratio")
+    if len(null) > 1:
+        missing = property_w(arc, n, M).missing
+        if not missing:
+            raise InvariantError("Property W holds on a left null space of two or more vectors")
+        raise PropertyWMissingError(f"Property W fails for {len(missing)} subsets, e.g. {missing[0]}")
+    # 1/Q_A are the Lagrange weights of the unit values over the whole star
+    v = null[0, M.stars[:, : t + 1]]
+    W = _lagrange_weights(ctx, M.beta, 1)[:, : t + 1]
+    vals = ops.div(ops.mul(W[:, :1], v), ops.mul(W, v[:, :1]))
+    odd = _star_geometry(arc)[6][:, : t + 1]
+    vals = np.where((odd[:, :1] != odd) & (n % 2 == 1), ops.neg(vals), vals)
     # f_A on the pencil member w2 b1 - w1 b2 through each w of PG(1,q)
     w1, w2 = _projective_line(ctx)
-    beta = M.beta[at, :, place].transpose(0, 2, 1)
+    beta = M.beta[:, :, : t + 1]
     hits = _lagrange_sum(ctx, beta, _lagrange_weights(ctx, beta, vals), w1, w2) == 0
     if (hits.sum(1) > t).any():
         raise InvariantError("degree-t function cannot vanish on t+1 directions")
+    pts = M.others[:, : t + 1].tolist()
     per_A = {}
     for s, A in enumerate(M.subsets):
-        values = dict(zip(pts[s].tolist(), vals[s].tolist()))
         roots, status = None, "non-splitting"
         if hits[s].sum() == t:
             members = _pencil_members(ctx, *M.pencils[s], w1[hits[s]], w2[hits[s]])
             roots, status = tuple(sorted(map(tuple, members.tolist()))), "ok"
-        per_A[A] = PredictedTangent(A, wits[s].pivot, values, roots, status)
-    return CosecantPrediction(n, t, per_A, route)
+        per_A[A] = PredictedTangent(A, pts[s][0], dict(zip(pts[s], vals[s].tolist())), roots, status)
+    return CosecantPrediction(n, t, per_A, "null-vector")
 
 
 # ----------------------------------------------------------------------

@@ -293,6 +293,15 @@ def cmd_conjecture(p, h, k, n, budget=200_000, samples=200, seed=0) -> dict:
     t0 = time.perf_counter()
     ctx = FieldCtx(p, h)
     res = ct.conjecture_scan(ctx, k, n, budget=budget, samples=samples, seed=seed)
+    # an exhaustive scan finds every arc class of the size, so none exists
+    if res.total == 0 and res.mode == "exhaustive":
+        verdict = f"no arc was scanned: no arc of size {res.arc_size} exists"
+    elif res.total == 0:
+        verdict = "no arc was scanned: none was sampled"
+    elif res.certified == res.total:
+        verdict = "all scanned arcs have weight-one certificates"
+    else:
+        verdict = f"{res.total - res.certified} scanned arcs lack certificates"
     body = {
         "p": p,
         "h": h,
@@ -306,11 +315,7 @@ def cmd_conjecture(p, h, k, n, budget=200_000, samples=200, seed=0) -> dict:
         "certified": res.certified,
         "fraction": res.fraction,
         "counterexamples": [[_fmt_point(ctx, pt) for pt in pts] for pts in res.counterexamples],
-        "verdict": (
-            "all scanned arcs have weight-one certificates"
-            if res.certified == res.total
-            else f"{res.total - res.certified} scanned arcs lack certificates"
-        ),
+        "verdict": verdict,
     }
     return _report("conjecture-scan", t0, **body)
 
@@ -362,6 +367,13 @@ def _parse_modulus(raw):
         raise ArcFileError(f"bad --modulus value {raw!r}") from exc
 
 
+def _count(raw):
+    """A count option (node budget, samples): a decimal integer >= 0."""
+    if not raw.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {raw!r}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="arclab",
@@ -388,15 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
     arcfile_cmd("hypersurface").set_defaults(run=lambda arc, a: cmd_hypersurface(arc))
     sp = arcfile_cmd("search")
     sp.add_argument("--target", type=int, default=None)
-    sp.add_argument("--budget", type=int, default=2_000_000)
+    sp.add_argument("--budget", type=_count, default=2_000_000)
     sp.set_defaults(run=lambda arc, a: cmd_search(arc, target=a.target, budget=a.budget))
     sp = sub.add_parser("conjecture-scan")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--h", type=int, default=1)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=200_000)
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--budget", type=_count, default=200_000)
+    sp.add_argument("--samples", type=_count, default=200)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(run=lambda _, a: cmd_conjecture(a.p, a.h, a.k, a.n, a.budget, a.samples, a.seed))
     return ap

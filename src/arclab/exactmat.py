@@ -61,28 +61,22 @@ class LeftNullBasis:
     def nullity(self) -> int:
         return self.basis.shape[0]
 
-    def weight_two_scalars(self, c1, c2):
-        """The b with unit_c1 + b*unit_c2 annihilated by every basis vector,
-        0 where there is none, over broadcast arrays of row indices (the
-        answer for c1 == c2 is meaningless).
-
-        Writing u, v for the basis columns at c1 and c2, such a b exists
-        iff u and v are both zero (b = 1) or both nonzero and proportional,
-        u = lam v, and then b = -lam.  Columns are compared in canonical
-        form, divided by their first nonzero entry (the lead), through
-        one class id per distinct canonical column, so lam is the quotient
-        of the two leads.
+    def partners(self, c1, c2):
+        """Whether rows c1 and c2 are partners, over broadcast arrays of row
+        indices: whether unit_c1 + b*unit_c2, for some b != 0, is
+        annihilated by every basis vector.  Such a b exists iff the basis
+        columns at c1 and c2 are both zero or both nonzero and proportional.
+        Columns are compared in canonical form, divided by their first
+        nonzero entry, through one class id per distinct canonical column;
+        all zero columns share one class.
         """
         ops = self.ctx.vec_ops()
         # one zero vector more changes no answer and leaves no column empty
         cols = np.concatenate([self.basis, np.zeros((1, self.basis.shape[1]), np.int64)]).T
         lead = cols[np.arange(len(cols)), (cols != 0).argmax(1)]
-        zero = lead == 0
-        lead[zero] = 1
-        canon = ops.div(cols, lead[:, None])
-        cls = np.unique(canon, axis=0, return_inverse=True)[1].reshape(-1)
-        b = np.where(zero[c1], 1, ops.neg(ops.div(lead[c1], lead[c2])))
-        return np.where(cls[c1] == cls[c2], b, 0)
+        lead[lead == 0] = 1
+        cls = np.unique(ops.div(cols, lead[:, None]), axis=0, return_inverse=True)[1].reshape(-1)
+        return cls[c1] == cls[c2]
 
 
 def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:

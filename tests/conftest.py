@@ -18,8 +18,6 @@ from arclab.arcgeom import (
 from arclab.certifier import (
     CosecantPrediction,
     PredictedTangent,
-    PropertyWReport,
-    PropertyWWitness,
     build_Mn,
     recover_cosecants,
 )
@@ -542,10 +540,17 @@ def ref_weight_two(ctx, basis, c1, c2):
     return ctx.neg(lam)
 
 
+# a pivot x of A's star and its partners ((y, b), ...), unit_{A+x} +
+# b unit_{A+y} in the column space
+RefWitness = namedtuple("RefWitness", "A pivot partners")
+RefPropertyW = namedtuple("RefPropertyW", "n t holds witnesses missing")
+
+
 def ref_property_w(arc, n, basis=None):
-    """property_w by a double loop over the star of every A: the pivot is
-    the smallest x with |G|-n-k+1 partners y.  basis (rows indexed like
-    colex_subsets) defaults to ref_left_null of ref_build_Mn."""
+    """property_w by a double loop over the star of every A, with a
+    witness per A that has one: the pivot is the smallest x with |G|-n-k+1
+    partners y.  basis (rows indexed like colex_subsets) defaults to
+    ref_left_null of ref_build_Mn."""
     if basis is None:
         basis = ref_left_null(arc.ctx, ref_build_Mn(arc, n).data)
     g, k = arc.size, arc.k
@@ -562,11 +567,11 @@ def ref_property_w(arc, n, basis=None):
                 if b is not None:
                     partners.append((y, b))
             if len(partners) >= need:
-                witnesses[A] = PropertyWWitness(A, x, tuple(partners))
+                witnesses[A] = RefWitness(A, x, tuple(partners))
                 break
         else:
             missing.append(A)
-    return PropertyWReport(n, g - k - n, not missing, witnesses, tuple(missing))
+    return RefPropertyW(n, g - k - n, not missing, witnesses, tuple(missing))
 
 
 def ref_det_prod(arc, C, us):
@@ -622,13 +627,13 @@ def ref_recover_cosecants(arc, n, source=None, M=None):
     """recover_cosecants with a null-vector route of its own and the scalar
     Property W, v_G coordinates, interpolation and root finding; M (the
     library M_n) only decides the route when no source is given.  source
-    may also be a PropertyWReport, whose witnesses then give the ratios:
-    the property-w route on any report, such as one of the library's."""
+    may also be a ref_property_w report, whose witnesses then give the
+    ratios: the property-w route, which the library does not have."""
     g, k = arc.size, arc.k
     t = g - k - n
     ctx = arc.ctx
     null_vec = report = None
-    if isinstance(source, PropertyWReport):
+    if isinstance(source, RefPropertyW):
         report = source
     elif source is not None:
         null_vec = [int(x) for x in source]

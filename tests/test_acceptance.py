@@ -60,7 +60,9 @@ from conftest import (
     ref_cosecants_through,
     ref_det_full,
     ref_interpolate_fA,
+    ref_property_w,
     ref_recover_cosecants,
+    ref_weight_two,
     shuffled_nrc,
     unit_vector,
     vG_check,
@@ -233,8 +235,9 @@ def test_criterion_4a_q13_size6(arc_q13_size6, F13):
     if rep.holds and completions:
         S = ArcConfig(F13, 3, completions[0])
         # the library route and the reference's route through the
-        # witnesses of the report
-        preds = (recover_cosecants(arc_q13_size6, 2), ref_recover_cosecants(arc_q13_size6, 2, source=rep))
+        # witnesses of its own Property W report
+        ref = ref_property_w(arc_q13_size6, 2)
+        preds = (recover_cosecants(arc_q13_size6, 2), ref_recover_cosecants(arc_q13_size6, 2, source=ref))
         agree = all(
             pred.per_A[A].forms is not None
             and sorted(pred.per_A[A].forms) == ref_cosecants_through(A, S)
@@ -258,13 +261,15 @@ def test_criterion_4b_q13_size9(arc_q13_size9, F13):
     M = build_Mn(arc, 3)
     full = ref_build_Mn(arc, 3)
     rep = property_w(arc, 3, M)
+    # the witnesses come from the scalar reference on the paper's M_3
+    ref = ref_property_w(arc, 3)
     completions = complete_search(arc, target_size=12).arcs
     checks = {
         "only_root_2_reads_an_arc": moduli_reading_an_arc(arc) == [F13.modulus],
         "rank_34_of_36_mod_13": (len(full.rows), rank_mod_p(full.data, 13)) == (36, 34),
-        "property_w_missing_1_to_7": rep.missing == tuple((i,) for i in range(1, 8)),
-        "seven_partners_at_0_and_8": sorted(rep.witnesses) == [(0,), (8,)]
-        and all(len(w.partners) == 7 for w in rep.witnesses.values()),
+        "property_w_missing_1_to_7": rep.missing == ref.missing == tuple((i,) for i in range(1, 8)),
+        "seven_partners_at_0_and_8": sorted(ref.witnesses) == [(0,), (8,)]
+        and all(len(w.partners) == 7 for w in ref.witnesses.values()),
         "one_size12_completion": len(completions) == 1,
     }
     if completions:
@@ -471,12 +476,15 @@ def test_criterion_7_oracle_equivalence():
         brute = next((c for c in range(m) if inside(vec((c, 1)))), None)
         if weight_one_in_colspace(M) != brute:
             ok = False
-        # weight-two against the oracle on sampled pairs
+        # weight-two against the oracle on sampled pairs, with the scalar
+        # reference's b
         for _ in range(3):
             c1, c2 = rng.sample(range(m), 2)
-            b = int(left_null_basis(M).weight_two_scalars(c1, c2))
             brute2 = any(inside(vec((c1, a), (c2, 1))) for a in ctx.nonzero())
-            if bool(b) != brute2 or (b and not inside(vec((c1, 1), (c2, b)))):
+            b = ref_weight_two(ctx, left_null_basis(M).basis.tolist(), c1, c2)
+            if bool(left_null_basis(M).partners(c1, c2)) != brute2 or (b is not None) != brute2:
+                ok = False
+            if b is not None and not inside(vec((c1, 1), (c2, b))):
                 ok = False
         count += 1
     report("7 (oracle equivalence)", ok, t0, f"{count} matrices")

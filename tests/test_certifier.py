@@ -5,11 +5,12 @@ from math import comb
 import numpy as np
 import pytest
 
-from arclab import arcgeom
+from arclab import arcgeom, certifier
 from arclab.arcgeom import (
     ArcConfig,
     BudgetExceededError,
     HyperplaneIncidence,
+    InvariantError,
     complete_search,
     subset_iter,
 )
@@ -18,6 +19,7 @@ from arclab.certifier import (
     NoCertificateError,
     NotLeftNullError,
     PropertyWMissingError,
+    PropertyWReport,
     SizeOutOfRangeError,
     _random_arc,
     bound_scan,
@@ -367,9 +369,10 @@ def test_M0_full_rank_for_small_arcs_when_k_le_p(F5, F7):
 
 
 def test_property_w_q13_size6(arc_q13_size6):
-    report = property_w(arc_q13_size6, 2)
-    assert report.holds
-    assert report.t == 1
+    assert property_w(arc_q13_size6, 2).holds
+    # the witnesses of the scalar reference, one per subset
+    report = ref_property_w(arc_q13_size6, 2)
+    assert report.t == 1 and len(report.witnesses) == 6
     need = 6 - 2 - 3 + 1
     for A, wit in report.witnesses.items():
         assert len(wit.partners) >= need
@@ -429,7 +432,8 @@ def test_property_w_matches_scalar_reference():
     for arc, n in _property_w_cases():
         basis = ref_left_null(arc.ctx, ref_build_Mn(arc, n).data)
         report = property_w(arc, n)
-        assert report == ref_property_w(arc, n, basis)
+        ref = ref_property_w(arc, n, basis)
+        assert (report.holds, report.missing) == (ref.holds, ref.missing)
         nullities.add(len(basis))
         outcomes.add(report.holds)
         zero = [not any(w[c] for w in basis) for c in range(comb(arc.size, arc.k - 1))]
@@ -444,8 +448,31 @@ def test_property_w_q81_matches_scalar_reference(arc_q81):
     # for the scalar elimination
     M = build_Mn(arc_q81, 1)
     report = property_w(arc_q81, 1, M)
-    assert report.holds
-    assert report == ref_property_w(arc_q81, 1, left_null_basis(M.matrix).basis.tolist())
+    ref = ref_property_w(arc_q81, 1, left_null_basis(M.matrix).basis.tolist())
+    assert report.holds and (ref.holds, ref.missing) == (True, ())
+    assert len(ref.witnesses) == 330
+
+
+def test_property_w_without_zero_columns_means_nullity_one():
+    # the theorem behind recovery from one vector (recover_cosecants):
+    # with no zero left-null basis column, Property W holds exactly when
+    # the nullity is 1, on seeded random arcs of k = 3, 4 at every n
+    rng = random.Random(18)
+    seen = {True: 0, False: 0}
+    for p, h in [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1)]:
+        ctx = FieldCtx(p, h)
+        for k in (3, 4):
+            inc = HyperplaneIncidence(ctx, k)
+            for size in range(k + 2, min(ctx.q + 1, k + 5) + 1):
+                for _ in range(3):
+                    arc = ArcConfig(ctx, k, _random_arc(inc, size, rng))
+                    for n in range(size - k):
+                        M = build_Mn(arc, n)
+                        basis = left_null_basis(M.matrix).basis
+                        if len(basis) and basis.any(0).all():
+                            assert property_w(arc, n, M).holds == (len(basis) == 1), (arc.points, n)
+                            seen[len(basis) == 1] += 1
+    assert seen[True] >= 30 and seen[False] >= 200
 
 
 def test_corollary2_route(arc_q13_size6, arc_q11, F11):
@@ -471,9 +498,9 @@ def test_recover_q13_size6_matches_conic(arc_q13_size6, F13):
     assert pred.all_split
     for A in subset_iter(6, 1):
         assert sorted(pred.per_A[A].forms) == ref_cosecants_through(A, S)
-    # the reference's property-w route, from the witnesses of the
-    # library report, gives the same predictions (determinacy)
-    pred2 = ref_recover_cosecants(arc_q13_size6, 2, source=property_w(arc_q13_size6, 2))
+    # the reference's property-w route, from the witnesses of its own
+    # Property W report, gives the same predictions (determinacy)
+    pred2 = ref_recover_cosecants(arc_q13_size6, 2, source=ref_property_w(arc_q13_size6, 2))
     assert pred2.route == "property-w"
     assert pred2.per_A == pred.per_A
     # and the library agrees with the scalar recovery prediction by prediction
@@ -524,8 +551,13 @@ def test_recover_requires_positive_t(arc_q13_size6):
         recover_cosecants(arc_q13_size6, 3)  # t = 0
 
 
-def test_recover_without_property_w_raises(arc_q13_size9):
-    with pytest.raises(PropertyWMissingError):
+def test_recover_without_property_w_raises(arc_q13_size9, monkeypatch):
+    # M_3 has nullity 2 and no zero basis column
+    with pytest.raises(PropertyWMissingError, match=r"Property W fails for 7 subsets, e.g. \(1,\)"):
+        recover_cosecants(arc_q13_size9, 3)
+    # Property W there would contradict the theorem: an internal fault
+    monkeypatch.setattr(certifier, "property_w", lambda *args: PropertyWReport(()))
+    with pytest.raises(InvariantError):
         recover_cosecants(arc_q13_size9, 3)
 
 

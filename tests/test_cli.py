@@ -1,5 +1,6 @@
 import inspect
 import json
+from math import comb
 
 import pytest
 
@@ -18,6 +19,7 @@ from arclab.cli import (
     main,
     parse_arc_file,
 )
+from arclab.exactmat import LeftNullBasis
 
 from conftest import ARCS_DIR
 
@@ -134,7 +136,7 @@ def test_cmd_cosecants_reports_the_search_on_the_nullity_one_route():
         assert rep["corollary2_route"] is True
         assert (rep["property_w"], rep["missing"]) == (w.holds, list(w.missing)) == (True, [])
         assert rep["route"] == "null-vector"
-        assert len(rep["predictions"]) == len(w.witnesses)
+        assert len(rep["predictions"]) == comb(arc.size, arc.k - 2)
 
 
 def test_internal_fault_exits_4(monkeypatch, capsys):
@@ -149,12 +151,16 @@ def test_internal_fault_exits_4(monkeypatch, capsys):
 
 
 def test_cmd_cosecants_runs_property_w_once(monkeypatch):
-    # on the nullity-one route recovery reads the report of the same matrix
+    # the report makes the one Property W pass; recovery reads the null
+    # vector and makes none
     calls = []
-    search = certifier._property_w
-    monkeypatch.setattr(certifier, "_property_w", lambda *args: calls.append(1) or search(*args))
-    rep = cmd_cosecants(parse_arc_file(load("q13_size6.arc")), 2)
+    partners = LeftNullBasis.partners
+    monkeypatch.setattr(LeftNullBasis, "partners", lambda *args: calls.append(1) or partners(*args))
+    arc = parse_arc_file(load("q13_size6.arc"))
+    rep = cmd_cosecants(arc, 2)
     assert (rep["corollary2_route"], rep["route"], rep["all_split"]) == (True, "null-vector", True)
+    assert len(calls) == 1
+    certifier.recover_cosecants(arc, 2)
     assert len(calls) == 1
     calls.clear()
     # a weight-one vector there: Property W holds, but its zero null-basis
@@ -249,6 +255,34 @@ def test_conjecture_sampling_that_cannot_succeed_exits_3(capsys):
     argv = ["conjecture-scan", "--p", "5", "--k", "3", "--n", "4", "--budget", "0", "--samples", "1"]
     assert main(argv) == 3
     assert "random point orders" in capsys.readouterr().err
+
+
+def test_empty_conjecture_scan_says_no_arc_was_scanned(capsys):
+    # over GF(3) no arc of size 6 > q+k-1 = 5 exists, and the search finds
+    # none of size 5; a sampled scan of 0 samples scans nothing either
+    cases = [
+        (["--p", "3", "--k", "3", "--n", "3"], "exhaustive", "no arc was scanned: no arc of size 6 exists"),
+        (["--p", "3", "--k", "3", "--n", "2"], "exhaustive", "no arc was scanned: no arc of size 5 exists"),
+        (["--p", "5", "--k", "3", "--n", "2", "--budget", "0", "--samples", "0"], "sampled",
+         "no arc was scanned: none was sampled"),
+    ]
+    for argv, mode, verdict in cases:
+        assert main(["--emit", "structured", "conjecture-scan", *argv]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["mode"], rep["total"], rep["verdict"]) == (mode, 0, verdict)
+
+
+def test_negative_counts_are_usage_errors(capsys):
+    q13 = str(ARCS_DIR / "q13_size6.arc")
+    scan = ["conjecture-scan", "--p", "5", "--k", "3", "--n", "2"]
+    for argv in (["search", q13, "--budget", "-1"], scan + ["--samples", "-1"], scan + ["--budget", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected an integer >= 0, got '-1'" in capsys.readouterr().err
+    # 0 stays a valid budget: the search exceeds it at once
+    assert main(["search", q13, "--budget", "0"]) == 3
+    assert capsys.readouterr().err == "error: search exceeded 0 nodes\n"
 
 
 def test_report_determinism():

@@ -50,10 +50,10 @@ def brute_weight_two(M, c1, c2):
     return next(((a, 1) for a in M.ctx.nonzero() if inside(unit_vector(M.rows, (c1, a), (c2, 1)))), None)
 
 
-def weight_two(M, c1, c2):
-    """The library's answer: b with unit_c1 + b*unit_c2 in the column
-    space, or 0."""
-    return int(left_null_basis(M).weight_two_scalars(c1, c2))
+def partners(M, c1, c2):
+    """The library's answer: whether unit_c1 + b*unit_c2 lies in the
+    column space for some b != 0."""
+    return bool(left_null_basis(M).partners(c1, c2))
 
 
 # ----------------------------------------------------------------------
@@ -124,33 +124,38 @@ def test_weight_two_oracle_agreement():
             m = rng.randrange(3, 9)
             M = random_matrix(ctx, rng, m, rng.randrange(1, 10))
             c1, c2 = rng.sample(range(m), 2)
-            b = weight_two(M, c1, c2)
-            assert (b == 0) == (brute_weight_two(M, c1, c2) is None)
-            if b:
-                assert ref_colspace_test(ctx, M.data.tolist())(unit_vector(m, (c1, 1), (c2, b)))
+            assert partners(M, c1, c2) == (brute_weight_two(M, c1, c2) is not None)
 
 
 def test_weight_two_constructed_cases(F5):
     # colspace spanned by unit_0 only: no weight-two anywhere
     M = GFMatrix(F5, [[1], [0], [0]])
-    assert weight_two(M, 0, 1) == 0
-    assert weight_two(M, 1, 2) == 0
+    assert not partners(M, 0, 1)
+    assert not partners(M, 1, 2)
     # both null-basis columns zero: rows 0 and 1 span freely
     M = GFMatrix(F5, [[1, 0], [0, 1], [0, 0]])
-    assert weight_two(M, 0, 1) == 1
+    assert partners(M, 0, 1) and not partners(M, 0, 2)
     # full row rank: everything is in the column space
     M = GFMatrix(F5, np.eye(3))
-    assert weight_two(M, 0, 2) == 1
-    # a proportional pair: unit_0 - 2 unit_1 spans the column space
+    assert partners(M, 0, 2)
+    # a proportional pair: unit_0 + 3 unit_1 spans the column space
     M = GFMatrix(F5, [[1], [3], [0]])
-    assert weight_two(M, 0, 1) == 3 and weight_two(M, 1, 0) == 2
+    assert partners(M, 0, 1) and partners(M, 1, 0) and not partners(M, 0, 2)
+    assert brute_weight_two(M, 0, 1) == (2, 1) and brute_weight_two(M, 1, 0) == (3, 1)
+    # broadcast row indices: all pairs at once
+    rows = np.arange(3)
+    assert left_null_basis(M).partners(rows[:, None], rows[None, :]).tolist() == [
+        [True, True, False],
+        [True, True, False],
+        [False, False, True],
+    ]
 
 
 def test_weight_two_zero_matrix_has_no_weight_two(F5):
     # the column space of the zero matrix is {0}: no weight-two vector,
     # and the brute-force oracle agrees
     Z = GFMatrix(F5, np.zeros((4, 3)))
-    assert weight_two(Z, 0, 1) == 0
+    assert not partners(Z, 0, 1)
     assert brute_weight_two(Z, 0, 1) is None
 
 

@@ -12,6 +12,7 @@ one would silently vanish.
 import argparse
 import ast
 import importlib
+import json
 import inspect
 import sys
 from pathlib import Path
@@ -66,9 +67,11 @@ def command_lines():
             ["hypersurface", arc],
             ["search", arc],
         )
-    scan = ["--emit", "structured", "conjecture-scan", "--p", "5", "--k", "3", "--n", "1"]
-    yield scan
-    yield scan + ["--budget", "1", "--samples", "2"]
+    # at n = 1 the 4-point frame is the whole arc; at n = 2 one node
+    # cannot find the 5-arcs, so the scan samples
+    scan = ["--emit", "structured", "conjecture-scan", "--p", "5", "--k", "3"]
+    yield scan + ["--n", "1"]
+    yield scan + ["--n", "2", "--budget", "1", "--samples", "2"]
 
 
 def test_every_exported_function_is_reached_by_a_command(capsys):
@@ -82,15 +85,17 @@ def test_every_exported_function_is_reached_by_a_command(capsys):
         if event == "call":
             called.add(frame.f_code)
 
-    codes = []
+    codes, outs = [], []
     sys.setprofile(profile)
     try:
         for argv in lines:
             codes.append(main(argv))
+            outs.append(capsys.readouterr().out)
     finally:
         sys.setprofile(None)
-    capsys.readouterr()
     assert 4 not in codes and {2, 3} < set(codes)
+    scans = [json.loads(out) for out in outs[-2:]]
+    assert [(rep["mode"], rep["total"]) for rep in scans] == [("exhaustive", 1), ("sampled", 2)]
     unreached, exported = [], set()
     for name in MODULES:
         module = importlib.import_module(f"arclab.{name}")
