@@ -371,7 +371,8 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
     Without a target, returns the sorted sizes of all complete arcs
     containing the input.  With a target, returns every arc of exactly
     that size containing the input (as full point tuples, each extension
-    set enumerated once in candidate order).  Raises BudgetExceededError
+    set enumerated once in candidate order); a target must lie in
+    |G|..q+k-1, or ArcInputError is raised.  Raises BudgetExceededError
     when the node count exceeds the budget, so a returned result is an
     exhaustion proof.
 
@@ -391,6 +392,8 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
     ctx, k = arc.ctx, arc.k
     if target_size is not None and target_size > ctx.q + k - 1:
         raise ArcInputError(f"target size {target_size} exceeds q+k-1")
+    if target_size is not None and target_size < arc.size:
+        raise ArcInputError(f"target size {target_size} is below the input size {arc.size}")
     inc = HyperplaneIncidence(ctx, k, arc.points)
     n = len(inc.points)
     sizes, found = set(), []
@@ -398,10 +401,9 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
     ws = np.flatnonzero(np.unpackbits(cands.astype("<i8", copy=False).view(np.uint8), bitorder="little"))
     if target_size is None and not cands.any():
         sizes.add(arc.size)
-    elif target_size is not None and arc.size >= target_size:
+    elif target_size == arc.size:
         ws = ws[:0]  # the input has reached the target size
-        if arc.size == target_size:
-            found.append(tuple(range(n, n + arc.size)))
+        found.append(tuple(range(n, n + arc.size)))
     nodes = 1 + len(ws)  # the root and its children
     # a batch: paths, cands, node, ws, and the running cuts as rows of an array its siblings share
     zero = np.zeros(len(ws), dtype=np.int64)

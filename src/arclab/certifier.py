@@ -21,7 +21,6 @@ import itertools
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from .tangentfns import _lagrange_sum, _lagrange_weights
 
 __all__ = [
     "SizeOutOfRangeError",
-    "NoCertificateError",
     "PropertyWMissingError",
     "NotLeftNullError",
     "CertMatrix",
@@ -64,14 +62,6 @@ __all__ = [
 
 class SizeOutOfRangeError(ArcInputError):
     pass
-
-
-class NoCertificateError(RuntimeError):
-    """Raised when the bound scan exhausts all n without a certificate."""
-
-    def __init__(self, message, audit=None):
-        super().__init__(message)
-        self.audit = audit or []
 
 
 class PropertyWMissingError(RuntimeError):
@@ -188,10 +178,10 @@ def theorem1_test(arc: ArcConfig, n: int, M: CertMatrix | None = None):
 
 @dataclass(frozen=True)
 class BoundScan:
-    n0: int
-    certificate: NonExtendabilityCertificate
-    forbidden_size: int
-    max_size_bound: int
+    n0: int | None
+    certificate: NonExtendabilityCertificate | None
+    forbidden_size: int | None
+    max_size_bound: int | None
     trace: tuple  # (n, rank, rows, nullity) per scanned n
 
 
@@ -200,10 +190,10 @@ def bound_scan(arc: ArcConfig) -> BoundScan:
 
     Non-extendability to size s rules out every size >= s, so the first
     certificate bounds the largest arc containing G by forbidden_size - 1.
-    Raises NoCertificateError after n = |G|-k (possible only for even q),
-    carrying a per-n nullity audit, and SizeOutOfRangeError when |G| < k.
+    When no n <= |G|-k certifies (possible only for even q), every field
+    but the per-n trace is None.  Raises SizeOutOfRangeError when |G| < k.
     """
-    g, k, q = arc.size, arc.k, arc.ctx.q
+    g, k = arc.size, arc.k
     if g < k:
         raise SizeOutOfRangeError(f"need |G| >= k, got |G|={g}, k={k}")
     trace = []
@@ -214,19 +204,7 @@ def bound_scan(arc: ArcConfig) -> BoundScan:
         cert = theorem1_test(arc, n, M)
         if cert is not None:
             return BoundScan(n, cert, cert.forbidden_size, cert.forbidden_size - 1, tuple(trace))
-    audit = [
-        {
-            "n": n,
-            "rank": r,
-            "rows": rows,
-            "nullity": nullity,
-            "even_q_nullity": comb(g - n - 1, k - 1),
-        }
-        for n, r, rows, nullity in trace
-    ]
-    raise NoCertificateError(
-        f"no weight-one certificate for any n <= {g - k} (q = {q})", audit
-    )
+    return BoundScan(None, None, None, None, tuple(trace))
 
 
 @dataclass(frozen=True)

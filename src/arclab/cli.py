@@ -163,27 +163,25 @@ def cmd_analyze(arc: ArcConfig, n: int) -> dict:
 
 def cmd_bound(arc: ArcConfig) -> dict:
     t0 = time.perf_counter()
-    try:
-        scan = ct.bound_scan(arc)
+    scan = ct.bound_scan(arc)
+    audit = [{"n": n, "rank": r, "rows": rows, "nullity": nullity} for n, r, rows, nullity in scan.trace]
+    if scan.n0 is None:
+        for row in audit:
+            row["even_q_nullity"] = comb(arc.size - row["n"] - 1, arc.k - 1)
+        body = {
+            "n0": None,
+            "verdict": "no certificate at any n (even q)",
+            "scan": audit,
+            "even_q_nullity_law": all(row["nullity"] == row["even_q_nullity"] for row in audit),
+        }
+    else:
         body = {
             "n0": scan.n0,
             "forbidden_size": scan.forbidden_size,
             "largest_arc_bound": scan.max_size_bound,
             "certificate_row": _fmt_subset(scan.certificate.row),
-            "scan": [
-                {"n": n, "rank": r, "rows": rows, "nullity": nullity}
-                for n, r, rows, nullity in scan.trace
-            ],
+            "scan": audit,
             "verdict": f"largest arc containing the input has size <= {scan.max_size_bound}",
-        }
-    except ct.NoCertificateError as exc:
-        body = {
-            "n0": None,
-            "verdict": "no certificate at any n (even q)",
-            "scan": exc.audit,
-            "even_q_nullity_law": all(
-                row["nullity"] == row["even_q_nullity"] for row in exc.audit
-            ),
         }
     return _report("bound", t0, arc, **body)
 

@@ -14,10 +14,10 @@ Inf. Theory 1990): ``zech[i] = log(1 + g^i)``, so for nonzero a and b
     log(a + b) = log(a) + zech[log(b) - log(a)]
 
 and ``-a = g^((q-1)/2) a`` (``-a = a`` when p = 2).  Every table has O(q)
-entries.  The primitive element is the smallest primitive root mod p when
-h = 1 and the class of x otherwise, which requires the defining polynomial
-to be primitive (the shipped Conway polynomials are; a user-supplied
-modulus is checked).
+entries.  The primitive element is the class of x modulo the defining
+polynomial, which must be primitive; ``FieldCtx`` checks that by one rule
+proved there.  The default modulus is a shipped Conway polynomial, or
+x - g for the smallest primitive root g mod p when h = 1.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "FieldCtx",
     "FieldError",
     "NotPrimeError",
-    "ReduciblePolynomialError",
     "NonPrimitiveGeneratorError",
     "UnsupportedFieldError",
     "ElementSyntaxError",
@@ -44,10 +43,6 @@ class FieldError(ValueError):
 
 
 class NotPrimeError(FieldError):
-    pass
-
-
-class ReduciblePolynomialError(FieldError):
     pass
 
 
@@ -121,40 +116,6 @@ def _smallest_primitive_root(p: int) -> int:
     raise NonPrimitiveGeneratorError(f"no primitive root mod {p}")
 
 
-def _poly_divides(d: list[int], f: list[int], p: int) -> bool:
-    """Whether monic d divides f over GF(p); coefficients low -> high."""
-    r = f[:]
-    while len(r) >= len(d) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(d):
-            break
-        c = r[-1]
-        off = len(r) - len(d)
-        for i, di in enumerate(d):
-            r[off + i] = (r[off + i] - c * di) % p
-        r.pop()
-    return not any(r)
-
-
-def _check_irreducible(coeffs_low: list[int], p: int) -> None:
-    """Trial division by all monic polynomials of degree <= h/2."""
-    h = len(coeffs_low) - 1
-    for deg in range(1, h // 2 + 1):
-        # enumerate monic polynomials of this degree
-        for idx in range(p ** deg):
-            d = []
-            m = idx
-            for _ in range(deg):
-                d.append(m % p)
-                m //= p
-            d.append(1)
-            if _poly_divides(d, coeffs_low, p):
-                raise ReduciblePolynomialError(
-                    f"modulus is divisible by a degree-{deg} factor over GF({p})"
-                )
-
-
 def conway_polynomial(p: int, h: int):
     """Shipped Conway polynomial for (p, h), coefficients high -> low."""
     if h == 1:
@@ -197,9 +158,17 @@ class FieldCtx:
             raise FieldError("modulus must be monic")
         self.modulus = modulus
 
+        # One rule accepts a modulus f: f(0) != 0, and none of x^1 ... x^(q-2)
+        # is 1 in R = GF(p)[x]/(f); the loops below test the second part while
+        # they fill exp.  It suffices: f(0) != 0 makes x a unit, and then
+        # x^0 ... x^(q-2) are q-1 distinct units, since x^i = x^j with i < j
+        # would give x^(j-i) = 1.  So every nonzero element of R is a unit, R
+        # is a field, f is irreducible and x has order q-1, i.e. x is
+        # primitive.  A primitive modulus passes both tests.
+        if modulus[-1] == 0:
+            raise NonPrimitiveGeneratorError("modulus has constant term 0, so x is not a unit")
         if h == 1:
             g = (-modulus[1]) % p
-            # order check below covers a user-supplied non-primitive root
             exp = [1]
             x = 1
             for _ in range(q - 2):
@@ -209,10 +178,8 @@ class FieldCtx:
                         f"{g} is not a primitive root mod {p}"
                     )
                 exp.append(x)
-            self.generator = g
         else:
             low = list(reversed(modulus))
-            _check_irreducible(low, p)
             # antilog by repeated multiplication with x, digits low->high;
             # 1 + g^i differs from g^i only in the constant term cur[0]
             exp = [1]
@@ -232,10 +199,7 @@ class FieldCtx:
                     )
                 exp.append(val)
                 one_plus.append(val + 1 if cur[0] != p - 1 else val - cur[0])
-            self.generator = p  # the class of x
-
-        if len(set(exp)) != q - 1:
-            raise NonPrimitiveGeneratorError("antilog table is not a bijection")
+        self.generator = exp[1]  # the class of x
         n1 = q - 1
         self.exp = tuple(exp)
         log = [0] * q

@@ -52,6 +52,21 @@ def ref_neg(ctx, a):
     return out
 
 
+def ref_x_order(p, modulus):
+    """Multiplicative order of x modulo a monic polynomial over GF(p)
+    (coefficients high -> low), by multiplying by x and reducing until the
+    power is 1; None when none of x^1 ... x^(p^h - 1) is 1."""
+    low = modulus[::-1]
+    one = [1] + [0] * (len(low) - 2)
+    power = one
+    for i in range(1, p ** (len(low) - 1)):
+        lead = power[-1]  # x * power = shifted power - lead * modulus
+        power = [(x - lead * m) % p for x, m in zip([0] + power[:-1], low)]
+        if power == one:
+            return i
+    return None
+
+
 def ref_mul(ctx, a, b):
     """Product of two element codes by schoolbook multiplication of their
     digit polynomials, reduced by the modulus (no log tables)."""

@@ -16,7 +16,6 @@ from arclab.arcgeom import (
 )
 from arclab.certifier import (
     RANDOM_ARC_ATTEMPTS,
-    NoCertificateError,
     NotLeftNullError,
     PropertyWMissingError,
     PropertyWReport,
@@ -290,10 +289,11 @@ def test_bound_scan_rejects_fewer_than_k_points(F13):
 
 def test_bound_scan_even_q(hyperconic_f8):
     arc = hyperconic_f8.prefix(6)
-    with pytest.raises(NoCertificateError) as err:
-        bound_scan(arc)
-    for row in err.value.audit:
-        assert row["nullity"] == row["even_q_nullity"]
+    scan = bound_scan(arc)
+    assert (scan.n0, scan.certificate, scan.forbidden_size, scan.max_size_bound) == (None,) * 4
+    assert [n for n, *_ in scan.trace] == list(range(arc.size - arc.k + 1))
+    for n, _, _, nullity in scan.trace:
+        assert nullity == comb(arc.size - n - 1, arc.k - 1)
 
 
 @pytest.mark.parametrize("p,h,k,g", [(3, 4, 6, 11), (3, 4, 5, 10), (7, 2, 4, 9), (3, 3, 4, 9)])
@@ -330,8 +330,7 @@ def test_bound_scan_builds_star_geometry_once(F8, monkeypatch):
         return normals(ctx, sets)
 
     monkeypatch.setattr(arcgeom, "cofactor_normals", counting)
-    with pytest.raises(NoCertificateError):
-        bound_scan(arc)
+    assert bound_scan(arc).n0 is None
     assert calls == [30]
     M0, M1 = build_Mn(arc, 0), build_Mn(arc, 1)
     assert M0.stars is M1.stars and M0.beta is M1.beta
@@ -347,11 +346,8 @@ def test_bound_scan_sound_on_hyperoval_subsets(h, modulus, g):
     random.Random(h).shuffle(pts)
     G = ArcConfig(ctx, 3, pts[:g])
     for arc in (G, gl_image(G, 3)):
-        try:
-            scan = bound_scan(arc)
-        except NoCertificateError:
-            continue
-        assert scan.forbidden_size > ctx.q + 2
+        scan = bound_scan(arc)
+        assert scan.n0 is None or scan.forbidden_size > ctx.q + 2
 
 
 def test_M0_full_rank_for_small_arcs_when_k_le_p(F5, F7):

@@ -179,8 +179,26 @@ def test_input_errors_exit_2(capsys):
     q13 = str(ARCS_DIR / "q13_size6.arc")
     assert main(["search", q13, "--target", "16"]) == 2  # q+k-1 = 15
     assert capsys.readouterr().err == "error: target size 16 exceeds q+k-1\n"
+    for target in ("-1", "3", "5"):  # below the six input points
+        assert main(["search", q13, "--target", target]) == 2
+        assert capsys.readouterr().err == f"error: target size {target} is below the input size 6\n"
+    assert main(["search", q13, "--target", "6"]) == 0
+    assert "1 arcs of size 6 contain the input" in capsys.readouterr().out
     assert main(["conjecture-scan", "--p", "7", "--k", "2", "--n", "1"]) == 2
     assert capsys.readouterr().err == "error: dimension k must be at least 3\n"
+
+
+def test_modulus_x_of_gf3_exits_2(tmp_path, capsys):
+    # over the modulus x, "GF(3)" had generator 0 and 1 * 2 = 1, and the
+    # frame read as a complete arc of 3 points; over GF(3) it extends to 4
+    frame = tmp_path / "frame.arc"
+    frame.write_text("field 3 1 1 0\nk 3\n1 0 0\n0 1 0\n0 0 1\n")
+    assert main(["search", str(frame)]) == 2
+    assert capsys.readouterr().err == "error: modulus has constant term 0, so x is not a unit\n"
+    frame.write_text("field 3 1\nk 3\n1 0 0\n0 1 0\n0 0 1\n")
+    assert main(["--emit", "structured", "search", str(frame)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["complete_sizes"], rep["nodes"]) == ([4], 5)
 
 
 def test_fields_past_the_table_cap_exit_2_before_a_primality_test(tmp_path, capsys, monkeypatch):

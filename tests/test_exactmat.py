@@ -106,6 +106,22 @@ def test_left_null_annihilates():
                 assert annihilates(ctx, w, rows)
 
 
+def test_left_null_basis_above_the_int32_product_range():
+    # p^2 > 2^32: elimination products must not wrap; a 12 x 9 product of
+    # rank-5 factors has nullity 7
+    p = 65537
+    ctx = FieldCtx(p)
+    rng = random.Random(65537)
+    X = [[rng.randrange(p) for _ in range(5)] for _ in range(12)]
+    Y = [[rng.randrange(p) for _ in range(9)] for _ in range(5)]
+    rows = [[sum(a * b for a, b in zip(x, col)) % p for col in zip(*Y)] for x in X]
+    null = left_null_basis(GFMatrix(ctx, rows))
+    assert null.nullity == 12 - rank_mod_p(rows, p) == 7
+    assert rank_mod_p(null.basis.tolist(), p) == 7
+    for w in null.basis.tolist():
+        assert annihilates(ctx, w, rows)
+
+
 def test_weight_one_identity_and_oracle():
     rng = random.Random(23)
     for q in [5, 7, 11, 13]:

@@ -1,4 +1,6 @@
 import gc
+import itertools
+import math
 import random
 import weakref
 
@@ -12,12 +14,11 @@ from arclab.gf import (
     FieldError,
     NonPrimitiveGeneratorError,
     NotPrimeError,
-    ReduciblePolynomialError,
     UnsupportedFieldError,
     conway_polynomial,
 )
 
-from conftest import ref_add, ref_mul, ref_neg
+from conftest import ref_add, ref_mul, ref_neg, ref_x_order
 
 
 def brute_order(g, p):
@@ -81,8 +82,8 @@ def test_construction_errors():
         FieldCtx(2, 21)  # above the table cap
     with pytest.raises(UnsupportedFieldError):
         FieldCtx(17, 2)  # no built-in modulus
-    with pytest.raises(ReduciblePolynomialError):
-        FieldCtx(3, 2, (1, 2, 1))  # (x+1)^2
+    with pytest.raises(NonPrimitiveGeneratorError):
+        FieldCtx(3, 2, (1, 2, 1))  # (x+1)^2: x has order 6 in a ring that is no field
     with pytest.raises(NonPrimitiveGeneratorError):
         FieldCtx(3, 2, (1, 0, 1))  # x^2+1 irreducible, x has order 4 != 8
     with pytest.raises(FieldError, match="extension degree"):
@@ -91,6 +92,31 @@ def test_construction_errors():
         FieldCtx(5, 2, (1, 0, 0, 2))  # a cubic for GF(25)
     with pytest.raises(FieldError, match="monic"):
         FieldCtx(5, 2, (2, 0, 2))
+
+
+def test_accepted_moduli_are_exactly_the_primitive_ones():
+    # every monic modulus of every field with q <= 200 and p <= 13: FieldCtx
+    # accepts exactly those of which x has order q-1 by brute force, and
+    # there are phi(q-1)/h of them (Lidl and Niederreiter, Finite Fields)
+    total = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for h in range(1, 8):
+            q = p**h
+            if q < 3 or q > 200:
+                continue
+            accepted = 0
+            for rest in itertools.product(range(p), repeat=h):
+                modulus = (1,) + rest
+                total += 1
+                try:
+                    FieldCtx(p, h, modulus)
+                    accepted += 1
+                except NonPrimitiveGeneratorError:
+                    assert ref_x_order(p, modulus) != q - 1, modulus
+                else:
+                    assert ref_x_order(p, modulus) == q - 1, modulus
+            assert accepted == sum(math.gcd(i, q - 1) == 1 for i in range(1, q)) // h
+    assert total == 897
 
 
 def test_user_modulus_override():
@@ -263,6 +289,26 @@ def test_elimination_kernel_matches_digitwise_reference(p, h, modulus):
     block = np.tile(w, (q - 1, 1))
     got = ctx.vec_ops().addmul(block, f, r)
     assert (got == add[w[None, :], mul[f[:, None], r[None, :]]]).all()
+
+
+def test_vector_arithmetic_above_the_int32_product_range():
+    # p^2 > 2^32, so a product or a matmul sum of this field held in int32
+    # would wrap; Python ints are the reference
+    p = 65537
+    ops = FieldCtx(p).vec_ops()
+    rng = np.random.default_rng(65537)
+    a, b = rng.integers(0, p, 2000), rng.integers(1, p, 2000)
+    al, bl = a.tolist(), b.tolist()
+    assert ops.mul(a, b).tolist() == [x * y % p for x, y in zip(al, bl)]
+    assert ops.add(a, b).tolist() == [(x + y) % p for x, y in zip(al, bl)]
+    assert ops.sub(a, b).tolist() == [(x - y) % p for x, y in zip(al, bl)]
+    assert ops.div(a, b).tolist() == [x * pow(y, -1, p) % p for x, y in zip(al, bl)]
+    A, B = rng.integers(0, p, (20, 30)), rng.integers(0, p, (30, 10))
+    AB = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*B.tolist())] for row in A.tolist()]
+    assert ops.matmul(A, B).tolist() == AB
+    block, f, row = rng.integers(0, p, (20, 40)), rng.integers(1, p, 20), rng.integers(0, p, 40)
+    want = [[(x + fi * y) % p for x, y in zip(brow, row.tolist())] for brow, fi in zip(block.tolist(), f.tolist())]
+    assert ops.addmul(block, f, row).tolist() == want
 
 
 def test_dropped_field_is_freed_by_refcount():

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from arclab.arcgeom import ArcConfig, HyperplaneIncidence
 from arclab.certifier import (
-    NoCertificateError,
     PropertyWMissingError,
     _random_arc,
     bound_scan,
@@ -71,11 +70,7 @@ def _facts(arc):
         M = build_Mn(arc, n)
         nullity = left_null_basis(M.matrix).nullity
         facts.append((M.matrix.rows - nullity, nullity, weight_one_in_colspace(M.matrix) is not None))
-    try:
-        n0 = bound_scan(arc).n0
-    except NoCertificateError:
-        n0 = None
-    return facts, n0
+    return facts, bound_scan(arc).n0
 
 
 @FIELDS_AND_K
