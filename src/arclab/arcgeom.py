@@ -198,25 +198,32 @@ class ArcConfig:
 # ----------------------------------------------------------------------
 
 
-def _pencil_basis(arc: ArcConfig, subsets):
-    """u1, u2, b1, b2 for every (k-2)-subset A of a list, one array entry
-    per A, from one kernel call: e_u1 is the first standard basis vector
-    outside span(A), e_u2 the first outside span(A, e_u1), and
-    b1 = n_{A+e_u1}, b2 = n_{A+e_u2} span the forms vanishing on A."""
-    k = arc.k
-    a = np.array(arc.points, dtype=np.int64).reshape(-1, k)[np.array(subsets, dtype=np.int64)]
-    if a.shape[1:] != (k - 2, k):
+def _pencil_basis(ctx, points, subsets):
+    """u1, u2, b1, b2 for every (k-2)-subset A of a list, given as positions
+    into the last-but-one axis of a (..., |G|, k) array of points, one
+    array entry per leading index and A, from one kernel call: e_u1 is the
+    first standard basis vector outside span(A), e_u2 the first outside
+    span(A, e_u1), and b1 = n_{A+e_u1}, b2 = n_{A+e_u2} span the forms
+    vanishing on A."""
+    points = np.asarray(points, dtype=np.int64)
+    k = points.shape[-1]
+    a = points[..., np.array(subsets, dtype=np.int64), :]
+    if a.shape[-2] != k - 2:
         raise ValueError("subsets do not all have k-2 points")
-    eye = np.broadcast_to(np.eye(k, dtype=np.int64)[:, None], (len(a), k, 1, k))
-    sets = np.concatenate([np.broadcast_to(a[:, None], (len(a), k, k - 2, k)), eye], axis=2)
-    normals = cofactor_normals(arc.ctx, sets.reshape(-1, k - 1, k)).reshape(-1, k, k)
+    lead = a.shape[:-2]
+    a = a.reshape(-1, k - 2, k)
+    sets = np.zeros((len(a), k, k - 1, k), dtype=np.int64)
+    sets[:, :, : k - 2] = a[:, None]
+    sets[:, :, k - 2] = np.eye(k, dtype=np.int64)
+    normals = cofactor_normals(ctx, sets.reshape(-1, k - 1, k)).reshape(-1, k, k)
     outside = normals.any(axis=2)
     if not outside.any(axis=1).all():
         raise ValueError("subset does not span a (k-2)-space")
     at = np.arange(len(a))
-    b1 = normals[at, outside.argmax(1)]
+    u1 = outside.argmax(1)
+    b1 = normals[at, u1]
     u2 = (b1 != 0).argmax(1)
-    return outside.argmax(1), u2, b1, normals[at, u2]
+    return tuple(x.reshape(*lead, *x.shape[1:]) for x in (u1, u2, b1, normals[at, u2]))
 
 
 def _projective_line(ctx):

@@ -36,7 +36,7 @@ from .arcgeom import (
     complete_search,
     subset_iter,
 )
-from .exactmat import GFMatrix, left_null_basis, weight_one_in_colspace
+from .exactmat import GFMatrix, left_null_basis, weight_one_in_colspace, weight_one_rows
 from .tangentfns import _lagrange_sum, _lagrange_weights
 
 __all__ = [
@@ -79,14 +79,14 @@ class CertMatrix:
     vanishing on A with the pencil coordinates beta(x) = (b1.x, b2.x) of
     its star."""
 
-    def __init__(self, arc: ArcConfig, n: int, matrix: GFMatrix, rows, subsets, others, stars, pencils, beta):
+    def __init__(self, arc: ArcConfig, n: int, matrix: GFMatrix, index, pencils, beta):
         self.arc = arc
         self.n = n
         self.matrix = matrix
-        self.rows = rows          # list of (k-1)-subsets, colex
-        self.subsets = subsets    # the A, colex
-        self.others = others      # others[s] = the points outside subsets[s]
-        self.stars = stars        # stars[s, j] = row of subsets[s] + others[s, j]
+        # rows: the (k-1)-subsets, colex; subsets: the A, colex; others[s]: the
+        # points outside subsets[s]; stars[s, j]: the row of subsets[s] + others[s, j];
+        # odd[s, j]: whether an odd number of points of subsets[s] lie below others[s, j]
+        self.rows, self.subsets, self.others, self.stars, self.odd = index
         self.pencils = pencils    # pencils[s] = (b1, b2) of subsets[s]
         self.beta = beta          # beta[s, :, j] = beta(others[s, j])
 
@@ -99,56 +99,83 @@ class CertMatrix:
         return self.arc.ctx.q + 2 * self.arc.k + self.n - 1 - self.arc.size
 
 
+def _star_index(g: int, k: int):
+    """The part of M_n that depends only on |G| and k: rows, subsets,
+    others, stars and odd as ``CertMatrix`` holds them, shared read-only
+    by every M_n built from it."""
+    rows = list(subset_iter(g, k - 1))
+    row_index = {c: i for i, c in enumerate(rows)}
+    subsets = list(subset_iter(g, k - 2))
+    others = np.array([[e for e in range(g) if e not in A] for A in subsets], dtype=np.int64)
+    stars = np.array([[row_index[tuple(sorted(A + (e,)))] for e in range(g) if e not in A] for A in subsets])
+    below = (np.array(subsets, dtype=np.int64).reshape(len(subsets), 1, k - 2) < others[:, :, None]).sum(2)
+    odd = below % 2 == 1
+    for a in (others, stars, odd):
+        a.flags.writeable = False
+    return rows, subsets, others, stars, odd
+
+
+def _star_points(ctx, index, points):
+    """The pencils and beta of every star, as ``CertMatrix`` holds them,
+    for each arc of a (B, |G|, k) stack of points, from one kernel call."""
+    subsets, others = index[1], index[2]
+    pencils = np.stack(_pencil_basis(ctx, points, subsets)[2:], axis=-2)
+    beta = ctx.vec_ops().matmul(pencils, points[:, others].swapaxes(-1, -2))
+    return pencils, beta
+
+
 def _star_geometry(arc: ArcConfig):
     """The part of M_n that does not depend on n, built once per arc
-    object and kept on it: rows, subsets, others, stars, pencils and beta
-    as ``CertMatrix`` holds them, and odd[s, j] = whether an odd number
-    of points of subsets[s] lie below others[s, j].  Every M_n of the arc
-    shares these arrays, so they are read-only."""
+    object and kept on it: the star index of its size and the pencils and
+    beta of its points.  Every M_n of the arc shares these arrays, so they
+    are read-only."""
     geom = getattr(arc, "_star_geometry", None)
     if geom is None:
-        g, k = arc.size, arc.k
-        rows = list(subset_iter(g, k - 1))
-        row_index = {c: i for i, c in enumerate(rows)}
-        subsets = list(subset_iter(g, k - 2))
-        others = np.array([[e for e in range(g) if e not in A] for A in subsets], dtype=np.int64)
-        stars = np.array([[row_index[tuple(sorted(A + (e,)))] for e in range(g) if e not in A] for A in subsets])
-        pencils = np.stack(_pencil_basis(arc, subsets)[2:], axis=1)
-        pts = np.array(arc.points, dtype=np.int64).reshape(g, k)
-        beta = arc.ctx.vec_ops().matmul(pencils, pts[others].transpose(0, 2, 1))
-        below = (np.array(subsets, dtype=np.int64).reshape(len(subsets), 1, k - 2) < others[:, :, None]).sum(2)
-        odd = below % 2 == 1
-        for a in (others, stars, pencils, beta, odd):
+        index = _star_index(arc.size, arc.k)
+        pts = np.array(arc.points, dtype=np.int64).reshape(1, arc.size, arc.k)
+        pencils, beta = (a[0] for a in _star_points(arc.ctx, index, pts))
+        for a in (pencils, beta):
             a.flags.writeable = False
-        geom = arc._star_geometry = (rows, subsets, others, stars, pencils, beta, odd)
+        geom = arc._star_geometry = (index, pencils, beta)
     return geom
+
+
+def _mn_stack(ctx, index, beta, n: int):
+    """The data of M_n, one (rows, columns) matrix per arc, for a stack of
+    the beta of the arcs' stars, (B, subsets, 2, |G|-k+2).
+
+    Column i of A's block holds s_e^n beta1(e)^i beta2(e)^(n-i) in each
+    row A+e of its star, s_e = (-1)^{#{a in A : a < e}}."""
+    ops = ctx.vec_ops()
+    rows, subsets, _, stars, odd = index
+    # powers[..., i] = beta1^i beta2^(n-i) over every star
+    powers = np.ones((*beta.shape[:2], beta.shape[3], n + 1), dtype=np.int64)
+    for i in range(n):
+        powers[..., : i + 1] = ops.mul(powers[..., : i + 1], beta[:, :, 1, :, None])
+        powers[..., i + 1 :] = ops.mul(powers[..., i + 1 :], beta[:, :, 0, :, None])
+    if n % 2:
+        powers = np.where(odd[..., None], ops.neg(powers), powers)
+    cols = np.arange(len(subsets) * (n + 1)).reshape(len(subsets), 1, n + 1)
+    data = np.zeros((len(beta), len(rows), cols.size), dtype=np.int64)
+    data[:, stars[:, :, None], cols] = powers
+    return data
 
 
 def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
     """Construct M_n, one block per A; requires 0 <= n <= |G| - k.
 
-    Column i of A's block holds s_e^n beta1(e)^i beta2(e)^(n-i) in each
-    row A+e of its star, s_e = (-1)^{#{a in A : a < e}}.  The paper's
-    column (A, E) is c_A^n s_e^n prod_{u in G-E} D(u, e) there, a binary
-    form of degree n in beta(e), and these forms span all n+1 monomials,
-    so both matrices have the same column space.  The stars and beta come
-    from the arc's star geometry, so each n only fills its powers."""
+    The paper's column (A, E) is c_A^n s_e^n prod_{u in G-E} D(u, e) in
+    each row A+e of A's star, a binary form of degree n in beta(e), and
+    these forms span all n+1 monomials s_e^n beta1(e)^i beta2(e)^(n-i)
+    (``_mn_stack``), so both matrices have the same column space.  The
+    stars and beta come from the arc's star geometry, so each n only
+    fills its powers."""
     g, k = arc.size, arc.k
     if n < 0 or g < k + n:
         raise SizeOutOfRangeError(f"need 0 <= n <= |G|-k, got n={n}, |G|={g}")
-    ops = arc.ctx.vec_ops()
-    rows, subsets, others, stars, pencils, beta, odd = _star_geometry(arc)
-    # powers[..., i] = beta1^i beta2^(n-i) over every star
-    powers = np.ones((*others.shape, n + 1), dtype=np.int64)
-    for i in range(n):
-        powers[..., : i + 1] = ops.mul(powers[..., : i + 1], beta[:, 1, :, None])
-        powers[..., i + 1 :] = ops.mul(powers[..., i + 1 :], beta[:, 0, :, None])
-    if n % 2:
-        powers = np.where(odd[..., None], ops.neg(powers), powers)
-    cols = np.arange(len(subsets) * (n + 1)).reshape(len(subsets), 1, n + 1)
-    data = np.zeros((len(rows), cols.size), dtype=np.int64)
-    data[stars[:, :, None], cols] = powers
-    return CertMatrix(arc, n, GFMatrix(arc.ctx, data), rows, subsets, others, stars, pencils, beta)
+    index, pencils, beta = _star_geometry(arc)
+    data = _mn_stack(arc.ctx, index, beta[None], n)[0]
+    return CertMatrix(arc, n, GFMatrix(arc.ctx, data), index, pencils, beta)
 
 
 def _matrix(arc: ArcConfig, n: int, M: CertMatrix | None) -> CertMatrix:
@@ -324,7 +351,7 @@ def recover_cosecants(
     v = null[0, M.stars[:, : t + 1]]
     W = _lagrange_weights(ctx, M.beta, 1)[:, : t + 1]
     vals = ops.div(ops.mul(W[:, :1], v), ops.mul(W, v[:, :1]))
-    odd = _star_geometry(arc)[6][:, : t + 1]
+    odd = M.odd[:, : t + 1]
     vals = np.where((odd[:, :1] != odd) & (n % 2 == 1), ops.neg(vals), vals)
     # f_A on the pencil member w2 b1 - w1 b2 through each w of PG(1,q)
     w1, w2 = _projective_line(ctx)
@@ -367,6 +394,10 @@ class ConjectureScanResult:
 
 
 RANDOM_ARC_ATTEMPTS = 1000
+# cells of [M_n | I] eliminated together in a scan, one chunk of arcs per kernel
+# call: the largest power of two at which a scan holds no more memory at once
+# than certifying one arc at a time did
+SCAN_CELLS = 1 << 11
 
 
 def _random_arc(inc: HyperplaneIncidence, size, rng):
@@ -392,6 +423,23 @@ def _random_arc(inc: HyperplaneIncidence, size, rng):
     )
 
 
+def _certified(ctx, k: int, n: int, arcs) -> np.ndarray:
+    """Whether ``theorem1_test`` certifies each arc of a list, all of one
+    size and given as point tuples: one M_n stack and one
+    ``weight_one_rows`` call per chunk of about SCAN_CELLS work cells."""
+    out = np.zeros(len(arcs), dtype=bool)
+    if not arcs:
+        return out
+    index = _star_index(len(arcs[0]), k)
+    rows, cols = len(index[0]), len(index[1]) * (n + 1)
+    step = max(1, SCAN_CELLS // (rows * (rows + cols)))
+    for lo in range(0, len(arcs), step):
+        points = np.array(arcs[lo : lo + step], dtype=np.int64)
+        beta = _star_points(ctx, index, points)[1]
+        out[lo : lo + step] = weight_one_rows(ctx, _mn_stack(ctx, index, beta, n)) >= 0
+    return out
+
+
 def conjecture_scan(
     ctx, k: int, n: int, budget: int = 200_000, samples: int = 200, seed: int = 0
 ) -> ConjectureScanResult:
@@ -405,10 +453,10 @@ def conjecture_scan(
     candidates.  No arc is larger than q+k-1, so that enumeration is
     empty without a search.
     """
+    if n < 0:
+        raise SizeOutOfRangeError(f"need n >= 0, got n={n}")
     p = ctx.p
     size = 2 * k - 3 + n
-    if size < k:
-        raise SizeOutOfRangeError("arc size 2k-3+n below k")
     in_range = k <= p + n * (p - 2)
     frame = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
     frame.append((1,) * k)
@@ -425,14 +473,8 @@ def conjecture_scan(
         inc = HyperplaneIncidence(ctx, k)
         arcs = [tuple(_random_arc(inc, size, rng)) for _ in range(samples)]
 
-    certified = 0
-    counterexamples = []
-    for pts in arcs:
-        G = ArcConfig(ctx, k, pts, check=False)
-        if theorem1_test(G, n) is not None:
-            certified += 1
-        elif in_range:
-            counterexamples.append(pts)
+    certified = _certified(ctx, k, n, arcs)
+    counterexamples = tuple(pts for pts, ok in zip(arcs, certified) if not ok) if in_range else ()
     return ConjectureScanResult(
-        p, ctx.h, k, n, size, in_range, mode, len(arcs), certified, tuple(counterexamples)
+        p, ctx.h, k, n, size, in_range, mode, len(arcs), int(certified.sum()), counterexamples
     )

@@ -6,7 +6,9 @@ membership questions (weight-one / weight-two vectors) are answered
 through one left-null-space computation per matrix, cached on the matrix,
 since the certifier asks many such questions against the same matrix:
 the column space is exactly the annihilator of the left null space, so
-no rank, echelon form or solve is needed.
+no rank, echelon form or solve is needed.  A scan that asks only the
+weight-one question of many matrices of one shape asks it of the whole
+stack at once (``weight_one_rows``).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "LeftNullBasis",
     "left_null_basis",
     "weight_one_in_colspace",
+    "weight_one_rows",
 ]
 
 
@@ -139,3 +142,37 @@ def weight_one_in_colspace(matrix: GFMatrix):
     """
     idx = np.flatnonzero(~left_null_basis(matrix).basis.any(0))
     return int(idx[0]) if idx.size else None
+
+
+def weight_one_rows(ctx, stack):
+    """``weight_one_in_colspace`` of every matrix of a (B, m, n) stack of
+    element codes at once, -1 where it is None.
+
+    One forward elimination of [M | I] runs on the whole stack, with one
+    pivot row per matrix per column, kept in a mask of the rows that have
+    not pivoted yet: the first such row nonzero in the column pivots, and
+    every other such row nonzero there takes a multiple of it, from the
+    column on.  The rows that never pivot carry a basis of the left null
+    space in their identity block, so its zero columns are the rows C with
+    unit_C in the column space, whichever rows pivoted.  Rows run
+    bottom-up, as in ``left_null_basis``, so fill stays in a trailing block.
+    """
+    ops = ctx.vec_ops()
+    b, m, n = stack.shape
+    work = np.concatenate([stack[:, ::-1], np.broadcast_to(np.eye(m, dtype=np.int64)[::-1], (b, m, m))], axis=2)
+    free = np.ones((b, m), dtype=bool)
+    at = np.arange(b)
+    for c in range(n):
+        if not free.any():
+            break
+        nz = free & (work[:, :, c] != 0)
+        p = nz.argmax(1)
+        free[at, p] &= ~nz[at, p]
+        nz[at, p] = False
+        tb, tr = nz.nonzero()
+        if tb.size:
+            pivot = work[tb, p[tb], c:]
+            block = work[tb, tr, c:]
+            work[tb, tr, c:] = ops.addmul(block, ops.div(block[:, 0], ops.neg(pivot[:, 0])), pivot)
+    zero = ~(free[:, :, None] & (work[:, :, n:] != 0)).any(1)
+    return np.where(zero.any(1), zero.argmax(1), -1)

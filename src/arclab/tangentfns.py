@@ -68,7 +68,7 @@ def tangent_fn(arc: ArcConfig, A) -> TangentFn:
         arc._tangent_cache = cache
     fn = cache.get(A)
     if fn is None:
-        (u1,), (u2,), (b1,), (b2,) = _pencil_basis(arc, [A])
+        (u1,), (u2,), (b1,), (b2,) = _pencil_basis(arc.ctx, arc.points, [A])
         forms = _cosecants(arc, A, b1, b2)
         if len(forms) != arc_degree(arc):
             raise InvariantError(f"{len(forms)} co-secants through {A}, not t = {arc_degree(arc)}")

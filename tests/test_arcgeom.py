@@ -134,7 +134,7 @@ def test_arcconfig_invariants(F5):
 def pencil_members(arc, A):
     """The members of A's pencil as recovery and _cosecants build them:
     _pencil_members over the _pencil_basis of A at every point of PG(1,q)."""
-    _, _, (b1,), (b2,) = _pencil_basis(arc, [A])
+    _, _, (b1,), (b2,) = _pencil_basis(arc.ctx, arc.points, [A])
     return [tuple(f) for f in _pencil_members(arc.ctx, b1, b2, *_projective_line(arc.ctx)).tolist()]
 
 
@@ -684,7 +684,7 @@ def test_pencil_basis_matches_reference_completion(
         ctx, k = arc.ctx, arc.k
         subsets = list(subset_iter(arc.size, k - 2))[:12]
         # one batched call for all subsets
-        for A, u1, u2, b1, b2 in zip(subsets, *_pencil_basis(arc, subsets)):
+        for A, u1, u2, b1, b2 in zip(subsets, *_pencil_basis(arc.ctx, arc.points, subsets)):
             e = lambda j: tuple(int(i == j) for i in range(k))
             assert [e(u1), e(u2)] == _ref_complete_to_directions(arc, A)
             for x in arc.points_at(A):
@@ -692,9 +692,9 @@ def test_pencil_basis_matches_reference_completion(
             # b1 is nonzero at e_u2 and b2 is zero there: independent
             assert b1[u2] != 0 and b2[u2] == 0 and any(b2)
     with pytest.raises(ValueError):
-        _pencil_basis(ArcConfig(F7, 4, [(1, 2, 3, 4), (2, 4, 6, 1)], check=False), [(0, 1)])
+        _pencil_basis(F7, [(1, 2, 3, 4), (2, 4, 6, 1)], [(0, 1)])
     with pytest.raises(ValueError):
-        _pencil_basis(nrc, [(0,)])
+        _pencil_basis(F7, nrc.points, [(0,)])
 
 
 def test_pencils_and_cosecants_match_scalar_reference(
@@ -708,7 +708,7 @@ def test_pencils_and_cosecants_match_scalar_reference(
             assert list(tangent_fn(arc, A).forms) == ref_cosecants_through(A, arc)
     # k-1 dependent points: the other one lies on every member
     flat = ArcConfig(FieldCtx(7), 3, [(1, 2, 3), (2, 4, 6)])
-    _, _, (b1,), (b2,) = _pencil_basis(flat, [(0,)])
+    _, _, (b1,), (b2,) = _pencil_basis(flat.ctx, flat.points, [(0,)])
     assert _cosecants(flat, (0,), b1, b2) == ref_cosecants_through((0,), flat) == []
 
 

@@ -30,6 +30,7 @@ from arclab.certifier import (
     theorem1_test,
 )
 from arclab._vecops import VecOps
+from arclab.cli import cmd_conjecture
 from arclab.exactmat import GFMatrix, left_null_basis
 from arclab.gf import FieldCtx
 
@@ -710,6 +711,70 @@ def test_conjecture_scan_above_q_plus_k_minus_1():
     for kwargs in ({}, {"budget": 0, "samples": 1}):
         res = conjecture_scan(FieldCtx(3), 5, 2, **kwargs)
         assert (res.mode, res.arc_size, res.total, res.certified) == ("exhaustive", 9, 0, 0)
+
+
+def frame_completions(ctx, k, size):
+    """The arcs an exhaustive conjecture scan tests: every arc of the size
+    that contains the frame prefix, in search order."""
+    frame = [tuple(int(i == j) for i in range(k)) for j in range(k)] + [(1,) * k]
+    return complete_search(ArcConfig(ctx, k, frame[: min(size, k + 1)]), target_size=size).arcs
+
+
+def test_stacked_weight_one_matches_theorem1_test(monkeypatch):
+    # the scan eliminates its arcs' M_n as stacks, a chunk per kernel call;
+    # each arc must get theorem1_test's answer at any chunk size: the frame
+    # completions of six scans (p, h, k, n, arcs, certified), then stacks of
+    # greedy 6-arcs at n = 2 that hold both answers
+    scans = [(5, 1, 3, 2, 6, 6), (7, 1, 4, 1, 60, 60), (2, 3, 3, 2, 30, 0), (2, 3, 4, 1, 120, 0),
+             (2, 4, 3, 2, 182, 0), (3, 2, 3, 3, 441, 441)]
+    cases = []
+    for p, h, k, n, total, certified in scans:
+        ctx = FieldCtx(p, h)
+        arcs = frame_completions(ctx, k, 2 * k - 3 + n)
+        want = [theorem1_test(ArcConfig(ctx, k, pts, check=False), n) is not None for pts in arcs]
+        assert (len(want), sum(want)) == (total, certified)
+        cases.append((ctx, k, n, arcs, want))
+    for p, h in [(7, 1), (3, 2)]:
+        ctx = FieldCtx(p, h)
+        inc, rng = HyperplaneIncidence(ctx, 3), random.Random(1)
+        arcs = [tuple(_random_arc(inc, 6, rng)) for _ in range(20)]
+        want = [theorem1_test(ArcConfig(ctx, 3, pts, check=False), 2) is not None for pts in arcs]
+        assert 0 < sum(want) < len(want)
+        cases.append((ctx, 3, 2, arcs, want))
+    for cells in (certifier.SCAN_CELLS, 1, 1 << 40):  # default, one arc per chunk, one chunk
+        monkeypatch.setattr(certifier, "SCAN_CELLS", cells)
+        for ctx, k, n, arcs, want in cases:
+            assert certifier._certified(ctx, k, n, arcs).tolist() == want
+            if len(arcs[0]) == 2 * k - 3 + n:
+                res = conjecture_scan(ctx, k, n)
+                assert (res.mode, res.total, res.certified) == ("exhaustive", len(want), sum(want))
+                missed = tuple(pts for pts, ok in zip(arcs, want) if not ok)
+                assert res.counterexamples == (missed if res.in_range else ())
+
+
+def test_conjecture_scan_makes_one_kernel_call_per_chunk(monkeypatch):
+    # GF(7), k = 4, n = 1: 60 arcs, one stacked elimination per chunk and
+    # no single-matrix elimination
+    calls = {"left_null_basis": 0, "weight_one_rows": []}
+    null, rows = certifier.left_null_basis, certifier.weight_one_rows
+
+    def counting_null(matrix):
+        calls["left_null_basis"] += 1
+        return null(matrix)
+
+    def counting_rows(ctx, stack):
+        calls["weight_one_rows"].append(len(stack))
+        return rows(ctx, stack)
+
+    monkeypatch.setattr(certifier, "left_null_basis", counting_null)
+    monkeypatch.setattr(certifier, "weight_one_rows", counting_rows)
+    for cells in (certifier.SCAN_CELLS, 1, 1 << 40):  # default, one arc per chunk, one chunk
+        monkeypatch.setattr(certifier, "SCAN_CELLS", cells)
+        calls["weight_one_rows"] = []
+        assert cmd_conjecture(7, 1, 4, 1)["certified"] == 60
+        per = max(1, cells // (20 * (20 + 30)))  # [M_1 | I] has 20 rows and 30 + 20 columns
+        assert calls["weight_one_rows"] == [min(per, 60 - i) for i in range(0, 60, per)]
+    assert calls["left_null_basis"] == 0
 
 
 def test_random_arc_gives_up_after_a_fixed_number_of_orders():

@@ -175,7 +175,7 @@ def test_cmd_cosecants_runs_property_w_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_input_errors_exit_2(capsys):
+def test_input_errors_exit_2(capsys, monkeypatch):
     q13 = str(ARCS_DIR / "q13_size6.arc")
     assert main(["search", q13, "--target", "16"]) == 2  # q+k-1 = 15
     assert capsys.readouterr().err == "error: target size 16 exceeds q+k-1\n"
@@ -186,6 +186,15 @@ def test_input_errors_exit_2(capsys):
     assert "1 arcs of size 6 contain the input" in capsys.readouterr().out
     assert main(["conjecture-scan", "--p", "7", "--k", "2", "--n", "1"]) == 2
     assert capsys.readouterr().err == "error: dimension k must be at least 3\n"
+    # a negative n is refused before any search: over GF(3) the size 10 > q+k-1
+    # once gave an empty scan that exited 0, and over GF(7) the size-6 search ran first
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran before n was checked")
+
+    monkeypatch.setattr(certifier, "complete_search", no_search)
+    for p, k in (("3", "7"), ("7", "5")):
+        assert main(["conjecture-scan", "--p", p, "--k", k, "--n", "-1"]) == 2
+        assert capsys.readouterr().err == "error: need n >= 0, got n=-1\n"
 
 
 def test_modulus_x_of_gf3_exits_2(tmp_path, capsys):

@@ -3,7 +3,9 @@
 Each digest is the sha256 of a report's JSON, ``timings`` removed and keys
 sorted.  The cases are ``analyze`` and ``property-w`` at every n (q81 at
 n <= 2), ``bound`` on all but q81, and ``hypersurface`` wherever
-``build_surface`` accepts the arc.  After an intended change of a report,
+``build_surface`` accepts the arc, plus two exhaustive ``conjecture-scan``
+reports, GF(8) at k=4, n=1 (120 arcs) and GF(9) at k=3, n=3 (441 arcs).
+After an intended change of a report,
 regenerate the file from the repository root with
 
     PYTHONPATH=src:tests python -c "import json, test_report_digests as t; \
@@ -16,7 +18,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from arclab.cli import cmd_analyze, cmd_bound, cmd_cosecants, cmd_hypersurface, parse_arc_file
+from arclab.cli import cmd_analyze, cmd_bound, cmd_conjecture, cmd_cosecants, cmd_hypersurface, parse_arc_file
 from arclab.hypersurf import ArcTooSmallError, build_surface
 
 from conftest import ARCS_DIR
@@ -45,6 +47,8 @@ def cases():
         except ArcTooSmallError:
             continue
         yield f"hypersurface {name}", lambda arc=arc: cmd_hypersurface(arc)
+    for p, h, k, n in ((2, 3, 4, 1), (3, 2, 3, 3)):
+        yield f"conjecture-scan --p {p} --h {h} --k {k} --n {n}", lambda a=(p, h, k, n): cmd_conjecture(*a)
 
 
 def compute_digests():
