@@ -60,16 +60,15 @@ class InvariantError(RuntimeError):
 # ----------------------------------------------------------------------
 
 
-def cofactor_normals(ctx, sets):
-    """The normal n_C of every set C of a (B, k-1, k) stack of k-1 vectors:
-    n_C . u = det(u, C) for every u, a zero row when C is dependent.
-
-    One Gauss-Jordan elimination runs on all B sets at once, row by row,
-    with a pivot column per set: the first nonzero entry of its row.  The
-    reduced set has one free column f, and n_C is det(e_f, C) times the
-    kernel vector v with v_f = 1.  det(e_f, C) is the product of the pivots
-    times the sign of the column order (f, p_1, ..., p_{k-1}).  A dependent
-    set meets a zero row, whose zero pivot zeroes the normal.
+def _eliminate(ctx, sets):
+    """One Gauss-Jordan elimination of a (B, m, k) stack of sets C of
+    m <= k vectors, row by row, with a pivot column per set: the first
+    nonzero entry of its row.  Returns the reduced rows, the pivot
+    columns, d = det(e_f1, ..., e_f(k-m), C) and f1 + ... + f(k-m), with
+    f1 < ... < f(k-m) the free columns.  d is the product of the pivots
+    times the sign of the column order (f1, ..., p_1, ..., p_m), and
+    d = det(C) when m = k.  A dependent set meets a zero row, whose zero
+    pivot zeroes d; its other outputs are then meaningless.
     """
     ops = ctx.vec_ops()
     work = np.array(sets, dtype=np.int64)
@@ -83,17 +82,32 @@ def cofactor_normals(ctx, sets):
         for s in range(r):
             odd ^= pivots[:, s] > p
         col = work[at, :, p]
-        piv = col[:, r].copy()
+        piv = col[:, r]  # a view, read before col[:, r] is zeroed
         det = ops.mul(det, piv)
         row = ops.div(work[:, r], piv[:, None])
         col[:, r] = 0
         work = ops.sub(work, ops.mul(col[:, :, None], row[:, None, :]))
         work[:, r] = row
         pivots[:, r] = p
-    # the pivot columns are all columns but f, so f precedes f smaller ones
-    f = (k * (k - 1) // 2 - pivots.sum(1)) % k
-    odd ^= f % 2 == 1
+    # the free columns are all columns but the pivots, and f_i precedes the
+    # f_i - i + 1 pivot columns below it
+    free = k * (k - 1) // 2 - pivots.sum(1)
+    odd ^= free % 2 != (k - m) * (k - m - 1) // 2 % 2
     det[odd] = ops.neg(det[odd])
+    return work, pivots, det, free
+
+
+def cofactor_normals(ctx, sets):
+    """The normal n_C of every set C of a (B, k-1, k) stack of k-1 vectors:
+    n_C . u = det(u, C) for every u, a zero row when C is dependent:
+    det(e_f, C) times the kernel vector v with v_f = 1, f the one free
+    column of ``_eliminate``.
+    """
+    work, pivots, det, f = _eliminate(ctx, sets)
+    b, _, k = work.shape
+    at = np.arange(b)
+    f %= k  # in range also where C is dependent
+    ops = ctx.vec_ops()
     normals = np.zeros((b, k), dtype=np.int64)
     normals[at[:, None], pivots] = ops.neg(ops.mul(det[:, None], work[at, :, f]))
     normals[at, f] = det
@@ -118,13 +132,11 @@ def _det_products(arc: "ArcConfig", sets, us):
 
 
 def det_full(ctx, rows) -> int:
-    """Exact determinant of the k x k matrix whose i-th row is rows[i]:
-    the cofactor normal of rows[1:] at rows[0]."""
+    """Exact determinant of the k x k matrix whose i-th row is rows[i]."""
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("determinant requires a square matrix")
-    m = np.array(rows, dtype=np.int64).reshape(k, k)
-    return int(_form_values(ctx, cofactor_normals(ctx, m[None, 1:]), m[:1])[0, 0])
+    return int(_eliminate(ctx, np.array(rows, dtype=np.int64).reshape(1, k, k))[2][0])
 
 
 # ----------------------------------------------------------------------
@@ -148,9 +160,8 @@ def validate_arc(ctx, k, points):
         ids = np.array(chunk)
         normals = cofactor_normals(ctx, arr[ids[:, 1:]])
         dets = ctx.vec_ops().matmul(normals[:, None, :], arr[ids[:, 0], :, None])[:, 0, 0]
-        bad = np.flatnonzero(dets == 0)
-        if bad.size:
-            return chunk[bad[0]]
+        if not dets.all():
+            return chunk[(dets == 0).argmax()]
     return None
 
 
@@ -201,29 +212,38 @@ class ArcConfig:
 def _pencil_basis(ctx, points, subsets):
     """u1, u2, b1, b2 for every (k-2)-subset A of a list, given as positions
     into the last-but-one axis of a (..., |G|, k) array of points, one
-    array entry per leading index and A, from one kernel call: e_u1 is the
-    first standard basis vector outside span(A), e_u2 the first outside
-    span(A, e_u1), and b1 = n_{A+e_u1}, b2 = n_{A+e_u2} span the forms
-    vanishing on A."""
-    points = np.asarray(points, dtype=np.int64)
-    k = points.shape[-1]
-    a = points[..., np.array(subsets, dtype=np.int64), :]
+    array entry per leading index and A, from one elimination of the As:
+    e_u1 is the first standard basis vector outside span(A), e_u2 the first
+    outside span(A, e_u1), and b1 = n_{A+e_u1}, b2 = n_{A+e_u2} span the
+    forms vanishing on A.
+
+    A has free columns f1 < f2 and kernel vectors kappa1, kappa2, with
+    kappa_i 1 at f_i and 0 at the other.  det(u, A, w) vanishes for u or w
+    in span(A), so it is (kappa1.u kappa2.w - kappa2.u kappa1.w) times
+    c = det(e_f1, A, e_f2) = (-1)^k d: n_{A+e_j} = c (kappa2[j] kappa1 -
+    kappa1[j] kappa2), and e_j is outside span(A) iff kappa1[j] or
+    kappa2[j] is nonzero.
+    """
+    a = np.asarray(points, dtype=np.int64)[..., np.array(subsets, dtype=np.int64), :]
+    k = a.shape[-1]
     if a.shape[-2] != k - 2:
         raise ValueError("subsets do not all have k-2 points")
-    lead = a.shape[:-2]
-    a = a.reshape(-1, k - 2, k)
-    sets = np.zeros((len(a), k, k - 1, k), dtype=np.int64)
-    sets[:, :, : k - 2] = a[:, None]
-    sets[:, :, k - 2] = np.eye(k, dtype=np.int64)
-    normals = cofactor_normals(ctx, sets.reshape(-1, k - 1, k)).reshape(-1, k, k)
-    outside = normals.any(axis=2)
-    if not outside.any(axis=1).all():
+    work, pivots, d, _ = _eliminate(ctx, a.reshape(-1, k - 2, k))
+    if not d.all():
         raise ValueError("subset does not span a (k-2)-space")
-    at = np.arange(len(a))
-    u1 = outside.argmax(1)
-    b1 = normals[at, u1]
+    ops = ctx.vec_ops()
+    at = np.arange(len(d))[:, None]
+    f = (pivots[:, :, None] != np.arange(k)).all(1).nonzero()[1].reshape(-1, 2)  # f1, f2
+    kappa = np.zeros((2, len(d), k), dtype=np.int64)
+    kappa[:, at, pivots] = ops.neg(work[at, :, f]).transpose(1, 0, 2)
+    kappa[[0, 1], at, f] = 1
+    k1, k2 = ops.mul((d if k % 2 == 0 else ops.neg(d))[:, None], kappa[0]), kappa[1]  # c kappa1, kappa2
+    # normals[:, j] = n_{A+e_j}
+    normals = ops.sub(ops.mul(k2[:, :, None], k1[:, None]), ops.mul(k1[:, :, None], k2[:, None]))
+    u1 = normals.any(2).argmax(1)
+    b1 = normals[at[:, 0], u1]
     u2 = (b1 != 0).argmax(1)
-    return tuple(x.reshape(*lead, *x.shape[1:]) for x in (u1, u2, b1, normals[at, u2]))
+    return tuple(x.reshape(*a.shape[:-2], *x.shape[1:]) for x in (u1, u2, b1, normals[at[:, 0], u2]))
 
 
 def _projective_line(ctx):
@@ -280,6 +300,17 @@ def point_index(ctx, canon):
     return canon @ pows + (np.cumsum(pows) - 2 * pows)[(canon != 0).argmax(1)]
 
 
+def _check_table(ctx, k):
+    """Raise BudgetExceededError if the hyperplane table of PG(k-1, q), N+1 rows
+    of ceil(N/64) words for its N points, would exceed TABLE_WORDS words."""
+    n = 0
+    for _ in range(k):  # N = 1 + q + ... + q^(k-1), given up once past the cap
+        n = n * ctx.q + 1
+        if (n + 1) * -(-n // 64) > TABLE_WORDS:
+            raise BudgetExceededError(
+                f"the hyperplane table of PG({k - 1}, {ctx.q}) exceeds {TABLE_WORDS} words")
+
+
 class HyperplaneIncidence:
     """Which points of PG(k-1, q) lie on which hyperplanes, as bitsets.
 
@@ -297,13 +328,7 @@ class HyperplaneIncidence:
     """
 
     def __init__(self, ctx, k, extra=()):
-        n = 0
-        for _ in range(k):  # N = 1 + q + ... + q^(k-1), given up once past the cap
-            n = n * ctx.q + 1
-            if (n + 1) * -(-n // 64) > TABLE_WORDS:
-                raise BudgetExceededError(
-                    f"the hyperplane table of PG({k - 1}, {ctx.q}) exceeds {TABLE_WORDS} words"
-                )
+        _check_table(ctx, k)
         self.ctx = ctx
         self.k = k
         self.points = list(projective_points(ctx, k))

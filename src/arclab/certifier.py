@@ -30,6 +30,7 @@ from .arcgeom import (
     BudgetExceededError,
     HyperplaneIncidence,
     InvariantError,
+    _check_table,
     _pencil_basis,
     _pencil_members,
     _projective_line,
@@ -451,30 +452,28 @@ def conjecture_scan(
     arcs with the seeded generator.  Arcs lacking a certificate inside
     the conjectured range k <= p+n(p-2) are returned as counterexample
     candidates.  No arc is larger than q+k-1, so that enumeration is
-    empty without a search.
+    empty without a search; otherwise a hyperplane table of more than
+    TABLE_WORDS words raises BudgetExceededError before anything is built.
     """
     if n < 0:
         raise SizeOutOfRangeError(f"need n >= 0, got n={n}")
-    p = ctx.p
     size = 2 * k - 3 + n
-    in_range = k <= p + n * (p - 2)
-    frame = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-    frame.append((1,) * k)
-    seed_arc = ArcConfig(ctx, k, frame[: min(size, k + 1)], check=False)
-
-    arcs = []
-    mode = "exhaustive"
-    try:
-        if size <= ctx.q + k - 1:
+    in_range = k <= ctx.p + n * (ctx.p - 2)
+    arcs, mode = [], "exhaustive"
+    if size <= ctx.q + k - 1:
+        _check_table(ctx, k)  # an oversized table is refused before the k x k frame is built
+        frame = [tuple(int(i == j) for i in range(k)) for j in range(k)] + [(1,) * k]
+        seed_arc = ArcConfig(ctx, k, frame[: min(size, k + 1)], check=False)
+        try:
             arcs = list(complete_search(seed_arc, target_size=size, budget=budget).arcs)
-    except BudgetExceededError:
-        mode = "sampled"
-        rng = random.Random(seed)
-        inc = HyperplaneIncidence(ctx, k)
-        arcs = [tuple(_random_arc(inc, size, rng)) for _ in range(samples)]
+        except BudgetExceededError:
+            mode = "sampled"
+            rng = random.Random(seed)
+            inc = HyperplaneIncidence(ctx, k)
+            arcs = [tuple(_random_arc(inc, size, rng)) for _ in range(samples)]
 
     certified = _certified(ctx, k, n, arcs)
     counterexamples = tuple(pts for pts, ok in zip(arcs, certified) if not ok) if in_range else ()
     return ConjectureScanResult(
-        p, ctx.h, k, n, size, in_range, mode, len(arcs), int(certified.sum()), counterexamples
+        ctx.p, ctx.h, k, n, size, in_range, mode, len(arcs), int(certified.sum()), counterexamples
     )

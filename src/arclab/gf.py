@@ -231,9 +231,6 @@ class FieldCtx:
         # a negative difference wraps to its residue mod q-1
         return self._exp_ext[la + self._zech[self.log[b] - la]]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def neg(self, a: int) -> int:
         return self._neg[a]
 
@@ -265,9 +262,6 @@ class FieldCtx:
     def elements(self):
         return range(self.q)
 
-    def nonzero(self):
-        return range(1, self.q)
-
     # ------------------------------------------------------------------
     # text syntax: "0", "t^e", bare integers for prime fields
     # ------------------------------------------------------------------
@@ -298,10 +292,6 @@ class FieldCtx:
         if a == 0:
             return "0"
         return f"t^{self.log[a]}"
-
-    def t(self, e: int) -> int:
-        """The element (primitive element)**e."""
-        return self.exp[e % (self.q - 1)]
 
     # ------------------------------------------------------------------
     def vec_ops(self):

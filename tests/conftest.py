@@ -197,7 +197,7 @@ def laplace_det(ctx, rows):
 
 # ----------------------------------------------------------------------
 # scalar eliminations: the determinant and kernel the library replaced by
-# one batched cofactor kernel, and the pencils and co-secants built on them
+# one batched small-set elimination, and the pencils and co-secants built on them
 # ----------------------------------------------------------------------
 
 
@@ -219,7 +219,7 @@ def ref_det_full(ctx, rows):
             if m[r][c]:
                 f = ctx.mul(m[r][c], inv)
                 for cc in range(c, k):
-                    m[r][cc] = ctx.sub(m[r][cc], ctx.mul(f, m[c][cc]))
+                    m[r][cc] = ctx.add(m[r][cc], ctx.neg(ctx.mul(f, m[c][cc])))
     return det
 
 
@@ -292,7 +292,7 @@ def ref_kernel_of_points(ctx, rows, width):
         for i in range(nrows):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(m[i], m[r])]
+                m[i] = [ctx.add(x, ctx.neg(ctx.mul(f, y))) for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     free = [c for c in range(width) if c not in pivots]
@@ -919,7 +919,7 @@ def conic_f13(F13):
 
 @pytest.fixture(scope="session")
 def arc_q11(F11):
-    t = F11.t
+    t = F11.exp.__getitem__
     return ArcConfig(F11, 3, [
         (t(0), 0, 0), (0, t(0), 0), (0, 0, t(0)), (t(0), t(5), t(0)),
         (t(0), t(8), t(9)), (t(0), t(1), t(5)), (t(0), t(3), t(1)),
@@ -928,7 +928,7 @@ def arc_q11(F11):
 
 @pytest.fixture(scope="session")
 def arc_q13_size9(F13):
-    e = F13.t
+    e = F13.exp.__getitem__
     return ArcConfig(F13, 3, [
         (e(0), 0, 0), (0, e(0), 0), (0, 0, e(0)), (e(0), e(2), e(3)),
         (e(0), e(6), e(4)), (e(0), e(9), e(9)), (e(0), e(4), e(6)),
@@ -938,7 +938,7 @@ def arc_q13_size9(F13):
 
 @pytest.fixture(scope="session")
 def arc_q13_size6(F13):
-    e = F13.t
+    e = F13.exp.__getitem__
     return ArcConfig(F13, 3, [
         (e(0), 0, 0), (0, e(0), 0), (0, 0, e(0)), (e(0), e(10), e(2)),
         (e(0), e(2), e(11)), (e(0), e(9), e(4)),
@@ -947,7 +947,7 @@ def arc_q13_size6(F13):
 
 @pytest.fixture(scope="session")
 def arc_q81(F81):
-    r = F81.t
+    r = F81.exp.__getitem__
     rows = [
         [0, None, None, None, None, None],
         [None, 0, None, None, None, None],

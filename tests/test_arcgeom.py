@@ -595,7 +595,7 @@ def test_row_cache_collisions_change_no_cut(F7, F9, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the cofactor kernel against the scalar eliminations it replaced
+# the small-set elimination against the scalar eliminations it replaced
 # ----------------------------------------------------------------------
 
 KERNEL_FIELDS = [(3, 1), (13, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 4)]
@@ -695,6 +695,38 @@ def test_pencil_basis_matches_reference_completion(
         _pencil_basis(F7, [(1, 2, 3, 4), (2, 4, 6, 1)], [(0, 1)])
     with pytest.raises(ValueError):
         _pencil_basis(F7, nrc.points, [(0,)])
+
+
+@pytest.mark.parametrize("p,h,k", [(13, 1, 3), (2, 3, 3), (7, 1, 4), (3, 2, 5), (3, 4, 6)])
+def test_stacked_pencil_basis_matches_per_arc_calls_and_reference(p, h, k):
+    # a (B, |G|, k) stack of arcs takes one elimination of its B * C(|G|, k-2)
+    # subsets A, and each arc's u1, u2, b1, b2 are those of its own call:
+    # b1 = n_{A+e_u1} and b2 = n_{A+e_u2}, sign included, by the scalar
+    # determinant, and they span the pencil of forms vanishing on A
+    ctx = FieldCtx(p, h)
+    rng = random.Random(p * k + h)
+    g = k + 3
+    arcs = [ArcConfig(ctx, k, _gl_image(ctx, shuffled_nrc(ctx, k, seed)[:g], rng)) for seed in range(3)]
+    subsets = list(subset_iter(g, k - 2))
+    stack = np.array([arc.points for arc in arcs])
+    got = _pencil_basis(ctx, stack, subsets)
+    assert [x.shape[:2] for x in got] == [(3, len(subsets))] * 4
+    unit = lambda j: tuple(int(i == j) for i in range(k))
+    w = _projective_line(ctx)
+    for i, arc in enumerate(arcs):
+        for x, y in zip(got, _pencil_basis(ctx, arc.points, subsets)):
+            assert x[i].tolist() == y.tolist()
+        for s in range(0, len(subsets), 1 + len(subsets) // 12):
+            u1, u2, b1, b2 = (x[i, s] for x in got)
+            rows = arc.points_at(subsets[s])
+            for u, b in ((u1, b1), (u2, b2)):
+                assert b.tolist() == [ref_det_full(ctx, [unit(j), *rows, unit(u)]) for j in range(k)]
+            members = _pencil_members(ctx, b1, b2, *w).tolist()
+            assert sorted(map(tuple, members)) == ref_pencil_through(subsets[s], arc)
+    # one arc of the stack with a zero vector: every A through it is dependent
+    stack[1, 0] = 0
+    with pytest.raises(ValueError, match="does not span"):
+        _pencil_basis(ctx, stack, subsets)
 
 
 def test_pencils_and_cosecants_match_scalar_reference(

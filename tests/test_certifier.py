@@ -228,18 +228,18 @@ def test_q81_left_null_fill_guard(arc_q81, monkeypatch):
 
 def test_q81_recovery_kernel_call_guard(arc_q81, monkeypatch):
     # with M_n and its Property W report built, recovery reads its ratios
-    # off M_n's pencil coordinates: no cofactor kernel call, against one
+    # off M_n's pencil coordinates: no small-set elimination, against one
     # over all 462 rows when it built its own determinant table
     M = build_Mn(arc_q81, 1)
     assert property_w(arc_q81, 1, M).holds
     calls = []
-    normals = arcgeom.cofactor_normals
+    eliminate = arcgeom._eliminate
 
     def counting(ctx, sets):
         calls.append(len(sets))
-        return normals(ctx, sets)
+        return eliminate(ctx, sets)
 
-    monkeypatch.setattr(arcgeom, "cofactor_normals", counting)
+    monkeypatch.setattr(arcgeom, "_eliminate", counting)
     pred = recover_cosecants(arc_q81, 1, M=M)
     assert (pred.route, len(pred.per_A)) == ("null-vector", 330)
     assert calls == []
@@ -321,21 +321,22 @@ def test_bound_scan_sound_above_desk_scale(F81):
 
 def test_bound_scan_builds_star_geometry_once(F8, monkeypatch):
     # every M_n of one arc object shares its star geometry, so the whole
-    # scan makes one pencil-basis kernel call (30 sets), not one per n (8)
+    # scan makes one elimination of its 10 subsets A of k-2 = 1 rows, not
+    # one per n (8), and not one of the 30 sets (A, e_j)
     arc = ArcConfig(F8, 3, hyperoval(F8))
     calls = []
-    normals = arcgeom.cofactor_normals
+    eliminate = arcgeom._eliminate
 
     def counting(ctx, sets):
-        calls.append(len(sets))
-        return normals(ctx, sets)
+        calls.append(np.shape(sets))
+        return eliminate(ctx, sets)
 
-    monkeypatch.setattr(arcgeom, "cofactor_normals", counting)
+    monkeypatch.setattr(arcgeom, "_eliminate", counting)
     assert bound_scan(arc).n0 is None
-    assert calls == [30]
+    assert calls == [(10, 1, 3)]
     M0, M1 = build_Mn(arc, 0), build_Mn(arc, 1)
     assert M0.stars is M1.stars and M0.beta is M1.beta
-    assert calls == [30]
+    assert calls == [(10, 1, 3)]
 
 
 @pytest.mark.parametrize("h,modulus,g", [(4, None, 10), (5, (1, 0, 0, 1, 0, 1), 12)], ids=["q16", "q32"])

@@ -1,5 +1,6 @@
 import inspect
 import json
+import tracemalloc
 from math import comb
 
 import pytest
@@ -232,6 +233,32 @@ def test_searches_past_the_table_cap_exit_3(capsys):
     # PG(13, 13): the exhaustive search and the sampling both give up
     assert main(["conjecture-scan", "--p", "13", "--k", "14", "--n", "1"]) == 3
     assert "PG(13, 13)" in capsys.readouterr().err
+
+
+def test_conjecture_scan_answers_before_building_the_frame(monkeypatch, capsys):
+    # over GF(3) no arc of size 2k-3 = 3997 > q+k-1 exists, which
+    # arithmetic alone decides: no 2000 x 2000 frame is built
+    tracemalloc.start()
+    try:
+        rep = cmd_conjecture(3, 1, 2000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del rep["timings"]
+    assert rep == {
+        "schema_version": 1, "command": "conjecture-scan", "p": 3, "h": 1, "q": 3, "k": 2000, "n": 0,
+        "arc_size": 3997, "conjectured_range": False, "mode": "exhaustive", "total": 0, "certified": 0,
+        "fraction": 0.0, "counterexamples": [], "verdict": "no arc was scanned: no arc of size 3997 exists",
+    }
+    assert peak < 1 << 20
+    # over GF(1048573) such arcs exist, but the table of PG(1999, q) is
+    # refused (exit 3) before the frame is built
+    def no_frame(*args, **kwargs):
+        raise AssertionError("the frame was built before the table check")
+
+    monkeypatch.setattr(certifier, "ArcConfig", no_frame)
+    assert main(["conjecture-scan", "--p", "1048573", "--k", "2000", "--n", "0"]) == 3
+    assert capsys.readouterr().err == f"error: the hyperplane table of PG(1999, 1048573) exceeds {TABLE_WORDS} words\n"
 
 
 def test_other_value_errors_are_not_input_errors(monkeypatch):

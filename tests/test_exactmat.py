@@ -48,7 +48,7 @@ def brute_weight_two(M, c1, c2):
     """The first (a, 1), a nonzero, with a*unit_c1 + unit_c2 in the
     column space, or None."""
     inside = ref_colspace_test(M.ctx, M.data.tolist())
-    return next(((a, 1) for a in M.ctx.nonzero() if inside(unit_vector(M.rows, (c1, a), (c2, 1)))), None)
+    return next(((a, 1) for a in range(1, M.ctx.q) if inside(unit_vector(M.rows, (c1, a), (c2, 1)))), None)
 
 
 def partners(M, c1, c2):

