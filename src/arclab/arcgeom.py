@@ -190,15 +190,8 @@ class ArcConfig:
     def size(self) -> int:
         return len(self.points)
 
-    def __len__(self):
-        return len(self.points)
-
     def points_at(self, ids):
         return [self.points[i] for i in ids]
-
-    def prefix(self, m) -> "ArcConfig":
-        """Sub-arc of the first m points (no re-validation needed)."""
-        return ArcConfig(self.ctx, self.k, self.points[:m], check=False)
 
     def __repr__(self):
         return f"ArcConfig({self.ctx!r}, k={self.k}, size={self.size})"
@@ -210,19 +203,16 @@ class ArcConfig:
 
 
 def _pencil_basis(ctx, points, subsets):
-    """u1, u2, b1, b2 for every (k-2)-subset A of a list, given as positions
-    into the last-but-one axis of a (..., |G|, k) array of points, one
-    array entry per leading index and A, from one elimination of the As:
-    e_u1 is the first standard basis vector outside span(A), e_u2 the first
-    outside span(A, e_u1), and b1 = n_{A+e_u1}, b2 = n_{A+e_u2} span the
-    forms vanishing on A.
+    """b1, b2 for every (k-2)-subset A of a list, given as positions into
+    the last-but-one axis of a (..., |G|, k) array of points, one array
+    entry per leading index and A, from one elimination of the As.
 
     A has free columns f1 < f2 and kernel vectors kappa1, kappa2, with
-    kappa_i 1 at f_i and 0 at the other.  det(u, A, w) vanishes for u or w
-    in span(A), so it is (kappa1.u kappa2.w - kappa2.u kappa1.w) times
-    c = det(e_f1, A, e_f2) = (-1)^k d: n_{A+e_j} = c (kappa2[j] kappa1 -
-    kappa1[j] kappa2), and e_j is outside span(A) iff kappa1[j] or
-    kappa2[j] is nonzero.
+    kappa_i 1 at f_i and 0 at the other; b1 = d kappa1 and b2 = kappa2,
+    d = det(e_f1, e_f2, A), span the forms vanishing on A.  With
+    beta(x) = (b1.x, b2.x), det(u, x, A) = beta2(x) b1.u - beta1(x) b2.u
+    for all u, x: both sides are alternating forms on the 2-dimensional
+    V/span(A), and both are d at (e_f1, e_f2).
     """
     a = np.asarray(points, dtype=np.int64)[..., np.array(subsets, dtype=np.int64), :]
     k = a.shape[-1]
@@ -237,13 +227,8 @@ def _pencil_basis(ctx, points, subsets):
     kappa = np.zeros((2, len(d), k), dtype=np.int64)
     kappa[:, at, pivots] = ops.neg(work[at, :, f]).transpose(1, 0, 2)
     kappa[[0, 1], at, f] = 1
-    k1, k2 = ops.mul((d if k % 2 == 0 else ops.neg(d))[:, None], kappa[0]), kappa[1]  # c kappa1, kappa2
-    # normals[:, j] = n_{A+e_j}
-    normals = ops.sub(ops.mul(k2[:, :, None], k1[:, None]), ops.mul(k1[:, :, None], k2[:, None]))
-    u1 = normals.any(2).argmax(1)
-    b1 = normals[at[:, 0], u1]
-    u2 = (b1 != 0).argmax(1)
-    return tuple(x.reshape(*a.shape[:-2], *x.shape[1:]) for x in (u1, u2, b1, normals[at[:, 0], u2]))
+    kappa[0] = ops.mul(d[:, None], kappa[0])
+    return tuple(b.reshape(*a.shape[:-2], k) for b in kappa)
 
 
 def _projective_line(ctx):

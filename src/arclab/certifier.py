@@ -120,7 +120,7 @@ def _star_points(ctx, index, points):
     """The pencils and beta of every star, as ``CertMatrix`` holds them,
     for each arc of a (B, |G|, k) stack of points, from one kernel call."""
     subsets, others = index[1], index[2]
-    pencils = np.stack(_pencil_basis(ctx, points, subsets)[2:], axis=-2)
+    pencils = np.stack(_pencil_basis(ctx, points, subsets), axis=-2)
     beta = ctx.vec_ops().matmul(pencils, points[:, others].swapaxes(-1, -2))
     return pencils, beta
 
@@ -165,10 +165,11 @@ def _mn_stack(ctx, index, beta, n: int):
 def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
     """Construct M_n, one block per A; requires 0 <= n <= |G| - k.
 
-    The paper's column (A, E) is c_A^n s_e^n prod_{u in G-E} D(u, e) in
-    each row A+e of A's star, a binary form of degree n in beta(e), and
-    these forms span all n+1 monomials s_e^n beta1(e)^i beta2(e)^(n-i)
-    (``_mn_stack``), so both matrices have the same column space.  The
+    The paper's column (A, E) holds prod_{u in G-E} det(u, A+e) in each
+    row A+e of A's star, and det(u, A+e) = s_e D(u, e), so it is s_e^n
+    times a binary form of degree n in beta(e).  These forms span all n+1
+    monomials s_e^n beta1(e)^i beta2(e)^(n-i) (``_mn_stack``), so both
+    matrices have the same column space.  The
     stars and beta come from the arc's star geometry, so each n only
     fills its powers."""
     g, k = arc.size, arc.k
@@ -414,8 +415,7 @@ def _random_arc(inc: HyperplaneIncidence, size, rng):
             if int(cands[v >> 6]) >> (v & 63) & 1:
                 # v is visited once, so it need not leave cands; fewer than k-2 points span no <S, v>
                 if len(cur) >= inc.k - 2:
-                    cuts = inc.cut(cands, [[S + (v,)] for S in itertools.combinations(cur, inc.k - 2)])
-                    cands = np.bitwise_and.reduce(cuts)
+                    cands = inc.cut(cands, [[S + (v,) for S in itertools.combinations(cur, inc.k - 2)]])[0]
                 cur.append(v)
                 if len(cur) == size:
                     return [inc.points[i] for i in cur]

@@ -74,7 +74,7 @@ def parse_arc_file(text: str, modulus=None) -> ArcConfig:
     except ValueError as exc:
         raise ArcFileError(f"bad field line: {lines[0]!r}") from exc
     kline = lines[1].split()
-    if kline[0] != "k" or len(kline) != 2 or not kline[1].isdigit():
+    if kline[0] != "k" or len(kline) != 2 or not kline[1].isdecimal():
         raise ArcFileError(f"bad k line: {lines[1]!r}")
     k = int(kline[1])
     try:

@@ -271,7 +271,7 @@ class FieldCtx:
             return 0
         if text.startswith("t^"):
             body = text[2:]
-            if not body or not (body.isdigit() or (body[0] == "-" and body[1:].isdigit())):
+            if not body or not (body.isdecimal() or (body[0] == "-" and body[1:].isdecimal())):
                 raise ElementSyntaxError(f"bad exponent in {text!r}")
             e = int(body)
             if not 0 <= e <= self.q - 2:
@@ -279,7 +279,7 @@ class FieldCtx:
                     f"exponent {e} outside 0..{self.q - 2}"
                 )
             return self.exp[e]
-        if self.h == 1 and text.isdigit():
+        if self.h == 1 and text.isdecimal():
             v = int(text)
             if v >= self.p:
                 raise ExponentOutOfRangeError(f"{v} outside 0..{self.p - 1}")

@@ -96,10 +96,10 @@ def theorem9_check(surface: DualSurface, A) -> bool:
     Both sides are homogeneous of the surface degree in the two
     coordinates transverse to span(A), so agreement at degree+1 pairwise
     independent sample directions proves the identity; A need not be a
-    subset of E.  The samples are x = w1 e_u1 + w2 e_u2 for points w of
-    PG(1,q), u1, u2 and b1, b2 the pencil basis of f_A; the dual of
-    span(x, A) is z = (-1)^k (w1 b1 + w2 b2), since det(u, x, A) moves x
-    past the k-2 points of A to reach det(u, A, x)."""
+    subset of E.  The samples are x = w1 y1 + w2 y2 for points w of
+    PG(1,q), y1, y2 the first two arc points outside A, whose beta are
+    independent; with b1, b2 the pencil basis of f_A, the dual of
+    span(x, A) is z = beta2(x) b1 - beta1(x) b2, as z.u = det(u, x, A)."""
     arc = surface.arc
     ctx = arc.ctx
     ops = ctx.vec_ops()
@@ -109,12 +109,11 @@ def theorem9_check(surface: DualSurface, A) -> bool:
         raise InvariantError("pencil too small for the requested sample count")
     alpha = alpha_table(arc).alpha(A)
     fA = tangent_fn(arc, A)
+    y1, y2 = np.array(arc.points_at([i for i in range(arc.size) if i not in A][:2]), dtype=np.int64)
     w1, w2 = np.roll(_projective_line(ctx), 1, axis=1)[:, :count]
-    xs = np.zeros((count, arc.k), dtype=np.int64)
-    xs[:, fA.u1], xs[:, fA.u2] = w1, w2
-    zs = ops.add(ops.mul(w1[:, None], fA.b1), ops.mul(w2[:, None], fA.b2))
-    if arc.k % 2:
-        zs = ops.neg(zs)
+    xs = ops.add(ops.mul(w1[:, None], y1), ops.mul(w2[:, None], y2))
+    beta1, beta2 = _form_values(ctx, [fA.b1, fA.b2], xs)
+    zs = ops.sub(ops.mul(beta2[:, None], fA.b1), ops.mul(beta1[:, None], fA.b2))
     for x, z in zip(xs.tolist(), zs.tolist()):
         lhs = eval_dual(surface, z)
         rhs = ctx.mul(alpha, fA(x))

@@ -41,15 +41,15 @@ def arc_degree(arc: ArcConfig) -> int:
 
 class TangentFn:
     """f_A as an evaluated product of its co-secant forms, with the pencil
-    basis they come from: e_u1, e_u2 complete A to a basis, and b1, b2
-    span the forms vanishing on A (``_pencil_basis``)."""
+    basis b1, b2 they come from: the forms vanishing on A, with
+    det(u, x, A) = (b2.x)(b1.u) - (b1.x)(b2.u) (``_pencil_basis``)."""
 
-    def __init__(self, arc, A, forms, u1, u2, b1, b2):
+    def __init__(self, arc, A, forms, b1, b2):
         self.arc = arc
         self.A = tuple(A)
         self.forms = tuple(forms)
         self.t = len(forms)
-        self.u1, self.u2, self.b1, self.b2 = u1, u2, b1, b2
+        self.b1, self.b2 = b1, b2
 
     def __call__(self, v) -> int:
         return self.arc.ctx.prod(_form_values(self.arc.ctx, self.forms, [v])[:, 0].tolist())
@@ -68,11 +68,11 @@ def tangent_fn(arc: ArcConfig, A) -> TangentFn:
         arc._tangent_cache = cache
     fn = cache.get(A)
     if fn is None:
-        (u1,), (u2,), (b1,), (b2,) = _pencil_basis(arc.ctx, arc.points, [A])
+        (b1,), (b2,) = _pencil_basis(arc.ctx, arc.points, [A])
         forms = _cosecants(arc, A, b1, b2)
         if len(forms) != arc_degree(arc):
             raise InvariantError(f"{len(forms)} co-secants through {A}, not t = {arc_degree(arc)}")
-        fn = TangentFn(arc, A, forms, u1, u2, b1, b2)
+        fn = TangentFn(arc, A, forms, b1, b2)
         cache[A] = fn
     return fn
 
@@ -98,10 +98,9 @@ def _lagrange_sum(ctx, beta, weights, w1, w2):
 
 def _lagrange_weights(ctx, beta, fvals):
     """Lagrange weights f_A(e) / prod_{u != e} D(u, e) of the values fvals
-    at the points e whose pencil coordinates beta(e) = (b1.e, b2.e), b1, b2
-    spanning the forms vanishing on span(A), are the columns of beta.
-    d_A(u, x) is c_A D(u, x) with c_A != 0, and c_A cancels: each Lagrange
-    term has t factors above the line and t below."""
+    at the points e whose pencil coordinates beta(e) = (b1.e, b2.e) are the
+    columns of beta; with the b1, b2 of ``_pencil_basis``, D(u, e) is
+    det(u, e, A) itself."""
     ones = np.ones(beta.shape[-1], dtype=np.int64)
     return ctx.vec_ops().div(fvals, _lagrange_sum(ctx, beta, ones, beta[..., 0, :], beta[..., 1, :]))
 

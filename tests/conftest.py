@@ -703,6 +703,12 @@ def ref_recover_cosecants(arc, n, source=None, M=None):
     return CosecantPrediction(n, t, per_A, "null-vector" if null_vec is not None else "property-w")
 
 
+def prefix_arc(arc, m):
+    """The sub-arc of the first m points, a new arc object (a sub-arc of an
+    arc is an arc, so it is not validated again)."""
+    return ArcConfig(arc.ctx, arc.k, arc.points[:m], check=False)
+
+
 def gl_image(arc, seed):
     """The arc mapped by a seeded random invertible matrix, each point then
     rescaled by a random nonzero scalar; order kept."""
@@ -796,7 +802,7 @@ def vG_check(S, g, n):
     span the paper's columns, so the answer is the paper's."""
     if S.size != S.ctx.q + 2 * S.k + n - 1 - g:
         raise ValueError(f"arc size {S.size} != q+2k+n-1-g")
-    return annihilates(S.ctx, vg_vector(S, g), build_Mn(S.prefix(g), n).matrix.data.tolist())
+    return annihilates(S.ctx, vg_vector(S, g), build_Mn(prefix_arc(S, g), n).matrix.data.tolist())
 
 
 def dual_coords(ctx, vectors):
@@ -822,7 +828,7 @@ def recovers_extension(S, g):
     then runs on M_n of G with t = |G|-k-n.
     """
     n = S.size + g + 1 - S.ctx.q - 2 * S.k
-    G = S.prefix(g)
+    G = prefix_arc(S, g)
     M = build_Mn(G, n)
     v = vg_vector(S, g)
     pred = recover_cosecants(G, n, source=v, M=M)

@@ -53,6 +53,7 @@ from conftest import (
     hyperoval,
     moment_curve,
     points_off_span,
+    prefix_arc,
     rank_mod_p,
     recovers_extension,
     ref_build_Mn,
@@ -274,7 +275,7 @@ def test_criterion_4b_q13_size9(arc_q13_size9, F13):
     }
     if completions:
         S = ArcConfig(F13, 3, completions[0])
-        checks["completion_extends_arc"] = S.prefix(9).points == arc.points
+        checks["completion_extends_arc"] = prefix_arc(S, 9).points == arc.points
         checks["vG_annihilates_M3"] = vG_check(S, 9, 3)
         checks["recovery_matches_size12"] = recovers_extension(S, 9)
     ok = all(checks.values())
@@ -300,13 +301,13 @@ def test_criterion_5_even_q_law(hyperconic_f4, hyperconic_f8, F4, F8):
     t0 = time.perf_counter()
     arcs = []
     for size in (4, 5, 6):
-        arcs.append(hyperconic_f4.prefix(size))
+        arcs.append(prefix_arc(hyperconic_f4, size))
     # skip-one-point variants over GF(4)
     pts = hyperconic_f4.points
     arcs.append(ArcConfig(F4, 3, [pts[i] for i in (0, 1, 2, 4, 5)]))
     arcs.append(ArcConfig(F4, 3, [pts[i] for i in (0, 2, 3, 4, 5)]))
     for size in (5, 6, 7, 8, 9, 10):
-        arcs.append(hyperconic_f8.prefix(size))
+        arcs.append(prefix_arc(hyperconic_f8, size))
     pts8 = hyperconic_f8.points
     arcs.append(ArcConfig(F8, 3, [pts8[i] for i in (0, 1, 3, 5, 7, 9)]))
     assert len(arcs) >= 10
@@ -420,14 +421,14 @@ def test_criterion_6_lemma_suite():
         params = list(range(ctx.q))
         conic = ArcConfig(ctx, 3, moment_curve(ctx, 3, params, infinity=True))
         arcs.append(conic)
-        arcs.append(conic.prefix(ctx.q))
+        arcs.append(prefix_arc(conic, ctx.q))
     # normal rational curves in k = 4, 5 over F_11 and F_13, plus prefixes
     for q in (11, 13):
         ctx = FieldCtx(q)
         for k in (4, 5):
             nrc = ArcConfig(ctx, k, moment_curve(ctx, k, range(q), infinity=True))
             arcs.append(nrc)
-            arcs.append(nrc.prefix(q))
+            arcs.append(prefix_arc(nrc, q))
     # search-built complete arcs
     F5 = FieldCtx(5)
     frame = ArcConfig(F5, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
@@ -439,7 +440,7 @@ def test_criterion_6_lemma_suite():
     # even-q arcs for the even branch of Theorem 9
     F8 = FieldCtx(2, 3)
     hyper = ArcConfig(F8, 3, hyperoval(F8))
-    arcs.extend([hyper, hyper.prefix(9), hyper.prefix(8)])
+    arcs.extend([hyper, prefix_arc(hyper, 9), prefix_arc(hyper, 8)])
     F4 = FieldCtx(2, 2)
     arcs.append(ArcConfig(F4, 3, hyperoval(F4)))
 

@@ -31,13 +31,13 @@ from arclab.gf import FieldCtx
 from arclab.tangentfns import tangent_fn
 
 from conftest import (
-    _ref_complete_to_directions,
     all_dual_reps,
     dot,
     gl_image,
     laplace_det,
     mat_vec,
     moment_curve,
+    prefix_arc,
     ref_complete_search,
     ref_cosecants_through,
     ref_det_full,
@@ -122,7 +122,7 @@ def test_arcconfig_invariants(F5):
         ArcConfig(F5, 3, moment_curve(F5, 3, range(5), infinity=True) + [(1, 4, 3)])
     conic = ArcConfig(F5, 3, moment_curve(F5, 3, range(5), infinity=True))
     assert conic.size == 6  # q + k - 1 - t with t = 1
-    assert conic.prefix(4).size == 4
+    assert prefix_arc(conic, 4).size == 4
     # no arc has more than q+k-1 points, checked before any determinant
     for check in (True, False):
         with pytest.raises(ArcInputError, match="exceeds q\\+k-1 = 7"):
@@ -134,7 +134,7 @@ def test_arcconfig_invariants(F5):
 def pencil_members(arc, A):
     """The members of A's pencil as recovery and _cosecants build them:
     _pencil_members over the _pencil_basis of A at every point of PG(1,q)."""
-    _, _, (b1,), (b2,) = _pencil_basis(arc.ctx, arc.points, [A])
+    (b1,), (b2,) = _pencil_basis(arc.ctx, arc.points, [A])
     return [tuple(f) for f in _pencil_members(arc.ctx, b1, b2, *_projective_line(arc.ctx)).tolist()]
 
 
@@ -676,21 +676,33 @@ def _shipped_and_images(arcs):
         yield gl_image(arc, arc.ctx.q)
 
 
+def assert_pencil_identity(ctx, rows, b1, b2, rng):
+    """det(e_j, x, A) = beta2(x) b1[j] - beta1(x) b2[j] for every j, A the
+    given rows and beta(x) = (b1.x, b2.x), the left side by the scalar
+    determinant: at x = e_u for every u and at three random x."""
+    k = len(b1)
+    b1, b2 = b1.tolist(), b2.tolist()
+    unit = lambda j: tuple(int(i == j) for i in range(k))
+    xs = [unit(u) for u in range(k)] + [tuple(rng.randrange(ctx.q) for _ in range(k)) for _ in range(3)]
+    for x in xs:
+        beta1, beta2 = dot(ctx, b1, x), dot(ctx, b2, x)
+        got = [ctx.add(ctx.mul(beta2, c1), ctx.neg(ctx.mul(beta1, c2))) for c1, c2 in zip(b1, b2)]
+        assert got == [ref_det_full(ctx, [unit(j), x, *rows]) for j in range(k)]
+
+
 def test_pencil_basis_matches_reference_completion(
     conic_f5, arc_q11, arc_q13_size9, hyperconic_f8, arc_q81, F7
 ):
     nrc = ArcConfig(F7, 4, moment_curve(F7, 4, range(7)))
+    rng = random.Random(22)
     for arc in _shipped_and_images([conic_f5, arc_q11, arc_q13_size9, hyperconic_f8, nrc, arc_q81]):
         ctx, k = arc.ctx, arc.k
         subsets = list(subset_iter(arc.size, k - 2))[:12]
         # one batched call for all subsets
-        for A, u1, u2, b1, b2 in zip(subsets, *_pencil_basis(arc.ctx, arc.points, subsets)):
-            e = lambda j: tuple(int(i == j) for i in range(k))
-            assert [e(u1), e(u2)] == _ref_complete_to_directions(arc, A)
+        for A, b1, b2 in zip(subsets, *_pencil_basis(arc.ctx, arc.points, subsets)):
             for x in arc.points_at(A):
                 assert dot(ctx, b1, x) == dot(ctx, b2, x) == 0
-            # b1 is nonzero at e_u2 and b2 is zero there: independent
-            assert b1[u2] != 0 and b2[u2] == 0 and any(b2)
+            assert_pencil_identity(ctx, arc.points_at(A), b1, b2, rng)
     with pytest.raises(ValueError):
         _pencil_basis(F7, [(1, 2, 3, 4), (2, 4, 6, 1)], [(0, 1)])
     with pytest.raises(ValueError):
@@ -700,9 +712,10 @@ def test_pencil_basis_matches_reference_completion(
 @pytest.mark.parametrize("p,h,k", [(13, 1, 3), (2, 3, 3), (7, 1, 4), (3, 2, 5), (3, 4, 6)])
 def test_stacked_pencil_basis_matches_per_arc_calls_and_reference(p, h, k):
     # a (B, |G|, k) stack of arcs takes one elimination of its B * C(|G|, k-2)
-    # subsets A, and each arc's u1, u2, b1, b2 are those of its own call:
-    # b1 = n_{A+e_u1} and b2 = n_{A+e_u2}, sign included, by the scalar
-    # determinant, and they span the pencil of forms vanishing on A
+    # subsets A, and each arc's b1, b2 are those of its own call: with
+    # beta(x) = (b1.x, b2.x), det(u, x, A) = beta2(x) b1.u - beta1(x) b2.u,
+    # sign included, by the scalar determinant, and they span the pencil of
+    # forms vanishing on A
     ctx = FieldCtx(p, h)
     rng = random.Random(p * k + h)
     g = k + 3
@@ -710,17 +723,14 @@ def test_stacked_pencil_basis_matches_per_arc_calls_and_reference(p, h, k):
     subsets = list(subset_iter(g, k - 2))
     stack = np.array([arc.points for arc in arcs])
     got = _pencil_basis(ctx, stack, subsets)
-    assert [x.shape[:2] for x in got] == [(3, len(subsets))] * 4
-    unit = lambda j: tuple(int(i == j) for i in range(k))
+    assert [x.shape for x in got] == [(3, len(subsets), k)] * 2
     w = _projective_line(ctx)
     for i, arc in enumerate(arcs):
         for x, y in zip(got, _pencil_basis(ctx, arc.points, subsets)):
             assert x[i].tolist() == y.tolist()
         for s in range(0, len(subsets), 1 + len(subsets) // 12):
-            u1, u2, b1, b2 = (x[i, s] for x in got)
-            rows = arc.points_at(subsets[s])
-            for u, b in ((u1, b1), (u2, b2)):
-                assert b.tolist() == [ref_det_full(ctx, [unit(j), *rows, unit(u)]) for j in range(k)]
+            b1, b2 = (x[i, s] for x in got)
+            assert_pencil_identity(ctx, arc.points_at(subsets[s]), b1, b2, rng)
             members = _pencil_members(ctx, b1, b2, *w).tolist()
             assert sorted(map(tuple, members)) == ref_pencil_through(subsets[s], arc)
     # one arc of the stack with a zero vector: every A through it is dependent
@@ -740,7 +750,7 @@ def test_pencils_and_cosecants_match_scalar_reference(
             assert list(tangent_fn(arc, A).forms) == ref_cosecants_through(A, arc)
     # k-1 dependent points: the other one lies on every member
     flat = ArcConfig(FieldCtx(7), 3, [(1, 2, 3), (2, 4, 6)])
-    _, _, (b1,), (b2,) = _pencil_basis(flat.ctx, flat.points, [(0,)])
+    (b1,), (b2,) = _pencil_basis(flat.ctx, flat.points, [(0,)])
     assert _cosecants(flat, (0,), b1, b2) == ref_cosecants_through((0,), flat) == []
 
 

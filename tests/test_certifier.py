@@ -41,6 +41,7 @@ from conftest import (
     gl_image,
     hyperoval,
     moment_curve,
+    prefix_arc,
     recovers_extension,
     ARCS_DIR,
     ref_det_full,
@@ -261,7 +262,7 @@ def test_paper_rank_facts_q11(arc_q11):
 
 def test_theorem1_at_max_n_odd_q(arc_q13_size6, arc_q11, conic_f5):
     # q odd: M_{|G|-k} always certifies (inclusion-matrix rank argument)
-    for arc in (arc_q13_size6, arc_q11, conic_f5.prefix(5)):
+    for arc in (arc_q13_size6, arc_q11, prefix_arc(conic_f5, 5)):
         n = arc.size - arc.k
         assert theorem1_test(arc, n) is not None
 
@@ -289,7 +290,7 @@ def test_bound_scan_rejects_fewer_than_k_points(F13):
 
 
 def test_bound_scan_even_q(hyperconic_f8):
-    arc = hyperconic_f8.prefix(6)
+    arc = prefix_arc(hyperconic_f8, 6)
     scan = bound_scan(arc)
     assert (scan.n0, scan.certificate, scan.forbidden_size, scan.max_size_bound) == (None,) * 4
     assert [n for n, *_ in scan.trace] == list(range(arc.size - arc.k + 1))
@@ -391,12 +392,12 @@ def test_property_w_q13_size9_at_n3_fails(arc_q13_size9):
 
 def test_property_w_trivial_at_size_k_plus_n(conic_f5):
     # |G| = k+n: one partner required, always available
-    G = conic_f5.prefix(5)
+    G = prefix_arc(conic_f5, 5)
     for n in range(0, 3):
         if G.size == G.k + n:
             assert property_w(G, n).holds
-    assert property_w(conic_f5.prefix(4), 1).holds
-    assert property_w(conic_f5.prefix(3), 0).holds
+    assert property_w(prefix_arc(conic_f5, 4), 1).holds
+    assert property_w(prefix_arc(conic_f5, 3), 0).holds
 
 
 def _property_w_cases():
@@ -524,12 +525,12 @@ def test_recover_matches_scalar_reference_on_q81_gl_image(arc_q81):
 def test_recover_from_vg_matches_extension(conic_f13, S_size, g):
     # feed the true v_G of a known extension: recovery must reproduce the
     # extension's co-secants; covers live (t even) and dead (t odd) signs
-    assert recovers_extension(conic_f13.prefix(S_size), g)
+    assert recovers_extension(prefix_arc(conic_f13, S_size), g)
 
 
 def test_recover_from_vg_higher_k(F11):
     nrc = ArcConfig(F11, 5, moment_curve(F11, 5, range(11), infinity=True))
-    assert recovers_extension(nrc.prefix(11), 9)  # t = 4, live signs, k = 5
+    assert recovers_extension(prefix_arc(nrc, 11), 9)  # t = 4, live signs, k = 5
 
 
 @pytest.mark.parametrize(
@@ -576,7 +577,7 @@ def test_a_matrix_for_another_n_or_arc_raises(arc_q13_size6, hyperconic_f8):
         with pytest.raises(ValueError):
             fn(arc, 2, M=M)
         fn(twin, 2, M=M)
-    even = hyperconic_f8.prefix(6)
+    even = prefix_arc(hyperconic_f8, 6)
     with pytest.raises(ValueError):
         theorem1_test(even, 1, build_Mn(even, 0))
 
@@ -632,7 +633,7 @@ def test_vg_annihilates(conic_f5, conic_f13, arc_q13_size9, F13):
 def test_vg_coordinates_nonzero_and_perturbation(conic_f5, F5):
     v = vg_vector(conic_f5, 5)
     assert all(x != 0 for x in v)
-    G = conic_f5.prefix(5)
+    G = prefix_arc(conic_f5, 5)
     M = build_Mn(G, 1)
     # perturb one coordinate: the product must become nonzero somewhere
     bad = list(v)
@@ -647,7 +648,7 @@ def test_vg_vector_matches_scalar_reference(conic_f5, hyperconic_f8, F13, F81):
     nrc13 = ArcConfig(F13, 4, shuffled_nrc(F13, 4, seed=13), check=False)
     nrc81 = ArcConfig(F81, 6, shuffled_nrc(F81, 6, seed=81), check=False)
     for S, g in ((conic_f5, 5), (hyperconic_f8, 7), (nrc13, 9), (nrc81, 11)):
-        ctx, G = S.ctx, S.prefix(g)
+        ctx, G = S.ctx, prefix_arc(S, g)
         want = tuple(ctx.mul(ref_alpha(S, C), ref_P_coord(G, C)) for C in colex_subsets(g, S.k - 1))
         assert vg_vector(S, g) == want
 
@@ -664,13 +665,13 @@ def even_nullity_check(arc, n, M=None):
 
 
 def test_even_nullity_law(hyperconic_f8, hyperconic_f4, F4):
-    arc = hyperconic_f8.prefix(6)
+    arc = prefix_arc(hyperconic_f8, 6)
     assert even_nullity_check(arc, 1)
     assert even_nullity_check(arc, 0)
     # |G| = k+n: nullity 1
-    assert even_nullity_check(hyperconic_f4.prefix(4), 1)
+    assert even_nullity_check(prefix_arc(hyperconic_f4, 4), 1)
     # q=4, |G|=5, n=0: nullity C(4,2) = 6
-    arc45 = hyperconic_f4.prefix(5)
+    arc45 = prefix_arc(hyperconic_f4, 5)
     M = build_Mn(arc45, 0)
     assert left_null_basis(M.matrix).nullity == comb(4, 2) == 6
     assert even_nullity_check(arc45, 0, M)
@@ -849,9 +850,9 @@ def test_certificates_never_contradicted_by_search():
 def test_property_w_trivial_even_q(hyperconic_f4):
     # |G| = k+n over even q: the one situation where the weight-two
     # property holds despite the even-q obstruction
-    G = hyperconic_f4.prefix(4)
+    G = prefix_arc(hyperconic_f4, 4)
     assert property_w(G, 1).holds
-    G5 = hyperconic_f4.prefix(5)
+    G5 = prefix_arc(hyperconic_f4, 5)
     assert property_w(G5, 2).holds
     # and it fails as soon as |G| > k+n
     assert not property_w(G5, 1).holds

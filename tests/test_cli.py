@@ -22,7 +22,7 @@ from arclab.cli import (
 )
 from arclab.exactmat import LeftNullBasis
 
-from conftest import ARCS_DIR
+from conftest import ARCS_DIR, prefix_arc
 
 
 def load(name):
@@ -109,7 +109,7 @@ def test_cmd_bound():
     rep = cmd_bound(arc)
     assert rep["n0"] == 2
     assert rep["largest_arc_bound"] == 10
-    even = cmd_bound(parse_arc_file(load("hyperconic_f8.arc")).prefix(6))
+    even = cmd_bound(prefix_arc(parse_arc_file(load("hyperconic_f8.arc")), 6))
     assert even["n0"] is None
     assert even["even_q_nullity_law"] is True
 
@@ -374,6 +374,21 @@ def test_main_exit_codes(tmp_path, capsys):
     # cosecants alias works
     assert main(["cosecants", q13, "--n", "2"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text,err", [
+    ("field 5 1\nk 3\n1 0 0\n0 1 0\n0 0 \u00b2\n", "error: '0 0 \u00b2': cannot parse field element '\u00b2'\n"),
+    ("field 3 2\nk 3\nt^0 0 0\n0 t^0 0\n0 0 t^\u00b2\n", "error: '0 0 t^\u00b2': bad exponent in 't^\u00b2'\n"),
+    ("field 5 1\nk \u00b3\n1 0 0\n0 1 0\n0 0 1\n", "error: bad k line: 'k \u00b3'\n"),
+], ids=["prime-field-element", "exponent", "k-line"])
+def test_superscript_digits_in_an_arc_file_exit_2(tmp_path, capsys, text, err):
+    # '\u00b2'.isdigit() holds but int() rejects it: such a number is a
+    # syntax error of the file, not a traceback
+    path = tmp_path / "sup.arc"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path), "--n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
 
 
 def test_main_bound_on_fewer_than_k_points_exits_2(tmp_path, capsys):

@@ -16,7 +16,15 @@ from arclab.hypersurf import (
 )
 from arclab.tangentfns import alpha_table, tangent_fn
 
-from conftest import ARCS_DIR, dual_coords, moment_curve, points_off_span, ref_cosecants_through, ref_det_full
+from conftest import (
+    ARCS_DIR,
+    dual_coords,
+    moment_curve,
+    points_off_span,
+    prefix_arc,
+    ref_cosecants_through,
+    ref_det_full,
+)
 
 
 def eval_surface(surface, ys):
@@ -34,18 +42,18 @@ def eval_surface(surface, ys):
 
 @pytest.fixture(scope="module")
 def arc_f8_t2(hyperconic_f8):
-    return hyperconic_f8.prefix(8)
+    return prefix_arc(hyperconic_f8, 8)
 
 
 @pytest.fixture(scope="module")
 def arc_f13_t3(conic_f13):
-    return conic_f13.prefix(12)
+    return prefix_arc(conic_f13, 12)
 
 
 def test_build_surface_sizes(conic_f5, hyperconic_f8, arc_f8_t2):
     s = build_surface(conic_f5)
     assert (s.parity, s.t, s.degree, len(s.E)) == ("odd", 1, 2, 4)
-    s = build_surface(hyperconic_f8.prefix(9))
+    s = build_surface(prefix_arc(hyperconic_f8, 9))
     assert (s.parity, s.t, s.degree, len(s.E)) == ("even", 1, 1, 3)
     s = build_surface(arc_f8_t2)
     assert (s.parity, s.t, s.degree, len(s.E)) == ("even", 2, 2, 4)
@@ -57,7 +65,7 @@ def test_build_surface_sizes(conic_f5, hyperconic_f8, arc_f8_t2):
 
 def test_build_surface_too_small(F13, conic_f13):
     with pytest.raises(ArcTooSmallError):
-        build_surface(conic_f13.prefix(4))  # t = 11 needs |E| = 24 > |S|
+        build_surface(prefix_arc(conic_f13, 4))  # t = 11 needs |E| = 24 > |S|
     with pytest.raises(ArcTooSmallError):
         build_surface(conic_f13, E=(0, 1, 2))
 
@@ -98,7 +106,7 @@ def test_secant_duals_nonzero_on_conic(conic_f5, F5):
 
 
 def test_theorem9(conic_f5, arc_f8_t2, arc_f13_t3, hyperconic_f8):
-    for arc in (conic_f5, arc_f8_t2, arc_f13_t3, hyperconic_f8.prefix(9)):
+    for arc in (conic_f5, arc_f8_t2, arc_f13_t3, prefix_arc(hyperconic_f8, 9)):
         s = build_surface(arc)
         for A in subset_iter(arc.size, arc.k - 2):
             assert theorem9_check(s, A)
@@ -156,7 +164,7 @@ def test_swap_sign_factor(conic_f5, arc_f8_t2, F7):
 
 
 def test_custom_E_choice(conic_f13):
-    s = build_surface(conic_f13.prefix(12), E=(2, 3, 5, 7, 8, 9, 10, 11))
+    s = build_surface(prefix_arc(conic_f13, 12), E=(2, 3, 5, 7, 8, 9, 10, 11))
     for A in [(0,), (1,), (4,)]:
         assert theorem9_check(s, A)
 

@@ -1,6 +1,6 @@
 """The module surface of arclab: every name a module exports exists, every
-exported function is reached by a command, and no library check is an
-``assert``.
+exported function and every public method of an exported class is reached
+by a command, and no library check is an ``assert``.
 
 Tools that walk ``__all__`` and look each name up (the benchmark tracer
 wraps every exported function this way) fail on a stale entry.  A function
@@ -74,6 +74,23 @@ def command_lines():
     yield scan + ["--n", "2", "--budget", "1", "--samples", "2"]
 
 
+def public_functions(label, obj):
+    """(label, function) for an exported function, or for each public
+    method and property getter of an exported class, special methods
+    such as __len__ included.  Overrides of object's own (__init__,
+    __repr__, __eq__, __hash__) serve the object model rather than a
+    caller, and methods that dataclasses generate are not library code."""
+    if inspect.isfunction(obj):
+        yield label, obj
+    if not inspect.isclass(obj):
+        return
+    for attr, member in vars(obj).items():
+        fn = member.fget if isinstance(member, property) else member
+        public = not attr.startswith("_") or (attr.endswith("__") and not hasattr(object, attr))
+        if inspect.isfunction(fn) and public and not fn.__code__.co_filename.startswith("<"):
+            yield f"{label}.{attr}", fn
+
+
 def test_every_exported_function_is_reached_by_a_command(capsys):
     lines = list(command_lines())
     parser = build_parser()
@@ -100,9 +117,9 @@ def test_every_exported_function_is_reached_by_a_command(capsys):
     for name in MODULES:
         module = importlib.import_module(f"arclab.{name}")
         for attr in getattr(module, "__all__", ()):
-            fn = getattr(module, attr)
             exported.add(f"{name}.{attr}")
-            if inspect.isfunction(fn) and fn.__code__ not in called and f"{name}.{attr}" not in UNREACHED:
-                unreached.append(f"{name}.{attr}")
+            for label, fn in public_functions(f"{name}.{attr}", getattr(module, attr)):
+                if fn.__code__ not in called and label not in UNREACHED:
+                    unreached.append(label)
     assert set(UNREACHED) <= exported, f"stale entries in UNREACHED: {set(UNREACHED) - exported}"
     assert not unreached, f"exported functions that no command reaches: {unreached}"

@@ -107,7 +107,7 @@ def test_interpolation_matches_scalar_reference(conic_f5, nrc_f7_k4, arc_q13_siz
         ctx, k = arc.ctx, arc.k
         for A in list(subset_iter(arc.size, k - 2))[:4]:
             others = [e for e in range(arc.size) if e not in A]
-            _, _, (b1,), (b2,) = _pencil_basis(arc.ctx, arc.points, [A])
+            (b1,), (b2,) = _pencil_basis(arc.ctx, arc.points, [A])
             for d in (0, 1, 3):
                 values = {e: rng.randrange(1, ctx.q) for e in rng.sample(others, d + 1)}
                 pts = sorted(values)
