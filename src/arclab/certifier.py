@@ -18,6 +18,7 @@ follow by interpolation and exhaustive root finding over the pencil.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -103,13 +104,24 @@ class CertMatrix:
 def _star_index(g: int, k: int):
     """The part of M_n that depends only on |G| and k: rows, subsets,
     others, stars and odd as ``CertMatrix`` holds them, shared read-only
-    by every M_n built from it."""
+    by every M_n built from it.
+
+    A row's index is the colex rank of its subset, sum C(x_i, i) over its
+    members x_1 < ... < x_{k-1}.  In A+e, the members of A below e keep
+    their place, e takes place #{a < e} + 1 and the members above e move
+    up one place."""
     rows = list(subset_iter(g, k - 1))
-    row_index = {c: i for i, c in enumerate(rows)}
     subsets = list(subset_iter(g, k - 2))
-    others = np.array([[e for e in range(g) if e not in A] for A in subsets], dtype=np.int64)
-    stars = np.array([[row_index[tuple(sorted(A + (e,)))] for e in range(g) if e not in A] for A in subsets])
-    below = (np.array(subsets, dtype=np.int64).reshape(len(subsets), 1, k - 2) < others[:, :, None]).sum(2)
+    members = np.array(subsets, dtype=np.int64).reshape(len(subsets), k - 2)
+    outside = np.ones((len(subsets), g), dtype=bool)
+    outside[np.arange(len(subsets))[:, None], members] = False
+    others = outside.nonzero()[1].reshape(len(subsets), g - k + 2)
+    # lower[s, j, i]: member i of subsets[s] lies below others[s, j]
+    lower = members[:, None, :] < others[:, :, None]
+    below = lower.sum(2)
+    binom = np.array([[math.comb(x, i) for i in range(k)] for x in range(g)], dtype=np.int64)
+    place = np.arange(1, k - 1) + ~lower
+    stars = binom[members[:, None, :], place].sum(2) + binom[others, below + 1]
     odd = below % 2 == 1
     for a in (others, stars, odd):
         a.flags.writeable = False

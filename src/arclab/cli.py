@@ -66,13 +66,11 @@ def parse_arc_file(text: str, modulus=None) -> ArcConfig:
     if len(lines) < 2:
         raise ArcFileError("file needs a field line, a k line and vectors")
     head = lines[0].split()
-    if head[0] != "field" or len(head) < 3:
+    # int() would also take signs and underscores
+    if head[0] != "field" or len(head) < 3 or not all(c.isdecimal() for c in head[1:]):
         raise ArcFileError(f"bad field line: {lines[0]!r}")
-    try:
-        p, h = int(head[1]), int(head[2])
-        file_modulus = tuple(int(c) for c in head[3:]) or None
-    except ValueError as exc:
-        raise ArcFileError(f"bad field line: {lines[0]!r}") from exc
+    p, h = int(head[1]), int(head[2])
+    file_modulus = tuple(int(c) for c in head[3:]) or None
     kline = lines[1].split()
     if kline[0] != "k" or len(kline) != 2 or not kline[1].isdecimal():
         raise ArcFileError(f"bad k line: {lines[1]!r}")
@@ -359,10 +357,10 @@ def _load_arc(path: str, modulus) -> ArcConfig:
 def _parse_modulus(raw):
     if raw is None:
         return None
-    try:
-        return tuple(int(c) for c in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ArcFileError(f"bad --modulus value {raw!r}") from exc
+    coeffs = raw.replace(",", " ").split()
+    if not all(c.isdecimal() for c in coeffs):
+        raise ArcFileError(f"bad --modulus value {raw!r}")
+    return tuple(int(c) for c in coeffs)
 
 
 def _count(raw):

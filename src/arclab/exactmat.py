@@ -109,8 +109,14 @@ def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
         return matrix._null
     ops = matrix.ctx.vec_ops()
     m, n = matrix.rows, matrix.cols
-    work = np.concatenate([matrix.data[::-1], np.eye(m, dtype=np.int64)[::-1]], axis=1)
+    width = n + m
+    work = np.zeros((m, width), dtype=np.int64)
+    work[:, :n] = matrix.data[::-1]
     order = np.arange(m)
+    work[order, width - 1 - order] = 1  # the identity block, reversed with the rows
+    # target blocks are read and written through flat indices: cheaper
+    # than the 2-D fancy index work[t[:, None], cols]
+    flat = work.reshape(-1)
     r = 0
     for c in range(n):
         if r == m:
@@ -126,7 +132,8 @@ def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
             t = order[nz[1:]]
             cols = pivot[c:].nonzero()[0] + c
             f = ops.div(work[t, c], ops.neg(pivot[c]))
-            work[t[:, None], cols] = ops.addmul(work[t[:, None], cols], f, pivot[cols])
+            idx = (t * width)[:, None] + cols
+            flat[idx] = ops.addmul(flat[idx], f, pivot[cols])
         r += 1
     # a fancy index copies: the basis shares no memory with work
     matrix._null = LeftNullBasis(matrix.ctx, work[order[r:], n:])

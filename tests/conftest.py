@@ -228,6 +228,22 @@ def colex_subsets(m, r):
     return sorted(itertools.combinations(range(m), r), key=lambda c: c[::-1])
 
 
+def ref_star_index(g, k):
+    """The star index of M_n (rows, subsets, others, stars, odd) by the
+    dict lookups that ``certifier._star_index`` replaced: each row A+e is
+    found by its sorted tuple."""
+    rows = colex_subsets(g, k - 1)
+    row_index = {c: i for i, c in enumerate(rows)}
+    subsets = colex_subsets(g, k - 2)
+    others = np.array([[e for e in range(g) if e not in A] for A in subsets], dtype=np.int64)
+    stars = np.array(
+        [[row_index[tuple(sorted(A + (e,)))] for e in range(g) if e not in A] for A in subsets],
+        dtype=np.int64,
+    )
+    below = (np.array(subsets, dtype=np.int64).reshape(len(subsets), 1, k - 2) < others[:, :, None]).sum(2)
+    return rows, subsets, others, stars, below % 2 == 1
+
+
 RefMn = namedtuple("RefMn", "rows cols data")
 
 

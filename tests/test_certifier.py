@@ -49,6 +49,7 @@ from conftest import (
     ref_left_null,
     ref_left_null_dense,
     ref_build_Mn,
+    ref_star_index,
     ref_cosecants_through,
     ref_interpolate_fA,
     ref_P_coord,
@@ -191,6 +192,20 @@ def test_q81_left_null_basis_independent_checks(arc_q81, image):
         assert left_null_basis(GFMatrix(G.ctx, null.basis)).nullity == 0
         rank_t = M.cols - left_null_basis(GFMatrix(G.ctx, M.data.T)).nullity
         assert null.nullity == M.rows - rank_t
+
+
+def test_star_index_matches_the_dict_listing():
+    # colex-rank arithmetic gives the same index as looking up each sorted
+    # row tuple, for every 3 <= k <= |G| <= 12
+    for g in range(3, 13):
+        for k in range(3, g + 1):
+            rows, subsets, *arrays = certifier._star_index(g, k)
+            ref_rows, ref_subsets, *ref_arrays = ref_star_index(g, k)
+            assert rows == ref_rows and subsets == ref_subsets, (g, k)
+            assert all(type(s) is tuple for s in rows + subsets)
+            for a, ref in zip(arrays, ref_arrays):
+                assert a.dtype == ref.dtype and np.array_equal(a, ref), (g, k)
+                assert not a.flags.writeable
 
 
 def test_left_null_basis_matches_dense_loop():

@@ -391,6 +391,25 @@ def test_superscript_digits_in_an_arc_file_exit_2(tmp_path, capsys, text, err):
     assert (captured.out, captured.err) == ("", err)
 
 
+@pytest.mark.parametrize("field", ["field 1_1 1", "field +11 1", "field 11 0_1"])
+def test_signs_and_underscores_in_the_field_line_exit_2(tmp_path, capsys, field):
+    # int() takes '1_1' as 11 and '+11' as 11: each of these once ran as GF(11)
+    path = tmp_path / "f.arc"
+    path.write_text(f"{field}\nk 3\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n")
+    assert main(["bound", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: bad field line: {field!r}\n")
+
+
+@pytest.mark.parametrize("modulus", ["1_0 2", "+1,11"])
+def test_signs_and_underscores_in_the_modulus_option_exit_2(capsys, modulus):
+    # '+1,11' would read as the file's own modulus x - 2 of GF(13)
+    q13 = str(ARCS_DIR / "q13_size6.arc")
+    assert main(["analyze", q13, "--n", "2", "--modulus", modulus]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: bad --modulus value {modulus!r}\n")
+
+
 def test_main_bound_on_fewer_than_k_points_exits_2(tmp_path, capsys):
     two = tmp_path / "two.arc"
     two.write_text("field 13 1\nk 3\n1 0 0\n0 1 0\n")

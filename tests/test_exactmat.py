@@ -20,6 +20,7 @@ from conftest import (
     rank_mod_p,
     ref_colspace_test,
     ref_left_null,
+    ref_left_null_dense,
     ref_rref,
     unit_vector,
 )
@@ -91,6 +92,19 @@ def test_left_null_basic(F11):
     assert left_null_basis(GFMatrix(F11, np.eye(4))).nullity == 0
     null = left_null_basis(GFMatrix(F11, np.zeros((3, 6))))
     assert null.nullity == 3
+
+
+@pytest.mark.parametrize("p,h", [(5, 1), (3, 2)])
+def test_left_null_edge_shapes_match_dense_loop(p, h):
+    # shapes with no elimination step, or none with a target: the zeroed
+    # work array and its reversed identity alone give the basis
+    ctx = FieldCtx(p, h)
+    cases = [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((1, 1)), np.full((1, 1), 2), np.zeros((4, 2))]
+    for data in cases:
+        M = GFMatrix(ctx, data)
+        null, ref = left_null_basis(M).basis, ref_left_null_dense(M)
+        assert null.shape == (M.rows - int(data.any()), M.rows)
+        assert np.array_equal(null, ref), data.shape
 
 
 def test_left_null_annihilates():
