@@ -285,15 +285,15 @@ def point_index(ctx, canon):
     return canon @ pows + (np.cumsum(pows) - 2 * pows)[(canon != 0).argmax(1)]
 
 
-def _check_table(ctx, k):
+def _check_table(q, k):
     """Raise BudgetExceededError if the hyperplane table of PG(k-1, q), N+1 rows
     of ceil(N/64) words for its N points, would exceed TABLE_WORDS words."""
     n = 0
     for _ in range(k):  # N = 1 + q + ... + q^(k-1), given up once past the cap
-        n = n * ctx.q + 1
+        n = n * q + 1
         if (n + 1) * -(-n // 64) > TABLE_WORDS:
             raise BudgetExceededError(
-                f"the hyperplane table of PG({k - 1}, {ctx.q}) exceeds {TABLE_WORDS} words")
+                f"the hyperplane table of PG({k - 1}, {q}) exceeds {TABLE_WORDS} words")
 
 
 class HyperplaneIncidence:
@@ -313,7 +313,7 @@ class HyperplaneIncidence:
     """
 
     def __init__(self, ctx, k, extra=()):
-        _check_table(ctx, k)
+        _check_table(ctx.q, k)
         self.ctx = ctx
         self.k = k
         self.points = list(projective_points(ctx, k))

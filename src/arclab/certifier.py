@@ -87,8 +87,9 @@ class CertMatrix:
         self.matrix = matrix
         # rows: the (k-1)-subsets, colex; subsets: the A, colex; others[s]: the
         # points outside subsets[s]; stars[s, j]: the row of subsets[s] + others[s, j];
-        # odd[s, j]: whether an odd number of points of subsets[s] lie below others[s, j]
-        self.rows, self.subsets, self.others, self.stars, self.odd = index
+        # odd[s, j]: whether an odd number of points of subsets[s] lie below others[s, j];
+        # place[s]: the lex rank of subsets[s], whose block is columns place[s](n+1) on
+        self.rows, self.subsets, self.others, self.stars, self.odd, self.place = index
         self.pencils = pencils    # pencils[s] = (b1, b2) of subsets[s]
         self.beta = beta          # beta[s, :, j] = beta(others[s, j])
 
@@ -103,13 +104,14 @@ class CertMatrix:
 
 def _star_index(g: int, k: int):
     """The part of M_n that depends only on |G| and k: rows, subsets,
-    others, stars and odd as ``CertMatrix`` holds them, shared read-only
-    by every M_n built from it.
+    others, stars, odd and place as ``CertMatrix`` holds them, shared
+    read-only by every M_n built from it.
 
     A row's index is the colex rank of its subset, sum C(x_i, i) over its
     members x_1 < ... < x_{k-1}.  In A+e, the members of A below e keep
     their place, e takes place #{a < e} + 1 and the members above e move
-    up one place."""
+    up one place.  place[s] is the lex rank of subsets[s], the position of
+    its block among M_n's columns (``_mn_stack``)."""
     rows = list(subset_iter(g, k - 1))
     subsets = list(subset_iter(g, k - 2))
     members = np.array(subsets, dtype=np.int64).reshape(len(subsets), k - 2)
@@ -120,12 +122,14 @@ def _star_index(g: int, k: int):
     lower = members[:, None, :] < others[:, :, None]
     below = lower.sum(2)
     binom = np.array([[math.comb(x, i) for i in range(k)] for x in range(g)], dtype=np.int64)
-    place = np.arange(1, k - 1) + ~lower
-    stars = binom[members[:, None, :], place].sum(2) + binom[others, below + 1]
+    pos = np.arange(1, k - 1) + ~lower
+    stars = binom[members[:, None, :], pos].sum(2) + binom[others, below + 1]
     odd = below % 2 == 1
-    for a in (others, stars, odd):
+    place = np.empty(len(subsets), dtype=np.int64)
+    place[np.lexsort(members.T[::-1])] = np.arange(len(subsets))
+    for a in (others, stars, odd, place):
         a.flags.writeable = False
-    return rows, subsets, others, stars, odd
+    return rows, subsets, others, stars, odd, place
 
 
 def _star_points(ctx, index, points):
@@ -158,9 +162,12 @@ def _mn_stack(ctx, index, beta, n: int):
     the beta of the arcs' stars, (B, subsets, 2, |G|-k+2).
 
     Column i of A's block holds s_e^n beta1(e)^i beta2(e)^(n-i) in each
-    row A+e of its star, s_e = (-1)^{#{a in A : a < e}}."""
+    row A+e of its star, s_e = (-1)^{#{a in A : a < e}}.  The blocks run
+    in lex order of A, while rows and subsets run in colex order: taken
+    bottom-up, the rows then meet the blocks in an order that keeps the
+    fill of ``left_null_basis`` about 3x below colex blocks at q = 81."""
     ops = ctx.vec_ops()
-    rows, subsets, _, stars, odd = index
+    rows, subsets, _, stars, odd, place = index
     # powers[..., i] = beta1^i beta2^(n-i) over every star
     powers = np.ones((*beta.shape[:2], beta.shape[3], n + 1), dtype=np.int64)
     for i in range(n):
@@ -168,7 +175,7 @@ def _mn_stack(ctx, index, beta, n: int):
         powers[..., i + 1 :] = ops.mul(powers[..., i + 1 :], beta[:, :, 0, :, None])
     if n % 2:
         powers = np.where(odd[..., None], ops.neg(powers), powers)
-    cols = np.arange(len(subsets) * (n + 1)).reshape(len(subsets), 1, n + 1)
+    cols = (place[:, None] * (n + 1) + np.arange(n + 1)).reshape(len(subsets), 1, n + 1)
     data = np.zeros((len(beta), len(rows), cols.size), dtype=np.int64)
     data[:, stars[:, :, None], cols] = powers
     return data
@@ -453,6 +460,22 @@ def _certified(ctx, k: int, n: int, arcs) -> np.ndarray:
     return out
 
 
+def _scan_size(q: int, k: int, n: int) -> int:
+    """The arc size 2k-3+n of a conjecture scan over GF(q), after the
+    refusals that need only q, k and n: n < 0 and k < 3 raise input
+    errors, and where arcs of that size may exist (size <= q+k-1), a
+    hyperplane table of more than TABLE_WORDS words raises
+    BudgetExceededError."""
+    if n < 0:
+        raise SizeOutOfRangeError(f"need n >= 0, got n={n}")
+    if k < 3:
+        raise ArcInputError("dimension k must be at least 3")
+    size = 2 * k - 3 + n
+    if size <= q + k - 1:
+        _check_table(q, k)
+    return size
+
+
 def conjecture_scan(
     ctx, k: int, n: int, budget: int = 200_000, samples: int = 200, seed: int = 0
 ) -> ConjectureScanResult:
@@ -465,15 +488,13 @@ def conjecture_scan(
     the conjectured range k <= p+n(p-2) are returned as counterexample
     candidates.  No arc is larger than q+k-1, so that enumeration is
     empty without a search; otherwise a hyperplane table of more than
-    TABLE_WORDS words raises BudgetExceededError before anything is built.
+    TABLE_WORDS words raises BudgetExceededError before anything is built
+    (``_scan_size``).
     """
-    if n < 0:
-        raise SizeOutOfRangeError(f"need n >= 0, got n={n}")
-    size = 2 * k - 3 + n
+    size = _scan_size(ctx.q, k, n)
     in_range = k <= ctx.p + n * (ctx.p - 2)
     arcs, mode = [], "exhaustive"
     if size <= ctx.q + k - 1:
-        _check_table(ctx, k)  # an oversized table is refused before the k x k frame is built
         frame = [tuple(int(i == j) for i in range(k)) for j in range(k)] + [(1,) * k]
         seed_arc = ArcConfig(ctx, k, frame[: min(size, k + 1)], check=False)
         try:

@@ -27,7 +27,7 @@ from . import certifier as ct
 from . import hypersurf as hs
 from .arcgeom import ArcConfig, ArcInputError, BudgetExceededError, InvariantError, complete_search, subset_iter
 from .exactmat import left_null_basis
-from .gf import FieldCtx, FieldError
+from .gf import FieldCtx, FieldError, _field_order, conway_polynomial
 from .tangentfns import tangent_fn
 
 __all__ = [
@@ -287,7 +287,12 @@ def cmd_search(arc: ArcConfig, target=None, budget=2_000_000) -> dict:
 
 def cmd_conjecture(p, h, k, n, budget=200_000, samples=200, seed=0) -> dict:
     t0 = time.perf_counter()
-    ctx = FieldCtx(p, h)
+    # every field error, and every refusal that needs only q, k and n,
+    # comes before the field's tables are built
+    q = _field_order(p, h)
+    modulus = conway_polynomial(p, h)
+    ct._scan_size(q, k, n)
+    ctx = FieldCtx(p, h, modulus)
     res = ct.conjecture_scan(ctx, k, n, budget=budget, samples=samples, seed=seed)
     # an exhaustive scan finds every arc class of the size, so none exists
     if res.total == 0 and res.mode == "exhaustive":

@@ -88,22 +88,32 @@ def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
 
     Rows whose M-part reduces to zero carry the combining coefficients in
     the identity block, so the surviving right-hand rows form the basis.
-    Logical row i is physical row order[i]: an exchange swaps two entries
-    of ``order``, never two rows.  Rows from r down are zero left of the
-    pivot column c, so one scan of column c over them gives the pivot
-    (the first nonzero) and the targets (the rest; after an exchange the
-    old row r sits at the pivot's place and is zero in c).  The pivot row
-    stays unscaled, each target row takes -work[t, c] / pivot times it,
-    and only the columns where the pivot row is nonzero change.
+    Rows never move: a mask marks the rows that have not pivoted yet
+    (the free rows).  The pivot of column c is the first free row nonzero
+    in c and its targets are the other free rows nonzero there.  The pivot
+    row stays unscaled, each target row takes -work[t, c] / pivot times
+    it, and only the columns where the pivot row is nonzero change.
+
+    The basis depends on the row order alone, not on the column order or
+    the pivot sequence.  Every target lies after its pivot, so a row only
+    ever receives multiples of earlier rows that have pivoted.  So the
+    rows that never pivot are exactly the rows that depend on earlier
+    rows, and each basis vector is the unique null vector with 1 at its
+    own row and 0 at the other such rows.  (Exchanging the pivot into
+    place, as an earlier version did, lacks this: over GF(5) the rows
+    (1, 0), (0, 1), (0, 1) give (0, 4, 1) with exchanges, (0, 1, 4) here.)
 
     The rows are eliminated in reverse order, with the identity block
     reversed alongside, so the basis comes out in M's own row coordinates.
-    M_n's rows are the (k-1)-subsets in colex order, so reversed, each
-    (k-2)-subset A pivots first on its rows through the last points, whose
-    other nonzeros lie in the blocks of subsets that also hold those
-    points; colex puts those blocks last, so fill stays in a trailing
-    block.  q=81 M_1 takes 931 k cell updates: 27.4 M top-down, 4.6 M
-    bottom-up over the pivot row's whole width from c on.
+    M_n's rows are the (k-1)-subsets in colex order, so reversed, rows
+    through the last points come first.  Its blocks run in lex order of A
+    (``certifier._mn_stack``), so the first blocks belong to subsets of
+    the first points and pivot on rows A+e with e above every point of A.
+    Such a row is nonzero only in the blocks of A and of the A-a+e, which
+    come later in lex order: fill lands in blocks not yet eliminated.
+    q=81 M_1 takes 274 k cell updates (896 k with the blocks in colex
+    order, 932 k with exchanged pivots too, 4.6 M over the pivot row's
+    whole width from c on, 27.4 M top-down).
     """
     if matrix._null is not None:
         return matrix._null
@@ -112,31 +122,32 @@ def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
     width = n + m
     work = np.zeros((m, width), dtype=np.int64)
     work[:, :n] = matrix.data[::-1]
-    order = np.arange(m)
-    work[order, width - 1 - order] = 1  # the identity block, reversed with the rows
+    at = np.arange(m)
+    work[at, width - 1 - at] = 1  # the identity block, reversed with the rows
     # target blocks are read and written through flat indices: cheaper
     # than the 2-D fancy index work[t[:, None], cols]
     flat = work.reshape(-1)
-    r = 0
+    free = np.ones(m, dtype=bool)
+    left = m
     for c in range(n):
-        if r == m:
+        if not left:
             break
-        nz = work[order[r:], c].nonzero()[0]
+        nz = work[:, c].nonzero()[0]
+        nz = nz[free[nz]]
         if nz.size == 0:
             continue
-        nz += r
         p = nz[0]
-        order[r], order[p] = order[p], order[r]
+        free[p] = False
+        left -= 1
         if nz.size > 1:
-            pivot = work[order[r]]
-            t = order[nz[1:]]
+            pivot = work[p]
+            t = nz[1:]
             cols = pivot[c:].nonzero()[0] + c
             f = ops.div(work[t, c], ops.neg(pivot[c]))
             idx = (t * width)[:, None] + cols
             flat[idx] = ops.addmul(flat[idx], f, pivot[cols])
-        r += 1
-    # a fancy index copies: the basis shares no memory with work
-    matrix._null = LeftNullBasis(matrix.ctx, work[order[r:], n:])
+    # a mask index copies: the basis shares no memory with work
+    matrix._null = LeftNullBasis(matrix.ctx, work[free, n:])
     return matrix._null
 
 
@@ -161,8 +172,9 @@ def weight_one_rows(ctx, stack):
     every other such row nonzero there takes a multiple of it, from the
     column on.  The rows that never pivot carry a basis of the left null
     space in their identity block, so its zero columns are the rows C with
-    unit_C in the column space, whichever rows pivoted.  Rows run
-    bottom-up, as in ``left_null_basis``, so fill stays in a trailing block.
+    unit_C in the column space, whichever rows pivoted.  The pivots are
+    the stable ones of ``left_null_basis``, on rows taken bottom-up and
+    M_n's blocks in lex order of A, the order of least fill measured there.
     """
     ops = ctx.vec_ops()
     b, m, n = stack.shape

@@ -129,22 +129,29 @@ def conway_polynomial(p: int, h: int):
         ) from None
 
 
+def _field_order(p: int, h: int) -> int:
+    """q = p^h, or the error FieldCtx(p, h) raises for the pair; builds no
+    table."""
+    # before trial division by up to sqrt(p) and before forming p**h
+    if p > TABLE_CAP or h >= TABLE_CAP.bit_length():
+        raise UnsupportedFieldError(f"field order p^h exceeds table cap {TABLE_CAP}")
+    if not _is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
+    if h < 1:
+        raise FieldError(f"extension degree must be >= 1, got {h}")
+    q = p ** h
+    if q < 3:
+        raise UnsupportedFieldError("field order must be at least 3")
+    if q > TABLE_CAP:
+        raise UnsupportedFieldError(f"field order {p}^{h} exceeds table cap {TABLE_CAP}")
+    return q
+
+
 class FieldCtx:
     """Immutable context for GF(p^h): tables, primitive element, modulus."""
 
     def __init__(self, p: int, h: int = 1, modulus=None):
-        # before trial division by up to sqrt(p) and before forming p**h
-        if p > TABLE_CAP or h >= TABLE_CAP.bit_length():
-            raise UnsupportedFieldError(f"field order p^h exceeds table cap {TABLE_CAP}")
-        if not _is_prime(p):
-            raise NotPrimeError(f"{p} is not prime")
-        if h < 1:
-            raise FieldError(f"extension degree must be >= 1, got {h}")
-        q = p ** h
-        if q < 3:
-            raise UnsupportedFieldError("field order must be at least 3")
-        if q > TABLE_CAP:
-            raise UnsupportedFieldError(f"field order {p}^{h} exceeds table cap {TABLE_CAP}")
+        q = _field_order(p, h)
         self.p = p
         self.h = h
         self.q = q

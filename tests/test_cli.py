@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from arclab import certifier, gf
+from arclab import certifier, cli, gf
 from arclab.arcgeom import TABLE_WORDS, InvariantError, complete_search
 from arclab.cli import (
     ArcFileError,
@@ -196,6 +196,31 @@ def test_input_errors_exit_2(capsys, monkeypatch):
     for p, k in (("3", "7"), ("7", "5")):
         assert main(["conjecture-scan", "--p", p, "--k", k, "--n", "-1"]) == 2
         assert capsys.readouterr().err == "error: need n >= 0, got n=-1\n"
+
+
+def test_conjecture_scan_refuses_before_building_the_field(capsys, monkeypatch):
+    # n < 0, k < 3 and an oversized hyperplane table need only p, h, k and
+    # n: GF(1048573)'s tables once took 0.4 s before the table was refused.
+    # Field errors still come first, with exit 2 where the table would exit 3
+    def no_field(*args, **kwargs):
+        raise AssertionError("the field's tables were built before the refusal")
+
+    monkeypatch.setattr(cli, "FieldCtx", no_field)
+    scan = ["conjecture-scan", "--p", "1048573"]
+    assert main(scan + ["--k", "2000", "--n", "0"]) == 3
+    assert capsys.readouterr().err == f"error: the hyperplane table of PG(1999, 1048573) exceeds {TABLE_WORDS} words\n"
+    assert main(scan + ["--k", "2000", "--n", "-1"]) == 2
+    assert capsys.readouterr().err == "error: need n >= 0, got n=-1\n"
+    assert main(scan + ["--k", "2", "--n", "1"]) == 2  # PG(1, q)'s table is oversized too
+    assert capsys.readouterr().err == "error: dimension k must be at least 3\n"
+    for field, err in [
+        (["--p", "4"], "4 is not prime"),
+        (["--p", "7", "--h", "0"], "extension degree must be >= 1, got 0"),
+        (["--p", "3", "--h", "13"], f"field order 3^13 exceeds table cap {gf.TABLE_CAP}"),
+        (["--p", "7", "--h", "5"], "no built-in modulus for GF(7^5); supply one explicitly"),
+    ]:
+        assert main(["conjecture-scan", *field, "--k", "2000", "--n", "0"]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_modulus_x_of_gf3_exits_2(tmp_path, capsys):

@@ -107,6 +107,16 @@ def test_left_null_edge_shapes_match_dense_loop(p, h):
         assert np.array_equal(null, ref), data.shape
 
 
+def test_left_null_basis_is_fixed_by_the_row_order(F5):
+    # a row that depends on earlier rows (taken bottom-up) gets the null
+    # vector with 1 at its own row and 0 at the other dependent rows,
+    # whichever column pivots first: (0, 1, 4) in either column order,
+    # where exchanging pivot rows into place gave (0, 4, 1)
+    rows = np.array([[1, 0], [0, 1], [0, 1]])
+    for cols in ([0, 1], [1, 0]):
+        assert left_null_basis(GFMatrix(F5, rows[:, cols])).basis.tolist() == [[0, 1, 4]]
+
+
 def test_left_null_annihilates():
     rng = random.Random(17)
     for q, h in [(5, 1), (11, 1), (3, 2)]:
