@@ -93,11 +93,11 @@ class VecOps:
         # log(f_i * row_j) is log f_i + log row_j: zech_pad covers the sum
         e = self.log[f][:, None] + self.ulog[row]
         e -= la
-        # every index is in range; "wrap" only avoids the buffered copy
-        # that out= costs under the default mode
-        np.take(self.zech_pad, e, out=block, mode="wrap")
+        # every index is in range; "wrap" only avoids the buffered copy that
+        # out= costs under the default mode, and the method skips np.take's wrapper
+        self.zech_pad.take(e, out=block, mode="wrap")
         block += la
-        return np.take(self.exp_ext, block, out=e, mode="wrap")
+        return self.exp_ext.take(block, out=e, mode="wrap")
 
     def neg(self, a):
         return self.neg_table[a]

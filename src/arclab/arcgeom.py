@@ -233,7 +233,9 @@ def _pencil_basis(ctx, points, subsets):
 
 def _projective_line(ctx):
     """w1, w2: the points (1, lam), lam in F_q, and (0, 1) of PG(1,q)."""
-    return np.array([(1, lam) for lam in ctx.elements()] + [(0, 1)], dtype=np.int64).T
+    w = np.ones((2, ctx.q + 1), dtype=np.int64)
+    w[0, -1], w[1, :-1] = 0, np.arange(ctx.q)
+    return w
 
 
 def _canonical(ctx, m):

@@ -380,13 +380,17 @@ def recover_cosecants(
     hits = _lagrange_sum(ctx, beta, _lagrange_weights(ctx, beta, vals), w1, w2) == 0
     if (hits.sum(1) > t).any():
         raise InvariantError("degree-t function cannot vanish on t+1 directions")
+    # the co-secant forms of every split A from one call, t rows per A
+    split = hits.sum(1) == t
+    ss, ws = (hits & split[:, None]).nonzero()
+    members = _pencil_members(ctx, M.pencils[ss, 0], M.pencils[ss, 1], w1[ws], w2[ws])
+    members = iter(members.reshape(-1, t, arc.k).tolist())
     pts = M.others[:, : t + 1].tolist()
     per_A = {}
     for s, A in enumerate(M.subsets):
         roots, status = None, "non-splitting"
-        if hits[s].sum() == t:
-            members = _pencil_members(ctx, *M.pencils[s], w1[hits[s]], w2[hits[s]])
-            roots, status = tuple(sorted(map(tuple, members.tolist()))), "ok"
+        if split[s]:
+            roots, status = tuple(sorted(map(tuple, next(members)))), "ok"
         per_A[A] = PredictedTangent(A, pts[s][0], dict(zip(pts[s], vals[s].tolist())), roots, status)
     return CosecantPrediction(n, t, per_A, "null-vector")
 

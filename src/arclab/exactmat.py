@@ -92,7 +92,9 @@ def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
     (the free rows).  The pivot of column c is the first free row nonzero
     in c and its targets are the other free rows nonzero there.  The pivot
     row stays unscaled, each target row takes -work[t, c] / pivot times
-    it, and only the columns where the pivot row is nonzero change.
+    it, and only the columns where the pivot row is nonzero change.  Once
+    its step is done the pivot row's M-part is zeroed from c on, so every
+    row nonzero in a later column is free and needs no filter.
 
     The basis depends on the row order alone, not on the column order or
     the pivot sequence.  Every target lies after its pivot, so a row only
@@ -133,19 +135,19 @@ def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
         if not left:
             break
         nz = work[:, c].nonzero()[0]
-        nz = nz[free[nz]]
         if nz.size == 0:
             continue
         p = nz[0]
         free[p] = False
         left -= 1
+        pivot = work[p]
         if nz.size > 1:
-            pivot = work[p]
             t = nz[1:]
             cols = pivot[c:].nonzero()[0] + c
             f = ops.div(work[t, c], ops.neg(pivot[c]))
             idx = (t * width)[:, None] + cols
             flat[idx] = ops.addmul(flat[idx], f, pivot[cols])
+        pivot[c:n] = 0
     # a mask index copies: the basis shares no memory with work
     matrix._null = LeftNullBasis(matrix.ctx, work[free, n:])
     return matrix._null

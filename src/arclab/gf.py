@@ -266,9 +266,6 @@ class FieldCtx:
     def prod(self, items) -> int:
         return reduce(self.mul, items, 1)
 
-    def elements(self):
-        return range(self.q)
-
     # ------------------------------------------------------------------
     # text syntax: "0", "t^e", bare integers for prime fields
     # ------------------------------------------------------------------

@@ -84,16 +84,30 @@ def _lagrange_sum(ctx, beta, weights, w1, w2):
     axes of beta (2 x m), weights (m) and w1, w2 broadcast.
 
     At w = beta(e) every term but e's has the factor D(e, e) = 0, so unit
-    weights there give the products prod_{u != e} D(u, e) themselves."""
+    weights there give the products prod_{u != e} D(u, e) themselves.
+
+    The sum is a binary form of degree m-1: its coefficients c_j of
+    w1^j w2^(m-1-j) are built once, then Horner evaluates it at any w."""
     ops = ctx.vec_ops()
-    w1, w2 = w1[..., None, :], w2[..., None, :]
-    D = ops.sub(ops.mul(beta[..., 0, :, None], w2), ops.mul(beta[..., 1, :, None], w1))
-    # prod_{u != e} is the product of the rows of D before e times those after
-    before, after = np.ones_like(D), np.ones_like(D)
-    for i in range(1, D.shape[-2]):
-        before[..., i, :] = ops.mul(before[..., i - 1, :], D[..., i - 1, :])
-        after[..., -1 - i, :] = ops.mul(after[..., -i, :], D[..., -i, :])
-    return ops.matmul(weights[..., None, :], ops.mul(before, after))[..., 0, :]
+    m = beta.shape[-1]
+    b1, nb2 = beta[..., 0, :, None, None], ops.neg(beta[..., 1, :, None, None])
+    # step i takes T[..., 0, :] = sum_{e < i} weights_e prod_{u < i, u != e} D(u, .) and
+    # T[..., 1, :] = prod_{u < i} D(u, .) on to i+1: both take D(i, .), the sum weights_i T[..., 1, :]
+    T = np.zeros(np.broadcast_shapes(beta.shape[:-2], weights.shape[:-1]) + (2, m + 1), dtype=np.int64)
+    T[..., 1, 0] = 1
+    for i in range(m):
+        # (sum_j p_j w1^j w2^(d-j)) (b1 w2 - b2 w1) has c_j = b1 p_j - b2 p_(j-1)
+        new = ops.mul(b1[..., i, :, :], T[..., : i + 2])
+        new[..., 1:] = ops.add(new[..., 1:], ops.mul(nb2[..., i, :, :], T[..., : i + 1]))
+        new[..., 0, : i + 1] = ops.add(new[..., 0, : i + 1], ops.mul(weights[..., i, None], T[..., 1, : i + 1]))
+        T[..., : i + 2] = new
+    c = T[..., 0, :, None]
+    acc = np.broadcast_to(c[..., m - 1, :], np.broadcast_shapes(c.shape[:-2] + (1,), w1.shape, w2.shape)).copy()
+    power = np.ones_like(w2)
+    for j in range(m - 2, -1, -1):
+        power = ops.mul(power, w2)
+        acc = ops.add(ops.mul(acc, w1), ops.mul(c[..., j, :], power))
+    return acc
 
 
 def _lagrange_weights(ctx, beta, fvals):

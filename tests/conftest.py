@@ -337,7 +337,7 @@ def ref_pencil_through(A, arc):
         raise ValueError("subset does not span a (k-2)-space")
     b1, b2 = basis
     forms = {ref_canonical_form(ctx, b2)}
-    for lam in ctx.elements():
+    for lam in range(ctx.q):
         coeffs = tuple(ctx.add(x, ctx.mul(lam, y)) for x, y in zip(b1, b2))
         forms.add(ref_canonical_form(ctx, coeffs))
     if len(forms) != ctx.q + 1:
@@ -924,7 +924,7 @@ def hyperoval(ctx):
 def shuffled_nrc(ctx, k, seed):
     """The q+1 points of the normal rational curve of V_k(F_q), in a seeded
     random order so that prefixes are not runs of consecutive parameters."""
-    pts = moment_curve(ctx, k, ctx.elements(), infinity=True)
+    pts = moment_curve(ctx, k, range(ctx.q), infinity=True)
     random.Random(seed).shuffle(pts)
     return pts
 

@@ -207,6 +207,14 @@ def test_cosecant_counts_on_size12_extension(arc_q13_size9, F13):
         assert len(tangent_fn(S12, A).forms) == t == 3
 
 
+def test_projective_line_lists_pg1q_in_order(F4, F5, F8, F9, F81):
+    # (1, lam) for lam in F_q in element-code order, then (0, 1)
+    for ctx in (F4, F5, F8, F9, F81):
+        want = np.array([(1, lam) for lam in range(ctx.q)] + [(0, 1)], dtype=np.int64).T
+        got = _projective_line(ctx)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_projective_point_count(F5):
     pts = list(projective_points(F5, 3))
     assert len(pts) == 31  # (q^3-1)/(q-1)

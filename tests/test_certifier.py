@@ -31,7 +31,7 @@ from arclab.certifier import (
 )
 from arclab._vecops import VecOps
 from arclab.cli import cmd_conjecture
-from arclab.exactmat import GFMatrix, left_null_basis
+from arclab.exactmat import GFMatrix, left_null_basis, weight_one_rows
 from arclab.gf import FieldCtx
 
 from conftest import (
@@ -296,6 +296,42 @@ def test_q81_recovery_kernel_call_guard(arc_q81, monkeypatch):
     pred = recover_cosecants(arc_q81, 1, M=M)
     assert (pred.route, len(pred.per_A)) == ("null-vector", 330)
     assert calls == []
+
+
+def test_q81_recovery_pencil_call_guard(arc_q81, monkeypatch):
+    # the co-secant forms of the split subsets (7 of the 330) come from one
+    # _pencil_members call over every (A, zero) pair, not one call per A
+    M = build_Mn(arc_q81, 1)
+    calls = []
+    members = certifier._pencil_members
+
+    def counting(ctx, b1, b2, w1, w2):
+        calls.append(len(w1))
+        return members(ctx, b1, b2, w1, w2)
+
+    monkeypatch.setattr(certifier, "_pencil_members", counting)
+    pred = recover_cosecants(arc_q81, 1, M=M)
+    split = sum(p.status == "ok" for p in pred.per_A.values())
+    assert calls == [pred.t * split] == [4 * 7]
+
+
+def test_eliminations_leave_their_inputs_unchanged():
+    # left_null_basis and weight_one_rows eliminate private copies: M_n's
+    # data and the stack are what they were before the call, on every n
+    # of every shipped arc
+    from arclab.cli import parse_arc_file
+
+    for name in SHIPPED_ARCS:
+        G = parse_arc_file((ARCS_DIR / f"{name}.arc").read_text())
+        for n in range(G.size - G.k + 1):
+            M = build_Mn(G, n).matrix
+            data = M.data.copy()
+            left_null_basis(M)
+            assert np.array_equal(M.data, data), (name, n)
+            stack = np.stack([M.data, M.data[::-1]])
+            before = stack.copy()
+            weight_one_rows(G.ctx, stack)
+            assert np.array_equal(stack, before), (name, n)
 
 
 # ----------------------------------------------------------------------

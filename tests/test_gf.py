@@ -129,7 +129,7 @@ def test_user_modulus_override():
 @pytest.mark.parametrize("p,h", [(5, 1), (11, 1), (13, 1), (2, 2), (3, 2)])
 def test_field_axioms_exhaustive(p, h):
     ctx = FieldCtx(p, h)
-    elems = list(ctx.elements())
+    elems = list(range(ctx.q))
     for a in elems:
         assert ctx.add(a, 0) == a
         assert ctx.mul(a, 1) == a
@@ -200,7 +200,7 @@ def test_arithmetic_examples_gf11():
 @pytest.mark.parametrize("p,h", [(11, 1), (13, 1), (3, 4)])
 def test_parse_format_round_trip(p, h):
     ctx = FieldCtx(p, h)
-    for x in ctx.elements():
+    for x in range(ctx.q):
         assert ctx.parse(ctx.format(x)) == x
 
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from arclab.arcgeom import ArcConfig, _form_values, _pencil_basis, subset_iter
+from arclab.arcgeom import ArcConfig, _form_values, _pencil_basis, _projective_line, subset_iter
 from arclab.gf import FieldCtx
 from arclab.tangentfns import (
     _lagrange_sum,
@@ -19,11 +19,13 @@ from conftest import (
     check_segre_sign,
     check_sum_zero,
     check_theeqn,
+    dot,
     hyperoval,
     mat_vec,
     moment_curve,
     ref_alpha,
     ref_det_full,
+    ref_det_linear_coeffs,
     ref_interpolate_fA,
     shuffled_nrc,
 )
@@ -121,6 +123,50 @@ def test_interpolation_matches_scalar_reference(conic_f5, nrc_f7_k4, arc_q13_siz
                 y1, y2 = _form_values(ctx, [b1, b2], vecs)
                 ref = ref_interpolate_fA(arc, A, values)
                 assert _lagrange_sum(ctx, beta, weights, y1, y2).tolist() == [ref(v) for v in vecs]
+
+
+def test_lagrange_sum_on_every_point_of_pg1q(arc_q81, hyperconic_f8):
+    # the coefficient form with Horner, for a stack of subsets A at once,
+    # equals the scalar Lagrange evaluator at every point w of PG(1, q),
+    # for t = 0..3 (t+1 value points); at the value points themselves
+    # unit weights give the products prod_{u != e} det(u, e, A)
+    rng = random.Random(25)
+    for arc in (arc_q81, hyperconic_f8):
+        ctx, k = arc.ctx, arc.k
+        w1, w2 = _projective_line(ctx)
+        As = list(subset_iter(arc.size, k - 2))[:: 1 + arc.size // 3][:4]
+        b1, b2 = _pencil_basis(ctx, arc.points, As)
+        for t in range(4):
+            pts = [[e for e in range(arc.size) if e not in A][: t + 1] for A in As]
+            values = [[rng.randrange(1, ctx.q) for _ in P] for P in pts]
+            beta = np.stack([_form_values(ctx, [x, y], arc.points_at(P)) for x, y, P in zip(b1, b2, pts)])
+            weights = _lagrange_weights(ctx, beta, np.array(values))
+            got = _lagrange_sum(ctx, beta, weights, w1, w2)
+            ones = _lagrange_sum(ctx, beta, np.ones(t + 1, dtype=np.int64), beta[:, 0], beta[:, 1])
+            assert got.shape == (len(As), ctx.q + 1) and ones.shape == (len(As), t + 1)
+            for s, A in enumerate(As):
+                # unit vectors with beta = (c1, 0) and (0, c2) exist (e_f1 and
+                # e_f2 of _pencil_basis), so x(w) = (w1 / c1) e_j1 + (w2 / c2) e_j2
+                # has beta(x) = w
+                j1 = next(j for j in range(k) if b1[s, j] and not b2[s, j])
+                j2 = next(j for j in range(k) if b2[s, j] and not b1[s, j])
+                ref = ref_interpolate_fA(arc, A, dict(zip(pts[s], values[s])))
+                want = []
+                for x1, x2 in zip(w1.tolist(), w2.tolist()):
+                    x = [0] * k
+                    x[j1], x[j2] = ctx.div(x1, int(b1[s, j1])), ctx.div(x2, int(b2[s, j2]))
+                    want.append(ref(x))
+                assert got[s].tolist() == want, (arc, A, t)
+                a_vecs = arc.points_at(A)
+                lin = [ref_det_linear_coeffs(ctx, [arc.points[u]], a_vecs) for u in pts[s]]
+                prods = []
+                for e in pts[s]:
+                    acc = 1
+                    for u, form in zip(pts[s], lin):
+                        if u != e:
+                            acc = ctx.mul(acc, dot(ctx, form, arc.points[e]))
+                    prods.append(acc)
+                assert ones[s].tolist() == prods, (arc, A, t)
 
 
 def test_sum_zero(conic_f5, arc_q13_size12, F13):
