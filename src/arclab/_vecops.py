@@ -72,13 +72,16 @@ class VecOps:
     def matmul(self, a, b):
         """The matrix product a @ b of stacks of matrices (numpy's
         broadcasting rules).  A prime field takes the integer product: an
-        entry summing n products stays below n p^2, far from overflow."""
+        entry summing n products stays below n p^2, far from overflow.  An
+        extension field adds the products of one inner index at a time, so
+        no (..., m, k, n) array of all of them is held; the logs of both
+        factors are looked up once."""
         if self.h == 1:
             return a @ b % self.p
-        terms = self.mul(a[..., :, :, None], b[..., None, :, :])
-        acc = terms[..., 0, :]
-        for j in range(1, terms.shape[-2]):
-            acc = self.add(acc, terms[..., j, :])
+        la, lb = self.log[a], self.log[b]
+        acc = self.exp_ext[la[..., :, :1] + lb[..., :1, :]]
+        for j in range(1, a.shape[-1]):
+            acc = self.add(acc, self.exp_ext[la[..., :, j : j + 1] + lb[..., j : j + 1, :]])
         return acc
 
     def addmul(self, block, f, row):

@@ -8,6 +8,12 @@ columns in the pencil coordinates of A's star, so M_n keeps those: n+1
 columns per A (``build_Mn``).  Members of a subset always enter
 determinants in increasing arc order.
 
+Every answer about one M_n is read off its left null basis, which
+``null_basis`` interpolates star by star from its values on the
+C(|G|-n-1, k-1) rows inside the first |G|-n-1 points, eliminating only a
+residual of that many rows, its columns in lex order of A; the result
+is the canonical basis that eliminating [M | I] gives, bit for bit.
+
 A weight-one vector in the column space certifies that G extends to no
 arc of size q+2k+n-1-|G|.  Without one, Property W holds exactly when the
 left null space is one vector, which pins down the ratios f_A(y)/f_A(x)
@@ -38,7 +44,7 @@ from .arcgeom import (
     complete_search,
     subset_iter,
 )
-from .exactmat import GFMatrix, left_null_basis, weight_one_in_colspace, weight_one_rows
+from .exactmat import GFMatrix, LeftNullBasis, left_null_basis, weight_one_rows
 from .tangentfns import _lagrange_sum, _lagrange_weights
 
 __all__ = [
@@ -53,6 +59,7 @@ __all__ = [
     "BoundScan",
     "ConjectureScanResult",
     "build_Mn",
+    "null_basis",
     "theorem1_test",
     "bound_scan",
     "property_w",
@@ -165,7 +172,8 @@ def _mn_stack(ctx, index, beta, n: int):
     row A+e of its star, s_e = (-1)^{#{a in A : a < e}}.  The blocks run
     in lex order of A, while rows and subsets run in colex order: taken
     bottom-up, the rows then meet the blocks in an order that keeps the
-    fill of ``left_null_basis`` about 3x below colex blocks at q = 81."""
+    fill of the scan's stacked [M | I] (``weight_one_rows``) low, as
+    lex order does for the residual of ``null_basis``."""
     ops = ctx.vec_ops()
     rows, subsets, _, stars, odd, place = index
     # powers[..., i] = beta1^i beta2^(n-i) over every star
@@ -199,6 +207,125 @@ def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
     return CertMatrix(arc, n, GFMatrix(arc.ctx, data), index, pencils, beta)
 
 
+def _star_maps(ctx, beta, odd, n: int, t: int):
+    """The interpolation map of every star, (subsets, n+1, t+1): a
+    left-null vector v of M_n has v(A+e') = sum_i L[s, j, i] v(A+e_i) on
+    the star of A = subsets[s], e_i = others[s, i] over the first t+1
+    points K of the star and e' = others[s, t+1+j] over the other n+1, T.
+
+    On A's star v(A+e) = h_A(beta(e)) / c_e, c_e = s_e^n Q_A(e), with h_A
+    a binary form of degree t (step (1) of ``recover_cosecants``).  Its
+    values at K fix h_A, so L[e', e] = (c_e / c_e') prod_{u in K-e}
+    D(u, e') / prod_{u in K-e} D(u, e).  As Q_A(e) = prod_{u != e} D(u, e)
+    over the star, that is s_e^n s_e'^n prod_{u in T} D(u, e) /
+    (D(e, e') prod_{u in T-e'} D(u, e')).  It divides by factors of the
+    Q_A, so a star whose beta are not pairwise independent (no arc)
+    raises InvariantError."""
+    ops = ctx.vec_ops()
+    b1, b2 = beta[:, 0], beta[:, 1]
+    # D[s, i, j] = D(e_i, e_j) = beta1(e_i) beta2(e_j) - beta2(e_i) beta1(e_j), 0 at i = j
+    D = ops.sub(ops.mul(b1[:, :, None], b2[:, None, :]), ops.mul(b2[:, :, None], b1[:, None, :]))
+    b, m, _ = D.shape
+    if np.count_nonzero(D) != b * m * (m - 1):
+        raise InvariantError("the beta of a star are not pairwise independent: some Q_A(e) is 0")
+    TT = D[:, t + 1 :, t + 1 :].copy()
+    TT.reshape(b, -1)[:, :: n + 2] = 1  # D(e', e') -> 1
+    num = ops.prod(D[:, t + 1 :, : t + 1].swapaxes(1, 2))[:, None, :]
+    den = ops.mul(D[:, : t + 1, t + 1 :].swapaxes(1, 2), ops.prod(TT.swapaxes(1, 2))[:, :, None])
+    L = ops.div(num, den)
+    if n % 2:
+        L = np.where(odd[:, t + 1 :, None] != odd[:, None, : t + 1], ops.neg(L), L)
+    return L
+
+
+def null_basis(M: CertMatrix) -> LeftNullBasis:
+    """The left null basis of M_n, bit for bit the one that
+    ``left_null_basis(M.matrix)`` gives, read off the star geometry
+    instead of eliminating [M | I].  It is computed once per M_n and kept
+    on its matrix, and every answer taken from M_n reads it.
+
+    Seeds.  Let S be the first |G|-n-1 points.  The d = C(|G|-n-1, k-1)
+    rows inside S are the first d rows (colex), and a null vector v is
+    fixed by its values x there: v = P x, with P (rows x d) the identity
+    on these seed rows.
+    Waves.  A star whose A has a members outside S has t+1+a rows with a
+    points outside S, the first t+1 of them K, and n+1-a rows with a+1.
+    Each row C outside S is filled from the star of C minus its last
+    point, in wave a = #(C - S) - 1 = 0..n, by the star's map
+    (``_star_maps``) from K, filled in wave a-1.  In wave 0 K is seeds,
+    so the wave is a scatter of the maps into the seed columns.
+    Residual.  P x is null iff every star with a >= 1 predicts its other
+    n+1 rows right.  R (d x cols) holds each such prediction minus the
+    filled value, except where the star filled the row itself; its
+    columns run in lex order of A (``place``), the order of least fill:
+    at q = 81, n = 1, R is 126 x 324 and its elimination makes 192,584
+    cell updates in 125 pivot steps (451 k in colex order of A, 274 k in
+    461 steps for [M | I]).
+    Canonical form.  ``left_null_basis`` gives R's null basis X with 1 at
+    each dependent row and 0 at the other dependent rows.  P is the
+    identity on the seeds, which come first, so X P^T has that form too,
+    and there is one basis of that form of M_n's null space: the one
+    ``left_null_basis(M.matrix)`` returns.  X P^T is a second wave pass
+    on X's seed values.  At even q, R is zero and X the reversed
+    identity, so X P^T is P^T reversed.
+    """
+    if M.matrix._null is not None:
+        return M.matrix._null
+    arc, n, t = M.arc, M.n, M.t
+    ctx = arc.ctx
+    ops = ctx.vec_ops()
+    L = _star_maps(ctx, M.beta, M.odd, n, t)
+    s = arc.size - n - 1
+    d = math.comb(s, arc.k - 1)
+    head, tail = M.stars[:, : t + 1], M.stars[:, t + 1 :]
+    # a: the members of A outside S, as the first t+1+a points of its star lie in S
+    a = (M.others < s).sum(1) - (t + 1)
+    # A fills A+e' when e' lies above every member of A: k-2 points below e' are not others
+    fill = M.others[:, t + 1 :] - np.arange(t + 1, M.others.shape[1]) == arc.k - 2
+    fs, fj = fill.nonzero()
+    by_wave = np.argsort(a[fs], kind="stable")
+    fs, fj = fs[by_wave], fj[by_wave]
+    # per wave: the rows filled, their maps and the rows of their K
+    rows, maps, known = tail[fs, fj], L[fs, fj], head[fs]
+    ends = np.cumsum(np.bincount(a[fs], minlength=n + 1)).tolist()
+    waves = [(rows[lo:hi], maps[lo:hi], known[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    # the stars in lex order of A: place inverted
+    lex = np.empty_like(M.place)
+    lex[M.place] = np.arange(len(lex))
+    rs, rj = (~fill & (a[:, None] > 0))[lex].nonzero()
+    rs = lex[rs]
+
+    def extend(V, maps, known, acc):
+        """acc plus sum_i maps[:, i] V[known[:, i]], one row per (star,
+        row) pair: the values the stars give those rows from V."""
+        for i in range(maps.shape[1]):
+            acc = ops.addmul(acc, maps[:, i], V[known[:, i]])
+        return acc
+
+    def fill_waves(V, waves):
+        for rows, maps, known in waves:
+            V[rows] = extend(V, maps[:, 1:], known[:, 1:], ops.mul(maps[:, :1], V[known[:, 0]]))
+        return V
+
+    P = np.zeros((len(M.rows), d), dtype=np.int64)
+    P[np.arange(d), np.arange(d)] = 1
+    rows, maps, known = waves[0]
+    P[rows[:, None], known] = maps
+    P = fill_waves(P, waves[1:])
+    R = extend(P, L[rs, rj], head[rs], ops.neg(P[tail[rs, rj]])).T
+    X = left_null_basis(GFMatrix(ctx, R)).basis
+    if len(X) == d:
+        # R is zero (even q) and X the reversed identity
+        basis = P[:, ::-1].T
+    else:
+        del P
+        V = np.zeros((len(M.rows), len(X)), dtype=np.int64)
+        V[:d] = X.T
+        basis = fill_waves(V, waves if len(X) else ()).T
+    M.matrix._null = LeftNullBasis(ctx, basis.copy())
+    return M.matrix._null
+
+
 def _matrix(arc: ArcConfig, n: int, M: CertMatrix | None) -> CertMatrix:
     """M, or M_n of the arc when M is None; a matrix built for another arc
     object or another n would answer another question, so it raises."""
@@ -220,7 +347,7 @@ def theorem1_test(arc: ArcConfig, n: int, M: CertMatrix | None = None):
     """Certificate that the arc extends to no arc of size q+2k+n-1-|G|,
     or None when M_n has no weight-one vector in its column space."""
     M = _matrix(arc, n, M)
-    idx = weight_one_in_colspace(M.matrix)
+    idx = null_basis(M).weight_one()
     return None if idx is None else NonExtendabilityCertificate(n, M.rows[idx], M.forbidden_size)
 
 
@@ -247,7 +374,7 @@ def bound_scan(arc: ArcConfig) -> BoundScan:
     trace = []
     for n in range(g - k + 1):
         M = build_Mn(arc, n)
-        null = left_null_basis(M.matrix)
+        null = null_basis(M)
         trace.append((n, M.matrix.rows - null.nullity, M.matrix.rows, null.nullity))
         cert = theorem1_test(arc, n, M)
         if cert is not None:
@@ -274,7 +401,7 @@ def property_w(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> PropertyW
     """
     M = _matrix(arc, n, M)
     stars = M.stars
-    same = left_null_basis(M.matrix).partners(stars[:, :, None], stars[:, None, :])
+    same = null_basis(M).partners(stars[:, :, None], stars[:, None, :])
     pivots = (same.sum(2) >= M.t + 2).any(1)  # x is its own partner
     return PropertyWReport(tuple(A for A, ok in zip(M.subsets, pivots) if not ok))
 
@@ -284,7 +411,8 @@ def corollary2_route(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> boo
     single left-null vector then plays the role of v_G and every
     weight-two vector is available."""
     M = _matrix(arc, n, M)
-    return left_null_basis(M.matrix).nullity == 1 and weight_one_in_colspace(M.matrix) is None
+    null = null_basis(M)
+    return null.nullity == 1 and null.weight_one() is None
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +478,7 @@ def recover_cosecants(
     ctx = arc.ctx
     ops = ctx.vec_ops()
     if source is None:
-        null = left_null_basis(M.matrix).basis
+        null = null_basis(M).basis
     else:
         entries = list(source) if isinstance(source, Iterable) else [source]
         if not all(isinstance(x, (int, np.integer)) and 0 <= x < ctx.q for x in entries):

@@ -26,7 +26,6 @@ from math import comb
 from . import certifier as ct
 from . import hypersurf as hs
 from .arcgeom import ArcConfig, ArcInputError, BudgetExceededError, InvariantError, complete_search, subset_iter
-from .exactmat import left_null_basis
 from .gf import FieldCtx, FieldError, _field_order, conway_polynomial
 from .tangentfns import tangent_fn
 
@@ -139,7 +138,7 @@ def _report(command, t0, arc=None, **body):
 def cmd_analyze(arc: ArcConfig, n: int) -> dict:
     t0 = time.perf_counter()
     M = ct.build_Mn(arc, n)
-    null = left_null_basis(M.matrix)
+    null = ct.null_basis(M)
     cert = ct.theorem1_test(arc, n, M)
     body = {
         "n": n,

@@ -1,12 +1,14 @@
-"""Exact dense linear algebra over GF(q): the left null space of M_n.
+"""Exact dense linear algebra over GF(q): left null spaces.
 
 Matrices hold element codes in a numpy int64 array and never mutate after
 construction; elimination works on a private copy.  Column-space
 membership questions (weight-one / weight-two vectors) are answered
-through one left-null-space computation per matrix, cached on the matrix,
-since the certifier asks many such questions against the same matrix:
-the column space is exactly the annihilator of the left null space, so
-no rank, echelon form or solve is needed.  A scan that asks only the
+through one left null basis per matrix, cached on the matrix, since the
+certifier asks many such questions against the same matrix: the column
+space is exactly the annihilator of the left null space, so no rank,
+echelon form or solve is needed.  M_n's basis comes from star
+interpolation (``certifier.null_basis``), and ``left_null_basis``
+eliminates the residual that leaves.  A scan that asks only the
 weight-one question of many matrices of one shape asks it of the whole
 stack at once (``weight_one_rows``).
 """
@@ -20,7 +22,6 @@ __all__ = [
     "GFMatrix",
     "LeftNullBasis",
     "left_null_basis",
-    "weight_one_in_colspace",
     "weight_one_rows",
 ]
 
@@ -64,6 +65,16 @@ class LeftNullBasis:
     def nullity(self) -> int:
         return self.basis.shape[0]
 
+    def weight_one(self):
+        """Smallest row index C with unit_C in the column space, or None.
+
+        unit_C lies in the column space iff every left-null vector vanishes
+        at C, the column space being exactly the annihilator of the left
+        null space; an empty basis has only zero columns.
+        """
+        idx = np.flatnonzero(~self.basis.any(0))
+        return int(idx[0]) if idx.size else None
+
     def partners(self, c1, c2):
         """Whether rows c1 and c2 are partners, over broadcast arrays of row
         indices: whether unit_c1 + b*unit_c2, for some b != 0, is
@@ -83,8 +94,9 @@ class LeftNullBasis:
 
 
 def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
-    """Left null basis via forward elimination of [M | I], the only
-    elimination of M_n: every answer taken from M_n is read off this basis.
+    """Left null basis via forward elimination of [M | I]: the kernel that
+    ``certifier.null_basis`` runs on the residual of M_n's star
+    interpolation, whose basis becomes M_n's.
 
     Rows whose M-part reduces to zero carry the combining coefficients in
     the identity block, so the surviving right-hand rows form the basis.
@@ -104,18 +116,18 @@ def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
     own row and 0 at the other such rows.  (Exchanging the pivot into
     place, as an earlier version did, lacks this: over GF(5) the rows
     (1, 0), (0, 1), (0, 1) give (0, 4, 1) with exchanges, (0, 1, 4) here.)
+    In M's row order each vector's first nonzero entry is its own row, so
+    the basis is the reduced echelon form of the null space, vectors by
+    pivot descending: one basis per space, however it is found.
 
     The rows are eliminated in reverse order, with the identity block
     reversed alongside, so the basis comes out in M's own row coordinates.
-    M_n's rows are the (k-1)-subsets in colex order, so reversed, rows
-    through the last points come first.  Its blocks run in lex order of A
-    (``certifier._mn_stack``), so the first blocks belong to subsets of
-    the first points and pivot on rows A+e with e above every point of A.
-    Such a row is nonzero only in the blocks of A and of the A-a+e, which
-    come later in lex order: fill lands in blocks not yet eliminated.
-    q=81 M_1 takes 274 k cell updates (896 k with the blocks in colex
-    order, 932 k with exchanged pivots too, 4.6 M over the pivot row's
-    whole width from c on, 27.4 M top-down).
+    The column order is free, and the caller chooses it for fill: the
+    residual's columns run in lex order of A, 193 k cell updates at
+    q=81 M_1 against 451 k in colex order.  On M_n's own [M | I], with its
+    blocks in lex order of A, q=81 M_1 takes 274 k cell updates (896 k in
+    colex order, 932 k with exchanged pivots too, 4.6 M over the pivot
+    row's whole width from c on, 27.4 M top-down).
     """
     if matrix._null is not None:
         return matrix._null
@@ -153,19 +165,8 @@ def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
     return matrix._null
 
 
-def weight_one_in_colspace(matrix: GFMatrix):
-    """Smallest row index C with unit_C in the column space, or None.
-
-    unit_C lies in the column space iff every left-null vector vanishes at
-    C, the column space being exactly the annihilator of the left null
-    space; an empty basis has only zero columns.
-    """
-    idx = np.flatnonzero(~left_null_basis(matrix).basis.any(0))
-    return int(idx[0]) if idx.size else None
-
-
 def weight_one_rows(ctx, stack):
-    """``weight_one_in_colspace`` of every matrix of a (B, m, n) stack of
+    """``LeftNullBasis.weight_one`` of every matrix of a (B, m, n) stack of
     element codes at once, -1 where it is None.
 
     One forward elimination of [M | I] runs on the whole stack, with one
@@ -176,7 +177,8 @@ def weight_one_rows(ctx, stack):
     space in their identity block, so its zero columns are the rows C with
     unit_C in the column space, whichever rows pivoted.  The pivots are
     the stable ones of ``left_null_basis``, on rows taken bottom-up and
-    M_n's blocks in lex order of A, the order of least fill measured there.
+    M_n's blocks in lex order of A, the order of least fill measured on
+    q=81 M_1's [M | I].
     """
     ops = ctx.vec_ops()
     b, m, n = stack.shape

@@ -21,7 +21,7 @@ from arclab.certifier import (
     build_Mn,
     recover_cosecants,
 )
-from arclab.exactmat import GFMatrix, left_null_basis, weight_one_in_colspace
+from arclab.exactmat import GFMatrix, left_null_basis
 from arclab.gf import FieldCtx
 from arclab.tangentfns import _alpha_terms, alpha_table, arc_degree, tangent_fn
 
@@ -134,6 +134,12 @@ def ref_colspace_test(ctx, rows):
     return lambda b: not any(dot(ctx, e, b) for e in zero_rows)
 
 
+def weight_one_in_colspace(matrix):
+    """Smallest row index C with unit_C in the column space of a matrix,
+    or None, read off the basis of ``left_null_basis``."""
+    return left_null_basis(matrix).weight_one()
+
+
 def unit_vector(m, *entries):
     """The length-m vector with the given (index, value) entries, else 0."""
     v = [0] * m
@@ -156,8 +162,10 @@ def ref_left_null_dense(matrix):
     """The left null basis by the dense loop that ``left_null_basis`` used
     before its column-sparse steps: the same bottom-up order and pivots,
     rows exchanged in place and every target row updated across the full
-    width from the pivot column on.  The sparse loop must match it bit
-    for bit."""
+    width from the pivot column on.  The sparse loop matches it bit for
+    bit on every M_n of the shipped arcs; elsewhere (curve prefixes at
+    k = 4, the GF(81) ones) the exchanges can give another basis of the
+    same space, which ``canonical_left_null`` maps to the sparse loop's."""
     ops = matrix.ctx.vec_ops()
     m, n = matrix.rows, matrix.cols
     work = np.concatenate([matrix.data[::-1], np.eye(m, dtype=np.int64)[::-1]], axis=1)
@@ -177,6 +185,33 @@ def ref_left_null_dense(matrix):
             work[targets, c:] = ops.addmul(work[targets, c:], f, work[r, c:])
         r += 1
     return work[r:, n:].copy()
+
+
+def canonical_left_null(ctx, basis):
+    """The basis of the space a basis spans in the form that
+    ``left_null_basis`` gives: 1 at each vector's first nonzero entry, its
+    pivot, 0 at the other vectors' pivots, vectors by pivot descending.
+    That is the reduced row-echelon form, rows reversed; it is computed
+    here by Gauss-Jordan on the rows, with row exchanges, so any basis of
+    the space maps to it (``ref_left_null_dense``'s exchanged pivots
+    included)."""
+    ops = ctx.vec_ops()
+    work = np.array(basis, dtype=np.int64)
+    r = 0
+    for c in range(work.shape[1]):
+        if r == len(work):
+            break
+        nz = np.flatnonzero(work[r:, c])
+        if nz.size == 0:
+            continue
+        work[[r, r + nz[0]]] = work[[r + nz[0], r]]
+        work[r] = ops.div(work[r], work[r, c])
+        others = np.flatnonzero(work[:, c])
+        others = others[others != r]
+        if others.size:
+            work[others] = ops.sub(work[others], ops.mul(work[others, c][:, None], work[r]))
+        r += 1
+    return work[::-1].copy()
 
 
 def laplace_det(ctx, rows):

@@ -32,7 +32,7 @@ from arclab.certifier import (
     recover_cosecants,
     theorem1_test,
 )
-from arclab.exactmat import GFMatrix, left_null_basis, weight_one_in_colspace
+from arclab.exactmat import GFMatrix, left_null_basis
 from arclab.cli import parse_arc_file
 from arclab.gf import FieldCtx, FieldError
 from arclab.hypersurf import ArcTooSmallError, build_surface, eval_dual, theorem9_check
@@ -67,6 +67,7 @@ from conftest import (
     shuffled_nrc,
     unit_vector,
     vG_check,
+    weight_one_in_colspace,
 )
 
 

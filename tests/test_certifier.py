@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from arclab import arcgeom, certifier
+from arclab import arcgeom, certifier, exactmat
 from arclab.arcgeom import (
     ArcConfig,
     BudgetExceededError,
@@ -25,17 +25,19 @@ from arclab.certifier import (
     build_Mn,
     conjecture_scan,
     corollary2_route,
+    null_basis,
     property_w,
     recover_cosecants,
     theorem1_test,
 )
 from arclab._vecops import VecOps
-from arclab.cli import cmd_conjecture
+from arclab.cli import cmd_analyze, cmd_conjecture, cmd_cosecants
 from arclab.exactmat import GFMatrix, left_null_basis, weight_one_rows
 from arclab.gf import FieldCtx
 
 from conftest import (
     annihilates,
+    canonical_left_null,
     colex_subsets,
     dot,
     gl_image,
@@ -256,6 +258,92 @@ def test_left_null_basis_does_not_depend_on_column_order():
         for _ in range(2):
             moved = GFMatrix(G.ctx, M.data[:, rng.permutation(M.cols)])
             assert np.array_equal(left_null_basis(moved).basis, want), (G, n)
+
+
+def assert_production_basis(G, n):
+    # the basis every answer reads equals the sparse kernel's on a plain
+    # matrix of M_n's data, and the dense loop's in canonical form, bit for
+    # bit (the dense loop exchanges pivots, so on the k = 4 prefixes and
+    # the GF(81) ones its own basis is another basis of the same space)
+    M = build_Mn(G, n)
+    got = null_basis(M).basis
+    plain = GFMatrix(G.ctx, M.matrix.data.copy())
+    assert got.dtype == np.int64 and got.flags.c_contiguous, (G, n)
+    assert np.array_equal(got, left_null_basis(plain).basis), (G, n)
+    assert np.array_equal(got, canonical_left_null(G.ctx, ref_left_null_dense(plain))), (G, n)
+    assert null_basis(M) is M.matrix._null
+
+
+def test_star_interpolation_basis_matches_the_eliminations():
+    # the 34 (arc, n) cases of the shipped arcs, every n of a dense GL
+    # image of the q = 81 arc, and curve prefixes with |G| = k and with
+    # t = 0 at k = 3 and k = 4, over odd and even q
+    from arclab.cli import parse_arc_file
+
+    arcs = {name: parse_arc_file((ARCS_DIR / f"{name}.arc").read_text()) for name in SHIPPED_ARCS}
+    cases = [(arc, n) for arc in arcs.values() for n in range(arc.size - arc.k + 1)]
+    assert len(cases) == 34
+    cases += [(gl_image(arcs["q81_size11"], 17), n) for n in range(6)]
+    for p, h in ((13, 1), (3, 2), (2, 3)):
+        ctx = FieldCtx(p, h)
+        for k in (3, 4):
+            for g in (k, k + 3):
+                G = ArcConfig(ctx, k, shuffled_nrc(ctx, k, g)[:g])
+                cases += [(G, n) for n in range(g - k + 1)]
+    for G, n in cases:
+        assert_production_basis(G, n)
+
+
+@pytest.mark.parametrize("g,n", [(13, 2), (14, 3)])
+def test_star_interpolation_basis_on_gf81_curve_prefixes(F81, g, n):
+    # seed-13 prefixes of the GF(81) normal rational curve at k = 6:
+    # 1,287 x 2,145 and 2,002 x 4,004, nullity 48 and 16
+    assert_production_basis(ArcConfig(F81, 6, shuffled_nrc(F81, 6, 13)[:g], check=False), n)
+
+
+def test_star_interpolation_refuses_dependent_star_points(F5):
+    # three collinear points: in the star of one of them the other two have
+    # proportional beta, so some Q_A(e) is 0 and the interpolation would
+    # divide by it; every n raises, and no basis is kept
+    G = ArcConfig(F5, 3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], check=False)
+    for n in range(G.size - G.k + 1):
+        M = build_Mn(G, n)
+        with pytest.raises(InvariantError, match="pairwise independent"):
+            null_basis(M)
+        assert M.matrix._null is None
+    with pytest.raises(InvariantError):
+        bound_scan(G)
+
+
+def test_q81_null_basis_work_guard(arc_q81, monkeypatch):
+    # each command on the q = 81 arc at n = 1 makes one kernel call, on the
+    # 126 x 324 residual (192,584 cell updates), and none on M_1's 462 rows
+    # (274 k cell updates for [M | I])
+    null, addmul = exactmat.left_null_basis, VecOps.addmul
+    shapes, cells, inside = [], [], []
+
+    def counting_null(matrix):
+        shapes.append(matrix.data.shape)
+        inside.append(True)
+        try:
+            return null(matrix)
+        finally:
+            inside.pop()
+
+    def counting_addmul(self, block, f, row):
+        if inside:
+            cells.append(block.size)
+        return addmul(self, block, f, row)
+
+    monkeypatch.setattr(certifier, "left_null_basis", counting_null)
+    monkeypatch.setattr(exactmat, "left_null_basis", counting_null)
+    monkeypatch.setattr(VecOps, "addmul", counting_addmul)
+    for command in (cmd_cosecants, cmd_analyze):
+        shapes.clear()
+        cells.clear()
+        command(arc_q81, 1)
+        assert shapes == [(126, 324)], command
+        assert sum(cells) <= 200_000, command
 
 
 def test_q81_left_null_fill_guard(arc_q81, monkeypatch):

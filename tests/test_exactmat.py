@@ -8,13 +8,13 @@ from arclab.exactmat import (
     GFMatrix,
     LeftNullBasis,
     left_null_basis,
-    weight_one_in_colspace,
     weight_one_rows,
 )
 from arclab.gf import FieldCtx
 
 from conftest import (
     annihilates,
+    canonical_left_null,
     dot,
     mat_vec,
     rank_mod_p,
@@ -23,6 +23,7 @@ from conftest import (
     ref_left_null_dense,
     ref_rref,
     unit_vector,
+    weight_one_in_colspace,
 )
 
 
@@ -115,6 +116,30 @@ def test_left_null_basis_is_fixed_by_the_row_order(F5):
     rows = np.array([[1, 0], [0, 1], [0, 1]])
     for cols in ([0, 1], [1, 0]):
         assert left_null_basis(GFMatrix(F5, rows[:, cols])).basis.tolist() == [[0, 1, 4]]
+
+
+def test_canonical_left_null_gives_the_kernel_form():
+    # the exchanged pivots' (0, 4, 1) and the stable (0, 1, 4) have one
+    # canonical form; on random matrices the canonical form of the dense
+    # loop's basis, and of a random invertible mix of the kernel's, is the
+    # basis left_null_basis gives
+    F5 = FieldCtx(5)
+    rows = np.array([[1, 0], [0, 1], [0, 1]])
+    assert canonical_left_null(F5, ref_left_null_dense(GFMatrix(F5, rows))).tolist() == [[0, 1, 4]]
+    rng = random.Random(29)
+    for p, h in [(5, 1), (3, 2), (2, 3)]:
+        ctx = FieldCtx(p, h)
+        for _ in range(20):
+            M = random_matrix(ctx, rng, rng.randrange(2, 10), rng.randrange(1, 6))
+            want = left_null_basis(M).basis
+            assert np.array_equal(canonical_left_null(ctx, ref_left_null_dense(M)), want)
+            if len(want):
+                while True:
+                    mix = [[rng.randrange(ctx.q) for _ in want] for _ in want]
+                    if len(ref_rref(ctx, mix, len(want))[1]) == len(want):
+                        break
+                mixed = ctx.vec_ops().matmul(np.array(mix, dtype=np.int64), want)
+                assert np.array_equal(canonical_left_null(ctx, mixed), want)
 
 
 def test_left_null_annihilates():

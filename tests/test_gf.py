@@ -290,6 +290,26 @@ def test_elimination_kernel_matches_digitwise_reference(p, h, modulus):
     assert (got == add[w[None, :], mul[f[:, None], r[None, :]]]).all()
 
 
+@pytest.mark.parametrize("p,h", [(2, 3), (3, 2), (3, 4)])
+def test_matmul_of_stacks_matches_scalar_reference(p, h):
+    # an extension field sums the inner axis one index at a time: stacks
+    # whose leading axes broadcast, inner sizes 1 to 6, a third of the
+    # entries zero, against digit-wise sums of schoolbook products
+    ctx = FieldCtx(p, h)
+    ops = ctx.vec_ops()
+    rng = np.random.default_rng(ctx.q)
+    for inner in (1, 2, 6):
+        a = rng.integers(0, ctx.q, (3, 1, 4, inner)) * (rng.random((3, 1, 4, inner)) > 1 / 3)
+        b = rng.integers(0, ctx.q, (2, inner, 5)) * (rng.random((2, inner, 5)) > 1 / 3)
+        got = ops.matmul(a, b)
+        assert got.shape == (3, 2, 4, 5)
+        for i, j, r, c in itertools.product(range(3), range(2), range(4), range(5)):
+            want = 0
+            for x, y in zip(a[i, 0, r].tolist(), b[j, :, c].tolist()):
+                want = ref_add(ctx, want, ref_mul(ctx, x, y))
+            assert got[i, j, r, c] == want, (inner, i, j, r, c)
+
+
 def test_vector_arithmetic_above_the_int32_product_range():
     # p^2 > 2^32, so a product or a matmul sum of this field held in int32
     # would wrap; Python ints are the reference

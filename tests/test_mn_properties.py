@@ -22,10 +22,18 @@ from arclab.certifier import (
     recover_cosecants,
 )
 from arclab.cli import parse_arc_file
-from arclab.exactmat import GFMatrix, left_null_basis, weight_one_in_colspace
+from arclab.exactmat import GFMatrix, left_null_basis
 from arclab.gf import FieldCtx
 
-from conftest import ARCS_DIR, gl_image, mat_vec, ref_build_Mn, ref_det_full, same_left_null
+from conftest import (
+    ARCS_DIR,
+    gl_image,
+    mat_vec,
+    ref_build_Mn,
+    ref_det_full,
+    same_left_null,
+    weight_one_in_colspace,
+)
 
 FIELDS = ((7, 1), (11, 1), (13, 1), (2, 3), (3, 2))
 
