@@ -85,16 +85,16 @@ class VecOps:
         return acc
 
     def addmul(self, block, f, row):
-        """``block + f[:, None] * row`` for a 2-D block, a column of nonzero
-        factors f and one row, or one row per block row.  The block serves
-        as scratch space."""
+        """``block + f[..., None] * row`` for a block of rows (2-D, or a
+        stack of them), nonzero factors f, one per block row, and one row,
+        or one row per block row.  The block serves as scratch space."""
         if self.h == 1:
-            block += f[:, None] * row
+            block += f[..., None] * row
             block %= self.p
             return block
         la = self.log[block]
         # log(f_i * row_j) is log f_i + log row_j: zech_pad covers the sum
-        e = self.log[f][:, None] + self.ulog[row]
+        e = self.log[f][..., None] + self.ulog[row]
         e -= la
         # every index is in range; "wrap" only avoids the buffered copy that
         # out= costs under the default mode, and the method skips np.take's wrapper

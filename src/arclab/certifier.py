@@ -44,7 +44,7 @@ from .arcgeom import (
     complete_search,
     subset_iter,
 )
-from .exactmat import GFMatrix, LeftNullBasis, left_null_basis, weight_one_rows
+from .exactmat import GFMatrix, LeftNullBasis, left_null_basis
 from .tangentfns import _lagrange_sum, _lagrange_weights
 
 __all__ = [
@@ -96,6 +96,7 @@ class CertMatrix:
         # points outside subsets[s]; stars[s, j]: the row of subsets[s] + others[s, j];
         # odd[s, j]: whether an odd number of points of subsets[s] lie below others[s, j];
         # place[s]: the lex rank of subsets[s], whose block is columns place[s](n+1) on
+        self.index = index
         self.rows, self.subsets, self.others, self.stars, self.odd, self.place = index
         self.pencils = pencils    # pencils[s] = (b1, b2) of subsets[s]
         self.beta = beta          # beta[s, :, j] = beta(others[s, j])
@@ -118,7 +119,7 @@ def _star_index(g: int, k: int):
     members x_1 < ... < x_{k-1}.  In A+e, the members of A below e keep
     their place, e takes place #{a < e} + 1 and the members above e move
     up one place.  place[s] is the lex rank of subsets[s], the position of
-    its block among M_n's columns (``_mn_stack``)."""
+    its block among M_n's columns (``_mn_data``)."""
     rows = list(subset_iter(g, k - 1))
     subsets = list(subset_iter(g, k - 2))
     members = np.array(subsets, dtype=np.int64).reshape(len(subsets), k - 2)
@@ -164,28 +165,26 @@ def _star_geometry(arc: ArcConfig):
     return geom
 
 
-def _mn_stack(ctx, index, beta, n: int):
-    """The data of M_n, one (rows, columns) matrix per arc, for a stack of
-    the beta of the arcs' stars, (B, subsets, 2, |G|-k+2).
+def _mn_data(ctx, index, beta, n: int):
+    """The data of M_n, (rows, columns), from the beta of its stars,
+    (subsets, 2, |G|-k+2).
 
     Column i of A's block holds s_e^n beta1(e)^i beta2(e)^(n-i) in each
     row A+e of its star, s_e = (-1)^{#{a in A : a < e}}.  The blocks run
-    in lex order of A, while rows and subsets run in colex order: taken
-    bottom-up, the rows then meet the blocks in an order that keeps the
-    fill of the scan's stacked [M | I] (``weight_one_rows``) low, as
-    lex order does for the residual of ``null_basis``."""
+    in lex order of A, as the residual's columns do in ``null_basis``,
+    while rows and subsets run in colex order."""
     ops = ctx.vec_ops()
     rows, subsets, _, stars, odd, place = index
     # powers[..., i] = beta1^i beta2^(n-i) over every star
-    powers = np.ones((*beta.shape[:2], beta.shape[3], n + 1), dtype=np.int64)
+    powers = np.ones((len(subsets), beta.shape[2], n + 1), dtype=np.int64)
     for i in range(n):
-        powers[..., : i + 1] = ops.mul(powers[..., : i + 1], beta[:, :, 1, :, None])
-        powers[..., i + 1 :] = ops.mul(powers[..., i + 1 :], beta[:, :, 0, :, None])
+        powers[..., : i + 1] = ops.mul(powers[..., : i + 1], beta[:, 1, :, None])
+        powers[..., i + 1 :] = ops.mul(powers[..., i + 1 :], beta[:, 0, :, None])
     if n % 2:
         powers = np.where(odd[..., None], ops.neg(powers), powers)
     cols = (place[:, None] * (n + 1) + np.arange(n + 1)).reshape(len(subsets), 1, n + 1)
-    data = np.zeros((len(beta), len(rows), cols.size), dtype=np.int64)
-    data[:, stars[:, :, None], cols] = powers
+    data = np.zeros((len(rows), cols.size), dtype=np.int64)
+    data[stars[:, :, None], cols] = powers
     return data
 
 
@@ -195,7 +194,7 @@ def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
     The paper's column (A, E) holds prod_{u in G-E} det(u, A+e) in each
     row A+e of A's star, and det(u, A+e) = s_e D(u, e), so it is s_e^n
     times a binary form of degree n in beta(e).  These forms span all n+1
-    monomials s_e^n beta1(e)^i beta2(e)^(n-i) (``_mn_stack``), so both
+    monomials s_e^n beta1(e)^i beta2(e)^(n-i) (``_mn_data``), so both
     matrices have the same column space.  The
     stars and beta come from the arc's star geometry, so each n only
     fills its powers."""
@@ -203,13 +202,14 @@ def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
     if n < 0 or g < k + n:
         raise SizeOutOfRangeError(f"need 0 <= n <= |G|-k, got n={n}, |G|={g}")
     index, pencils, beta = _star_geometry(arc)
-    data = _mn_stack(arc.ctx, index, beta[None], n)[0]
+    data = _mn_data(arc.ctx, index, beta, n)
     return CertMatrix(arc, n, GFMatrix(arc.ctx, data), index, pencils, beta)
 
 
 def _star_maps(ctx, beta, odd, n: int, t: int):
-    """The interpolation map of every star, (subsets, n+1, t+1): a
-    left-null vector v of M_n has v(A+e') = sum_i L[s, j, i] v(A+e_i) on
+    """The interpolation map of every star of each arc of a stack of star
+    beta, (B, subsets, 2, |G|-k+2) -> (B, subsets, n+1, t+1): a left-null
+    vector v of the arc's M_n has v(A+e') = sum_i L[b, s, j, i] v(A+e_i) on
     the star of A = subsets[s], e_i = others[s, i] over the first t+1
     points K of the star and e' = others[s, t+1+j] over the other n+1, T.
 
@@ -222,20 +222,75 @@ def _star_maps(ctx, beta, odd, n: int, t: int):
     Q_A, so a star whose beta are not pairwise independent (no arc)
     raises InvariantError."""
     ops = ctx.vec_ops()
-    b1, b2 = beta[:, 0], beta[:, 1]
-    # D[s, i, j] = D(e_i, e_j) = beta1(e_i) beta2(e_j) - beta2(e_i) beta1(e_j), 0 at i = j
-    D = ops.sub(ops.mul(b1[:, :, None], b2[:, None, :]), ops.mul(b2[:, :, None], b1[:, None, :]))
-    b, m, _ = D.shape
-    if np.count_nonzero(D) != b * m * (m - 1):
+    b1, b2 = beta[:, :, 0], beta[:, :, 1]
+    # D[b, s, i, j] = D(e_i, e_j) = beta1(e_i) beta2(e_j) - beta2(e_i) beta1(e_j), 0 at i = j
+    D = ops.sub(ops.mul(b1[..., :, None], b2[..., None, :]), ops.mul(b2[..., :, None], b1[..., None, :]))
+    m = D.shape[-1]
+    if np.count_nonzero(D) != D.size // m * (m - 1):
         raise InvariantError("the beta of a star are not pairwise independent: some Q_A(e) is 0")
-    TT = D[:, t + 1 :, t + 1 :].copy()
-    TT.reshape(b, -1)[:, :: n + 2] = 1  # D(e', e') -> 1
-    num = ops.prod(D[:, t + 1 :, : t + 1].swapaxes(1, 2))[:, None, :]
-    den = ops.mul(D[:, : t + 1, t + 1 :].swapaxes(1, 2), ops.prod(TT.swapaxes(1, 2))[:, :, None])
+    TT = D[..., t + 1 :, t + 1 :].copy()
+    TT.reshape(-1, (n + 1) ** 2)[:, :: n + 2] = 1  # D(e', e') -> 1
+    num = ops.prod(D[..., t + 1 :, : t + 1].swapaxes(-1, -2))[..., None, :]
+    den = ops.mul(D[..., : t + 1, t + 1 :].swapaxes(-1, -2), ops.prod(TT.swapaxes(-1, -2))[..., None])
     L = ops.div(num, den)
     if n % 2:
         L = np.where(odd[:, t + 1 :, None] != odd[:, None, : t + 1], ops.neg(L), L)
     return L
+
+
+def _extend(ops, V, maps, known, acc):
+    """acc plus sum_i maps[..., i] V[:, known[:, i]], one row per (arc,
+    star, row) triple: the values the stars give those rows from V."""
+    for i in range(maps.shape[-1]):
+        acc = ops.addmul(acc, maps[..., i], V[:, known[:, i]])
+    return acc
+
+
+def _fill_waves(ops, V, waves):
+    """V (B, rows, columns) with the rows of each wave filled, in order,
+    from the rows of their K."""
+    for rows, maps, known in waves:
+        V[:, rows] = _extend(ops, V, maps[..., 1:], known[:, 1:], ops.mul(maps[..., :1], V[:, known[:, 0]]))
+    return V
+
+
+def _star_residual(ctx, index, beta, n: int):
+    """P, R and the waves of ``null_basis`` for each arc of a stack of
+    star beta, (B, subsets, 2, |G|-k+2), all of one size: P (B, rows, d)
+    expands the seed values, R (B, d, columns) is the residual and each
+    wave is (the rows it fills, their maps (B, filled, t+1), the rows of
+    their K), the same for every arc but the maps."""
+    ops = ctx.vec_ops()
+    rows, _, others, stars, odd, place = index
+    k = len(rows[0]) + 1
+    t = others.shape[1] - n - 2
+    s = others.shape[1] + k - n - 3  # |G| - n - 1
+    d = math.comb(s, k - 1)
+    L = _star_maps(ctx, beta, odd, n, t)
+    head, tail = stars[:, : t + 1], stars[:, t + 1 :]
+    # a: the members of A outside S, as the first t+1+a points of its star lie in S
+    a = (others < s).sum(1) - (t + 1)
+    # A fills A+e' when e' lies above every member of A: k-2 points below e' are not others
+    fill = others[:, t + 1 :] - np.arange(t + 1, others.shape[1]) == k - 2
+    fs, fj = fill.nonzero()
+    by_wave = np.argsort(a[fs], kind="stable")
+    fs, fj = fs[by_wave], fj[by_wave]
+    # per wave: the rows filled, their maps and the rows of their K
+    filled, maps, known = tail[fs, fj], L[:, fs, fj], head[fs]
+    ends = np.cumsum(np.bincount(a[fs], minlength=n + 1)).tolist()
+    waves = [(filled[lo:hi], maps[:, lo:hi], known[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    # the stars in lex order of A: place inverted
+    lex = np.empty_like(place)
+    lex[place] = np.arange(len(lex))
+    rs, rj = (~fill & (a[:, None] > 0))[lex].nonzero()
+    rs = lex[rs]
+    P = np.zeros((len(beta), len(rows), d), dtype=np.int64)
+    P[:, np.arange(d), np.arange(d)] = 1
+    filled, maps, known = waves[0]
+    P[:, filled[:, None], known] = maps
+    P = _fill_waves(ops, P, waves[1:])
+    R = _extend(ops, P, L[:, rs, rj], head[rs], ops.neg(P[:, tail[rs, rj]])).swapaxes(1, 2)
+    return P, R, waves
 
 
 def null_basis(M: CertMatrix) -> LeftNullBasis:
@@ -260,7 +315,8 @@ def null_basis(M: CertMatrix) -> LeftNullBasis:
     columns run in lex order of A (``place``), the order of least fill:
     at q = 81, n = 1, R is 126 x 324 and its elimination makes 192,584
     cell updates in 125 pivot steps (451 k in colex order of A, 274 k in
-    461 steps for [M | I]).
+    461 steps for [M | I]).  ``_star_residual`` builds P, R and the waves,
+    for a stack of arcs; here the stack holds one.
     Canonical form.  ``left_null_basis`` gives R's null basis X with 1 at
     each dependent row and 0 at the other dependent rows.  P is the
     identity on the seeds, which come first, so X P^T has that form too,
@@ -271,57 +327,18 @@ def null_basis(M: CertMatrix) -> LeftNullBasis:
     """
     if M.matrix._null is not None:
         return M.matrix._null
-    arc, n, t = M.arc, M.n, M.t
-    ctx = arc.ctx
-    ops = ctx.vec_ops()
-    L = _star_maps(ctx, M.beta, M.odd, n, t)
-    s = arc.size - n - 1
-    d = math.comb(s, arc.k - 1)
-    head, tail = M.stars[:, : t + 1], M.stars[:, t + 1 :]
-    # a: the members of A outside S, as the first t+1+a points of its star lie in S
-    a = (M.others < s).sum(1) - (t + 1)
-    # A fills A+e' when e' lies above every member of A: k-2 points below e' are not others
-    fill = M.others[:, t + 1 :] - np.arange(t + 1, M.others.shape[1]) == arc.k - 2
-    fs, fj = fill.nonzero()
-    by_wave = np.argsort(a[fs], kind="stable")
-    fs, fj = fs[by_wave], fj[by_wave]
-    # per wave: the rows filled, their maps and the rows of their K
-    rows, maps, known = tail[fs, fj], L[fs, fj], head[fs]
-    ends = np.cumsum(np.bincount(a[fs], minlength=n + 1)).tolist()
-    waves = [(rows[lo:hi], maps[lo:hi], known[lo:hi]) for lo, hi in zip([0] + ends, ends)]
-    # the stars in lex order of A: place inverted
-    lex = np.empty_like(M.place)
-    lex[M.place] = np.arange(len(lex))
-    rs, rj = (~fill & (a[:, None] > 0))[lex].nonzero()
-    rs = lex[rs]
-
-    def extend(V, maps, known, acc):
-        """acc plus sum_i maps[:, i] V[known[:, i]], one row per (star,
-        row) pair: the values the stars give those rows from V."""
-        for i in range(maps.shape[1]):
-            acc = ops.addmul(acc, maps[:, i], V[known[:, i]])
-        return acc
-
-    def fill_waves(V, waves):
-        for rows, maps, known in waves:
-            V[rows] = extend(V, maps[:, 1:], known[:, 1:], ops.mul(maps[:, :1], V[known[:, 0]]))
-        return V
-
-    P = np.zeros((len(M.rows), d), dtype=np.int64)
-    P[np.arange(d), np.arange(d)] = 1
-    rows, maps, known = waves[0]
-    P[rows[:, None], known] = maps
-    P = fill_waves(P, waves[1:])
-    R = extend(P, L[rs, rj], head[rs], ops.neg(P[tail[rs, rj]])).T
-    X = left_null_basis(GFMatrix(ctx, R)).basis
+    ctx = M.arc.ctx
+    P, R, waves = _star_residual(ctx, M.index, M.beta[None], M.n)
+    d = R.shape[1]
+    X = left_null_basis(GFMatrix(ctx, R[0])).basis
     if len(X) == d:
         # R is zero (even q) and X the reversed identity
-        basis = P[:, ::-1].T
+        basis = P[0, :, ::-1].T
     else:
         del P
-        V = np.zeros((len(M.rows), len(X)), dtype=np.int64)
-        V[:d] = X.T
-        basis = fill_waves(V, waves if len(X) else ()).T
+        V = np.zeros((1, len(M.rows), len(X)), dtype=np.int64)
+        V[0, :d] = X.T
+        basis = _fill_waves(ctx.vec_ops(), V, waves if len(X) else ())[0].T
     M.matrix._null = LeftNullBasis(ctx, basis.copy())
     return M.matrix._null
 
@@ -547,10 +564,10 @@ class ConjectureScanResult:
 
 
 RANDOM_ARC_ATTEMPTS = 1000
-# cells of [M_n | I] eliminated together in a scan, one chunk of arcs per kernel
-# call: the largest power of two at which a scan holds no more memory at once
-# than certifying one arc at a time did
-SCAN_CELLS = 1 << 11
+# cells of the star tables (subsets x (|G|-k+2)^2 per arc) that a scan builds
+# together, one chunk of arcs per ``_star_points`` call: a chunk's arrays peak
+# near 50 bytes a cell, and larger chunks gain little speed
+SCAN_CELLS = 1 << 13
 
 
 def _random_arc(inc: HyperplaneIncidence, size, rng):
@@ -577,18 +594,34 @@ def _random_arc(inc: HyperplaneIncidence, size, rng):
 
 def _certified(ctx, k: int, n: int, arcs) -> np.ndarray:
     """Whether ``theorem1_test`` certifies each arc of a list, all of one
-    size and given as point tuples: one M_n stack and one
-    ``weight_one_rows`` call per chunk of about SCAN_CELLS work cells."""
+    size and given as point tuples: one ``_star_points`` and one
+    ``_star_residual`` call per chunk of about SCAN_CELLS star-table cells.
+
+    The weight-one rows are the zero columns of X P^T for any basis X of
+    R's left null space, so no canonical form is needed.  Where R is zero
+    X is the identity, and a nonzero R of one row (k = 3, where d = 1) has
+    no left null vector, so only the other arcs make a ``left_null_basis``
+    call, one each on their d-row residual.  X is padded with zero rows
+    to d x d, which adds no nonzero column."""
     out = np.zeros(len(arcs), dtype=bool)
     if not arcs:
         return out
+    ops = ctx.vec_ops()
     index = _star_index(len(arcs[0]), k)
-    rows, cols = len(index[0]), len(index[1]) * (n + 1)
-    step = max(1, SCAN_CELLS // (rows * (rows + cols)))
+    others = index[2]  # (subsets, |G|-k+2)
+    step = max(1, SCAN_CELLS // (others.size * others.shape[1]))
     for lo in range(0, len(arcs), step):
         points = np.array(arcs[lo : lo + step], dtype=np.int64)
-        beta = _star_points(ctx, index, points)[1]
-        out[lo : lo + step] = weight_one_rows(ctx, _mn_stack(ctx, index, beta, n)) >= 0
+        P, R, _ = _star_residual(ctx, index, _star_points(ctx, index, points)[1], n)
+        b, d, _ = R.shape
+        zero = ~R.any((1, 2))
+        X = np.zeros((b, d, d), dtype=np.int64)
+        X[zero] = np.eye(d, dtype=np.int64)
+        if d > 1:
+            for i in (~zero).nonzero()[0]:
+                basis = left_null_basis(GFMatrix(ctx, R[i])).basis
+                X[i, : len(basis)] = basis
+        out[lo : lo + step] = (~ops.matmul(X, P.swapaxes(1, 2)).any(1)).any(1)
     return out
 
 

@@ -8,9 +8,8 @@ certifier asks many such questions against the same matrix: the column
 space is exactly the annihilator of the left null space, so no rank,
 echelon form or solve is needed.  M_n's basis comes from star
 interpolation (``certifier.null_basis``), and ``left_null_basis``
-eliminates the residual that leaves.  A scan that asks only the
-weight-one question of many matrices of one shape asks it of the whole
-stack at once (``weight_one_rows``).
+eliminates the residual that leaves; the conjecture scan eliminates each
+arc's residual the same way (``certifier._certified``).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "GFMatrix",
     "LeftNullBasis",
     "left_null_basis",
-    "weight_one_rows",
 ]
 
 
@@ -96,7 +94,8 @@ class LeftNullBasis:
 def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
     """Left null basis via forward elimination of [M | I]: the kernel that
     ``certifier.null_basis`` runs on the residual of M_n's star
-    interpolation, whose basis becomes M_n's.
+    interpolation, whose basis becomes M_n's, and that the conjecture scan
+    runs on each arc's residual.
 
     Rows whose M-part reduces to zero carry the combining coefficients in
     the identity block, so the surviving right-hand rows form the basis.
@@ -163,39 +162,3 @@ def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
     # a mask index copies: the basis shares no memory with work
     matrix._null = LeftNullBasis(matrix.ctx, work[free, n:])
     return matrix._null
-
-
-def weight_one_rows(ctx, stack):
-    """``LeftNullBasis.weight_one`` of every matrix of a (B, m, n) stack of
-    element codes at once, -1 where it is None.
-
-    One forward elimination of [M | I] runs on the whole stack, with one
-    pivot row per matrix per column, kept in a mask of the rows that have
-    not pivoted yet: the first such row nonzero in the column pivots, and
-    every other such row nonzero there takes a multiple of it, from the
-    column on.  The rows that never pivot carry a basis of the left null
-    space in their identity block, so its zero columns are the rows C with
-    unit_C in the column space, whichever rows pivoted.  The pivots are
-    the stable ones of ``left_null_basis``, on rows taken bottom-up and
-    M_n's blocks in lex order of A, the order of least fill measured on
-    q=81 M_1's [M | I].
-    """
-    ops = ctx.vec_ops()
-    b, m, n = stack.shape
-    work = np.concatenate([stack[:, ::-1], np.broadcast_to(np.eye(m, dtype=np.int64)[::-1], (b, m, m))], axis=2)
-    free = np.ones((b, m), dtype=bool)
-    at = np.arange(b)
-    for c in range(n):
-        if not free.any():
-            break
-        nz = free & (work[:, :, c] != 0)
-        p = nz.argmax(1)
-        free[at, p] &= ~nz[at, p]
-        nz[at, p] = False
-        tb, tr = nz.nonzero()
-        if tb.size:
-            pivot = work[tb, p[tb], c:]
-            block = work[tb, tr, c:]
-            work[tb, tr, c:] = ops.addmul(block, ops.div(block[:, 0], ops.neg(pivot[:, 0])), pivot)
-    zero = ~(free[:, :, None] & (work[:, :, n:] != 0)).any(1)
-    return np.where(zero.any(1), zero.argmax(1), -1)

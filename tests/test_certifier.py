@@ -32,7 +32,7 @@ from arclab.certifier import (
 )
 from arclab._vecops import VecOps
 from arclab.cli import cmd_analyze, cmd_conjecture, cmd_cosecants
-from arclab.exactmat import GFMatrix, left_null_basis, weight_one_rows
+from arclab.exactmat import GFMatrix, left_null_basis
 from arclab.gf import FieldCtx
 
 from conftest import (
@@ -404,9 +404,8 @@ def test_q81_recovery_pencil_call_guard(arc_q81, monkeypatch):
 
 
 def test_eliminations_leave_their_inputs_unchanged():
-    # left_null_basis and weight_one_rows eliminate private copies: M_n's
-    # data and the stack are what they were before the call, on every n
-    # of every shipped arc
+    # left_null_basis eliminates a private copy: M_n's data is what it was
+    # before the call, on every n of every shipped arc
     from arclab.cli import parse_arc_file
 
     for name in SHIPPED_ARCS:
@@ -416,10 +415,6 @@ def test_eliminations_leave_their_inputs_unchanged():
             data = M.data.copy()
             left_null_basis(M)
             assert np.array_equal(M.data, data), (name, n)
-            stack = np.stack([M.data, M.data[::-1]])
-            before = stack.copy()
-            weight_one_rows(G.ctx, stack)
-            assert np.array_equal(stack, before), (name, n)
 
 
 # ----------------------------------------------------------------------
@@ -898,27 +893,39 @@ def frame_completions(ctx, k, size):
     return complete_search(ArcConfig(ctx, k, frame[: min(size, k + 1)]), target_size=size).arcs
 
 
+def plain_weight_one(ctx, k, n, pts):
+    """Whether M_n of the arc has a weight-one vector in its column space,
+    from the kernel on a plain matrix of M_n's data: no star
+    interpolation, no residual."""
+    data = build_Mn(ArcConfig(ctx, k, pts, check=False), n).matrix.data
+    return left_null_basis(GFMatrix(ctx, data)).weight_one() is not None
+
+
 def test_stacked_weight_one_matches_theorem1_test(monkeypatch):
-    # the scan eliminates its arcs' M_n as stacks, a chunk per kernel call;
-    # each arc must get theorem1_test's answer at any chunk size: the frame
-    # completions of six scans (p, h, k, n, arcs, certified), then stacks of
-    # greedy 6-arcs at n = 2 that hold both answers
+    # the scan certifies its arcs from their residuals, a chunk of arcs per
+    # call; each arc must get theorem1_test's answer, and the plain
+    # kernel's, at any chunk size: the frame completions of seven scans
+    # (p, h, k, n, arcs, certified), then greedy arcs that hold both
+    # answers: 6-arcs at k = 3, n = 2 and 8-arcs of PG(3, 9) at n = 2
     scans = [(5, 1, 3, 2, 6, 6), (7, 1, 4, 1, 60, 60), (2, 3, 3, 2, 30, 0), (2, 3, 4, 1, 120, 0),
-             (2, 4, 3, 2, 182, 0), (3, 2, 3, 3, 441, 441)]
+             (2, 4, 3, 2, 182, 0), (3, 2, 3, 3, 441, 441), (7, 1, 5, 1, 60, 60)]
     cases = []
+
+    def add(ctx, k, n, arcs):
+        want = [theorem1_test(ArcConfig(ctx, k, pts, check=False), n) is not None for pts in arcs]
+        assert want == [plain_weight_one(ctx, k, n, pts) for pts in arcs]
+        cases.append((ctx, k, n, arcs, want))
+        return want
+
     for p, h, k, n, total, certified in scans:
         ctx = FieldCtx(p, h)
-        arcs = frame_completions(ctx, k, 2 * k - 3 + n)
-        want = [theorem1_test(ArcConfig(ctx, k, pts, check=False), n) is not None for pts in arcs]
+        want = add(ctx, k, n, frame_completions(ctx, k, 2 * k - 3 + n))
         assert (len(want), sum(want)) == (total, certified)
-        cases.append((ctx, k, n, arcs, want))
-    for p, h in [(7, 1), (3, 2)]:
+    for p, h, k, size, certified in [(7, 1, 3, 6, 14), (3, 2, 3, 6, 16), (3, 2, 4, 8, 15)]:
         ctx = FieldCtx(p, h)
-        inc, rng = HyperplaneIncidence(ctx, 3), random.Random(1)
-        arcs = [tuple(_random_arc(inc, 6, rng)) for _ in range(20)]
-        want = [theorem1_test(ArcConfig(ctx, 3, pts, check=False), 2) is not None for pts in arcs]
-        assert 0 < sum(want) < len(want)
-        cases.append((ctx, 3, 2, arcs, want))
+        inc, rng = HyperplaneIncidence(ctx, k), random.Random(1)
+        want = add(ctx, k, 2, [tuple(_random_arc(inc, size, rng)) for _ in range(20)])
+        assert sum(want) == certified
     for cells in (certifier.SCAN_CELLS, 1, 1 << 40):  # default, one arc per chunk, one chunk
         monkeypatch.setattr(certifier, "SCAN_CELLS", cells)
         for ctx, k, n, arcs, want in cases:
@@ -931,28 +938,33 @@ def test_stacked_weight_one_matches_theorem1_test(monkeypatch):
 
 
 def test_conjecture_scan_makes_one_kernel_call_per_chunk(monkeypatch):
-    # GF(7), k = 4, n = 1: 60 arcs, one stacked elimination per chunk and
-    # no single-matrix elimination
-    calls = {"left_null_basis": 0, "weight_one_rows": []}
-    null, rows = certifier.left_null_basis, certifier.weight_one_rows
+    # one _star_points call per chunk of arcs; left_null_basis runs only on
+    # residuals, never on M_n itself: GF(7), k = 4, n = 1 makes one call per
+    # arc, each on a 4-row residual (M_1 has 20 rows), and GF(9), k = 3,
+    # n = 3 makes none, its residuals having one row
+    shapes, chunks = [], []
+    null, points = certifier.left_null_basis, certifier._star_points
 
     def counting_null(matrix):
-        calls["left_null_basis"] += 1
+        shapes.append(matrix.data.shape)
         return null(matrix)
 
-    def counting_rows(ctx, stack):
-        calls["weight_one_rows"].append(len(stack))
-        return rows(ctx, stack)
+    def counting_points(ctx, index, pts):
+        chunks.append(len(pts))
+        return points(ctx, index, pts)
 
     monkeypatch.setattr(certifier, "left_null_basis", counting_null)
-    monkeypatch.setattr(certifier, "weight_one_rows", counting_rows)
+    monkeypatch.setattr(certifier, "_star_points", counting_points)
     for cells in (certifier.SCAN_CELLS, 1, 1 << 40):  # default, one arc per chunk, one chunk
         monkeypatch.setattr(certifier, "SCAN_CELLS", cells)
-        calls["weight_one_rows"] = []
-        assert cmd_conjecture(7, 1, 4, 1)["certified"] == 60
-        per = max(1, cells // (20 * (20 + 30)))  # [M_1 | I] has 20 rows and 30 + 20 columns
-        assert calls["weight_one_rows"] == [min(per, 60 - i) for i in range(0, 60, per)]
-    assert calls["left_null_basis"] == 0
+        for args, total, cells_per_arc, kernel_rows in [((7, 1, 4, 1), 60, 15 * 4**2, [4] * 60),
+                                                        ((3, 2, 3, 3), 441, 6 * 5**2, [])]:
+            shapes.clear()
+            chunks.clear()
+            assert cmd_conjecture(*args)["certified"] == total
+            assert [rows for rows, _ in shapes] == kernel_rows
+            per = max(1, cells // cells_per_arc)  # subsets x (|G|-k+2)^2 cells per arc
+            assert chunks == [min(per, total - i) for i in range(0, total, per)]
 
 
 def test_random_arc_gives_up_after_a_fixed_number_of_orders():

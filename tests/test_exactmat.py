@@ -8,7 +8,6 @@ from arclab.exactmat import (
     GFMatrix,
     LeftNullBasis,
     left_null_basis,
-    weight_one_rows,
 )
 from arclab.gf import FieldCtx
 
@@ -180,27 +179,6 @@ def test_weight_one_identity_and_oracle():
         for _ in range(25):
             M = random_matrix(ctx, rng, rng.randrange(2, 9), rng.randrange(1, 10))
             assert weight_one_in_colspace(M) == brute_weight_one(M)
-
-
-@pytest.mark.parametrize("p,h", [(5, 1), (13, 1), (2, 3), (3, 2)])
-def test_stacked_weight_one_rows_match_oracle(p, h):
-    # stacks of sparse matrices of one shape: the stacked elimination gives
-    # each matrix the oracle's answer, full row rank (0), a weight-one row
-    # further down, or none (-1), whatever its neighbours in the stack
-    ctx = FieldCtx(p, h)
-    rng = random.Random(p * h)
-    seen = set()
-    for m, n in [(6, 3), (7, 9), (8, 8), (1, 4)]:
-        mats = [
-            GFMatrix(ctx, [[rng.randrange(ctx.q) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)])
-            for density in [0.0, 0.15, 0.3, 0.6, 1.0] * 4
-        ]
-        want = [brute_weight_one(M) for M in mats]
-        got = weight_one_rows(ctx, np.array([M.data for M in mats]))
-        assert got.tolist() == [-1 if w is None else w for w in want]
-        assert got.tolist() == [weight_one_rows(ctx, M.data[None])[0] for M in mats]
-        seen.update(min(w, 1) if w is not None else w for w in want)
-    assert seen == {None, 0, 1}
 
 
 def test_weight_two_oracle_agreement():

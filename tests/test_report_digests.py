@@ -3,8 +3,9 @@
 Each digest is the sha256 of a report's JSON, ``timings`` removed and keys
 sorted.  The cases are ``analyze`` and ``property-w`` at every n (q81 at
 n <= 2), ``bound`` on all but q81, and ``hypersurface`` wherever
-``build_surface`` accepts the arc, plus two exhaustive ``conjecture-scan``
-reports, GF(8) at k=4, n=1 (120 arcs) and GF(9) at k=3, n=3 (441 arcs).
+``build_surface`` accepts the arc, plus three exhaustive ``conjecture-scan``
+reports, GF(8) at k=4, n=1 (120 arcs) and GF(9) at k=3, n=3 (441 arcs),
+and a third at k=5, GF(7), n=1 (60 arcs, each with a 15-row residual).
 After an intended change of a report,
 regenerate the file from the repository root with
 
@@ -47,7 +48,7 @@ def cases():
         except ArcTooSmallError:
             continue
         yield f"hypersurface {name}", lambda arc=arc: cmd_hypersurface(arc)
-    for p, h, k, n in ((2, 3, 4, 1), (3, 2, 3, 3)):
+    for p, h, k, n in ((2, 3, 4, 1), (3, 2, 3, 3), (7, 1, 5, 1)):
         yield f"conjecture-scan --p {p} --h {h} --k {k} --n {n}", lambda a=(p, h, k, n): cmd_conjecture(*a)
 
 
