@@ -37,11 +37,13 @@ from .arcgeom import (
     BudgetExceededError,
     HyperplaneIncidence,
     InvariantError,
+    _canonical,
     _check_table,
     _pencil_basis,
     _pencil_members,
     _projective_line,
     complete_search,
+    point_index,
     subset_iter,
 )
 from .exactmat import GFMatrix, LeftNullBasis, left_null_basis
@@ -557,6 +559,7 @@ class ConjectureScanResult:
     total: int
     certified: int
     counterexamples: tuple  # arcs without certificate while in_range
+    orbits: int           # arcs certified: one per frame-symmetry orbit, else total
 
     @property
     def fraction(self) -> float:
@@ -625,6 +628,73 @@ def _certified(ctx, k: int, n: int, arcs) -> np.ndarray:
     return out
 
 
+def _frame_orbits(ctx, k: int, arcs) -> np.ndarray:
+    """The index of the first arc of each arc's orbit, for a list of arcs
+    of one size that each begin with the frame e_1, ..., e_k, (1, ..., 1),
+    under the projectivities that fix the frame as a set, S_{k+1}, times
+    the powers of sigma: x -> x^p.  Every image of a listed arc must be
+    in the list, as it is in the exhaustive scan's, or InvariantError.
+
+    The orbits are the components of arc -> image under the generators:
+    the k-1 adjacent coordinate swaps, T = [[-I_{k-1}, 1], [0, 1]], which
+    fixes e_1..e_{k-1} and swaps e_k with (1, ..., 1), and sigma when
+    h > 1.  An image is found by the sorted ids (``point_index``) of its
+    canonical non-frame points, which the list's rows must hold in
+    increasing lexicographic order.  Each label starts as the arc's index,
+    takes the least of its images' labels and then its label's label.  A
+    generator permutes the list, so its edges lie on cycles and the least
+    index of an orbit moves back at least one edge a round: the labels
+    settle within len(arcs) rounds."""
+    ops = ctx.vec_ops()
+    pts = np.array(arcs, dtype=np.int64)[:, k + 1 :].reshape(-1, k)
+
+    def ids(m):
+        return np.sort(point_index(ctx, _canonical(ctx, m)).reshape(len(arcs), -1), 1)
+
+    def moved():
+        for i in range(k - 1):
+            yield pts[:, np.r_[:i, i + 1, i, i + 2 : k]]
+        yield np.column_stack([ops.sub(pts[:, -1:], pts[:, :-1]), pts[:, -1]])
+        if ctx.h > 1:
+            exp = ops.exp_ext[: ctx.q - 1]
+            sigma = np.zeros(ctx.q, dtype=np.int64)
+            sigma[exp] = exp[np.arange(ctx.q - 1) * ctx.p % (ctx.q - 1)]
+            yield sigma[pts]
+
+    # the list's id rows are sorted and unique (DFS preorder), so a row's
+    # first j+1 ids are found by searchsorted on rank * radix + id, rank
+    # being that of its first j ids among the list's distinct prefixes:
+    # exact, as every key is below len(arcs) * radix
+    radix = (ctx.q**k - 1) // (ctx.q - 1)
+    keys, ranks = [], []
+    rank = np.zeros(len(arcs), dtype=np.int64)
+    for col in ids(pts).T:
+        keys.append(rank * radix + col)
+        rank = np.cumsum(np.diff(keys[-1], prepend=keys[-1][0]) != 0)
+        ranks.append(rank)
+
+    def find(rows):
+        rank = np.zeros(len(rows), dtype=np.int64)
+        for key, after, col in zip(keys, ranks, rows.T):
+            want = rank * radix + col
+            pos = np.minimum(np.searchsorted(key, want), len(key) - 1)
+            if not np.array_equal(key[pos], want):
+                raise InvariantError("an image of a scanned arc under a frame symmetry is not in the list")
+            rank = after[pos]
+        return pos
+
+    images = [find(ids(m)) for m in moved()]
+    label = np.arange(len(arcs))
+    for _ in range(len(arcs)):
+        last = label.copy()
+        for img in images:
+            np.minimum(label, label[img], out=label)
+        label = label[label]
+        if np.array_equal(label, last):
+            return label
+    raise InvariantError(f"orbit labels did not settle in {len(arcs)} rounds")
+
+
 def _scan_size(q: int, k: int, n: int) -> int:
     """The arc size 2k-3+n of a conjecture scan over GF(q), after the
     refusals that need only q, k and n: n < 0 and k < 3 raise input
@@ -670,8 +740,15 @@ def conjecture_scan(
             inc = HyperplaneIncidence(ctx, k)
             arcs = [tuple(_random_arc(inc, size, rng)) for _ in range(samples)]
 
-    certified = _certified(ctx, k, n, arcs)
+    if mode == "exhaustive" and len(arcs) > 1:
+        label = _frame_orbits(ctx, k, arcs)
+        reps = np.flatnonzero(label == np.arange(len(arcs)))
+        certified = np.zeros(len(arcs), dtype=bool)
+        certified[reps] = _certified(ctx, k, n, [arcs[i] for i in reps])
+        certified, orbits = certified[label], len(reps)
+    else:
+        certified, orbits = _certified(ctx, k, n, arcs), len(arcs)
     counterexamples = tuple(pts for pts, ok in zip(arcs, certified) if not ok) if in_range else ()
     return ConjectureScanResult(
-        ctx.p, ctx.h, k, n, size, in_range, mode, len(arcs), int(certified.sum()), counterexamples
+        ctx.p, ctx.h, k, n, size, in_range, mode, len(arcs), int(certified.sum()), counterexamples, orbits
     )

@@ -8,8 +8,9 @@ certifier asks many such questions against the same matrix: the column
 space is exactly the annihilator of the left null space, so no rank,
 echelon form or solve is needed.  M_n's basis comes from star
 interpolation (``certifier.null_basis``), and ``left_null_basis``
-eliminates the residual that leaves; the conjecture scan eliminates each
-arc's residual the same way (``certifier._certified``).
+eliminates the residual that leaves; the conjecture scan eliminates the
+residual of one arc per frame-symmetry orbit the same way
+(``certifier._certified``).
 """
 
 from __future__ import annotations

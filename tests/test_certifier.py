@@ -938,10 +938,13 @@ def test_stacked_weight_one_matches_theorem1_test(monkeypatch):
 
 
 def test_conjecture_scan_makes_one_kernel_call_per_chunk(monkeypatch):
-    # one _star_points call per chunk of arcs; left_null_basis runs only on
-    # residuals, never on M_n itself: GF(7), k = 4, n = 1 makes one call per
-    # arc, each on a 4-row residual (M_1 has 20 rows), and GF(9), k = 3,
-    # n = 3 makes none, its residuals having one row
+    # _certified makes one _star_points call per chunk of arcs, and
+    # left_null_basis runs only on residuals, never on M_n itself: on the 60
+    # frame completions of GF(7), k = 4, n = 1 it makes one call per arc,
+    # each on a 4-row residual (M_1 has 20 rows), and on the 441 of GF(9),
+    # k = 3, n = 3 none, their residuals having one row.  The scan certifies
+    # one arc per frame-symmetry orbit: GF(7), k = 4, n = 1 is one orbit, so
+    # one chunk and one call on a 4-row residual; GF(9), k = 3, n = 3 is 18
     shapes, chunks = [], []
     null, points = certifier.left_null_basis, certifier._star_points
 
@@ -953,18 +956,149 @@ def test_conjecture_scan_makes_one_kernel_call_per_chunk(monkeypatch):
         chunks.append(len(pts))
         return points(ctx, index, pts)
 
+    def per_chunk(total, cells_per_arc):
+        per = max(1, certifier.SCAN_CELLS // cells_per_arc)  # subsets x (|G|-k+2)^2 cells per arc
+        return [min(per, total - i) for i in range(0, total, per)]
+
     monkeypatch.setattr(certifier, "left_null_basis", counting_null)
     monkeypatch.setattr(certifier, "_star_points", counting_points)
+    cases = [((7, 1, 4, 1), 60, 1, 15 * 4**2, 4), ((3, 2, 3, 3), 441, 18, 6 * 5**2, None)]
     for cells in (certifier.SCAN_CELLS, 1, 1 << 40):  # default, one arc per chunk, one chunk
         monkeypatch.setattr(certifier, "SCAN_CELLS", cells)
-        for args, total, cells_per_arc, kernel_rows in [((7, 1, 4, 1), 60, 15 * 4**2, [4] * 60),
-                                                        ((3, 2, 3, 3), 441, 6 * 5**2, [])]:
+        for (p, h, k, n), total, orbits, cells_per_arc, rows in cases:
+            ctx = FieldCtx(p, h)
+            arcs = frame_completions(ctx, k, 2 * k - 3 + n)
             shapes.clear()
             chunks.clear()
-            assert cmd_conjecture(*args)["certified"] == total
-            assert [rows for rows, _ in shapes] == kernel_rows
-            per = max(1, cells // cells_per_arc)  # subsets x (|G|-k+2)^2 cells per arc
-            assert chunks == [min(per, total - i) for i in range(0, total, per)]
+            assert certifier._certified(ctx, k, n, arcs).sum() == total
+            assert [r for r, _ in shapes] == ([rows] * total if rows else [])
+            assert chunks == per_chunk(total, cells_per_arc)
+            shapes.clear()
+            chunks.clear()
+            rep = cmd_conjecture(p, h, k, n)
+            assert rep["total"] == rep["certified"] == total
+            assert [r for r, _ in shapes] == ([rows] * orbits if rows else [])
+            assert chunks == per_chunk(orbits, cells_per_arc)
+
+
+def test_largest_pinned_scan_makes_one_kernel_call_per_orbit(monkeypatch):
+    # GF(11), k = 4, n = 2: 30,696 arcs of size 7 in 272 orbits, each
+    # representative's residual having C(4, 3) = 4 rows
+    shapes = []
+    null = certifier.left_null_basis
+
+    def counting_null(matrix):
+        shapes.append(matrix.data.shape[0])
+        return null(matrix)
+
+    monkeypatch.setattr(certifier, "left_null_basis", counting_null)
+    res = conjecture_scan(FieldCtx(11), 4, 2)
+    assert (res.mode, res.in_range, res.total, res.certified, res.orbits) == ("exhaustive", True, 30_696, 30_696, 272)
+    assert res.counterexamples == ()
+    assert shapes == [4] * 272
+
+
+def frame_symmetries(ctx, k):
+    """Every projectivity that fixes the frame f_0..f_k = e_1, ..., e_k,
+    (1, ..., 1) as a set, times every power of sigma: x -> x^p, as pairs
+    (G, table of sigma^j), (k+1)! h of them.  The G of a permutation pi
+    sends f_j to a multiple of f_pi(j): its columns are lam_j f_pi(j), j < k,
+    with sum lam_j f_pi(j) = f_pi(k).  When pi fixes the unit point, every
+    lam_j is 1; otherwise the column that takes the unit point has lam 1
+    and the others -1, as coordinate pi(k) of the sum shows."""
+    frame = [tuple(int(i == j) for i in range(k)) for j in range(k)] + [(1,) * k]
+    sigmas = [np.array([ctx.pow(x, ctx.p**j) for x in range(ctx.q)], dtype=np.int64) for j in range(ctx.h)]
+    out = []
+    for pi in itertools.permutations(range(k + 1)):
+        lam = [1 if k in (pi[k], pi[j]) else ctx.neg(1) for j in range(k)]
+        G = [[ctx.mul(lam[j], frame[pi[j]][i]) for j in range(k)] for i in range(k)]
+        for j, f in enumerate(frame):
+            image = [0] * k
+            for i in range(k):
+                for c in range(k):
+                    image[i] = ctx.add(image[i], ctx.mul(G[i][c], f[c]))
+            lead = next(x for x in image if x)
+            assert tuple(ctx.div(x, lead) for x in image) == frame[pi[j]]
+        out += [(np.array(G, dtype=np.int64), sigma) for sigma in sigmas]
+    return out
+
+
+def orbit_keys(ctx, k, arcs):
+    """For each arc of a list of frame completions, the least sorted tuple
+    of non-frame points over its images under ``frame_symmetries``."""
+    ops = ctx.vec_ops()
+    pts = np.array(arcs, dtype=np.int64)[:, k + 1 :]
+    keys = None
+    for G, sigma in frame_symmetries(ctx, k):
+        img = sigma[ops.matmul(pts, G.T)]
+        lead = np.take_along_axis(img, (img != 0).argmax(-1)[..., None], -1)
+        img = ops.div(img, lead).tolist()
+        got = [tuple(sorted(map(tuple, x))) for x in img]
+        keys = got if keys is None else [min(a, b) for a, b in zip(keys, got)]
+    return keys
+
+
+@pytest.mark.parametrize("p,h,k,n,total,orbits", [
+    (5, 1, 3, 2, 6, 1), (7, 1, 4, 1, 60, 1), (2, 3, 3, 2, 30, 2), (2, 3, 4, 1, 120, 1),
+    (2, 4, 3, 2, 182, 5), (3, 2, 3, 3, 441, 18), (7, 1, 5, 1, 60, 1), (13, 1, 3, 3, 4015, 192),
+])
+def test_frame_orbits_match_the_whole_group(p, h, k, n, total, orbits):
+    # the generator labels give the partition of the (k+1)! h frame
+    # symmetries, built directly, and certifying every arc gives one
+    # answer on each orbit
+    ctx = FieldCtx(p, h)
+    arcs = list(frame_completions(ctx, k, 2 * k - 3 + n))
+    label = certifier._frame_orbits(ctx, k, arcs)
+    first = {}
+    for i, key in enumerate(orbit_keys(ctx, k, arcs)):
+        first.setdefault(key, i)
+        assert label[i] == first[key]
+    assert (len(arcs), len(first)) == (total, orbits)
+    certified = certifier._certified(ctx, k, n, arcs)
+    assert np.array_equal(certified, certified[label])
+    res = conjecture_scan(ctx, k, n)
+    assert (res.total, res.certified, res.orbits) == (total, int(certified.sum()), orbits)
+
+
+def test_frame_orbits_refuse_a_list_not_closed_under_the_frame_symmetries():
+    ctx = FieldCtx(13)
+    arcs = list(frame_completions(ctx, 3, 6))
+    with pytest.raises(InvariantError):
+        certifier._frame_orbits(ctx, 3, arcs[:-1])
+
+
+def test_folded_scan_keeps_every_arc_and_the_counterexample_order(monkeypatch):
+    # a certifier that is a class function but fails some orbits: the scan
+    # must report the rule's answer for every arc, in list order, while it
+    # asks only one arc per orbit
+    ctx = FieldCtx(13)
+    arcs = list(frame_completions(ctx, 3, 6))
+    keys = dict(zip(arcs, orbit_keys(ctx, 3, arcs)))
+    asked = []
+
+    def rule(ctx, k, n, batch):
+        asked.append(len(batch))
+        return np.array([sum(map(sum, keys[pts])) % 3 != 0 for pts in batch], dtype=bool)
+
+    want = rule(ctx, 3, 3, arcs)
+    assert 0 < want.sum() < len(arcs)
+    asked.clear()
+    monkeypatch.setattr(certifier, "_certified", rule)
+    res = conjecture_scan(ctx, 3, 3)
+    assert asked == [192]
+    assert (res.in_range, res.total, res.certified, res.orbits) == (True, 4015, int(want.sum()), 192)
+    assert res.counterexamples == tuple(pts for pts, ok in zip(arcs, want) if not ok)
+
+
+def test_scan_reports_the_arcs_it_certified():
+    # orbits counts the arcs certified: one per orbit when the exhaustive
+    # list is folded, else every arc
+    F5 = FieldCtx(5)
+    assert conjecture_scan(F5, 3, 0).orbits == 1  # one arc: nothing to fold
+    assert conjecture_scan(F5, 3, 2).orbits == 1  # six arcs in one orbit
+    sampled = conjecture_scan(F5, 3, 2, budget=1, samples=12, seed=42)
+    assert (sampled.mode, sampled.orbits) == ("sampled", 12)
+    assert conjecture_scan(FieldCtx(3), 5, 2).orbits == 0  # no arc of size 9
 
 
 def test_random_arc_gives_up_after_a_fixed_number_of_orders():

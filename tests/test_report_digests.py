@@ -3,9 +3,12 @@
 Each digest is the sha256 of a report's JSON, ``timings`` removed and keys
 sorted.  The cases are ``analyze`` and ``property-w`` at every n (q81 at
 n <= 2), ``bound`` on all but q81, and ``hypersurface`` wherever
-``build_surface`` accepts the arc, plus three exhaustive ``conjecture-scan``
-reports, GF(8) at k=4, n=1 (120 arcs) and GF(9) at k=3, n=3 (441 arcs),
-and a third at k=5, GF(7), n=1 (60 arcs, each with a 15-row residual).
+``build_surface`` accepts the arc, plus five exhaustive ``conjecture-scan``
+reports: GF(8) at k=4, n=1 (120 arcs), GF(9) at k=3, n=3 (441 arcs),
+GF(7) at k=5, n=1 (60 arcs, each with a 15-row residual), GF(13) at k=3,
+n=3 (4,015 arcs in 192 frame-symmetry orbits) and GF(16) at k=3, n=2
+(182 arcs, where the Frobenius map joins orbits).  The last two were
+pinned while the scan still certified every arc.
 After an intended change of a report,
 regenerate the file from the repository root with
 
@@ -48,7 +51,7 @@ def cases():
         except ArcTooSmallError:
             continue
         yield f"hypersurface {name}", lambda arc=arc: cmd_hypersurface(arc)
-    for p, h, k, n in ((2, 3, 4, 1), (3, 2, 3, 3), (7, 1, 5, 1)):
+    for p, h, k, n in ((2, 3, 4, 1), (3, 2, 3, 3), (7, 1, 5, 1), (13, 1, 3, 3), (2, 4, 3, 2)):
         yield f"conjecture-scan --p {p} --h {h} --k {k} --n {n}", lambda a=(p, h, k, n): cmd_conjecture(*a)
 
 
