@@ -380,20 +380,21 @@ _POP = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set 
 @dataclass(frozen=True)
 class SearchResult:
     complete_sizes: tuple | None
-    arcs: tuple | None
+    arcs: tuple | np.ndarray | None
     nodes: int
 
 
-def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> SearchResult:
+def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000, *, as_array=False) -> SearchResult:
     """Exhaustive DFS over extensions of the arc.
 
     Without a target, returns the sorted sizes of all complete arcs
     containing the input.  With a target, returns every arc of exactly
     that size containing the input (as full point tuples, each extension
-    set enumerated once in candidate order); a target must lie in
-    |G|..q+k-1, or ArcInputError is raised.  Raises BudgetExceededError
-    when the node count exceeds the budget, so a returned result is an
-    exhaustion proof.
+    set enumerated once in candidate order; with as_array, as one
+    (arcs, target, k) int64 array of the same points in the same order);
+    a target must lie in |G|..q+k-1, or ArcInputError is raised.  Raises
+    BudgetExceededError when the node count exceeds the budget, so a
+    returned result is an exhaustion proof.
 
     Candidates are bitsets over ``projective_points``: adding v removes
     the points on each hyperplane <v, S>, S a (k-2)-subset of the current
@@ -406,7 +407,8 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
     of a node makes them.  Children with grandchildren go on a stack in
     batches of whole nodes and at most BATCH_ENTRIES entries, a grandchild's
     cut being a row of its parent batch's cuts.  Sorting the id paths of
-    the arcs found gives DFS preorder.
+    the arcs found gives DFS preorder, and one gather of the point vectors
+    over the sorted ids gives the arcs.
     """
     ctx, k = arc.ctx, arc.k
     if target_size is not None and target_size > ctx.q + k - 1:
@@ -422,7 +424,7 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
         sizes.add(arc.size)
     elif target_size == arc.size:
         ws = ws[:0]  # the input has reached the target size
-        found.append(tuple(range(n, n + arc.size)))
+        found.append(np.arange(n, n + arc.size)[None])
     nodes = 1 + len(ws)  # the root and its children
     # a batch: paths, cands, node, ws, and the running cuts as rows of an array its siblings share
     zero = np.zeros(len(ws), dtype=np.int64)
@@ -433,7 +435,7 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
         ext = np.column_stack([paths[node], ws])  # the children's paths
         if target_size is not None and d + 1 >= target_size:
             if d + 1 == target_size:
-                found += map(tuple, ext.tolist())
+                found.append(ext)
             continue
         # the hyperplanes <w, S> new to each entry: S through the node's last point, any S at the root
         cols = [S + (d,) for S in itertools.combinations(range(d), k - 2) if d == arc.size or d - 1 in S]
@@ -470,7 +472,11 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000) -> Searc
     if nodes > budget:
         raise BudgetExceededError(f"search exceeded {budget} nodes")
     if target_size is not None:
-        return SearchResult(None, tuple(tuple(inc.vectors[i] for i in ids) for ids in sorted(found)), nodes)
+        ids = np.concatenate(found) if found else np.zeros((0, target_size), dtype=np.int64)
+        arcs = inc._vectors[ids[np.lexsort(ids.T[::-1])]]
+        if not as_array:
+            arcs = tuple(tuple(map(tuple, pts)) for pts in arcs.tolist())
+        return SearchResult(None, arcs, nodes)
     return SearchResult(tuple(sorted(sizes)), None, nodes)
 
 

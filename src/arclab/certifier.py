@@ -4,15 +4,18 @@ Rows of M_n are the (k-1)-subsets C of the arc G in colex order.  The
 paper's column (A, E), |E| = |G|-n and A a (k-2)-subset of E, holds
 prod_{u in G-E} det(u, C) in each row C > A.  Every answer here depends
 only on the column space, and for each A these columns span n+1 monomial
-columns in the pencil coordinates of A's star, so M_n keeps those: n+1
-columns per A (``build_Mn``).  Members of a subset always enter
-determinants in increasing arc order.
+columns in the pencil coordinates of A's star: n+1 columns per A.
+Members of a subset always enter determinants in increasing arc order.
 
-Every answer about one M_n is read off its left null basis, which
-``null_basis`` interpolates star by star from its values on the
-C(|G|-n-1, k-1) rows inside the first |G|-n-1 points, eliminating only a
-residual of that many rows, its columns in lex order of A; the result
-is the canonical basis that eliminating [M | I] gives, bit for bit.
+M_n is its arc's star geometry (``CertMatrix``): the stars, their
+pencil coordinates beta and the table D(x, y) of each star's points,
+built once per arc and shared by every n (``build_Mn``).  Every answer
+about one M_n is read off its left null basis, which ``null_basis``
+interpolates star by star from D and its values on the C(|G|-n-1, k-1)
+rows inside the first |G|-n-1 points, eliminating only a residual of
+that many rows, its columns in lex order of A; the result is the
+canonical basis that eliminating [M | I] gives, bit for bit.  No answer
+builds M_n's dense data: only ``CertMatrix.matrix`` does, on first use.
 
 A weight-one vector in the column space certifies that G extends to no
 arc of size q+2k+n-1-|G|.  Without one, Property W holds exactly when the
@@ -47,7 +50,7 @@ from .arcgeom import (
     subset_iter,
 )
 from .exactmat import GFMatrix, LeftNullBasis, left_null_basis
-from .tangentfns import _lagrange_sum, _lagrange_weights
+from .tangentfns import _lagrange_sum
 
 __all__ = [
     "SizeOutOfRangeError",
@@ -84,16 +87,16 @@ class NotLeftNullError(ArcInputError):
 
 
 class CertMatrix:
-    """M_n of an arc, one block of n+1 columns per (k-2)-subset A, with
-    the data its blocks are built from: the star of every A (its rows A+x,
-    x running over the points outside A) and a basis b1, b2 of the forms
-    vanishing on A with the pencil coordinates beta(x) = (b1.x, b2.x) of
-    its star."""
+    """M_n of an arc as its star geometry: the star of every (k-2)-subset
+    A (its rows A+x, x running over the points outside A), a basis b1, b2
+    of the forms vanishing on A with the pencil coordinates
+    beta(x) = (b1.x, b2.x) of its star, and the table D(x, y) of every
+    pair of star points.  One block of n+1 columns per A holds M_n's
+    data, which no answer reads: ``matrix`` builds it on first use."""
 
-    def __init__(self, arc: ArcConfig, n: int, matrix: GFMatrix, index, pencils, beta):
+    def __init__(self, arc: ArcConfig, n: int, index, pencils, beta, D):
         self.arc = arc
         self.n = n
-        self.matrix = matrix
         # rows: the (k-1)-subsets, colex; subsets: the A, colex; others[s]: the
         # points outside subsets[s]; stars[s, j]: the row of subsets[s] + others[s, j];
         # odd[s, j]: whether an odd number of points of subsets[s] lie below others[s, j];
@@ -102,6 +105,18 @@ class CertMatrix:
         self.rows, self.subsets, self.others, self.stars, self.odd, self.place = index
         self.pencils = pencils    # pencils[s] = (b1, b2) of subsets[s]
         self.beta = beta          # beta[s, :, j] = beta(others[s, j])
+        self.D = D                # D[s, i, j] = D(others[s, i], others[s, j])
+        self._null = None         # the left null basis, once ``null_basis`` has run
+        self._matrix = None
+
+    @property
+    def matrix(self) -> GFMatrix:
+        """M_n's dense data (``_mn_data``), built on first use: of the
+        answers, only the check of a given vector in ``recover_cosecants``
+        reads it."""
+        if self._matrix is None:
+            self._matrix = GFMatrix(self.arc.ctx, _mn_data(self.arc.ctx, self.index, self.beta, self.n))
+        return self._matrix
 
     @property
     def t(self) -> int:
@@ -143,27 +158,37 @@ def _star_index(g: int, k: int):
 
 
 def _star_points(ctx, index, points):
-    """The pencils and beta of every star, as ``CertMatrix`` holds them,
-    for each arc of a (B, |G|, k) stack of points, from one kernel call."""
+    """The pencils, beta and D of every star, as ``CertMatrix`` holds
+    them, for each arc of a (B, |G|, k) stack of points, from one kernel
+    call: D[b, s, i, j] = D(e_i, e_j) = beta1(e_i) beta2(e_j) -
+    beta2(e_i) beta1(e_j) over the points e_i = others[s, i] of the star.
+    D is 0 only on its diagonal unless the beta of some star are not
+    pairwise independent (no arc; some Q_A(e) is 0): InvariantError."""
     subsets, others = index[1], index[2]
+    ops = ctx.vec_ops()
     pencils = np.stack(_pencil_basis(ctx, points, subsets), axis=-2)
-    beta = ctx.vec_ops().matmul(pencils, points[:, others].swapaxes(-1, -2))
-    return pencils, beta
+    beta = ops.matmul(pencils, points[:, others].swapaxes(-1, -2))
+    b1, b2 = beta[..., 0, :], beta[..., 1, :]
+    D = ops.sub(ops.mul(b1[..., :, None], b2[..., None, :]), ops.mul(b2[..., :, None], b1[..., None, :]))
+    m = D.shape[-1]
+    if np.count_nonzero(D) != D.size // m * (m - 1):
+        raise InvariantError("the beta of a star are not pairwise independent: some Q_A(e) is 0")
+    return pencils, beta, D
 
 
 def _star_geometry(arc: ArcConfig):
     """The part of M_n that does not depend on n, built once per arc
-    object and kept on it: the star index of its size and the pencils and
-    beta of its points.  Every M_n of the arc shares these arrays, so they
-    are read-only."""
+    object and kept on it: the star index of its size and the pencils,
+    beta and D of its points.  Every M_n of the arc shares these arrays,
+    so they are read-only."""
     geom = getattr(arc, "_star_geometry", None)
     if geom is None:
         index = _star_index(arc.size, arc.k)
         pts = np.array(arc.points, dtype=np.int64).reshape(1, arc.size, arc.k)
-        pencils, beta = (a[0] for a in _star_points(arc.ctx, index, pts))
-        for a in (pencils, beta):
+        arrays = tuple(a[0] for a in _star_points(arc.ctx, index, pts))
+        for a in arrays:
             a.flags.writeable = False
-        geom = arc._star_geometry = (index, pencils, beta)
+        geom = arc._star_geometry = (index, *arrays)
     return geom
 
 
@@ -197,39 +222,32 @@ def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
     row A+e of A's star, and det(u, A+e) = s_e D(u, e), so it is s_e^n
     times a binary form of degree n in beta(e).  These forms span all n+1
     monomials s_e^n beta1(e)^i beta2(e)^(n-i) (``_mn_data``), so both
-    matrices have the same column space.  The
-    stars and beta come from the arc's star geometry, so each n only
-    fills its powers."""
+    matrices have the same column space.  M_n is the arc's star geometry
+    and n: every answer reads the null space that ``null_basis``
+    interpolates from D, and no dense data is built.  A star whose beta
+    are not pairwise independent (no arc) raises InvariantError."""
     g, k = arc.size, arc.k
     if n < 0 or g < k + n:
         raise SizeOutOfRangeError(f"need 0 <= n <= |G|-k, got n={n}, |G|={g}")
-    index, pencils, beta = _star_geometry(arc)
-    data = _mn_data(arc.ctx, index, beta, n)
-    return CertMatrix(arc, n, GFMatrix(arc.ctx, data), index, pencils, beta)
+    return CertMatrix(arc, n, *_star_geometry(arc))
 
 
-def _star_maps(ctx, beta, odd, n: int, t: int):
+def _star_maps(ctx, D, odd, n: int, t: int):
     """The interpolation map of every star of each arc of a stack of star
-    beta, (B, subsets, 2, |G|-k+2) -> (B, subsets, n+1, t+1): a left-null
-    vector v of the arc's M_n has v(A+e') = sum_i L[b, s, j, i] v(A+e_i) on
-    the star of A = subsets[s], e_i = others[s, i] over the first t+1
-    points K of the star and e' = others[s, t+1+j] over the other n+1, T.
+    tables D, (B, subsets, |G|-k+2, |G|-k+2) -> (B, subsets, n+1, t+1): a
+    left-null vector v of the arc's M_n has v(A+e') = sum_i L[b, s, j, i]
+    v(A+e_i) on the star of A = subsets[s], e_i = others[s, i] over the
+    first t+1 points K of the star and e' = others[s, t+1+j] over the
+    other n+1, T.
 
     On A's star v(A+e) = h_A(beta(e)) / c_e, c_e = s_e^n Q_A(e), with h_A
     a binary form of degree t (step (1) of ``recover_cosecants``).  Its
     values at K fix h_A, so L[e', e] = (c_e / c_e') prod_{u in K-e}
     D(u, e') / prod_{u in K-e} D(u, e).  As Q_A(e) = prod_{u != e} D(u, e)
     over the star, that is s_e^n s_e'^n prod_{u in T} D(u, e) /
-    (D(e, e') prod_{u in T-e'} D(u, e')).  It divides by factors of the
-    Q_A, so a star whose beta are not pairwise independent (no arc)
-    raises InvariantError."""
+    (D(e, e') prod_{u in T-e'} D(u, e')): only factors of the Q_A, which
+    ``_star_points`` checked to be nonzero, are divisors."""
     ops = ctx.vec_ops()
-    b1, b2 = beta[:, :, 0], beta[:, :, 1]
-    # D[b, s, i, j] = D(e_i, e_j) = beta1(e_i) beta2(e_j) - beta2(e_i) beta1(e_j), 0 at i = j
-    D = ops.sub(ops.mul(b1[..., :, None], b2[..., None, :]), ops.mul(b2[..., :, None], b1[..., None, :]))
-    m = D.shape[-1]
-    if np.count_nonzero(D) != D.size // m * (m - 1):
-        raise InvariantError("the beta of a star are not pairwise independent: some Q_A(e) is 0")
     TT = D[..., t + 1 :, t + 1 :].copy()
     TT.reshape(-1, (n + 1) ** 2)[:, :: n + 2] = 1  # D(e', e') -> 1
     num = ops.prod(D[..., t + 1 :, : t + 1].swapaxes(-1, -2))[..., None, :]
@@ -256,19 +274,19 @@ def _fill_waves(ops, V, waves):
     return V
 
 
-def _star_residual(ctx, index, beta, n: int):
+def _star_residual(ctx, index, D, n: int):
     """P, R and the waves of ``null_basis`` for each arc of a stack of
-    star beta, (B, subsets, 2, |G|-k+2), all of one size: P (B, rows, d)
-    expands the seed values, R (B, d, columns) is the residual and each
-    wave is (the rows it fills, their maps (B, filled, t+1), the rows of
-    their K), the same for every arc but the maps."""
+    star tables D, (B, subsets, |G|-k+2, |G|-k+2), all of one size:
+    P (B, rows, d) expands the seed values, R (B, d, columns) is the
+    residual and each wave is (the rows it fills, their maps (B, filled,
+    t+1), the rows of their K), the same for every arc but the maps."""
     ops = ctx.vec_ops()
     rows, _, others, stars, odd, place = index
     k = len(rows[0]) + 1
     t = others.shape[1] - n - 2
     s = others.shape[1] + k - n - 3  # |G| - n - 1
     d = math.comb(s, k - 1)
-    L = _star_maps(ctx, beta, odd, n, t)
+    L = _star_maps(ctx, D, odd, n, t)
     head, tail = stars[:, : t + 1], stars[:, t + 1 :]
     # a: the members of A outside S, as the first t+1+a points of its star lie in S
     a = (others < s).sum(1) - (t + 1)
@@ -286,7 +304,7 @@ def _star_residual(ctx, index, beta, n: int):
     lex[place] = np.arange(len(lex))
     rs, rj = (~fill & (a[:, None] > 0))[lex].nonzero()
     rs = lex[rs]
-    P = np.zeros((len(beta), len(rows), d), dtype=np.int64)
+    P = np.zeros((len(D), len(rows), d), dtype=np.int64)
     P[:, np.arange(d), np.arange(d)] = 1
     filled, maps, known = waves[0]
     P[:, filled[:, None], known] = maps
@@ -299,7 +317,7 @@ def null_basis(M: CertMatrix) -> LeftNullBasis:
     """The left null basis of M_n, bit for bit the one that
     ``left_null_basis(M.matrix)`` gives, read off the star geometry
     instead of eliminating [M | I].  It is computed once per M_n and kept
-    on its matrix, and every answer taken from M_n reads it.
+    on M, and every answer taken from M_n reads it.
 
     Seeds.  Let S be the first |G|-n-1 points.  The d = C(|G|-n-1, k-1)
     rows inside S are the first d rows (colex), and a null vector v is
@@ -327,10 +345,10 @@ def null_basis(M: CertMatrix) -> LeftNullBasis:
     on X's seed values.  At even q, R is zero and X the reversed
     identity, so X P^T is P^T reversed.
     """
-    if M.matrix._null is not None:
-        return M.matrix._null
+    if M._null is not None:
+        return M._null
     ctx = M.arc.ctx
-    P, R, waves = _star_residual(ctx, M.index, M.beta[None], M.n)
+    P, R, waves = _star_residual(ctx, M.index, M.D[None], M.n)
     d = R.shape[1]
     X = left_null_basis(GFMatrix(ctx, R[0])).basis
     if len(X) == d:
@@ -341,8 +359,8 @@ def null_basis(M: CertMatrix) -> LeftNullBasis:
         V = np.zeros((1, len(M.rows), len(X)), dtype=np.int64)
         V[0, :d] = X.T
         basis = _fill_waves(ctx.vec_ops(), V, waves if len(X) else ())[0].T
-    M.matrix._null = LeftNullBasis(ctx, basis.copy())
-    return M.matrix._null
+    M._null = LeftNullBasis(ctx, basis.copy())
+    return M._null
 
 
 def _matrix(arc: ArcConfig, n: int, M: CertMatrix | None) -> CertMatrix:
@@ -394,7 +412,7 @@ def bound_scan(arc: ArcConfig) -> BoundScan:
     for n in range(g - k + 1):
         M = build_Mn(arc, n)
         null = null_basis(M)
-        trace.append((n, M.matrix.rows - null.nullity, M.matrix.rows, null.nullity))
+        trace.append((n, len(M.rows) - null.nullity, len(M.rows), null.nullity))
         cert = theorem1_test(arc, n, M)
         if cert is not None:
             return BoundScan(n, cert, cert.forbidden_size, cert.forbidden_size - 1, tuple(trace))
@@ -515,16 +533,19 @@ def recover_cosecants(
         if not missing:
             raise InvariantError("Property W holds on a left null space of two or more vectors")
         raise PropertyWMissingError(f"Property W fails for {len(missing)} subsets, e.g. {missing[0]}")
-    # 1/Q_A are the Lagrange weights of the unit values over the whole star
+    # DK[s, u, j] = D(u, e_j) at the first t+1 points e_j of the star, 1 at u = e_j
+    DK = M.D[:, :, : t + 1].copy()
+    DK[:, np.arange(t + 1), np.arange(t + 1)] = 1
     v = null[0, M.stars[:, : t + 1]]
-    W = _lagrange_weights(ctx, M.beta, 1)[:, : t + 1]
-    vals = ops.div(ops.mul(W[:, :1], v), ops.mul(W, v[:, :1]))
+    Q = ops.prod(DK.swapaxes(1, 2))  # Q_A(e_j), over the whole star
+    vals = ops.div(ops.mul(Q, v), ops.mul(Q[:, :1], v[:, :1]))
     odd = M.odd[:, : t + 1]
     vals = np.where((odd[:, :1] != odd) & (n % 2 == 1), ops.neg(vals), vals)
-    # f_A on the pencil member w2 b1 - w1 b2 through each w of PG(1,q)
+    # f_A on the pencil member w2 b1 - w1 b2 through each w of PG(1,q), from
+    # the Lagrange weights f_A(e) / prod_{u in K-e} D(u, e) of its values at K
     w1, w2 = _projective_line(ctx)
-    beta = M.beta[:, :, : t + 1]
-    hits = _lagrange_sum(ctx, beta, _lagrange_weights(ctx, beta, vals), w1, w2) == 0
+    weights = ops.div(vals, ops.prod(DK[:, : t + 1].swapaxes(1, 2)))
+    hits = _lagrange_sum(ctx, M.beta[:, :, : t + 1], weights, w1, w2) == 0
     if (hits.sum(1) > t).any():
         raise InvariantError("degree-t function cannot vanish on t+1 directions")
     # the co-secant forms of every split A from one call, t rows per A
@@ -596,8 +617,8 @@ def _random_arc(inc: HyperplaneIncidence, size, rng):
 
 
 def _certified(ctx, k: int, n: int, arcs) -> np.ndarray:
-    """Whether ``theorem1_test`` certifies each arc of a list, all of one
-    size and given as point tuples: one ``_star_points`` and one
+    """Whether ``theorem1_test`` certifies each arc of a (B, |G|, k) array
+    of points, or a list of point tuples: one ``_star_points`` and one
     ``_star_residual`` call per chunk of about SCAN_CELLS star-table cells.
 
     The weight-one rows are the zero columns of X P^T for any basis X of
@@ -607,15 +628,15 @@ def _certified(ctx, k: int, n: int, arcs) -> np.ndarray:
     call, one each on their d-row residual.  X is padded with zero rows
     to d x d, which adds no nonzero column."""
     out = np.zeros(len(arcs), dtype=bool)
-    if not arcs:
+    if not len(arcs):
         return out
     ops = ctx.vec_ops()
     index = _star_index(len(arcs[0]), k)
     others = index[2]  # (subsets, |G|-k+2)
     step = max(1, SCAN_CELLS // (others.size * others.shape[1]))
     for lo in range(0, len(arcs), step):
-        points = np.array(arcs[lo : lo + step], dtype=np.int64)
-        P, R, _ = _star_residual(ctx, index, _star_points(ctx, index, points)[1], n)
+        points = np.asarray(arcs[lo : lo + step], dtype=np.int64)
+        P, R, _ = _star_residual(ctx, index, _star_points(ctx, index, points)[2], n)
         b, d, _ = R.shape
         zero = ~R.any((1, 2))
         X = np.zeros((b, d, d), dtype=np.int64)
@@ -629,11 +650,12 @@ def _certified(ctx, k: int, n: int, arcs) -> np.ndarray:
 
 
 def _frame_orbits(ctx, k: int, arcs) -> np.ndarray:
-    """The index of the first arc of each arc's orbit, for a list of arcs
-    of one size that each begin with the frame e_1, ..., e_k, (1, ..., 1),
-    under the projectivities that fix the frame as a set, S_{k+1}, times
-    the powers of sigma: x -> x^p.  Every image of a listed arc must be
-    in the list, as it is in the exhaustive scan's, or InvariantError.
+    """The index of the first arc of each arc's orbit, for a (B, |G|, k)
+    array (or a list) of arcs of one size that each begin with the frame
+    e_1, ..., e_k, (1, ..., 1), under the projectivities that fix the
+    frame as a set, S_{k+1}, times the powers of sigma: x -> x^p.  Every
+    image of a listed arc must be in the list, as it is in the exhaustive
+    scan's, or InvariantError.
 
     The orbits are the components of arc -> image under the generators:
     the k-1 adjacent coordinate swaps, T = [[-I_{k-1}, 1], [0, 1]], which
@@ -646,7 +668,7 @@ def _frame_orbits(ctx, k: int, arcs) -> np.ndarray:
     index of an orbit moves back at least one edge a round: the labels
     settle within len(arcs) rounds."""
     ops = ctx.vec_ops()
-    pts = np.array(arcs, dtype=np.int64)[:, k + 1 :].reshape(-1, k)
+    pts = np.asarray(arcs, dtype=np.int64)[:, k + 1 :].reshape(-1, k)
 
     def ids(m):
         return np.sort(point_index(ctx, _canonical(ctx, m)).reshape(len(arcs), -1), 1)
@@ -728,27 +750,28 @@ def conjecture_scan(
     """
     size = _scan_size(ctx.q, k, n)
     in_range = k <= ctx.p + n * (ctx.p - 2)
-    arcs, mode = [], "exhaustive"
+    arcs, mode = np.zeros((0, size, k), dtype=np.int64), "exhaustive"
     if size <= ctx.q + k - 1:
         frame = [tuple(int(i == j) for i in range(k)) for j in range(k)] + [(1,) * k]
         seed_arc = ArcConfig(ctx, k, frame[: min(size, k + 1)], check=False)
         try:
-            arcs = list(complete_search(seed_arc, target_size=size, budget=budget).arcs)
+            arcs = complete_search(seed_arc, target_size=size, budget=budget, as_array=True).arcs
         except BudgetExceededError:
             mode = "sampled"
             rng = random.Random(seed)
             inc = HyperplaneIncidence(ctx, k)
-            arcs = [tuple(_random_arc(inc, size, rng)) for _ in range(samples)]
+            arcs = np.array([_random_arc(inc, size, rng) for _ in range(samples)], dtype=np.int64)
+            arcs = arcs.reshape(-1, size, k)
 
     if mode == "exhaustive" and len(arcs) > 1:
         label = _frame_orbits(ctx, k, arcs)
         reps = np.flatnonzero(label == np.arange(len(arcs)))
         certified = np.zeros(len(arcs), dtype=bool)
-        certified[reps] = _certified(ctx, k, n, [arcs[i] for i in reps])
+        certified[reps] = _certified(ctx, k, n, arcs[reps])
         certified, orbits = certified[label], len(reps)
     else:
         certified, orbits = _certified(ctx, k, n, arcs), len(arcs)
-    counterexamples = tuple(pts for pts, ok in zip(arcs, certified) if not ok) if in_range else ()
+    counterexamples = tuple(tuple(map(tuple, pts)) for pts in arcs[~certified].tolist()) if in_range else ()
     return ConjectureScanResult(
         ctx.p, ctx.h, k, n, size, in_range, mode, len(arcs), int(certified.sum()), counterexamples, orbits
     )

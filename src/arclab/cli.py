@@ -142,9 +142,9 @@ def cmd_analyze(arc: ArcConfig, n: int) -> dict:
     cert = ct.theorem1_test(arc, n, M)
     body = {
         "n": n,
-        "shape": [M.matrix.rows, comb(arc.size, n) * comb(arc.size - n, arc.k - 2)],
-        "rank": M.matrix.rows - null.nullity,
-        "full_row_rank": M.matrix.rows,
+        "shape": [len(M.rows), comb(arc.size, n) * comb(arc.size - n, arc.k - 2)],
+        "rank": len(M.rows) - null.nullity,
+        "full_row_rank": len(M.rows),
         "nullity": null.nullity,
         "weight_one": cert is not None,
         "weight_one_row": _fmt_subset(cert.row) if cert else None,

@@ -7,7 +7,8 @@ through one left null basis per matrix, cached on the matrix, since the
 certifier asks many such questions against the same matrix: the column
 space is exactly the annihilator of the left null space, so no rank,
 echelon form or solve is needed.  M_n's basis comes from star
-interpolation (``certifier.null_basis``), and ``left_null_basis``
+interpolation (``certifier.null_basis``), which builds no dense M_n and
+keeps the basis on the certification matrix, and ``left_null_basis``
 eliminates the residual that leaves; the conjecture scan eliminates the
 residual of one arc per frame-symmetry orbit the same way
 (``certifier._certified``).
@@ -100,6 +101,9 @@ def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
 
     Rows whose M-part reduces to zero carry the combining coefficients in
     the identity block, so the surviving right-hand rows form the basis.
+    Only the columns of M that are nonzero at the start are visited: a
+    step adds multiples of a pivot row to rows after it, so a column that
+    starts zero stays zero (an even-q residual, all zero, makes no step).
     Rows never move: a mask marks the rows that have not pivoted yet
     (the free rows).  The pivot of column c is the first free row nonzero
     in c and its targets are the other free rows nonzero there.  The pivot
@@ -143,7 +147,7 @@ def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
     flat = work.reshape(-1)
     free = np.ones(m, dtype=bool)
     left = m
-    for c in range(n):
+    for c in np.flatnonzero(matrix.data.any(0)).tolist():
         if not left:
             break
         nz = work[:, c].nonzero()[0]

@@ -110,15 +110,6 @@ def _lagrange_sum(ctx, beta, weights, w1, w2):
     return acc
 
 
-def _lagrange_weights(ctx, beta, fvals):
-    """Lagrange weights f_A(e) / prod_{u != e} D(u, e) of the values fvals
-    at the points e whose pencil coordinates beta(e) = (b1.e, b2.e) are the
-    columns of beta; with the b1, b2 of ``_pencil_basis``, D(u, e) is
-    det(u, e, A) itself."""
-    ones = np.ones(beta.shape[-1], dtype=np.int64)
-    return ctx.vec_ops().div(fvals, _lagrange_sum(ctx, beta, ones, beta[..., 0, :], beta[..., 1, :]))
-
-
 class AlphaTable:
     """Signed alpha coefficients of an arc, relative to F = first k-2 points.
 

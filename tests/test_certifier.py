@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -21,6 +22,7 @@ from arclab.certifier import (
     PropertyWReport,
     SizeOutOfRangeError,
     _random_arc,
+    _star_geometry,
     bound_scan,
     build_Mn,
     conjecture_scan,
@@ -34,6 +36,7 @@ from arclab._vecops import VecOps
 from arclab.cli import cmd_analyze, cmd_conjecture, cmd_cosecants
 from arclab.exactmat import GFMatrix, left_null_basis
 from arclab.gf import FieldCtx
+from arclab.tangentfns import _lagrange_sum
 
 from conftest import (
     annihilates,
@@ -271,7 +274,7 @@ def assert_production_basis(G, n):
     assert got.dtype == np.int64 and got.flags.c_contiguous, (G, n)
     assert np.array_equal(got, left_null_basis(plain).basis), (G, n)
     assert np.array_equal(got, canonical_left_null(G.ctx, ref_left_null_dense(plain))), (G, n)
-    assert null_basis(M) is M.matrix._null
+    assert null_basis(M) is M._null
 
 
 def test_star_interpolation_basis_matches_the_eliminations():
@@ -301,16 +304,53 @@ def test_star_interpolation_basis_on_gf81_curve_prefixes(F81, g, n):
     assert_production_basis(ArcConfig(F81, 6, shuffled_nrc(F81, 6, 13)[:g], check=False), n)
 
 
+def test_gf81_null_basis_builds_no_dense_matrix(F81):
+    # build_Mn and null_basis on the seed-13 GF(81) curve prefix at
+    # |G| = 14, n = 3, whose M_3 would be 2,002 x 4,004 int64 (64 MB):
+    # 88 MB peak under tracemalloc while build_Mn filled it, 28 MB without
+    G = ArcConfig(F81, 6, shuffled_nrc(F81, 6, 13)[:14], check=False)
+    tracemalloc.start()
+    try:
+        M = build_Mn(G, 3)
+        assert null_basis(M).nullity == 16
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M._matrix is None
+    assert peak < 50e6, peak
+
+
+def test_star_tables_give_the_lagrange_denominators():
+    # Q_A(e) = prod_{u != e} D(u, e) over A's star, read off the star
+    # table D with its diagonal set to 1, equals the Lagrange routine with
+    # unit weights at the star's own beta; D is alternating
+    from arclab.cli import parse_arc_file
+
+    arcs = [parse_arc_file((ARCS_DIR / f"{name}.arc").read_text()) for name in SHIPPED_ARCS]
+    arcs.append(gl_image(arcs[SHIPPED_ARCS.index("q81_size11")], 17))
+    for G in arcs:
+        ops = G.ctx.vec_ops()
+        _, _, beta, D = _star_geometry(G)
+        m = G.size - G.k + 2
+        assert not D.flags.writeable and D.shape == (len(beta), m, m)
+        assert np.array_equal(D, ops.neg(D.swapaxes(1, 2)))
+        unit = D.copy()
+        unit[:, np.arange(m), np.arange(m)] = 1
+        ones = np.ones(m, dtype=np.int64)
+        want = _lagrange_sum(G.ctx, beta, ones, beta[:, 0], beta[:, 1])
+        assert np.array_equal(ops.prod(unit.swapaxes(1, 2)), want), G
+
+
 def test_star_interpolation_refuses_dependent_star_points(F5):
     # three collinear points: in the star of one of them the other two have
     # proportional beta, so some Q_A(e) is 0 and the interpolation would
-    # divide by it; every n raises, and no basis is kept
+    # divide by it; the star geometry refuses them, so building M_n raises
+    # at every n, and no geometry is kept
     G = ArcConfig(F5, 3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], check=False)
     for n in range(G.size - G.k + 1):
-        M = build_Mn(G, n)
         with pytest.raises(InvariantError, match="pairwise independent"):
-            null_basis(M)
-        assert M.matrix._null is None
+            build_Mn(G, n)
+        assert getattr(G, "_star_geometry", None) is None
     with pytest.raises(InvariantError):
         bound_scan(G)
 
@@ -1077,7 +1117,9 @@ def test_folded_scan_keeps_every_arc_and_the_counterexample_order(monkeypatch):
     asked = []
 
     def rule(ctx, k, n, batch):
+        # the scan passes an array of arcs
         asked.append(len(batch))
+        batch = [tuple(map(tuple, pts)) for pts in np.asarray(batch).tolist()]
         return np.array([sum(map(sum, keys[pts])) % 3 != 0 for pts in batch], dtype=bool)
 
     want = rule(ctx, 3, 3, arcs)

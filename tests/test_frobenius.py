@@ -1,11 +1,11 @@
 """Frobenius oracle: the map sigma: x -> x^p on every coordinate is a field
 automorphism, so it maps every exact answer about an arc G to the same
 answer about sigma(G).  Every elimination here chooses its pivots by
-zero / nonzero tests, which sigma keeps, so the pencils, beta, M_n and
-its left null basis of sigma(G) are the sigma-images of G's bit for bit,
-and Property W fails for the same subsets.  Over GF(81) and GF(8) this
-checks the pencil elimination at a scale where the scalar references
-are slow.
+zero / nonzero tests, which sigma keeps, so the pencils, beta, star
+tables D, M_n and its left null basis of sigma(G) are the sigma-images
+of G's bit for bit, and Property W fails for the same subsets.  Over
+GF(81) and GF(8) this checks the pencil elimination at a scale where
+the scalar references are slow.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ def frobenius(ctx, j):
 def test_frobenius_images(name, powers, request):
     arc = request.getfixturevalue(name)
     ctx = arc.ctx
-    _, pencils, beta = _star_geometry(arc)
+    _, pencils, beta, D = _star_geometry(arc)
     Ms = [build_Mn(arc, n) for n in range(4)]
     nulls = [left_null_basis(M.matrix).basis for M in Ms]
     missing = [property_w(arc, n, M).missing for n, M in enumerate(Ms)]
@@ -33,9 +33,10 @@ def test_frobenius_images(name, powers, request):
         sigma = frobenius(ctx, j)
         assert len(set(sigma.tolist())) == ctx.q and sigma[ctx.generator] != ctx.generator
         image = ArcConfig(ctx, arc.k, sigma[np.array(arc.points)].tolist())
-        _, pencils_j, beta_j = _star_geometry(image)
+        _, pencils_j, beta_j, D_j = _star_geometry(image)
         assert np.array_equal(pencils_j, sigma[pencils])
         assert np.array_equal(beta_j, sigma[beta])
+        assert np.array_equal(D_j, sigma[D])
         for n in range(4):
             M = build_Mn(image, n)
             assert np.array_equal(M.matrix.data, sigma[Ms[n].matrix.data])

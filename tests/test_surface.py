@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from arclab import certifier
 from arclab.cli import build_parser, main
 
 from conftest import ARCS_DIR
@@ -30,6 +31,9 @@ MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init_
 UNREACHED = {
     "arcgeom.det_full": "perfbench/inputs.py draws its invertible matrices with it",
     "cli.format_arc_file": "perfbench/inputs.py writes its generated arcs with it",
+    "certifier.CertMatrix.matrix": (
+        "given-vector recovery, the tracer's matrix_cells and the tests' references read it"
+    ),
 }
 
 
@@ -119,7 +123,22 @@ def test_every_exported_function_is_reached_by_a_command(capsys):
         for attr in getattr(module, "__all__", ()):
             exported.add(f"{name}.{attr}")
             for label, fn in public_functions(f"{name}.{attr}", getattr(module, attr)):
+                exported.add(label)
                 if fn.__code__ not in called and label not in UNREACHED:
                     unreached.append(label)
     assert set(UNREACHED) <= exported, f"stale entries in UNREACHED: {set(UNREACHED) - exported}"
     assert not unreached, f"exported functions that no command reaches: {unreached}"
+
+
+def test_no_command_builds_dense_mn(monkeypatch, capsys):
+    # every answer reads M_n's null space from its star geometry, so with
+    # the dense data refused every command line exits as before
+    lines = list(command_lines())
+    want = [main(argv) for argv in lines]
+
+    def refuse(*args):
+        raise AssertionError("a command built M_n's dense data")
+
+    monkeypatch.setattr(certifier, "_mn_data", refuse)
+    assert [main(argv) for argv in lines] == want
+    capsys.readouterr()

@@ -8,7 +8,6 @@ from arclab.arcgeom import ArcConfig, _form_values, _pencil_basis, _projective_l
 from arclab.gf import FieldCtx
 from arclab.tangentfns import (
     _lagrange_sum,
-    _lagrange_weights,
     alpha_table,
     arc_degree,
     tangent_fn,
@@ -96,6 +95,12 @@ def test_interpolation_on_q13_arc(arc_q13_size12, F13):
         for _ in range(25):
             v = tuple(rng.randrange(13) for _ in range(3))
             assert ev(v) == fA(v)
+
+
+def _lagrange_weights(ctx, beta, fvals):
+    """Lagrange weights f(e) / prod_{u != e} D(u, e) of fvals at the columns of beta."""
+    ones = np.ones(beta.shape[-1], dtype=np.int64)
+    return ctx.vec_ops().div(fvals, _lagrange_sum(ctx, beta, ones, beta[..., 0, :], beta[..., 1, :]))
 
 
 def test_interpolation_matches_scalar_reference(conic_f5, nrc_f7_k4, arc_q13_size12, arc_q81):
