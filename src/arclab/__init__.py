@@ -10,7 +10,7 @@ oracles at desk scale.
 from .gf import FieldCtx, conway_polynomial
 from .arcgeom import ArcConfig, complete_search, det_full, validate_arc
 from .exactmat import GFMatrix, left_null_basis
-from .tangentfns import alpha_table, arc_degree, tangent_fn
+from .tangentfns import AlphaTable, arc_degree, tangent_fn
 from .certifier import (
     bound_scan,
     build_Mn,

@@ -13,9 +13,9 @@ built once per arc and shared by every n (``build_Mn``).  Every answer
 about one M_n is read off its left null basis, which ``null_basis``
 interpolates star by star from D and its values on the C(|G|-n-1, k-1)
 rows inside the first |G|-n-1 points, eliminating only a residual of
-that many rows, its columns in lex order of A; the result is the
-canonical basis that eliminating [M | I] gives, bit for bit.  No answer
-builds M_n's dense data: only ``CertMatrix.matrix`` does, on first use.
+that many rows; the result is the canonical basis that eliminating
+[M | I] gives, bit for bit.  No answer builds M_n's dense data: only
+``CertMatrix.matrix`` does, on first use.
 
 A weight-one vector in the column space certifies that G extends to no
 arc of size q+2k+n-1-|G|.  Without one, Property W holds exactly when the
@@ -97,12 +97,12 @@ class CertMatrix:
     def __init__(self, arc: ArcConfig, n: int, index, pencils, beta, D):
         self.arc = arc
         self.n = n
-        # rows: the (k-1)-subsets, colex; subsets: the A, colex; others[s]: the
-        # points outside subsets[s]; stars[s, j]: the row of subsets[s] + others[s, j];
-        # odd[s, j]: whether an odd number of points of subsets[s] lie below others[s, j];
-        # place[s]: the lex rank of subsets[s], whose block is columns place[s](n+1) on
+        # rows: the (k-1)-subsets, colex; subsets: the A, lex, one block each;
+        # others[s]: the points outside subsets[s]; stars[s, j]: the row of
+        # subsets[s] + others[s, j]; odd[s, j]: whether an odd number of points
+        # of subsets[s] lie below others[s, j]
         self.index = index
-        self.rows, self.subsets, self.others, self.stars, self.odd, self.place = index
+        self.rows, self.subsets, self.others, self.stars, self.odd = index
         self.pencils = pencils    # pencils[s] = (b1, b2) of subsets[s]
         self.beta = beta          # beta[s, :, j] = beta(others[s, j])
         self.D = D                # D[s, i, j] = D(others[s, i], others[s, j])
@@ -129,16 +129,15 @@ class CertMatrix:
 
 def _star_index(g: int, k: int):
     """The part of M_n that depends only on |G| and k: rows, subsets,
-    others, stars, odd and place as ``CertMatrix`` holds them, shared
-    read-only by every M_n built from it.
+    others, stars and odd as ``CertMatrix`` holds them, shared read-only
+    by every M_n built from it.
 
     A row's index is the colex rank of its subset, sum C(x_i, i) over its
     members x_1 < ... < x_{k-1}.  In A+e, the members of A below e keep
-    their place, e takes place #{a < e} + 1 and the members above e move
-    up one place.  place[s] is the lex rank of subsets[s], the position of
-    its block among M_n's columns (``_mn_data``)."""
+    their position, e takes position #{a < e} + 1 and the members above e
+    move up one."""
     rows = list(subset_iter(g, k - 1))
-    subsets = list(subset_iter(g, k - 2))
+    subsets = list(itertools.combinations(range(g), k - 2))
     members = np.array(subsets, dtype=np.int64).reshape(len(subsets), k - 2)
     outside = np.ones((len(subsets), g), dtype=bool)
     outside[np.arange(len(subsets))[:, None], members] = False
@@ -150,11 +149,9 @@ def _star_index(g: int, k: int):
     pos = np.arange(1, k - 1) + ~lower
     stars = binom[members[:, None, :], pos].sum(2) + binom[others, below + 1]
     odd = below % 2 == 1
-    place = np.empty(len(subsets), dtype=np.int64)
-    place[np.lexsort(members.T[::-1])] = np.arange(len(subsets))
-    for a in (others, stars, odd, place):
+    for a in (others, stars, odd):
         a.flags.writeable = False
-    return rows, subsets, others, stars, odd, place
+    return rows, subsets, others, stars, odd
 
 
 def _star_points(ctx, index, points):
@@ -197,11 +194,9 @@ def _mn_data(ctx, index, beta, n: int):
     (subsets, 2, |G|-k+2).
 
     Column i of A's block holds s_e^n beta1(e)^i beta2(e)^(n-i) in each
-    row A+e of its star, s_e = (-1)^{#{a in A : a < e}}.  The blocks run
-    in lex order of A, as the residual's columns do in ``null_basis``,
-    while rows and subsets run in colex order."""
+    row A+e of its star, s_e = (-1)^{#{a in A : a < e}}."""
     ops = ctx.vec_ops()
-    rows, subsets, _, stars, odd, place = index
+    rows, subsets, _, stars, odd = index
     # powers[..., i] = beta1^i beta2^(n-i) over every star
     powers = np.ones((len(subsets), beta.shape[2], n + 1), dtype=np.int64)
     for i in range(n):
@@ -209,10 +204,9 @@ def _mn_data(ctx, index, beta, n: int):
         powers[..., i + 1 :] = ops.mul(powers[..., i + 1 :], beta[:, 0, :, None])
     if n % 2:
         powers = np.where(odd[..., None], ops.neg(powers), powers)
-    cols = (place[:, None] * (n + 1) + np.arange(n + 1)).reshape(len(subsets), 1, n + 1)
-    data = np.zeros((len(rows), cols.size), dtype=np.int64)
-    data[stars[:, :, None], cols] = powers
-    return data
+    data = np.zeros((len(rows), len(subsets), n + 1), dtype=np.int64)
+    data[stars, np.arange(len(subsets))[:, None]] = powers
+    return data.reshape(len(rows), -1)
 
 
 def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
@@ -281,7 +275,7 @@ def _star_residual(ctx, index, D, n: int):
     residual and each wave is (the rows it fills, their maps (B, filled,
     t+1), the rows of their K), the same for every arc but the maps."""
     ops = ctx.vec_ops()
-    rows, _, others, stars, odd, place = index
+    rows, _, others, stars, odd = index
     k = len(rows[0]) + 1
     t = others.shape[1] - n - 2
     s = others.shape[1] + k - n - 3  # |G| - n - 1
@@ -299,11 +293,7 @@ def _star_residual(ctx, index, D, n: int):
     filled, maps, known = tail[fs, fj], L[:, fs, fj], head[fs]
     ends = np.cumsum(np.bincount(a[fs], minlength=n + 1)).tolist()
     waves = [(filled[lo:hi], maps[:, lo:hi], known[lo:hi]) for lo, hi in zip([0] + ends, ends)]
-    # the stars in lex order of A: place inverted
-    lex = np.empty_like(place)
-    lex[place] = np.arange(len(lex))
-    rs, rj = (~fill & (a[:, None] > 0))[lex].nonzero()
-    rs = lex[rs]
+    rs, rj = (~fill & (a[:, None] > 0)).nonzero()
     P = np.zeros((len(D), len(rows), d), dtype=np.int64)
     P[:, np.arange(d), np.arange(d)] = 1
     filled, maps, known = waves[0]
@@ -332,11 +322,9 @@ def null_basis(M: CertMatrix) -> LeftNullBasis:
     Residual.  P x is null iff every star with a >= 1 predicts its other
     n+1 rows right.  R (d x cols) holds each such prediction minus the
     filled value, except where the star filled the row itself; its
-    columns run in lex order of A (``place``), the order of least fill:
-    at q = 81, n = 1, R is 126 x 324 and its elimination makes 192,584
-    cell updates in 125 pivot steps (451 k in colex order of A, 274 k in
-    461 steps for [M | I]).  ``_star_residual`` builds P, R and the waves,
-    for a stack of arcs; here the stack holds one.
+    columns run in lex order of A, the order of least fill.
+    ``_star_residual`` builds P, R and the waves, for a stack of arcs;
+    here the stack holds one.
     Canonical form.  ``left_null_basis`` gives R's null basis X with 1 at
     each dependent row and 0 at the other dependent rows.  P is the
     identity on the seeds, which come first, so X P^T has that form too,
@@ -421,7 +409,7 @@ def bound_scan(arc: ArcConfig) -> BoundScan:
 
 @dataclass(frozen=True)
 class PropertyWReport:
-    missing: tuple  # the (k-2)-subsets without a pivot
+    missing: tuple  # the (k-2)-subsets without a pivot, colex
 
     @property
     def holds(self) -> bool:
@@ -440,7 +428,8 @@ def property_w(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> PropertyW
     stars = M.stars
     same = null_basis(M).partners(stars[:, :, None], stars[:, None, :])
     pivots = (same.sum(2) >= M.t + 2).any(1)  # x is its own partner
-    return PropertyWReport(tuple(A for A, ok in zip(M.subsets, pivots) if not ok))
+    missing = (A for A, ok in zip(M.subsets, pivots) if not ok)
+    return PropertyWReport(tuple(sorted(missing, key=lambda A: A[::-1])))
 
 
 def corollary2_route(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> bool:

@@ -117,9 +117,9 @@ def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
     ever receives multiples of earlier rows that have pivoted.  So the
     rows that never pivot are exactly the rows that depend on earlier
     rows, and each basis vector is the unique null vector with 1 at its
-    own row and 0 at the other such rows.  (Exchanging the pivot into
-    place, as an earlier version did, lacks this: over GF(5) the rows
-    (1, 0), (0, 1), (0, 1) give (0, 4, 1) with exchanges, (0, 1, 4) here.)
+    own row and 0 at the other such rows.  (Row exchanges lack this: over
+    GF(5) the rows (1, 0), (0, 1), (0, 1) give (0, 4, 1) with exchanges,
+    (0, 1, 4) here.)
     In M's row order each vector's first nonzero entry is its own row, so
     the basis is the reduced echelon form of the null space, vectors by
     pivot descending: one basis per space, however it is found.
@@ -127,11 +127,7 @@ def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
     The rows are eliminated in reverse order, with the identity block
     reversed alongside, so the basis comes out in M's own row coordinates.
     The column order is free, and the caller chooses it for fill: the
-    residual's columns run in lex order of A, 193 k cell updates at
-    q=81 M_1 against 451 k in colex order.  On M_n's own [M | I], with its
-    blocks in lex order of A, q=81 M_1 takes 274 k cell updates (896 k in
-    colex order, 932 k with exchanged pivots too, 4.6 M over the pivot
-    row's whole width from c on, 27.4 M top-down).
+    residual's columns run in lex order of A, the order of least fill.
     """
     if matrix._null is not None:
         return matrix._null

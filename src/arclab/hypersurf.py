@@ -14,7 +14,7 @@ vectors.  It vanishes on the dual of every co-secant hyperplane of S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .arcgeom import (
     _projective_line,
     subset_iter,
 )
-from .tangentfns import _alpha_terms, alpha_table, arc_degree, tangent_fn
+from .tangentfns import AlphaTable, _alpha_terms, arc_degree, tangent_fn
 
 __all__ = [
     "ArcTooSmallError",
@@ -54,6 +54,7 @@ class DualSurface:
     t: int
     degree: int          # t for even q, 2t for odd q
     coeffs: dict         # C -> alpha_C^m * prod_{z in E-C} det(z, C)^{-1}
+    alphas: AlphaTable = field(compare=False, repr=False)  # the arc's, for theorem9_check
 
 
 def build_surface(arc: ArcConfig, E=None) -> DualSurface:
@@ -70,8 +71,9 @@ def build_surface(arc: ArcConfig, E=None) -> DualSurface:
     if len(E) != esize:
         raise ArcTooSmallError(f"E must have size {esize}, got {len(E)}")
     Cs = [tuple(E[i] for i in Cpos) for Cpos in subset_iter(esize, arc.k - 1)]
-    coeffs = dict(zip(Cs, _alpha_terms(alpha_table(arc), Cs, E, m)))
-    return DualSurface(arc, E, parity, t, m * t, coeffs)
+    alphas = AlphaTable(arc)
+    coeffs = dict(zip(Cs, _alpha_terms(alphas, Cs, E, m)))
+    return DualSurface(arc, E, parity, t, m * t, coeffs, alphas)
 
 
 def eval_dual(surface: DualSurface, z) -> int:
@@ -107,7 +109,7 @@ def theorem9_check(surface: DualSurface, A) -> bool:
     count = surface.degree + 1
     if count > ctx.q + 1:
         raise InvariantError("pencil too small for the requested sample count")
-    alpha = alpha_table(arc).alpha(A)
+    alpha = surface.alphas.alpha(A)
     fA = tangent_fn(arc, A)
     y1, y2 = np.array(arc.points_at([i for i in range(arc.size) if i not in A][:2]), dtype=np.int64)
     w1, w2 = np.roll(_projective_line(ctx), 1, axis=1)[:, :count]

@@ -30,7 +30,6 @@ __all__ = [
     "tangent_fn",
     "arc_degree",
     "AlphaTable",
-    "alpha_table",
 ]
 
 
@@ -42,21 +41,23 @@ def arc_degree(arc: ArcConfig) -> int:
 class TangentFn:
     """f_A as an evaluated product of its co-secant forms, with the pencil
     basis b1, b2 they come from: the forms vanishing on A, with
-    det(u, x, A) = (b2.x)(b1.u) - (b1.x)(b2.u) (``_pencil_basis``)."""
+    det(u, x, A) = (b2.x)(b1.u) - (b1.x)(b2.u) (``_pencil_basis``).  It
+    keeps the field and the arc's points, not the arc that caches it."""
 
-    def __init__(self, arc, A, forms, b1, b2):
-        self.arc = arc
+    def __init__(self, ctx, points, A, forms, b1, b2):
+        self.ctx = ctx
+        self.points = points
         self.A = tuple(A)
         self.forms = tuple(forms)
         self.t = len(forms)
         self.b1, self.b2 = b1, b2
 
     def __call__(self, v) -> int:
-        return self.arc.ctx.prod(_form_values(self.arc.ctx, self.forms, [v])[:, 0].tolist())
+        return self.ctx.prod(_form_values(self.ctx, self.forms, [v])[:, 0].tolist())
 
     def at(self, i) -> int:
         """Evaluate at arc point i (nonzero whenever i is outside A)."""
-        return self(self.arc.points[i])
+        return self(self.points[i])
 
 
 def tangent_fn(arc: ArcConfig, A) -> TangentFn:
@@ -72,7 +73,7 @@ def tangent_fn(arc: ArcConfig, A) -> TangentFn:
         forms = _cosecants(arc, A, b1, b2)
         if len(forms) != arc_degree(arc):
             raise InvariantError(f"{len(forms)} co-secants through {A}, not t = {arc_degree(arc)}")
-        fn = TangentFn(arc, A, forms, b1, b2)
+        fn = TangentFn(arc.ctx, arc.points, A, forms, b1, b2)
         cache[A] = fn
     return fn
 
@@ -153,14 +154,6 @@ class AlphaTable:
             raise ValueError("alpha is defined for (k-2)- and (k-1)-subsets")
         self._cache[B] = val
         return val
-
-
-def alpha_table(arc: ArcConfig) -> AlphaTable:
-    table = getattr(arc, "_alpha_table", None)
-    if table is None:
-        table = AlphaTable(arc)
-        arc._alpha_table = table
-    return table
 
 
 def _alpha_terms(table: AlphaTable, Cs, E, m: int = 1) -> list:

@@ -23,7 +23,7 @@ from arclab.certifier import (
 )
 from arclab.exactmat import GFMatrix, left_null_basis
 from arclab.gf import FieldCtx
-from arclab.tangentfns import _alpha_terms, alpha_table, arc_degree, tangent_fn
+from arclab.tangentfns import AlphaTable, _alpha_terms, arc_degree, tangent_fn
 
 ARCS_DIR = Path(__file__).resolve().parent.parent / "arcs"
 
@@ -269,7 +269,7 @@ def ref_star_index(g, k):
     found by its sorted tuple."""
     rows = colex_subsets(g, k - 1)
     row_index = {c: i for i, c in enumerate(rows)}
-    subsets = colex_subsets(g, k - 2)
+    subsets = list(itertools.combinations(range(g), k - 2))
     others = np.array([[e for e in range(g) if e not in A] for A in subsets], dtype=np.int64)
     stars = np.array(
         [[row_index[tuple(sorted(A + (e,)))] for e in range(g) if e not in A] for A in subsets],
@@ -844,7 +844,7 @@ def vg_vector(S, g):
     """The coordinates of v_G, G the prefix of the first g points of the
     arc S, in colex order: alpha_C prod_{z in G-C} det(z, C)^{-1}, alpha
     taken from S's tangent functions (the terms ``build_surface`` uses)."""
-    return tuple(_alpha_terms(alpha_table(S), list(subset_iter(g, S.k - 1)), range(g)))
+    return tuple(_alpha_terms(AlphaTable(S), list(subset_iter(g, S.k - 1)), range(g)))
 
 
 def vG_check(S, g, n):

@@ -37,7 +37,7 @@ from arclab.cli import parse_arc_file
 from arclab.gf import FieldCtx, FieldError
 from arclab.hypersurf import ArcTooSmallError, build_surface, eval_dual, theorem9_check
 from arclab.tangentfns import (
-    alpha_table,
+    AlphaTable,
     arc_degree,
     tangent_fn,
 )
@@ -366,7 +366,7 @@ def _lemma_suite(arc, rng, failures):
             v = tuple(rng.randrange(ctx.q) for _ in range(k))
             record("L4-rand", ev(v) == fA(v))
     # Lemmas 5 and 8 need |E| = t+k <= g
-    table = alpha_table(arc)
+    table = AlphaTable(arc)
     if t + k <= g:
         for _ in range(25):
             E = tuple(sorted(rng.sample(range(g), t + k)))

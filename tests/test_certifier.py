@@ -118,6 +118,7 @@ def test_build_block_law(arc_q13_size6, arc_q11, hyperconic_f8, arc_q81):
         ctx = arc.ctx
         M = build_Mn(arc, n)
         want = [[0] * M.matrix.cols for _ in M.rows]
+        lex = sorted(M.subsets)
         for s, A in enumerate(M.subsets):
             b1, b2 = M.pencils[s].tolist()
             assert all(dot(ctx, b, x) == 0 for b in (b1, b2) for x in arc.points_at(A))
@@ -129,7 +130,7 @@ def test_build_block_law(arc_q13_size6, arc_q11, hyperconic_f8, arc_q81):
                 row = want[M.rows.index(tuple(sorted(A + (e,))))]
                 for i in range(n + 1):
                     val = ctx.mul(ctx.pow(dot(ctx, b1, x), i), ctx.pow(dot(ctx, b2, x), n - i))
-                    row[M.place[s] * (n + 1) + i] = val if sign > 0 else ctx.neg(val)
+                    row[lex.index(A) * (n + 1) + i] = val if sign > 0 else ctx.neg(val)
         assert M.matrix.data.tolist() == want
 
 
@@ -230,19 +231,13 @@ def test_left_null_basis_matches_dense_loop():
 
 
 def test_blocks_run_in_lex_order_of_A():
-    # place is the lex rank of each colex subset A, read-only; at k = 3 the
-    # A are single points, so lex and colex order agree
+    # the subsets A, one block each, run in lex order while the rows run in
+    # colex order, for every 3 <= k <= |G| <= 12
     for g in range(3, 13):
         for k in range(3, g + 1):
-            index = certifier._star_index(g, k)
-            subsets, place = index[1], index[-1]
-            assert place.dtype == np.int64 and not place.flags.writeable
-            by_place = [None] * len(subsets)
-            for A, r in zip(subsets, place.tolist()):
-                by_place[r] = A
-            assert by_place == sorted(subsets), (g, k)
-            if k == 3:
-                assert place.tolist() == list(range(len(subsets)))
+            rows, subsets = certifier._star_index(g, k)[:2]
+            assert subsets == list(itertools.combinations(range(g), k - 2)), (g, k)
+            assert rows == colex_subsets(g, k - 1), (g, k)
 
 
 def test_left_null_basis_does_not_depend_on_column_order():

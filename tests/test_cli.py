@@ -1,3 +1,4 @@
+import gc
 import inspect
 import json
 import tracemalloc
@@ -6,7 +7,7 @@ from math import comb
 import pytest
 
 from arclab import certifier, cli, gf
-from arclab.arcgeom import TABLE_WORDS, InvariantError, complete_search
+from arclab.arcgeom import TABLE_WORDS, ArcInputError, InvariantError, complete_search
 from arclab.cli import (
     ArcFileError,
     build_parser,
@@ -531,3 +532,33 @@ def test_cmd_cosecants_degenerate_t_zero():
     assert rep["t"] == 0
     assert "nothing to recover" in rep["verdict"]
     assert "predictions" not in rep
+
+
+def test_commands_leave_no_reference_cycles():
+    # with the cyclic collector off, every command's garbage is freed by
+    # reference counting alone: nothing cached on an arc refers back to it.
+    # Each job parses its own arc, so the arc and its caches die with it;
+    # arcs too small for a surface raise before any is built
+    names = ["conic_f5", "hyperconic_f8", "q11_size7", "q13_size6", "q13_size9", "q81_size11"]
+    jobs = [(f"{cmd} {name}", run, name) for name in names for cmd, run in [
+        ("analyze", lambda arc: cmd_analyze(arc, 1)),
+        ("property-w", lambda arc: cmd_cosecants(arc, 1)),
+        ("bound", cmd_bound),
+        ("hypersurface", cmd_hypersurface),
+        ("search", cmd_search),
+    ] if (cmd, name) != ("search", "q81_size11")]
+    scans = [((5, 1, 3, 1), {}), ((5, 1, 3, 2), {"budget": 1, "samples": 2}), ((7, 1, 4, 1), {})]
+    gc.collect()
+    gc.disable()
+    try:
+        for label, run, name in jobs:
+            try:
+                run(parse_arc_file(load(f"{name}.arc")))
+            except ArcInputError:
+                pass
+            assert gc.collect() == 0, label
+        for args, kw in scans:
+            cmd_conjecture(*args, **kw)
+            assert gc.collect() == 0, args
+    finally:
+        gc.enable()

@@ -14,7 +14,7 @@ from arclab.hypersurf import (
     eval_dual,
     theorem9_check,
 )
-from arclab.tangentfns import alpha_table, tangent_fn
+from arclab.tangentfns import AlphaTable, tangent_fn
 
 from conftest import (
     ARCS_DIR,
@@ -134,7 +134,7 @@ def test_odd_q_restriction_is_perfect_square(conic_f5, arc_f13_t3):
     for arc in (conic_f5, arc_f13_t3):
         ctx = arc.ctx
         s = build_surface(arc)
-        table = alpha_table(arc)
+        table = AlphaTable(arc)
         for A in list(subset_iter(arc.size, arc.k - 2))[:6]:
             fA = tangent_fn(arc, A)
             al = table.alpha(A)

@@ -66,7 +66,7 @@ def test_blocks_have_full_rank_and_the_reference_null_space(p, h, k, extra, seed
     for n in range(arc.size - arc.k + 1):
         M = build_Mn(arc, n)
         for s in range(len(M.subsets)):
-            block = M.matrix.data[M.stars[s], M.place[s] * (n + 1) : (M.place[s] + 1) * (n + 1)]
+            block = M.matrix.data[M.stars[s], s * (n + 1) : (s + 1) * (n + 1)]
             assert len(block) - left_null_basis(GFMatrix(ctx, block)).nullity == n + 1
         assert same_left_null(ctx, M.matrix.data, ref_build_Mn(arc, n).data)
 

@@ -7,8 +7,8 @@ import pytest
 from arclab.arcgeom import ArcConfig, _form_values, _pencil_basis, _projective_line, subset_iter
 from arclab.gf import FieldCtx
 from arclab.tangentfns import (
+    AlphaTable,
     _lagrange_sum,
-    alpha_table,
     arc_degree,
     tangent_fn,
 )
@@ -220,7 +220,7 @@ def test_segre_sign(conic_f5, arc_f5_t2, nrc_f7_k4):
 
 
 def test_alpha_definition_cases(arc_q13_size12, F13):
-    table = alpha_table(arc_q13_size12)
+    table = AlphaTable(arc_q13_size12)
     F = table.F
     assert table.alpha(F) == 1
     # C containing F with one extra element: alpha_C = f_F(x1)
@@ -255,7 +255,7 @@ def test_alpha_recursion_matches_chain_formula():
     # every (k-2)- and (k-1)-subset of each prefix, alpha from the full arc
     compared = 0
     for name, arc, m in alpha_arcs():
-        table = alpha_table(arc)
+        table = AlphaTable(arc)
         for arity in (arc.k - 2, arc.k - 1):
             for B in subset_iter(min(m, arc.size), arity):
                 assert table.alpha(B) == ref_alpha(arc, B), (name, B)
@@ -265,7 +265,7 @@ def test_alpha_recursion_matches_chain_formula():
 
 def test_atoc_recursion(conic_f5, arc_f5_t2, nrc_f7_k4, arc_q13_size12):
     for arc in (conic_f5, arc_f5_t2, nrc_f7_k4, arc_q13_size12):
-        table = alpha_table(arc)
+        table = AlphaTable(arc)
         for A in subset_iter(arc.size, arc.k - 2):
             for e in range(arc.size):
                 if e not in A:
@@ -275,11 +275,11 @@ def test_atoc_recursion(conic_f5, arc_f5_t2, nrc_f7_k4, arc_q13_size12):
 def test_theeqn(conic_f5, arc_f5_t2, arc_q13_size12):
     for arc in (conic_f5, arc_f5_t2):
         t = arc_degree(arc)
-        table = alpha_table(arc)
+        table = AlphaTable(arc)
         for E in itertools.combinations(range(arc.size), t + arc.k):
             for A in itertools.combinations(E, arc.k - 2):
                 assert check_theeqn(table, A, E) == 0
-    table = alpha_table(arc_q13_size12)
+    table = AlphaTable(arc_q13_size12)
     rng = random.Random(3)
     t = arc_degree(arc_q13_size12)
     for _ in range(40):
@@ -290,7 +290,7 @@ def test_theeqn(conic_f5, arc_f5_t2, arc_q13_size12):
 
 def test_theeqn_perturbation(conic_f5, F5):
     # perturbing one alpha_C breaks the identity (recomputed inline)
-    table = alpha_table(conic_f5)
+    table = AlphaTable(conic_f5)
     E = (0, 1, 2, 3)
     A = (0,)
     def lhs(alpha_of):
