@@ -377,24 +377,62 @@ _ABOVE = np.array([(1 << 64) - (2 << j) for j in range(64)], dtype=np.uint64).vi
 _POP = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits of a byte
 
 
+def _images(ctx, symmetries, points):
+    """The (C, s, m) ids of the images of a (C, m, k) stack of point sets
+    under symmetries x -> sigma(G x): a (s, k, k) array of matrices G and
+    a (s, q) array of automorphism tables, the matrices side by side."""
+    mats, sigmas = symmetries
+    (c, m, k), s = points.shape, len(mats)
+    img = ctx.vec_ops().matmul(points.reshape(-1, k), mats.transpose(2, 0, 1).reshape(k, -1)).reshape(-1, s, k)
+    if ctx.h > 1:
+        img = sigmas[np.arange(s)[:, None], img]
+    return point_index(ctx, _canonical(ctx, img.reshape(-1, k))).reshape(c, m, s).swapaxes(1, 2)
+
+
+def _orbit_sizes(ctx, symmetries, ids, vectors):
+    """For point sets given as sorted rows (C, m) of ids into vectors: 1
+    each without symmetries, else 0 where a row is not the least of the
+    rows of its images (``_images``) and the orbit size where it is.  The
+    first k+2 elements try every set, the group the rest, MASK_CELLS image
+    cells at a time; sign(image - row) @ (2^(m-1), .., 1) orders the rows."""
+    if symmetries is None:
+        return np.ones(len(ids), dtype=np.int64)
+    s, (m, k) = len(symmetries[0]), (ids.shape[1], vectors.shape[1])
+    least, fixed = np.ones(len(ids), dtype=bool), np.ones(len(ids), dtype=np.int64)
+    for use in sorted({min(s, k + 2), s}):
+        live = np.flatnonzero(least)
+        step = max(1, MASK_CELLS // (use * m * k))
+        for at in (live[i : i + step] for i in range(0, len(live), step)):
+            img = np.sort(_images(ctx, [x[:use] for x in symmetries], vectors[ids[at]]), -1)
+            sign = np.sign(img - ids[at, None]) @ (1 << np.arange(m - 1, -1, -1))
+            least[at], fixed[at] = (sign >= 0).all(1), (sign == 0).sum(1)
+    return np.where(least, s // np.maximum(fixed, 1), 0)
+
+
 @dataclass(frozen=True)
 class SearchResult:
     complete_sizes: tuple | None
     arcs: tuple | np.ndarray | None
     nodes: int
+    orbit_sizes: np.ndarray | None = None  # of the arcs, under symmetries
 
 
-def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000, *, as_array=False) -> SearchResult:
+def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000, *, symmetries=None) -> SearchResult:
     """Exhaustive DFS over extensions of the arc.
 
     Without a target, returns the sorted sizes of all complete arcs
     containing the input.  With a target, returns every arc of exactly
-    that size containing the input (as full point tuples, each extension
-    set enumerated once in candidate order; with as_array, as one
-    (arcs, target, k) int64 array of the same points in the same order);
-    a target must lie in |G|..q+k-1, or ArcInputError is raised.  Raises
-    BudgetExceededError when the node count exceeds the budget, so a
-    returned result is an exhaustion proof.
+    that size containing the input, as full point tuples, each extension
+    set enumerated once in candidate order; a target must lie in
+    |G|..q+k-1, or ArcInputError is raised.  Raises BudgetExceededError
+    when the node count exceeds the budget, so a returned result is an
+    exhaustion proof.
+
+    With a target, ``symmetries``, a group (``_images``) mapping the input
+    onto itself (else InvariantError), keeps a child only if the ids of
+    its points outside the input are the least of its images, as they are
+    then without its largest point: the DFS meets each orbit once, counts
+    it as its size and returns one (arcs, target, k) array and the sizes.
 
     Candidates are bitsets over ``projective_points``: adding v removes
     the points on each hyperplane <v, S>, S a (k-2)-subset of the current
@@ -417,25 +455,34 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000, *, as_ar
         raise ArcInputError(f"target size {target_size} is below the input size {arc.size}")
     inc = HyperplaneIncidence(ctx, k, arc.points)
     n = len(inc.points)
-    sizes, found = set(), []
+    if symmetries is not None:
+        if target_size is None:
+            raise ArcInputError("a search under symmetries needs a target size")
+        # a group holds the identity, so it maps the input onto itself iff all images of it are one set
+        if np.ptp(np.sort(_images(ctx, symmetries, inc._vectors[None, n:]), -1), axis=1).any():
+            raise InvariantError("a symmetry does not map the input arc onto itself")
+    sizes, found = set(), []  # found: the kept leaves' id paths, each with its orbit size appended
     cands = inc.extensions()[None]
     ws = np.flatnonzero(np.unpackbits(cands.astype("<i8", copy=False).view(np.uint8), bitorder="little"))
     if target_size is None and not cands.any():
         sizes.add(arc.size)
     elif target_size == arc.size:
         ws = ws[:0]  # the input has reached the target size
-        found.append(np.arange(n, n + arc.size)[None])
-    nodes = 1 + len(ws)  # the root and its children
+        found.append(np.r_[n : n + arc.size, 1][None])
+    # nodes as counted when met, and the popcounts' count that guards the allocations
+    nodes, made = 1, 1 + len(ws)
     # a batch: paths, cands, node, ws, and the running cuts as rows of an array its siblings share
     zero = np.zeros(len(ws), dtype=np.int64)
     stack = [(np.arange(n, n + arc.size)[None], cands, zero, ws, inc.full[None], zero)] if len(ws) else []
-    while stack and nodes <= budget:
+    while stack and max(nodes, made) <= budget:
         paths, cands, node, ws, cuts, rows = stack.pop()
         d = paths.shape[1]
         ext = np.column_stack([paths[node], ws])  # the children's paths
+        orbit = _orbit_sizes(ctx, symmetries, ext[:, arc.size :], inc._vectors)
+        nodes += int(orbit.sum())
         if target_size is not None and d + 1 >= target_size:
             if d + 1 == target_size:
-                found.append(ext)
+                found.append(np.concatenate([ext, orbit[:, None]], 1)[orbit > 0])
             continue
         # the hyperplanes <w, S> new to each entry: S through the node's last point, any S at the root
         cols = [S + (d,) for S in itertools.combinations(range(d), k - 2) if d == arc.size or d - 1 in S]
@@ -448,17 +495,18 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000, *, as_ar
         # count the grandchildren, the candidates of each child above its w, before making any
         above = np.where(np.arange(children.shape[1]) > word[:, None], children, 0)
         above[i, word] = children[i, word] & _ABOVE[ws & 63]
-        nodes += int(_POP[above.view(np.uint8)].sum())
-        if nodes > budget:
+        made += int(_POP[above.view(np.uint8)].sum())
+        if made > budget:
             break
-        # the pairs e < f of entries of one node, then those the child keeps
+        # the pairs e < f of entries of one node, e a kept child with grandchildren, then those e keeps
+        has = above.any(1) & (orbit > 0)
         stop = np.append(np.flatnonzero(np.diff(node)) + 1, len(node))
-        more = stop[node] - np.arange(len(node)) - 1
+        more = np.where(has, stop[node] - np.arange(len(node)) - 1, 0)
         e = np.repeat(np.arange(len(node)), more)
         f = e + 1 + np.arange(len(e)) - np.repeat(np.cumsum(more) - more, more)
         keep = children[e, ws[f] >> 6] & _BIT[ws[f] & 63] != 0
         e, f = e[keep], f[keep]
-        at = np.flatnonzero(above.any(1))  # the children with grandchildren
+        at = np.flatnonzero(has)  # the kept children with grandchildren
         paths, cands, node, ws = ext[at], children[at], np.searchsorted(at, e), ws[f]
         # batches of whole nodes and at most BATCH_ENTRIES entries, the first on top
         stop = np.append(np.flatnonzero(np.diff(node)) + 1, len(node))
@@ -469,15 +517,16 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000, *, as_ar
             batches.append((paths[lo:hi], cands[lo:hi], node[a:b] - lo, ws[a:b], cut, f[a:b]))
             lo, a = hi, b
         stack += reversed(batches)
-    if nodes > budget:
+    if max(nodes, made) > budget:
         raise BudgetExceededError(f"search exceeded {budget} nodes")
-    if target_size is not None:
-        ids = np.concatenate(found) if found else np.zeros((0, target_size), dtype=np.int64)
-        arcs = inc._vectors[ids[np.lexsort(ids.T[::-1])]]
-        if not as_array:
-            arcs = tuple(tuple(map(tuple, pts)) for pts in arcs.tolist())
-        return SearchResult(None, arcs, nodes)
-    return SearchResult(tuple(sorted(sizes)), None, nodes)
+    if target_size is None:
+        return SearchResult(tuple(sorted(sizes)), None, nodes)
+    ids = np.concatenate(found) if found else np.zeros((0, target_size + 1), dtype=np.int64)
+    ids = ids[np.lexsort(ids[:, :-1].T[::-1])]
+    arcs = inc._vectors[ids[:, :-1]]
+    if symmetries is not None:
+        return SearchResult(None, arcs, nodes, ids[:, -1])
+    return SearchResult(None, tuple(tuple(map(tuple, pts)) for pts in arcs.tolist()), nodes)
 
 
 # ----------------------------------------------------------------------

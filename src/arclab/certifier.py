@@ -40,13 +40,13 @@ from .arcgeom import (
     BudgetExceededError,
     HyperplaneIncidence,
     InvariantError,
-    _canonical,
     _check_table,
+    _images,
     _pencil_basis,
     _pencil_members,
     _projective_line,
     complete_search,
-    point_index,
+    projective_points,
     subset_iter,
 )
 from .exactmat import GFMatrix, LeftNullBasis, left_null_basis
@@ -569,7 +569,7 @@ class ConjectureScanResult:
     total: int
     certified: int
     counterexamples: tuple  # arcs without certificate while in_range
-    orbits: int           # arcs certified: one per frame-symmetry orbit, else total
+    orbits: int           # arcs certified: one per frame-symmetry orbit, or the samples
 
     @property
     def fraction(self) -> float:
@@ -638,72 +638,21 @@ def _certified(ctx, k: int, n: int, arcs) -> np.ndarray:
     return out
 
 
-def _frame_orbits(ctx, k: int, arcs) -> np.ndarray:
-    """The index of the first arc of each arc's orbit, for a (B, |G|, k)
-    array (or a list) of arcs of one size that each begin with the frame
-    e_1, ..., e_k, (1, ..., 1), under the projectivities that fix the
-    frame as a set, S_{k+1}, times the powers of sigma: x -> x^p.  Every
-    image of a listed arc must be in the list, as it is in the exhaustive
-    scan's, or InvariantError.
-
-    The orbits are the components of arc -> image under the generators:
-    the k-1 adjacent coordinate swaps, T = [[-I_{k-1}, 1], [0, 1]], which
-    fixes e_1..e_{k-1} and swaps e_k with (1, ..., 1), and sigma when
-    h > 1.  An image is found by the sorted ids (``point_index``) of its
-    canonical non-frame points, which the list's rows must hold in
-    increasing lexicographic order.  Each label starts as the arc's index,
-    takes the least of its images' labels and then its label's label.  A
-    generator permutes the list, so its edges lie on cycles and the least
-    index of an orbit moves back at least one edge a round: the labels
-    settle within len(arcs) rounds."""
-    ops = ctx.vec_ops()
-    pts = np.asarray(arcs, dtype=np.int64)[:, k + 1 :].reshape(-1, k)
-
-    def ids(m):
-        return np.sort(point_index(ctx, _canonical(ctx, m)).reshape(len(arcs), -1), 1)
-
-    def moved():
-        for i in range(k - 1):
-            yield pts[:, np.r_[:i, i + 1, i, i + 2 : k]]
-        yield np.column_stack([ops.sub(pts[:, -1:], pts[:, :-1]), pts[:, -1]])
-        if ctx.h > 1:
-            exp = ops.exp_ext[: ctx.q - 1]
-            sigma = np.zeros(ctx.q, dtype=np.int64)
-            sigma[exp] = exp[np.arange(ctx.q - 1) * ctx.p % (ctx.q - 1)]
-            yield sigma[pts]
-
-    # the list's id rows are sorted and unique (DFS preorder), so a row's
-    # first j+1 ids are found by searchsorted on rank * radix + id, rank
-    # being that of its first j ids among the list's distinct prefixes:
-    # exact, as every key is below len(arcs) * radix
-    radix = (ctx.q**k - 1) // (ctx.q - 1)
-    keys, ranks = [], []
-    rank = np.zeros(len(arcs), dtype=np.int64)
-    for col in ids(pts).T:
-        keys.append(rank * radix + col)
-        rank = np.cumsum(np.diff(keys[-1], prepend=keys[-1][0]) != 0)
-        ranks.append(rank)
-
-    def find(rows):
-        rank = np.zeros(len(rows), dtype=np.int64)
-        for key, after, col in zip(keys, ranks, rows.T):
-            want = rank * radix + col
-            pos = np.minimum(np.searchsorted(key, want), len(key) - 1)
-            if not np.array_equal(key[pos], want):
-                raise InvariantError("an image of a scanned arc under a frame symmetry is not in the list")
-            rank = after[pos]
-        return pos
-
-    images = [find(ids(m)) for m in moved()]
-    label = np.arange(len(arcs))
-    for _ in range(len(arcs)):
-        last = label.copy()
-        for img in images:
-            np.minimum(label, label[img], out=label)
-        label = label[label]
-        if np.array_equal(label, last):
-            return label
-    raise InvariantError(f"orbit labels did not settle in {len(arcs)} rounds")
+def _frame_symmetries(ctx, k: int, size: int):
+    """The projectivities that permute the frame f_0..f_k = e_1, ..., e_k,
+    (1, ..., 1) and map its first ``size`` points onto themselves, each
+    with every power of sigma: x -> x^p, for ``arcgeom._images``, in order
+    of the points they move.  pi's matrix has columns lam_j f_pi(j), j < k,
+    where lam_j is 1 if pi(j) or pi(k) is k, else -1, so that
+    sum_j lam_j f_pi(j) = f_pi(k)."""
+    pi = np.fromiter(itertools.chain(*itertools.permutations(range(k + 1))), np.int64).reshape(-1, k + 1)
+    pi = pi[(pi[:, :size] < size).all(1)]
+    pi = pi[np.argsort((pi != np.arange(k + 1)).sum(1), kind="stable")]
+    lam = np.where((pi[:, :k] == k) | (pi[:, k:] == k), 1, ctx.neg(1))
+    sigmas = np.array([[ctx.pow(x, ctx.p**j) for x in range(ctx.q)] for j in range(ctx.h)], dtype=np.int64)
+    # entry (i, j) is lam_j where f_pi(j) has a 1 in row i: pi(j) is i or the unit point k
+    mats = ((pi[:, None, :k] == np.arange(k)[:, None]) | (pi[:, None, :k] == k)) * lam[:, None]
+    return np.repeat(mats, ctx.h, axis=0), np.tile(sigmas, (len(pi), 1))
 
 
 def _scan_size(q: int, k: int, n: int) -> int:
@@ -727,40 +676,40 @@ def conjecture_scan(
 ) -> ConjectureScanResult:
     """Test arcs of size 2k-3+n for a weight-one certificate at this n.
 
-    Enumerates all such arcs containing the canonical frame prefix when
-    the search fits in the node budget (every projective class contains
-    one, and certificates are class functions), otherwise samples random
-    arcs with the seeded generator.  Arcs lacking a certificate inside
-    the conjectured range k <= p+n(p-2) are returned as counterexample
-    candidates.  No arc is larger than q+k-1, so that enumeration is
-    empty without a search; otherwise a hyperplane table of more than
-    TABLE_WORDS words raises BudgetExceededError before anything is built
-    (``_scan_size``).
+    Every projective class of such arcs has members containing the frame
+    prefix, and certificates are class functions.  When the search fits
+    in the node budget, it gives one per orbit of the frame's symmetries
+    (``_frame_symmetries``), whose sizes weigh the counts; otherwise the
+    seeded generator samples random arcs.  Arcs without a certificate
+    inside the conjectured range k <= p+n(p-2) are counterexample
+    candidates: every arc of such an orbit, in search order.  Arcs above
+    q+k-1 need no search; otherwise a hyperplane table of more than
+    TABLE_WORDS words raises BudgetExceededError first (``_scan_size``).
     """
     size = _scan_size(ctx.q, k, n)
     in_range = k <= ctx.p + n * (ctx.p - 2)
-    arcs, mode = np.zeros((0, size, k), dtype=np.int64), "exhaustive"
+    arcs, sizes, mode = np.zeros((0, size, k), dtype=np.int64), np.zeros(0, dtype=np.int64), "exhaustive"
     if size <= ctx.q + k - 1:
         frame = [tuple(int(i == j) for i in range(k)) for j in range(k)] + [(1,) * k]
         seed_arc = ArcConfig(ctx, k, frame[: min(size, k + 1)], check=False)
+        group = _frame_symmetries(ctx, k, size)
         try:
-            arcs = complete_search(seed_arc, target_size=size, budget=budget, as_array=True).arcs
+            res = complete_search(seed_arc, target_size=size, budget=budget, symmetries=group)
+            arcs, sizes = res.arcs, res.orbit_sizes
         except BudgetExceededError:
             mode = "sampled"
-            rng = random.Random(seed)
-            inc = HyperplaneIncidence(ctx, k)
+            rng, inc = random.Random(seed), HyperplaneIncidence(ctx, k)
             arcs = np.array([_random_arc(inc, size, rng) for _ in range(samples)], dtype=np.int64)
-            arcs = arcs.reshape(-1, size, k)
+            arcs, sizes = arcs.reshape(-1, size, k), np.ones(len(arcs), dtype=np.int64)
 
-    if mode == "exhaustive" and len(arcs) > 1:
-        label = _frame_orbits(ctx, k, arcs)
-        reps = np.flatnonzero(label == np.arange(len(arcs)))
-        certified = np.zeros(len(arcs), dtype=bool)
-        certified[reps] = _certified(ctx, k, n, arcs[reps])
-        certified, orbits = certified[label], len(reps)
-    else:
-        certified, orbits = _certified(ctx, k, n, arcs), len(arcs)
-    counterexamples = tuple(tuple(map(tuple, pts)) for pts in arcs[~certified].tolist()) if in_range else ()
+    ok = _certified(ctx, k, n, arcs)
+    missed = arcs[~ok] if in_range else arcs[:0]
+    if mode == "exhaustive" and len(missed):
+        # every arc of the orbits missed, in DFS preorder: the sorted id rows of all images
+        ids = np.unique(np.concatenate(np.sort(_images(ctx, group, missed[:, k + 1 :]), -1)), axis=0)
+        pts = np.array(list(projective_points(ctx, k)), dtype=np.int64)[ids]
+        missed = np.concatenate([np.repeat(missed[:1, : k + 1], len(pts), 0), pts], axis=1)
+    missed = tuple(tuple(map(tuple, pts)) for pts in missed.tolist())
     return ConjectureScanResult(
-        ctx.p, ctx.h, k, n, size, in_range, mode, len(arcs), int(certified.sum()), counterexamples, orbits
+        ctx.p, ctx.h, k, n, size, in_range, mode, int(sizes.sum()), int(sizes[ok].sum()), missed, len(arcs)
     )

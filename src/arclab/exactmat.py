@@ -9,9 +9,9 @@ space is exactly the annihilator of the left null space, so no rank,
 echelon form or solve is needed.  M_n's basis comes from star
 interpolation (``certifier.null_basis``), which builds no dense M_n and
 keeps the basis on the certification matrix, and ``left_null_basis``
-eliminates the residual that leaves; the conjecture scan eliminates the
-residual of one arc per frame-symmetry orbit the same way
-(``certifier._certified``).
+eliminates the residual that leaves; the conjecture scan eliminates in
+the same way the residual of each arc its orderly search lists, one per
+frame-symmetry orbit (``certifier._certified``).
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
+import collections
 import itertools
+import math
 import random
 import tracemalloc
 from math import comb
@@ -9,6 +11,7 @@ import pytest
 from arclab import arcgeom, certifier, exactmat
 from arclab.arcgeom import (
     ArcConfig,
+    ArcInputError,
     BudgetExceededError,
     HyperplaneIncidence,
     InvariantError,
@@ -1073,33 +1076,121 @@ def orbit_keys(ctx, k, arcs):
     return keys
 
 
+def point_permutations(ctx, k, images):
+    """The permutation of the ``projective_points`` ids that each map of a
+    list sends every point to, as rows; a map takes an (N, k) array of
+    points to their images."""
+    ops = ctx.vec_ops()
+    pts = np.array(list(arcgeom.projective_points(ctx, k)), dtype=np.int64)
+    rows = []
+    for image in images:
+        img = image(pts)
+        lead = np.take_along_axis(img, (img != 0).argmax(-1)[:, None], -1)
+        rows.append(arcgeom.point_index(ctx, ops.div(img, lead)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("p,h,k", [(5, 1, 3), (2, 3, 3), (3, 2, 4), (7, 1, 5)])
+def test_frame_symmetries_permute_the_points_as_the_reference(p, h, k):
+    # the library's (k+1)! h symmetries, matrices and sigma^j tables, move
+    # the points of PG(k-1, q) exactly as the scalar construction does:
+    # the same set of distinct permutations, the identity first
+    ctx = FieldCtx(p, h)
+    ops = ctx.vec_ops()
+    mats, sigmas = certifier._frame_symmetries(ctx, k, k + 1)
+    assert mats.shape == (math.factorial(k + 1) * h, k, k) and sigmas.shape == (len(mats), ctx.q)
+    got = point_permutations(ctx, k, [lambda x, G=G, s=s: s[ops.matmul(x, G.T)] for G, s in zip(mats, sigmas)])
+    want = point_permutations(ctx, k, [lambda x, G=G, s=s: s[ops.matmul(x, G.T)] for G, s in frame_symmetries(ctx, k)])
+    assert len(np.unique(got, axis=0)) == len(got)
+    assert np.array_equal(np.unique(got, axis=0), np.unique(want, axis=0))
+    assert np.array_equal(got[0], np.arange(got.shape[1]))
+
+
 @pytest.mark.parametrize("p,h,k,n,total,orbits", [
     (5, 1, 3, 2, 6, 1), (7, 1, 4, 1, 60, 1), (2, 3, 3, 2, 30, 2), (2, 3, 4, 1, 120, 1),
     (2, 4, 3, 2, 182, 5), (3, 2, 3, 3, 441, 18), (7, 1, 5, 1, 60, 1), (13, 1, 3, 3, 4015, 192),
 ])
-def test_frame_orbits_match_the_whole_group(p, h, k, n, total, orbits):
-    # the generator labels give the partition of the (k+1)! h frame
-    # symmetries, built directly, and certifying every arc gives one
-    # answer on each orbit
+def test_orderly_search_finds_the_least_member_of_each_orbit(p, h, k, n, total, orbits, monkeypatch):
+    # under the frame symmetries the search returns exactly the frame
+    # completions whose non-frame points are their orbit's least key, in
+    # search order, each weighted by its orbit's size, with the plain
+    # search's node count, also with one node per batch and one set per
+    # image chunk; certifying every arc gives one answer on each orbit,
+    # and the scan's totals are the weighted ones
     ctx = FieldCtx(p, h)
-    arcs = list(frame_completions(ctx, k, 2 * k - 3 + n))
-    label = certifier._frame_orbits(ctx, k, arcs)
-    first = {}
-    for i, key in enumerate(orbit_keys(ctx, k, arcs)):
-        first.setdefault(key, i)
-        assert label[i] == first[key]
-    assert (len(arcs), len(first)) == (total, orbits)
+    size = 2 * k - 3 + n
+    arcs = list(frame_completions(ctx, k, size))
+    keys = orbit_keys(ctx, k, arcs)
+    counts = collections.Counter(keys)
+    least = [(pts, counts[key]) for pts, key in zip(arcs, keys) if tuple(pts[k + 1 :]) == key]
+    frame = ArcConfig(ctx, k, arcs[0][: k + 1])
+    nodes = complete_search(frame, target_size=size).nodes
+    for cap, cells in [(arcgeom.BATCH_ENTRIES, arcgeom.MASK_CELLS), (1, 1)]:
+        monkeypatch.setattr(arcgeom, "BATCH_ENTRIES", cap)
+        monkeypatch.setattr(arcgeom, "MASK_CELLS", cells)
+        res = complete_search(frame, target_size=size, symmetries=certifier._frame_symmetries(ctx, k, k + 1))
+        assert [tuple(map(tuple, pts)) for pts in res.arcs.tolist()] == [pts for pts, _ in least]
+        assert res.orbit_sizes.tolist() == [c for _, c in least]
+        assert res.nodes == nodes
+    monkeypatch.undo()
+    assert (len(arcs), len(least)) == (total, orbits)
     certified = certifier._certified(ctx, k, n, arcs)
-    assert np.array_equal(certified, certified[label])
+    by_key = {key: set() for key in counts}
+    for key, ok in zip(keys, certified.tolist()):
+        by_key[key].add(ok)
+    assert all(len(answers) == 1 for answers in by_key.values())
     res = conjecture_scan(ctx, k, n)
     assert (res.total, res.certified, res.orbits) == (total, int(certified.sum()), orbits)
 
 
-def test_frame_orbits_refuse_a_list_not_closed_under_the_frame_symmetries():
+def test_orderly_search_refuses_symmetries_that_move_the_input():
+    # S_4 permutes the four frame points of PG(2, 13), so it does not map
+    # three of them onto themselves, while the identity alone does and
+    # weighs every arc 1; and an orderly search needs a target
     ctx = FieldCtx(13)
-    arcs = list(frame_completions(ctx, 3, 6))
+    group = certifier._frame_symmetries(ctx, 3, 4)
+    frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
     with pytest.raises(InvariantError):
-        certifier._frame_orbits(ctx, 3, arcs[:-1])
+        complete_search(ArcConfig(ctx, 3, frame[:3]), target_size=5, symmetries=group)
+    with pytest.raises(ArcInputError):
+        complete_search(ArcConfig(ctx, 3, frame), symmetries=group)
+    plain = complete_search(ArcConfig(ctx, 3, frame[:3]), target_size=5)
+    alone = complete_search(ArcConfig(ctx, 3, frame[:3]), target_size=5, symmetries=[x[:1] for x in group])
+    assert alone.nodes == plain.nodes and alone.orbit_sizes.tolist() == [1] * len(plain.arcs)
+    assert [tuple(map(tuple, pts)) for pts in alone.arcs.tolist()] == list(plain.arcs)
+
+
+PINNED_SCANS = [(5, 1, 3, 2), (7, 1, 4, 1), (2, 3, 3, 2), (3, 2, 3, 3), (13, 1, 3, 3), (11, 1, 4, 2), (7, 1, 5, 1),
+                (2, 4, 3, 2), (2, 3, 4, 1), (23, 1, 3, 3), (5, 2, 3, 3), (3, 3, 3, 3), (3, 2, 4, 2)]
+
+
+@pytest.mark.parametrize("p,h,k,n", PINNED_SCANS)
+def test_scan_budget_is_the_plain_node_count(p, h, k, n):
+    # the orderly search counts each node as its orbit's size, so the scan
+    # is exhaustive at a budget of exactly the plain search's node count
+    # and sampled one below it
+    ctx = FieldCtx(p, h)
+    size = 2 * k - 3 + n
+    frame = [tuple(int(i == j) for i in range(k)) for j in range(k)] + [(1,) * k]
+    nodes = complete_search(ArcConfig(ctx, k, frame), target_size=size).nodes
+    assert conjecture_scan(ctx, k, n, budget=nodes).mode == "exhaustive"
+    assert conjecture_scan(ctx, k, n, budget=nodes - 1, samples=1).mode == "sampled"
+
+
+def test_scan_memory_does_not_grow_with_the_arc_list():
+    # GF(23), k = 3, n = 3: 72,030 arcs in 3,100 orbits.  Labelling the
+    # whole list peaked at 29.7 MiB under tracemalloc; the orderly search
+    # holds only its batches and the representatives
+    ctx = FieldCtx(23)
+    conjecture_scan(ctx, 3, 3)  # field tables and imports outside the measurement
+    tracemalloc.start()
+    try:
+        res = conjecture_scan(ctx, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.mode, res.total, res.certified, res.orbits) == ("exhaustive", 72_030, 72_030, 3_100)
+    assert peak < 12 * 2**20
 
 
 def test_folded_scan_keeps_every_arc_and_the_counterexample_order(monkeypatch):
@@ -1127,11 +1218,23 @@ def test_folded_scan_keeps_every_arc_and_the_counterexample_order(monkeypatch):
     assert res.counterexamples == tuple(pts for pts, ok in zip(arcs, want) if not ok)
 
 
+def test_scan_expands_every_missed_orbit(monkeypatch):
+    # a certifier that certifies nothing: inside the conjectured range the
+    # counterexamples are every arc of the search, in its order, also where
+    # the seed is the only arc (size k and k+1)
+    monkeypatch.setattr(certifier, "_certified", lambda ctx, k, n, arcs: np.zeros(len(arcs), dtype=bool))
+    for p, h, k, n in [(5, 1, 3, 0), (5, 1, 3, 1), (5, 1, 3, 2), (3, 2, 3, 3), (7, 1, 5, 1)]:
+        ctx = FieldCtx(p, h)
+        res = conjecture_scan(ctx, k, n)
+        assert res.in_range and res.certified == 0
+        assert res.counterexamples == frame_completions(ctx, k, 2 * k - 3 + n)
+
+
 def test_scan_reports_the_arcs_it_certified():
-    # orbits counts the arcs certified: one per orbit when the exhaustive
-    # list is folded, else every arc
+    # orbits counts the arcs certified: one per orbit in an exhaustive
+    # scan, else every sampled arc
     F5 = FieldCtx(5)
-    assert conjecture_scan(F5, 3, 0).orbits == 1  # one arc: nothing to fold
+    assert conjecture_scan(F5, 3, 0).orbits == 1  # one arc, the seed
     assert conjecture_scan(F5, 3, 2).orbits == 1  # six arcs in one orbit
     sampled = conjecture_scan(F5, 3, 2, budget=1, samples=12, seed=42)
     assert (sampled.mode, sampled.orbits) == ("sampled", 12)
