@@ -9,13 +9,15 @@ Members of a subset always enter determinants in increasing arc order.
 
 M_n is its arc's star geometry (``CertMatrix``): the stars, their
 pencil coordinates beta and the table D(x, y) of each star's points,
-built once per arc and shared by every n (``build_Mn``).  Every answer
-about one M_n is read off its left null basis, which ``null_basis``
-interpolates star by star from D and its values on the C(|G|-n-1, k-1)
-rows inside the first |G|-n-1 points, eliminating only a residual of
-that many rows; the result is the canonical basis that eliminating
-[M | I] gives, bit for bit.  No answer builds M_n's dense data: only
-``CertMatrix.matrix`` does, on first use.
+built once per arc and shared by every n (``build_Mn``).  A question is
+asked of one M_n alone: ``theorem1_test(M)``, ``property_w(M)``,
+``corollary2_route(M)`` and ``recover_cosecants(M)`` read the arc, n, t
+and field from M.  Every answer is read off M_n's left null basis, which
+``null_basis`` interpolates star by star from D and its values on the
+C(|G|-n-1, k-1) rows inside the first |G|-n-1 points, eliminating only a
+residual of that many rows; the result is the canonical basis that
+eliminating [M | I] gives, bit for bit.  No answer builds M_n's dense
+data: only ``CertMatrix.matrix`` does, on first use.
 
 A weight-one vector in the column space certifies that G extends to no
 arc of size q+2k+n-1-|G|.  Without one, Property W holds exactly when the
@@ -87,15 +89,17 @@ class NotLeftNullError(ArcInputError):
 
 
 class CertMatrix:
-    """M_n of an arc as its star geometry: the star of every (k-2)-subset
-    A (its rows A+x, x running over the points outside A), a basis b1, b2
-    of the forms vanishing on A with the pencil coordinates
-    beta(x) = (b1.x, b2.x) of its star, and the table D(x, y) of every
-    pair of star points.  One block of n+1 columns per A holds M_n's
-    data, which no answer reads: ``matrix`` builds it on first use."""
+    """M_n of an arc as its star geometry, the one argument of every
+    question about M_n: the arc, its field ``ctx`` and n, the star of
+    every (k-2)-subset A (its rows A+x, x running over the points outside
+    A), a basis b1, b2 of the forms vanishing on A with the pencil
+    coordinates beta(x) = (b1.x, b2.x) of its star, and the table D(x, y)
+    of every pair of star points.  One block of n+1 columns per A holds
+    M_n's data, which no answer reads: ``matrix`` builds it on first use."""
 
     def __init__(self, arc: ArcConfig, n: int, index, pencils, beta, D):
         self.arc = arc
+        self.ctx = arc.ctx
         self.n = n
         # rows: the (k-1)-subsets, colex; subsets: the A, lex, one block each;
         # others[s]: the points outside subsets[s]; stars[s, j]: the row of
@@ -115,7 +119,7 @@ class CertMatrix:
         answers, only the check of a given vector in ``recover_cosecants``
         reads it."""
         if self._matrix is None:
-            self._matrix = GFMatrix(self.arc.ctx, _mn_data(self.arc.ctx, self.index, self.beta, self.n))
+            self._matrix = GFMatrix(self.ctx, _mn_data(self.ctx, self.index, self.beta, self.n))
         return self._matrix
 
     @property
@@ -124,7 +128,7 @@ class CertMatrix:
 
     @property
     def forbidden_size(self) -> int:
-        return self.arc.ctx.q + 2 * self.arc.k + self.n - 1 - self.arc.size
+        return self.ctx.q + 2 * self.arc.k + self.n - 1 - self.arc.size
 
 
 def _star_index(g: int, k: int):
@@ -209,6 +213,12 @@ def _mn_data(ctx, index, beta, n: int):
     return data.reshape(len(rows), -1)
 
 
+# cells of the largest table that M_n's null space needs (128 MiB of int64):
+# the star table D or the residual's [R | I] work array, never smaller than
+# the seed expansion P of ``null_basis`` (``build_Mn``)
+MN_CELLS = 1 << 24
+
+
 def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
     """Construct M_n, one block per A; requires 0 <= n <= |G| - k.
 
@@ -219,10 +229,21 @@ def build_Mn(arc: ArcConfig, n: int) -> CertMatrix:
     matrices have the same column space.  M_n is the arc's star geometry
     and n: every answer reads the null space that ``null_basis``
     interpolates from D, and no dense data is built.  A star whose beta
-    are not pairwise independent (no arc) raises InvariantError."""
+    are not pairwise independent (no arc) raises InvariantError.
+
+    When D, C(|G|, k-2) (|G|-k+2)^2 cells, or [R | I], at most
+    d (C(|G|, k-2)(n+1) + d) with d = C(|G|-n-1, k-1), would exceed
+    MN_CELLS cells, BudgetExceededError is raised before anything is
+    built.  P, C(|G|, k-1) d cells, is never larger than [R | I]: each
+    row outside the d seeds is filled by one star, of at most n+1 rows."""
     g, k = arc.size, arc.k
     if n < 0 or g < k + n:
         raise SizeOutOfRangeError(f"need 0 <= n <= |G|-k, got n={n}, |G|={g}")
+    subsets, d = math.comb(g, k - 2), math.comb(g - n - 1, k - 1)
+    cells = max(subsets * (g - k + 2) ** 2, d * (subsets * (n + 1) + d))
+    if cells > MN_CELLS:
+        raise BudgetExceededError(
+            f"M_{n} of a {g}-point arc at k={k} needs a table of {cells} cells, over {MN_CELLS}")
     return CertMatrix(arc, n, *_star_geometry(arc))
 
 
@@ -335,7 +356,7 @@ def null_basis(M: CertMatrix) -> LeftNullBasis:
     """
     if M._null is not None:
         return M._null
-    ctx = M.arc.ctx
+    ctx = M.ctx
     P, R, waves = _star_residual(ctx, M.index, M.D[None], M.n)
     d = R.shape[1]
     X = left_null_basis(GFMatrix(ctx, R[0])).basis
@@ -351,16 +372,6 @@ def null_basis(M: CertMatrix) -> LeftNullBasis:
     return M._null
 
 
-def _matrix(arc: ArcConfig, n: int, M: CertMatrix | None) -> CertMatrix:
-    """M, or M_n of the arc when M is None; a matrix built for another arc
-    object or another n would answer another question, so it raises."""
-    if M is None:
-        return build_Mn(arc, n)
-    if M.n != n or M.arc is not arc:
-        raise ValueError(f"matrix was built for another arc or n (n={M.n}, asked n={n})")
-    return M
-
-
 @dataclass(frozen=True)
 class NonExtendabilityCertificate:
     n: int
@@ -368,12 +379,11 @@ class NonExtendabilityCertificate:
     forbidden_size: int
 
 
-def theorem1_test(arc: ArcConfig, n: int, M: CertMatrix | None = None):
-    """Certificate that the arc extends to no arc of size q+2k+n-1-|G|,
+def theorem1_test(M: CertMatrix):
+    """Certificate that M's arc extends to no arc of size q+2k+n-1-|G|,
     or None when M_n has no weight-one vector in its column space."""
-    M = _matrix(arc, n, M)
     idx = null_basis(M).weight_one()
-    return None if idx is None else NonExtendabilityCertificate(n, M.rows[idx], M.forbidden_size)
+    return None if idx is None else NonExtendabilityCertificate(M.n, M.rows[idx], M.forbidden_size)
 
 
 @dataclass(frozen=True)
@@ -401,7 +411,7 @@ def bound_scan(arc: ArcConfig) -> BoundScan:
         M = build_Mn(arc, n)
         null = null_basis(M)
         trace.append((n, len(M.rows) - null.nullity, len(M.rows), null.nullity))
-        cert = theorem1_test(arc, n, M)
+        cert = theorem1_test(M)
         if cert is not None:
             return BoundScan(n, cert, cert.forbidden_size, cert.forbidden_size - 1, tuple(trace))
     return BoundScan(None, None, None, None, tuple(trace))
@@ -416,7 +426,7 @@ class PropertyWReport:
         return not self.missing
 
 
-def property_w(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> PropertyWReport:
+def property_w(M: CertMatrix) -> PropertyWReport:
     """The (k-2)-subsets A for which M_n lacks the weight-two property.
 
     A has it when some pivot x of its star has |G|-n-k+1 = t+1 partners
@@ -424,7 +434,6 @@ def property_w(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> PropertyW
     the column space of M_n.  The partners of every x of every star come
     from one pass over the left-null basis columns.
     """
-    M = _matrix(arc, n, M)
     stars = M.stars
     same = null_basis(M).partners(stars[:, :, None], stars[:, None, :])
     pivots = (same.sum(2) >= M.t + 2).any(1)  # x is its own partner
@@ -432,11 +441,10 @@ def property_w(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> PropertyW
     return PropertyWReport(tuple(sorted(missing, key=lambda A: A[::-1])))
 
 
-def corollary2_route(arc: ArcConfig, n: int, M: CertMatrix | None = None) -> bool:
+def corollary2_route(M: CertMatrix) -> bool:
     """Rank one less than full row rank and no weight-one vector: the
     single left-null vector then plays the role of v_G and every
     weight-two vector is available."""
-    M = _matrix(arc, n, M)
     null = null_basis(M)
     return null.nullity == 1 and null.weight_one() is None
 
@@ -467,12 +475,10 @@ class CosecantPrediction:
         return all(p.status == "ok" for p in self.per_A.values())
 
 
-def recover_cosecants(
-    arc: ArcConfig, n: int, source=None, M: CertMatrix | None = None
-) -> CosecantPrediction:
-    """Recover, per (k-2)-subset A, the tangent function any extension to
-    size q+2k+n-1-|G| must restrict to, normalised to 1 at the first
-    point x of A's star.
+def recover_cosecants(M: CertMatrix, source=None) -> CosecantPrediction:
+    """Recover, per (k-2)-subset A of M's arc, the tangent function any
+    extension to size q+2k+n-1-|G| must restrict to, normalised to 1 at
+    the first point x of A's star.
 
     The ratios come from one left-null vector v of M_n, M's own or the
     given one (NotLeftNullError unless it is a left-null vector of field
@@ -497,11 +503,9 @@ def recover_cosecants(
     pencil forms is reported non-splitting, which itself certifies that
     no such extension exists.
     """
-    t = arc.size - arc.k - n
+    n, t, ctx = M.n, M.t, M.ctx
     if t < 1:
         raise SizeOutOfRangeError(f"recovery needs t = |G|-k-n >= 1, got {t}")
-    M = _matrix(arc, n, M)
-    ctx = arc.ctx
     ops = ctx.vec_ops()
     if source is None:
         null = null_basis(M).basis
@@ -518,7 +522,7 @@ def recover_cosecants(
     if zero.size:
         raise PropertyWMissingError(f"zero left-null basis column at row {M.rows[zero[0]]}: it fixes no ratio")
     if len(null) > 1:
-        missing = property_w(arc, n, M).missing
+        missing = property_w(M).missing
         if not missing:
             raise InvariantError("Property W holds on a left null space of two or more vectors")
         raise PropertyWMissingError(f"Property W fails for {len(missing)} subsets, e.g. {missing[0]}")
@@ -541,7 +545,7 @@ def recover_cosecants(
     split = hits.sum(1) == t
     ss, ws = (hits & split[:, None]).nonzero()
     members = _pencil_members(ctx, M.pencils[ss, 0], M.pencils[ss, 1], w1[ws], w2[ws])
-    members = iter(members.reshape(-1, t, arc.k).tolist())
+    members = iter(members.reshape(-1, t, M.arc.k).tolist())
     pts = M.others[:, : t + 1].tolist()
     per_A = {}
     for s, A in enumerate(M.subsets):

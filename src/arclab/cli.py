@@ -10,7 +10,8 @@ Every command emits a single report, as an aligned text listing or as a
 JSON document (--emit structured) with a stable schema; reruns on the
 same input are identical except for the timing field.  Exit code 0 means
 the analysis completed (even with a negative verdict), 2 an input or
-usage error, 3 a search budget exhaustion, 4 an internal fault (an
+usage error, 3 a budget exhaustion (search nodes, random orders, or a
+table past its fixed cap, M_n's included), 4 an internal fault (an
 identity that holds for every arc failed; one ``internal error:`` line
 on stderr).
 """
@@ -26,7 +27,7 @@ from math import comb
 from . import certifier as ct
 from . import hypersurf as hs
 from .arcgeom import ArcConfig, ArcInputError, BudgetExceededError, InvariantError, complete_search, subset_iter
-from .gf import FieldCtx, FieldError, _field_order, conway_polynomial
+from .gf import FieldCtx, FieldError, _digits, _field_order, conway_polynomial
 from .tangentfns import tangent_fn
 
 __all__ = [
@@ -65,13 +66,12 @@ def parse_arc_file(text: str, modulus=None) -> ArcConfig:
     if len(lines) < 2:
         raise ArcFileError("file needs a field line, a k line and vectors")
     head = lines[0].split()
-    # int() would also take signs and underscores
-    if head[0] != "field" or len(head) < 3 or not all(c.isdecimal() for c in head[1:]):
+    if head[0] != "field" or len(head) < 3 or not all(map(_digits, head[1:])):
         raise ArcFileError(f"bad field line: {lines[0]!r}")
     p, h = int(head[1]), int(head[2])
     file_modulus = tuple(int(c) for c in head[3:]) or None
     kline = lines[1].split()
-    if kline[0] != "k" or len(kline) != 2 or not kline[1].isdecimal():
+    if kline[0] != "k" or len(kline) != 2 or not _digits(kline[1]):
         raise ArcFileError(f"bad k line: {lines[1]!r}")
     k = int(kline[1])
     try:
@@ -139,7 +139,7 @@ def cmd_analyze(arc: ArcConfig, n: int) -> dict:
     t0 = time.perf_counter()
     M = ct.build_Mn(arc, n)
     null = ct.null_basis(M)
-    cert = ct.theorem1_test(arc, n, M)
+    cert = ct.theorem1_test(M)
     body = {
         "n": n,
         "shape": [len(M.rows), comb(arc.size, n) * comb(arc.size - n, arc.k - 2)],
@@ -187,9 +187,9 @@ def cmd_cosecants(arc: ArcConfig, n: int) -> dict:
     t0 = time.perf_counter()
     ctx = arc.ctx
     M = ct.build_Mn(arc, n)
-    nullity_one = ct.corollary2_route(arc, n, M)
-    report = ct.property_w(arc, n, M)
-    t = arc.size - arc.k - n
+    nullity_one = ct.corollary2_route(M)
+    report = ct.property_w(M)
+    t = M.t
     body = {
         "n": n,
         "t": t,
@@ -199,14 +199,14 @@ def cmd_cosecants(arc: ArcConfig, n: int) -> dict:
         "theorem4_hypersurface_licensed": 2 * n >= arc.size - arc.k - 1,
     }
     # a weight-one vector zeroes null-basis columns, which fix no ratio
-    cert = ct.theorem1_test(arc, n, M) if report.holds and t >= 1 else None
+    cert = ct.theorem1_test(M) if report.holds and t >= 1 else None
     if cert is not None:
         body["verdict"] = (
             f"weight-one vector at row {_fmt_subset(cert.row)}: the arc cannot extend "
             f"to size {cert.forbidden_size}, and its ratios are not determined"
         )
     elif report.holds and t >= 1:
-        pred = ct.recover_cosecants(arc, n, M=M)
+        pred = ct.recover_cosecants(M)
         body["route"] = pred.route
         body["all_split"] = pred.all_split
         per = []
@@ -229,7 +229,7 @@ def cmd_cosecants(arc: ArcConfig, n: int) -> dict:
             "co-secants of any extension recovered"
             if pred.all_split
             else "some recovered tangent functions do not split: the arc "
-            f"cannot extend to size {ctx.q + 2 * arc.k + n - 1 - arc.size}"
+            f"cannot extend to size {M.forbidden_size}"
         )
     elif t < 1:
         body["verdict"] = "t = |G|-k-n < 1: nothing to recover"
@@ -362,14 +362,14 @@ def _parse_modulus(raw):
     if raw is None:
         return None
     coeffs = raw.replace(",", " ").split()
-    if not all(c.isdecimal() for c in coeffs):
+    if not all(map(_digits, coeffs)):
         raise ArcFileError(f"bad --modulus value {raw!r}")
     return tuple(int(c) for c in coeffs)
 
 
 def _count(raw):
     """A count option (node budget, samples): a decimal integer >= 0."""
-    if not raw.isdecimal():
+    if not _digits(raw):
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {raw!r}")
     return int(raw)
 

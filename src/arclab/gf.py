@@ -88,6 +88,12 @@ _CONWAY = {
 }
 
 
+def _digits(text: str) -> bool:
+    """Whether text is a plain decimal numeral: int() also takes every
+    other Unicode decimal digit, signs and underscores."""
+    return text.isascii() and text.isdecimal()
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -275,7 +281,7 @@ class FieldCtx:
             return 0
         if text.startswith("t^"):
             body = text[2:]
-            if not body or not (body.isdecimal() or (body[0] == "-" and body[1:].isdecimal())):
+            if not (_digits(body) or (body[:1] == "-" and _digits(body[1:]))):
                 raise ElementSyntaxError(f"bad exponent in {text!r}")
             e = int(body)
             if not 0 <= e <= self.q - 2:
@@ -283,7 +289,7 @@ class FieldCtx:
                     f"exponent {e} outside 0..{self.q - 2}"
                 )
             return self.exp[e]
-        if self.h == 1 and text.isdecimal():
+        if self.h == 1 and _digits(text):
             v = int(text)
             if v >= self.p:
                 raise ExponentOutOfRangeError(f"{v} outside 0..{self.p - 1}")

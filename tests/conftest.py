@@ -689,10 +689,11 @@ def ref_alpha(arc, B):
     return val
 
 
-def ref_recover_cosecants(arc, n, source=None, M=None):
+def ref_recover_cosecants(arc, n, source=None, matrix=None):
     """recover_cosecants with a null-vector route of its own and the scalar
-    Property W, v_G coordinates, interpolation and root finding; M (the
-    library M_n) only decides the route when no source is given.  source
+    Property W, v_G coordinates, interpolation and root finding; matrix
+    (the library M_n's dense data, built when not given) only decides the
+    route when no source is given.  source
     may also be a ref_property_w report, whose witnesses then give the
     ratios: the property-w route, which the library does not have."""
     g, k = arc.size, arc.k
@@ -704,9 +705,9 @@ def ref_recover_cosecants(arc, n, source=None, M=None):
     elif source is not None:
         null_vec = [int(x) for x in source]
     else:
-        M = build_Mn(arc, n) if M is None else M
-        if left_null_basis(M.matrix).nullity == 1 and weight_one_in_colspace(M.matrix) is None:
-            null_vec = left_null_basis(M.matrix).basis[0].tolist()
+        matrix = build_Mn(arc, n).matrix if matrix is None else matrix
+        if left_null_basis(matrix).nullity == 1 and weight_one_in_colspace(matrix) is None:
+            null_vec = left_null_basis(matrix).basis[0].tolist()
         else:
             report = ref_property_w(arc, n)
     row_of = {C: i for i, C in enumerate(colex_subsets(g, k - 1))}
@@ -880,9 +881,8 @@ def recovers_extension(S, g):
     """
     n = S.size + g + 1 - S.ctx.q - 2 * S.k
     G = prefix_arc(S, g)
-    M = build_Mn(G, n)
     v = vg_vector(S, g)
-    pred = recover_cosecants(G, n, source=v, M=M)
+    pred = recover_cosecants(build_Mn(G, n), source=v)
     return (
         pred.all_split
         and pred.per_A == ref_recover_cosecants(G, n, source=v).per_A

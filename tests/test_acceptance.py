@@ -114,7 +114,7 @@ def test_criterion_1_q11_regression(arc_q11):
         "rank": M.matrix.rows - left_null_basis(M.matrix).nullity == 20,
         "weight_one": weight_one_in_colspace(M.matrix) is not None,
     }
-    cert = theorem1_test(arc_q11, 2, M)
+    cert = theorem1_test(M)
     checks["forbidden_size_11"] = cert is not None and cert.forbidden_size == 11
     ok = all(checks.values())
     report("1 (q=11 regression)", ok, t0, str(checks))
@@ -147,19 +147,19 @@ def test_criterion_2_q11_search(arc_q11):
 
 
 @pytest.fixture(scope="module")
-def q81_matrix(arc_q81):
+def q81_mn(arc_q81):
     return build_Mn(arc_q81, 1)
 
 
-def test_criterion_3a_q81_rank_and_route(arc_q81, q81_matrix):
+def test_criterion_3a_q81_rank_and_route(arc_q81, q81_mn):
     t0 = time.perf_counter()
-    M = q81_matrix
+    M = q81_mn
     null = left_null_basis(M.matrix)
     checks = {
         "rows_462": M.matrix.rows == 462,
         "rank_461": M.matrix.rows - null.nullity == 461,
         "no_weight_one": weight_one_in_colspace(M.matrix) is None,
-        "corollary2": corollary2_route(arc_q81, 1, M),
+        "corollary2": corollary2_route(M),
     }
     ok = all(checks.values())
     report("3a (q=81 rank/route)", ok, t0, str(checks))
@@ -172,7 +172,7 @@ Q81_SPLIT = (
 )
 
 
-def test_criterion_3b_q81_all_split(arc_q81, q81_matrix):
+def test_criterion_3b_q81_all_split(arc_q81, q81_mn):
     # Published claim: all 330 recovered degree-4 tangent functions of the
     # eleven-point q=81 arc split.  With nullity one, any extension to
     # size 82 makes the null vector a multiple of its v_G, and recovery
@@ -181,9 +181,9 @@ def test_criterion_3b_q81_all_split(arc_q81, q81_matrix):
     t0 = time.perf_counter()
     ctx = arc_q81.ctx
     shipped = parse_arc_file((ARCS_DIR / "q81_size11.arc").read_text())
-    pred = recover_cosecants(arc_q81, 1, M=q81_matrix)
+    pred = recover_cosecants(q81_mn)
     split = tuple(sorted(A for A, p in pred.per_A.items() if p.status == "ok"))
-    null = left_null_basis(q81_matrix.matrix)
+    null = left_null_basis(q81_mn.matrix)
     v = null.basis[0].tolist()
     # a normal rational curve over GF(81) does extend: recovery from its
     # true v_G at |G| = 11, k = 6, n = 1, t = 4 must reproduce every
@@ -200,7 +200,7 @@ def test_criterion_3b_q81_all_split(arc_q81, q81_matrix):
         "rest_non_splitting": all(
             p.status == "non-splitting" for A, p in pred.per_A.items() if A not in Q81_SPLIT
         ),
-        "matches_scalar_recovery": pred.per_A == ref_recover_cosecants(arc_q81, 1, M=q81_matrix).per_A,
+        "matches_scalar_recovery": pred.per_A == ref_recover_cosecants(arc_q81, 1, matrix=q81_mn.matrix).per_A,
         "nullity_1": null.nullity == 1,
         "null_vector_full_support": all(v),
         "null_vector_annihilates_M1": annihilates(ctx, v, ref_build_Mn(arc_q81, 1).data),
@@ -231,7 +231,7 @@ def test_criterion_3b_q81_all_split(arc_q81, q81_matrix):
 
 def test_criterion_4a_q13_size6(arc_q13_size6, F13):
     t0 = time.perf_counter()
-    rep = property_w(arc_q13_size6, 2)
+    rep = property_w(build_Mn(arc_q13_size6, 2))
     completions = complete_search(arc_q13_size6, target_size=14).arcs
     checks = {"property_w_n2": rep.holds, "one_conic": len(completions) == 1}
     if rep.holds and completions:
@@ -239,7 +239,7 @@ def test_criterion_4a_q13_size6(arc_q13_size6, F13):
         # the library route and the reference's route through the
         # witnesses of its own Property W report
         ref = ref_property_w(arc_q13_size6, 2)
-        preds = (recover_cosecants(arc_q13_size6, 2), ref_recover_cosecants(arc_q13_size6, 2, source=ref))
+        preds = (recover_cosecants(build_Mn(arc_q13_size6, 2)), ref_recover_cosecants(arc_q13_size6, 2, source=ref))
         agree = all(
             pred.per_A[A].forms is not None
             and sorted(pred.per_A[A].forms) == ref_cosecants_through(A, S)
@@ -262,7 +262,7 @@ def test_criterion_4b_q13_size9(arc_q13_size9, F13):
     arc = arc_q13_size9
     M = build_Mn(arc, 3)
     full = ref_build_Mn(arc, 3)
-    rep = property_w(arc, 3, M)
+    rep = property_w(M)
     # the witnesses come from the scalar reference on the paper's M_3
     ref = ref_property_w(arc, 3)
     completions = complete_search(arc, target_size=12).arcs
@@ -290,7 +290,7 @@ def test_criterion_4b_q13_size9(arc_q13_size9, F13):
         f"Got missing {rep.missing}; failed checks {failed(checks)}"
     )
     with pytest.raises(PropertyWMissingError):
-        recover_cosecants(arc, 3)
+        recover_cosecants(build_Mn(arc, 3))
 
 
 # ----------------------------------------------------------------------

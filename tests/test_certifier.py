@@ -302,7 +302,7 @@ def test_star_interpolation_basis_on_gf81_curve_prefixes(F81, g, n):
     assert_production_basis(ArcConfig(F81, 6, shuffled_nrc(F81, 6, 13)[:g], check=False), n)
 
 
-def test_gf81_null_basis_builds_no_dense_matrix(F81):
+def test_gf81_null_basis_builds_no_dense_mn(F81):
     # build_Mn and null_basis on the seed-13 GF(81) curve prefix at
     # |G| = 14, n = 3, whose M_3 would be 2,002 x 4,004 int64 (64 MB):
     # 88 MB peak under tracemalloc while build_Mn filled it, 28 MB without
@@ -316,6 +316,29 @@ def test_gf81_null_basis_builds_no_dense_matrix(F81):
         tracemalloc.stop()
     assert M._matrix is None
     assert peak < 50e6, peak
+
+
+def test_build_mn_refuses_tables_past_the_cap(F81, monkeypatch):
+    # 17 points of the GF(81) curve at k = 6: M_0's [R | I] would hold
+    # 4,368 x (2,380 + 4,368) = 29.5 M cells and its P 6,188 x 4,368 =
+    # 27.0 M; build_Mn refuses before making the star index or geometry
+    G = ArcConfig(F81, 6, shuffled_nrc(F81, 6, 13)[:17], check=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="needs a table of 29475264 cells"):
+            build_Mn(G, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000 and not hasattr(G, "_star_geometry")
+    # where D is the larger: M_0 of a 3-point frame at k = 3 has a D of
+    # 3 x 2^2 = 12 cells and an [R | I] of 1 x (3 + 1)
+    arc = ArcConfig(F81, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    monkeypatch.setattr(certifier, "MN_CELLS", 12)
+    build_Mn(arc, 0)
+    monkeypatch.setattr(certifier, "MN_CELLS", 11)
+    with pytest.raises(BudgetExceededError, match="needs a table of 12 cells, over 11"):
+        build_Mn(arc, 0)
 
 
 def test_star_tables_give_the_lagrange_denominators():
@@ -410,7 +433,7 @@ def test_q81_recovery_kernel_call_guard(arc_q81, monkeypatch):
     # off M_n's pencil coordinates: no small-set elimination, against one
     # over all 462 rows when it built its own determinant table
     M = build_Mn(arc_q81, 1)
-    assert property_w(arc_q81, 1, M).holds
+    assert property_w(M).holds
     calls = []
     eliminate = arcgeom._eliminate
 
@@ -419,7 +442,7 @@ def test_q81_recovery_kernel_call_guard(arc_q81, monkeypatch):
         return eliminate(ctx, sets)
 
     monkeypatch.setattr(arcgeom, "_eliminate", counting)
-    pred = recover_cosecants(arc_q81, 1, M=M)
+    pred = recover_cosecants(M)
     assert (pred.route, len(pred.per_A)) == ("null-vector", 330)
     assert calls == []
 
@@ -436,7 +459,7 @@ def test_q81_recovery_pencil_call_guard(arc_q81, monkeypatch):
         return members(ctx, b1, b2, w1, w2)
 
     monkeypatch.setattr(certifier, "_pencil_members", counting)
-    pred = recover_cosecants(arc_q81, 1, M=M)
+    pred = recover_cosecants(M)
     split = sum(p.status == "ok" for p in pred.per_A.values())
     assert calls == [pred.t * split] == [4 * 7]
 
@@ -464,7 +487,7 @@ def test_paper_rank_facts_q11(arc_q11):
     M = build_Mn(arc_q11, 2)
     assert M.matrix.rows - left_null_basis(M.matrix).nullity == 20
     assert M.matrix.rows == 21
-    cert = theorem1_test(arc_q11, 2, M)
+    cert = theorem1_test(M)
     assert cert is not None
     assert cert.forbidden_size == 11
 
@@ -473,7 +496,7 @@ def test_theorem1_at_max_n_odd_q(arc_q13_size6, arc_q11, conic_f5):
     # q odd: M_{|G|-k} always certifies (inclusion-matrix rank argument)
     for arc in (arc_q13_size6, arc_q11, prefix_arc(conic_f5, 5)):
         n = arc.size - arc.k
-        assert theorem1_test(arc, n) is not None
+        assert theorem1_test(build_Mn(arc, n)) is not None
 
 
 def test_bound_scan_q11(arc_q11):
@@ -568,7 +591,7 @@ def test_M0_full_rank_for_small_arcs_when_k_le_p(F5, F7):
         arc = ArcConfig(ctx, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         M = build_Mn(arc, 0)
         assert left_null_basis(M.matrix).nullity == 0 and M.matrix.rows == 3
-        assert theorem1_test(arc, 0, M) is not None
+        assert theorem1_test(M) is not None
 
 
 # ----------------------------------------------------------------------
@@ -577,7 +600,7 @@ def test_M0_full_rank_for_small_arcs_when_k_le_p(F5, F7):
 
 
 def test_property_w_q13_size6(arc_q13_size6):
-    assert property_w(arc_q13_size6, 2).holds
+    assert property_w(build_Mn(arc_q13_size6, 2)).holds
     # the witnesses of the scalar reference, one per subset
     report = ref_property_w(arc_q13_size6, 2)
     assert report.t == 1 and len(report.witnesses) == 6
@@ -594,7 +617,7 @@ def test_property_w_q13_size9_at_n3_fails(arc_q13_size9):
     # for most pairs (verified against three elimination backends).
     M = build_Mn(arc_q13_size9, 3)
     assert left_null_basis(M.matrix).nullity == 2
-    report = property_w(arc_q13_size9, 3, M)
+    report = property_w(M)
     assert not report.holds
     assert len(report.missing) == 7
 
@@ -604,9 +627,9 @@ def test_property_w_trivial_at_size_k_plus_n(conic_f5):
     G = prefix_arc(conic_f5, 5)
     for n in range(0, 3):
         if G.size == G.k + n:
-            assert property_w(G, n).holds
-    assert property_w(prefix_arc(conic_f5, 4), 1).holds
-    assert property_w(prefix_arc(conic_f5, 3), 0).holds
+            assert property_w(build_Mn(G, n)).holds
+    assert property_w(build_Mn(prefix_arc(conic_f5, 4), 1)).holds
+    assert property_w(build_Mn(prefix_arc(conic_f5, 3), 0)).holds
 
 
 def _property_w_cases():
@@ -639,7 +662,7 @@ def test_property_w_matches_scalar_reference():
     nullities, outcomes, mixed = set(), set(), 0
     for arc, n in _property_w_cases():
         basis = ref_left_null(arc.ctx, ref_build_Mn(arc, n).data)
-        report = property_w(arc, n)
+        report = property_w(build_Mn(arc, n))
         ref = ref_property_w(arc, n, basis)
         assert (report.holds, report.missing) == (ref.holds, ref.missing)
         nullities.add(len(basis))
@@ -655,7 +678,7 @@ def test_property_w_q81_matches_scalar_reference(arc_q81):
     # the reference pair test on the library null basis: M_1 is too large
     # for the scalar elimination
     M = build_Mn(arc_q81, 1)
-    report = property_w(arc_q81, 1, M)
+    report = property_w(M)
     ref = ref_property_w(arc_q81, 1, left_null_basis(M.matrix).basis.tolist())
     assert report.holds and (ref.holds, ref.missing) == (True, ())
     assert len(ref.witnesses) == 330
@@ -678,18 +701,18 @@ def test_property_w_without_zero_columns_means_nullity_one():
                         M = build_Mn(arc, n)
                         basis = left_null_basis(M.matrix).basis
                         if len(basis) and basis.any(0).all():
-                            assert property_w(arc, n, M).holds == (len(basis) == 1), (arc.points, n)
+                            assert property_w(M).holds == (len(basis) == 1), (arc.points, n)
                             seen[len(basis) == 1] += 1
     assert seen[True] >= 30 and seen[False] >= 200
 
 
 def test_corollary2_route(arc_q13_size6, arc_q11, F11):
-    assert corollary2_route(arc_q13_size6, 2)
+    assert corollary2_route(build_Mn(arc_q13_size6, 2))
     # weight-one exists at (q11, 2): not the corollary situation
-    assert not corollary2_route(arc_q11, 2)
+    assert not corollary2_route(build_Mn(arc_q11, 2))
     # full-row-rank matrix: nullity 0
     frame = ArcConfig(F11, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert not corollary2_route(frame, 0)
+    assert not corollary2_route(build_Mn(frame, 0))
 
 
 # ----------------------------------------------------------------------
@@ -701,7 +724,7 @@ def test_recover_q13_size6_matches_conic(arc_q13_size6, F13):
     res = complete_search(arc_q13_size6, target_size=14)
     assert len(res.arcs) == 1
     S = ArcConfig(F13, 3, res.arcs[0])
-    pred = recover_cosecants(arc_q13_size6, 2)
+    pred = recover_cosecants(build_Mn(arc_q13_size6, 2))
     assert pred.route == "null-vector"
     assert pred.all_split
     for A in subset_iter(6, 1):
@@ -721,10 +744,10 @@ def test_recover_matches_scalar_reference_on_q81_gl_image(arc_q81):
     # to the scalar reference's
     G = gl_image(arc_q81, seed=3)
     M = build_Mn(G, 1)
-    pred = recover_cosecants(G, 1, M=M)
+    pred = recover_cosecants(M)
     assert pred.route == "null-vector"
     assert sum(p.status == "ok" for p in pred.per_A.values()) == 7
-    assert pred.per_A == ref_recover_cosecants(G, 1, M=M).per_A
+    assert pred.per_A == ref_recover_cosecants(G, 1, matrix=M.matrix).per_A
 
 
 @pytest.mark.parametrize(
@@ -756,62 +779,43 @@ def test_recover_from_vg_even_k(p, h, k, t, g):
 
 def test_recover_requires_positive_t(arc_q13_size6):
     with pytest.raises(SizeOutOfRangeError):
-        recover_cosecants(arc_q13_size6, 3)  # t = 0
+        recover_cosecants(build_Mn(arc_q13_size6, 3))  # t = 0
 
 
 def test_recover_without_property_w_raises(arc_q13_size9, monkeypatch):
     # M_3 has nullity 2 and no zero basis column
     with pytest.raises(PropertyWMissingError, match=r"Property W fails for 7 subsets, e.g. \(1,\)"):
-        recover_cosecants(arc_q13_size9, 3)
+        recover_cosecants(build_Mn(arc_q13_size9, 3))
     # Property W there would contradict the theorem: an internal fault
     monkeypatch.setattr(certifier, "property_w", lambda *args: PropertyWReport(()))
     with pytest.raises(InvariantError):
-        recover_cosecants(arc_q13_size9, 3)
-
-
-def test_a_matrix_for_another_n_or_arc_raises(arc_q13_size6, hyperconic_f8):
-    # read as M_1, M_3 has a weight-one vector and M_2 gives 4 of 6
-    # subsets non-splitting: a false "cannot extend to 13" for an arc on
-    # a 14-point conic
-    arc = arc_q13_size6
-    assert theorem1_test(arc, 1) is None
-    with pytest.raises(ValueError):
-        theorem1_test(arc, 1, build_Mn(arc, 3))
-    with pytest.raises(ValueError):
-        recover_cosecants(arc, 1, M=build_Mn(arc, 2))
-    # an equal arc is another arc object: M keeps its own
-    twin = ArcConfig(arc.ctx, arc.k, arc.points)
-    M = build_Mn(twin, 2)
-    for fn in (theorem1_test, property_w, corollary2_route, recover_cosecants):
-        with pytest.raises(ValueError):
-            fn(arc, 2, M=M)
-        fn(twin, 2, M=M)
-    even = prefix_arc(hyperconic_f8, 6)
-    with pytest.raises(ValueError):
-        theorem1_test(even, 1, build_Mn(even, 0))
+        recover_cosecants(build_Mn(arc_q13_size9, 3))
 
 
 def test_recover_checks_the_given_vector(arc_q13_size6, arc_q11):
     arc = arc_q13_size6
+    # the arc lies on a 14-point conic, so M_1 certifies nothing: no false
+    # "cannot extend to 13"
+    assert theorem1_test(build_Mn(arc, 1)) is None
     M = build_Mn(arc, 2)
     v = left_null_basis(M.matrix).basis[0].tolist()
-    assert recover_cosecants(arc, 2, source=v, M=M) == recover_cosecants(arc, 2, M=M)
+    assert recover_cosecants(M, source=v) == recover_cosecants(M)
     with pytest.raises(SizeOutOfRangeError):
-        recover_cosecants(arc, 2, source=v[:-1], M=M)
+        recover_cosecants(M, source=v[:-1])
     # ratios read off a vector that is not left-null predict nothing
     with pytest.raises(NotLeftNullError):
-        recover_cosecants(arc, 2, source=[1] * len(v), M=M)
+        recover_cosecants(M, source=[1] * len(v))
     # congruent to v mod 13, but not field element codes
     with pytest.raises(NotLeftNullError):
-        recover_cosecants(arc, 2, source=[x + 13 for x in v], M=M)
+        recover_cosecants(M, source=[x + 13 for x in v])
     # left-null vectors with zero coordinates: the zero vector, and the
     # null vector of q11 at n = 2, zero at its weight-one row {0,1}
     with pytest.raises(PropertyWMissingError):
-        recover_cosecants(arc, 2, source=[0] * len(v), M=M)
+        recover_cosecants(M, source=[0] * len(v))
     w = left_null_basis(build_Mn(arc_q11, 2).matrix).basis[0]
     assert w[0] == 0
     with pytest.raises(PropertyWMissingError):
-        recover_cosecants(arc_q11, 2, source=w)
+        recover_cosecants(build_Mn(arc_q11, 2), source=w)
 
 
 def test_recover_rejects_a_non_integer_source(arc_q13_size6):
@@ -819,9 +823,9 @@ def test_recover_rejects_a_non_integer_source(arc_q13_size6):
     M = build_Mn(arc, 2)
     v = left_null_basis(M.matrix).basis[0]
     # floats that truncate to v, its entries as strings, and a report
-    for source in ([x + 0.9 for x in v.tolist()], v + 0.9, [str(x) for x in v], property_w(arc, 2, M)):
+    for source in ([x + 0.9 for x in v.tolist()], v + 0.9, [str(x) for x in v], property_w(M)):
         with pytest.raises(NotLeftNullError):
-            recover_cosecants(arc, 2, source=source, M=M)
+            recover_cosecants(M, source=source)
 
 
 # ----------------------------------------------------------------------
@@ -867,23 +871,22 @@ def test_vg_vector_matches_scalar_reference(conic_f5, hyperconic_f8, F13, F81):
 # ----------------------------------------------------------------------
 
 
-def even_nullity_check(arc, n, M=None):
+def even_nullity_check(M):
     """The even-q nullity law: M_n has nullity C(|G|-n-1, k-1) exactly."""
-    M = build_Mn(arc, n) if M is None else M
-    return left_null_basis(M.matrix).nullity == comb(arc.size - n - 1, arc.k - 1)
+    return left_null_basis(M.matrix).nullity == comb(M.arc.size - M.n - 1, M.arc.k - 1)
 
 
 def test_even_nullity_law(hyperconic_f8, hyperconic_f4, F4):
     arc = prefix_arc(hyperconic_f8, 6)
-    assert even_nullity_check(arc, 1)
-    assert even_nullity_check(arc, 0)
+    assert even_nullity_check(build_Mn(arc, 1))
+    assert even_nullity_check(build_Mn(arc, 0))
     # |G| = k+n: nullity 1
-    assert even_nullity_check(prefix_arc(hyperconic_f4, 4), 1)
+    assert even_nullity_check(build_Mn(prefix_arc(hyperconic_f4, 4), 1))
     # q=4, |G|=5, n=0: nullity C(4,2) = 6
     arc45 = prefix_arc(hyperconic_f4, 5)
     M = build_Mn(arc45, 0)
     assert left_null_basis(M.matrix).nullity == comb(4, 2) == 6
-    assert even_nullity_check(arc45, 0, M)
+    assert even_nullity_check(M)
 
 
 def test_conjecture_scan_k3(F5):
@@ -950,7 +953,7 @@ def test_stacked_weight_one_matches_theorem1_test(monkeypatch):
     cases = []
 
     def add(ctx, k, n, arcs):
-        want = [theorem1_test(ArcConfig(ctx, k, pts, check=False), n) is not None for pts in arcs]
+        want = [theorem1_test(build_Mn(ArcConfig(ctx, k, pts, check=False), n)) is not None for pts in arcs]
         assert want == [plain_weight_one(ctx, k, n, pts) for pts in arcs]
         cases.append((ctx, k, n, arcs, want))
         return want
@@ -1303,7 +1306,7 @@ def test_certificates_never_contradicted_by_search():
                     break
             G = ArcConfig(ctx, 3, cur)
             for n in range(G.size - 2):
-                cert = theorem1_test(G, n)
+                cert = theorem1_test(build_Mn(G, n))
                 if cert is not None and cert.forbidden_size <= ctx.q + 2:
                     res = complete_search(G, target_size=cert.forbidden_size)
                     assert res.arcs == (), (q, cur, n, cert)
@@ -1313,11 +1316,11 @@ def test_property_w_trivial_even_q(hyperconic_f4):
     # |G| = k+n over even q: the one situation where the weight-two
     # property holds despite the even-q obstruction
     G = prefix_arc(hyperconic_f4, 4)
-    assert property_w(G, 1).holds
+    assert property_w(build_Mn(G, 1)).holds
     G5 = prefix_arc(hyperconic_f4, 5)
-    assert property_w(G5, 2).holds
+    assert property_w(build_Mn(G5, 2)).holds
     # and it fails as soon as |G| > k+n
-    assert not property_w(G5, 1).holds
+    assert not property_w(build_Mn(G5, 1)).holds
 
 
 def test_prediction_evaluator(arc_q13_size6, F13):
@@ -1325,7 +1328,7 @@ def test_prediction_evaluator(arc_q13_size6, F13):
     # proportional to the completion's tangent function on every arc point
     res = complete_search(arc_q13_size6, target_size=14)
     S = ArcConfig(F13, 3, res.arcs[0])
-    pred = recover_cosecants(arc_q13_size6, 2)
+    pred = recover_cosecants(build_Mn(arc_q13_size6, 2))
     for A in subset_iter(6, 1):
         item = pred.per_A[A]
         ev = ref_interpolate_fA(arc_q13_size6, A, item.values)

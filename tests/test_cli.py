@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from arclab import certifier, cli, gf
-from arclab.arcgeom import TABLE_WORDS, ArcInputError, InvariantError, complete_search
+from arclab.arcgeom import TABLE_WORDS, ArcConfig, ArcInputError, InvariantError, complete_search
 from arclab.cli import (
     ArcFileError,
     build_parser,
@@ -23,7 +23,7 @@ from arclab.cli import (
 )
 from arclab.exactmat import LeftNullBasis
 
-from conftest import ARCS_DIR, prefix_arc
+from conftest import ARCS_DIR, prefix_arc, shuffled_nrc
 
 
 def load(name):
@@ -133,7 +133,7 @@ def test_cmd_cosecants_reports_the_search_on_the_nullity_one_route():
     # report is the one the search gives, and recovery reads the null vector
     cases = [(parse_arc_file(load("q13_size6.arc")), 2), (parse_arc_file(load("q81_size11.arc")), 1)]
     for arc, n in cases:
-        w = certifier.property_w(arc, n)
+        w = certifier.property_w(certifier.build_Mn(arc, n))
         rep = cmd_cosecants(arc, n)
         assert rep["corollary2_route"] is True
         assert (rep["property_w"], rep["missing"]) == (w.holds, list(w.missing)) == (True, [])
@@ -162,7 +162,7 @@ def test_cmd_cosecants_runs_property_w_once(monkeypatch):
     rep = cmd_cosecants(arc, 2)
     assert (rep["corollary2_route"], rep["route"], rep["all_split"]) == (True, "null-vector", True)
     assert len(calls) == 1
-    certifier.recover_cosecants(arc, 2)
+    certifier.recover_cosecants(certifier.build_Mn(arc, 2))
     assert len(calls) == 1
     calls.clear()
     # a weight-one vector there: Property W holds, but its zero null-basis
@@ -285,6 +285,45 @@ def test_conjecture_scan_answers_before_building_the_frame(monkeypatch, capsys):
     monkeypatch.setattr(certifier, "ArcConfig", no_frame)
     assert main(["conjecture-scan", "--p", "1048573", "--k", "2000", "--n", "0"]) == 3
     assert capsys.readouterr().err == f"error: the hyperplane table of PG(1999, 1048573) exceeds {TABLE_WORDS} words\n"
+
+
+def test_bound_past_the_mn_cap_exits_3(tmp_path, capsys, F81):
+    # at n = 0 the 17-point GF(81) curve arc at k = 6 needs a 29.5 M-cell
+    # residual work array: once a MemoryError traceback (exit 1)
+    path = tmp_path / "g17.arc"
+    path.write_text(format_arc_file(ArcConfig(F81, 6, shuffled_nrc(F81, 6, 13)[:17], check=False)))
+    assert main(["bound", str(path)]) == 3
+    captured = capsys.readouterr()
+    err = "error: M_0 of a 17-point arc at k=6 needs a table of 29475264 cells, over 16777216\n"
+    assert (captured.out, captured.err) == ("", err)
+
+
+@pytest.mark.parametrize("text,err", [
+    ("field \u0661\u0663 1\nk 3\n1 0 0\n0 1 0\n0 0 1\n", "error: bad field line: 'field \u0661\u0663 1'\n"),
+    ("field 13 1\nk \u0663\n1 0 0\n0 1 0\n0 0 1\n", "error: bad k line: 'k \u0663'\n"),
+    ("field 13 1\nk 3\n\uff11 0 0\n0 1 0\n0 0 1\n", "error: '\uff11 0 0': cannot parse field element '\uff11'\n"),
+    ("field 3 2\nk 3\nt^0 0 0\n0 t^0 0\n0 0 t^\uff11\n", "error: '0 0 t^\uff11': bad exponent in 't^\uff11'\n"),
+], ids=["field-line", "k-line", "prime-field-element", "exponent"])
+def test_non_ascii_decimal_digits_in_an_arc_file_exit_2(tmp_path, capsys, text, err):
+    # str.isdecimal() holds for every Unicode decimal digit and int() reads
+    # them all: 'field \u0661\u0663 1' once ran as GF(13), '\uff11' as 1
+    path = tmp_path / "digits.arc"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path), "--n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
+def test_non_ascii_decimal_digits_in_options_exit_2(capsys):
+    # '1,\u0661\u0661' once read as the file's own modulus x - 2, and a
+    # budget '\u0661\u0660' as 10
+    q13 = str(ARCS_DIR / "q13_size6.arc")
+    assert main(["analyze", q13, "--n", "2", "--modulus", "1,\u0661\u0661"]) == 2
+    assert capsys.readouterr().err == "error: bad --modulus value '1,\u0661\u0661'\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["search", q13, "--budget", "\u0661\u0660"])
+    assert exc.value.code == 2
+    assert "expected an integer >= 0, got '\u0661\u0660'" in capsys.readouterr().err
 
 
 def test_other_value_errors_are_not_input_errors(monkeypatch):

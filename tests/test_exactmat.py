@@ -26,7 +26,7 @@ from conftest import (
 )
 
 
-def random_matrix(ctx, rng, m, n):
+def random_gfmatrix(ctx, rng, m, n):
     return GFMatrix(ctx, [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(m)])
 
 
@@ -71,7 +71,7 @@ def test_rank_equals_transpose_rank():
     for q, h in [(5, 1), (13, 1), (2, 3)]:
         ctx = FieldCtx(q, h)
         for _ in range(20):
-            M = random_matrix(ctx, rng, rng.randrange(1, 9), rng.randrange(1, 9))
+            M = random_gfmatrix(ctx, rng, rng.randrange(1, 9), rng.randrange(1, 9))
             assert rank_from_nullity(M) == rank_from_nullity(GFMatrix(ctx, M.data.T))
 
 
@@ -129,7 +129,7 @@ def test_canonical_left_null_gives_the_kernel_form():
     for p, h in [(5, 1), (3, 2), (2, 3)]:
         ctx = FieldCtx(p, h)
         for _ in range(20):
-            M = random_matrix(ctx, rng, rng.randrange(2, 10), rng.randrange(1, 6))
+            M = random_gfmatrix(ctx, rng, rng.randrange(2, 10), rng.randrange(1, 6))
             want = left_null_basis(M).basis
             assert np.array_equal(canonical_left_null(ctx, ref_left_null_dense(M)), want)
             if len(want):
@@ -146,7 +146,7 @@ def test_left_null_annihilates():
     for q, h in [(5, 1), (11, 1), (3, 2)]:
         ctx = FieldCtx(q, h)
         for _ in range(15):
-            M = random_matrix(ctx, rng, rng.randrange(2, 10), rng.randrange(1, 8))
+            M = random_gfmatrix(ctx, rng, rng.randrange(2, 10), rng.randrange(1, 8))
             null = left_null_basis(M)
             rows = M.data.tolist()
             assert null.nullity == M.rows - len(ref_rref(ctx, rows, M.cols)[1])
@@ -177,7 +177,7 @@ def test_weight_one_identity_and_oracle():
         ctx = FieldCtx(q)
         assert weight_one_in_colspace(GFMatrix(ctx, np.eye(4))) == 0
         for _ in range(25):
-            M = random_matrix(ctx, rng, rng.randrange(2, 9), rng.randrange(1, 10))
+            M = random_gfmatrix(ctx, rng, rng.randrange(2, 9), rng.randrange(1, 10))
             assert weight_one_in_colspace(M) == brute_weight_one(M)
 
 
@@ -187,7 +187,7 @@ def test_weight_two_oracle_agreement():
         ctx = FieldCtx(q)
         for _ in range(25):
             m = rng.randrange(3, 9)
-            M = random_matrix(ctx, rng, m, rng.randrange(1, 10))
+            M = random_gfmatrix(ctx, rng, m, rng.randrange(1, 10))
             c1, c2 = rng.sample(range(m), 2)
             assert partners(M, c1, c2) == (brute_weight_two(M, c1, c2) is not None)
 

@@ -28,7 +28,7 @@ def test_frobenius_images(name, powers, request):
     _, pencils, beta, D = _star_geometry(arc)
     Ms = [build_Mn(arc, n) for n in range(4)]
     nulls = [left_null_basis(M.matrix).basis for M in Ms]
-    missing = [property_w(arc, n, M).missing for n, M in enumerate(Ms)]
+    missing = [property_w(M).missing for M in Ms]
     for j in powers:
         sigma = frobenius(ctx, j)
         assert len(set(sigma.tolist())) == ctx.q and sigma[ctx.generator] != ctx.generator
@@ -41,4 +41,4 @@ def test_frobenius_images(name, powers, request):
             M = build_Mn(image, n)
             assert np.array_equal(M.matrix.data, sigma[Ms[n].matrix.data])
             assert np.array_equal(left_null_basis(M.matrix).basis, sigma[nulls[n]])
-            assert property_w(image, n, M).missing == missing[n]
+            assert property_w(M).missing == missing[n]

@@ -222,6 +222,16 @@ def test_parse_examples():
         FieldCtx(3, 4).parse("7")  # bare ints only over prime fields
 
 
+def test_parse_takes_ascii_digits_only():
+    # int() reads every Unicode decimal digit: '\uff17' (fullwidth) as 7
+    # and '\u0665' (Arabic-Indic) as 5
+    F11 = FieldCtx(11)
+    assert (F11.parse("7"), F11.parse("t^5")) == (7, F11.exp[5])
+    for text in ("\uff17", "t^\u0665", "t^-\u0665"):
+        with pytest.raises(ElementSyntaxError):
+            F11.parse(text)
+
+
 def test_conway_polynomial_table():
     assert conway_polynomial(2, 2) == (1, 1, 1)
     assert conway_polynomial(3, 4) == (1, 2, 0, 0, 2)

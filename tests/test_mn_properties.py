@@ -107,7 +107,7 @@ def _statuses(arc, n):
     """Per-A split status of recovery, None when it raises
     PropertyWMissingError."""
     try:
-        pred = recover_cosecants(arc, n)
+        pred = recover_cosecants(build_Mn(arc, n))
     except PropertyWMissingError:
         return None
     return {A: p.status for A, p in pred.per_A.items()}

@@ -1,6 +1,7 @@
 """The module surface of arclab: every name a module exports exists, every
 exported function and every public method of an exported class is reached
-by a command, and no library check is an ``assert``.
+by a command, no library check is an ``assert``, and every name a library
+module imports is read.
 
 Tools that walk ``__all__`` and look each name up (the benchmark tracer
 wraps every exported function this way) fail on a stale entry.  A function
@@ -54,6 +55,26 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/arclab (stripped by python -O): {found}"
+
+
+def test_library_reads_every_name_it_imports():
+    # no linter runs on the library: a name that a module imports and never
+    # reads is a leftover of a deletion.  __init__ imports to re-export, and
+    # a __future__ import is a compiler switch
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [
+            f"{path.name}:{node.lineno} {name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for name in ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            if name not in read
+        ]
+    assert not unread, f"names imported and never read in src/arclab: {unread}"
 
 
 def command_lines():
