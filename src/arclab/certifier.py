@@ -15,9 +15,9 @@ asked of one M_n alone: ``theorem1_test(M)``, ``property_w(M)``,
 and field from M.  Every answer is read off M_n's left null basis, which
 ``null_basis`` interpolates star by star from D and its values on the
 C(|G|-n-1, k-1) rows inside the first |G|-n-1 points, eliminating only a
-residual of that many rows; the result is the canonical basis that
-eliminating [M | I] gives, bit for bit.  No answer builds M_n's dense
-data: only ``CertMatrix.matrix`` does, on first use.
+residual of that many rows, in canonical form (1 at its own dependent
+row, 0 at the others).  No answer builds M_n's dense data: only
+``CertMatrix.matrix`` does, for the tests' references and the tracer.
 
 A weight-one vector in the column space certifies that G extends to no
 arc of size q+2k+n-1-|G|.  Without one, Property W holds exactly when the
@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +56,6 @@ from .tangentfns import _lagrange_sum
 __all__ = [
     "SizeOutOfRangeError",
     "PropertyWMissingError",
-    "NotLeftNullError",
     "CertMatrix",
     "NonExtendabilityCertificate",
     "PropertyWReport",
@@ -84,10 +82,6 @@ class PropertyWMissingError(RuntimeError):
     pass
 
 
-class NotLeftNullError(ArcInputError):
-    """A vector given as a left-null vector of M_n does not annihilate it."""
-
-
 class CertMatrix:
     """M_n of an arc as its star geometry, the one argument of every
     question about M_n: the arc, its field ``ctx`` and n, the star of
@@ -95,7 +89,7 @@ class CertMatrix:
     A), a basis b1, b2 of the forms vanishing on A with the pencil
     coordinates beta(x) = (b1.x, b2.x) of its star, and the table D(x, y)
     of every pair of star points.  One block of n+1 columns per A holds
-    M_n's data, which no answer reads: ``matrix`` builds it on first use."""
+    M_n's data, which no answer reads."""
 
     def __init__(self, arc: ArcConfig, n: int, index, pencils, beta, D):
         self.arc = arc
@@ -115,9 +109,9 @@ class CertMatrix:
 
     @property
     def matrix(self) -> GFMatrix:
-        """M_n's dense data (``_mn_data``), built on first use: of the
-        answers, only the check of a given vector in ``recover_cosecants``
-        reads it."""
+        """M_n's dense data (``_mn_data``), built on first use.  No
+        answer reads it: only the tests' references and the benchmark
+        tracer do, and it is not held to MN_CELLS."""
         if self._matrix is None:
             self._matrix = GFMatrix(self.ctx, _mn_data(self.ctx, self.index, self.beta, self.n))
         return self._matrix
@@ -213,9 +207,10 @@ def _mn_data(ctx, index, beta, n: int):
     return data.reshape(len(rows), -1)
 
 
-# cells of the largest table that M_n's null space needs (128 MiB of int64):
-# the star table D or the residual's [R | I] work array, never smaller than
-# the seed expansion P of ``null_basis`` (``build_Mn``)
+# cells of the largest table that M_n's answers need (128 MiB of int64): the
+# star table D or the residual's [R | I] work array, never smaller than the
+# seed expansion P of ``null_basis`` (``build_Mn``), or recovery's values of
+# every f_A on PG(1, q) (``_recover``)
 MN_CELLS = 1 << 24
 
 
@@ -325,10 +320,10 @@ def _star_residual(ctx, index, D, n: int):
 
 
 def null_basis(M: CertMatrix) -> LeftNullBasis:
-    """The left null basis of M_n, bit for bit the one that
-    ``left_null_basis(M.matrix)`` gives, read off the star geometry
-    instead of eliminating [M | I].  It is computed once per M_n and kept
-    on M, and every answer taken from M_n reads it.
+    """The left null basis of M_n in canonical form, 1 at its own
+    dependent row and 0 at the other dependent rows, read off the star
+    geometry instead of eliminating [M | I].  It is computed once per M_n
+    and kept on M, and every answer taken from M_n reads it.
 
     Seeds.  Let S be the first |G|-n-1 points.  The d = C(|G|-n-1, k-1)
     rows inside S are the first d rows (colex), and a null vector v is
@@ -349,10 +344,9 @@ def null_basis(M: CertMatrix) -> LeftNullBasis:
     Canonical form.  ``left_null_basis`` gives R's null basis X with 1 at
     each dependent row and 0 at the other dependent rows.  P is the
     identity on the seeds, which come first, so X P^T has that form too,
-    and there is one basis of that form of M_n's null space: the one
-    ``left_null_basis(M.matrix)`` returns.  X P^T is a second wave pass
-    on X's seed values.  At even q, R is zero and X the reversed
-    identity, so X P^T is P^T reversed.
+    and M_n's null space has one basis of that form.  X P^T is a second
+    wave pass on X's seed values.  At even q, R is zero and X the
+    reversed identity, so X P^T is P^T reversed.
     """
     if M._null is not None:
         return M._null
@@ -468,26 +462,20 @@ class CosecantPrediction:
     n: int
     t: int
     per_A: dict
-    route: str            # "null-vector": the ratios come from one null vector
 
     @property
     def all_split(self) -> bool:
         return all(p.status == "ok" for p in self.per_A.values())
 
 
-def recover_cosecants(M: CertMatrix, source=None) -> CosecantPrediction:
+def recover_cosecants(M: CertMatrix) -> CosecantPrediction:
     """Recover, per (k-2)-subset A of M's arc, the tangent function any
     extension to size q+2k+n-1-|G| must restrict to, normalised to 1 at
-    the first point x of A's star.
-
-    The ratios come from one left-null vector v of M_n, M's own or the
-    given one (NotLeftNullError unless it is a left-null vector of field
-    element codes), a multiple of the v_G of any extension: at the first
-    t+1 points e of the star f_A(e)/f_A(x) = (s_x s_e)^n Q_A(e) v(A+e) /
-    (Q_A(x) v(A+x)), Q_A(e) = prod D(z, e) over the rest of the star.  A
-    zero basis column (on M's own basis, a weight-one vector) fixes no
-    ratio and raises PropertyWMissingError, and so does a basis of two or
-    more rows, as with no zero column Property W forces nullity 1.
+    the first point x of A's star, from M_n's own left-null vector v
+    (``_recover``), a multiple of the v_G of any extension.  A zero basis
+    column (a weight-one vector) fixes no ratio and raises
+    PropertyWMissingError, and so does a basis of two or more rows, as
+    with no zero column Property W forces nullity 1.
     (1) On A's star each v of the null space N is e -> h_A(beta(e)) /
     (s_e^n Q_A(e)), h_A a degree-t binary form linear in v, since block A
     holds every degree-n form at the pairwise-independent beta(e).
@@ -499,25 +487,11 @@ def recover_cosecants(M: CertMatrix, source=None) -> CosecantPrediction:
     (4) Conversely one vector with no zero entry makes all |G|-k+2 >= t+2
     rows of a star partners: with no zero column, Property W holds exactly
     when corollary2_route does.  Property W on two or more rows raises
-    InvariantError.  A function that does not split into t distinct
-    pencil forms is reported non-splitting, which itself certifies that
-    no such extension exists.
+    InvariantError.
     """
-    n, t, ctx = M.n, M.t, M.ctx
-    if t < 1:
-        raise SizeOutOfRangeError(f"recovery needs t = |G|-k-n >= 1, got {t}")
-    ops = ctx.vec_ops()
-    if source is None:
-        null = null_basis(M).basis
-    else:
-        entries = list(source) if isinstance(source, Iterable) else [source]
-        if not all(isinstance(x, (int, np.integer)) and 0 <= x < ctx.q for x in entries):
-            raise NotLeftNullError("the given vector has entries that are not field element codes")
-        null = np.array([entries], dtype=np.int64)
-        if null.shape[1] != len(M.rows):
-            raise SizeOutOfRangeError("null vector length does not match row count")
-        if ops.matmul(null, M.matrix.data).any():
-            raise NotLeftNullError("the given vector is not a left-null vector of M_n")
+    if M.t < 1:
+        raise SizeOutOfRangeError(f"recovery needs t = |G|-k-n >= 1, got {M.t}")
+    null = null_basis(M).basis
     zero = np.flatnonzero(~null.any(0))
     if zero.size:
         raise PropertyWMissingError(f"zero left-null basis column at row {M.rows[zero[0]]}: it fixes no ratio")
@@ -526,10 +500,29 @@ def recover_cosecants(M: CertMatrix, source=None) -> CosecantPrediction:
         if not missing:
             raise InvariantError("Property W holds on a left null space of two or more vectors")
         raise PropertyWMissingError(f"Property W fails for {len(missing)} subsets, e.g. {missing[0]}")
+    return _recover(M, null[0])
+
+
+def _recover(M: CertMatrix, v) -> CosecantPrediction:
+    """The co-secants that a left-null vector v of M_n with no zero entry
+    (int64, over M's rows) predicts: at the first t+1 points e of A's star
+    f_A(e)/f_A(x) = (s_x s_e)^n Q_A(e) v(A+e) / (Q_A(x) v(A+x)), Q_A(e) =
+    prod D(z, e) over the rest of the star.  Every f_A is evaluated on the
+    q+1 pencil members through A, C(|G|, k-2) (q+1) cells: past MN_CELLS,
+    BudgetExceededError comes first.  An f_A that does not split into t
+    distinct forms is non-splitting, which itself certifies that no such
+    extension exists."""
+    n, t, ctx = M.n, M.t, M.ctx
+    cells = len(M.subsets) * (ctx.q + 1)
+    if cells > MN_CELLS:
+        raise BudgetExceededError(
+            f"recovery on M_{n} of a {M.arc.size}-point arc at k={M.arc.k} over GF({ctx.q}) "
+            f"needs a table of {cells} cells, over {MN_CELLS}")
+    ops = ctx.vec_ops()
     # DK[s, u, j] = D(u, e_j) at the first t+1 points e_j of the star, 1 at u = e_j
     DK = M.D[:, :, : t + 1].copy()
     DK[:, np.arange(t + 1), np.arange(t + 1)] = 1
-    v = null[0, M.stars[:, : t + 1]]
+    v = v[M.stars[:, : t + 1]]
     Q = ops.prod(DK.swapaxes(1, 2))  # Q_A(e_j), over the whole star
     vals = ops.div(ops.mul(Q, v), ops.mul(Q[:, :1], v[:, :1]))
     odd = M.odd[:, : t + 1]
@@ -553,7 +546,7 @@ def recover_cosecants(M: CertMatrix, source=None) -> CosecantPrediction:
         if split[s]:
             roots, status = tuple(sorted(map(tuple, next(members)))), "ok"
         per_A[A] = PredictedTangent(A, pts[s][0], dict(zip(pts[s], vals[s].tolist())), roots, status)
-    return CosecantPrediction(n, t, per_A, "null-vector")
+    return CosecantPrediction(n, t, per_A)
 
 
 # ----------------------------------------------------------------------

