@@ -32,9 +32,10 @@ __all__ = [
 
 # per cofactor_normals call: DET_CHUNK stacked sets (k-subsets in validate_arc,
 # spanning sets of hyperplanes in the search); per table fill about MASK_CELLS
-# form-value cells; per search batch at most BATCH_ENTRIES branch entries (a
-# node with more goes alone); per point ROW_CACHE_SLOTS slots of the row cache;
-# per hyperplane table at most TABLE_WORDS int64 words (128 MiB, rows filled on use)
+# form-value cells, and per run of search entries about MASK_CELLS pairs; per
+# search batch at most BATCH_ENTRIES branch entries (a node with more goes
+# alone); per point ROW_CACHE_SLOTS slots of the row cache; per hyperplane
+# table at most TABLE_WORDS int64 words (128 MiB, rows filled on use)
 DET_CHUNK = 4096
 MASK_CELLS = 1 << 16
 BATCH_ENTRIES = 1024
@@ -343,9 +344,8 @@ class HyperplaneIncidence:
         h = self._slots[slot, -1]
         miss = np.flatnonzero((self._slots[slot, :-1] != flat).any(1))
         if len(miss):
-            sets = self._vectors[flat[miss]]
-            for i in range(0, len(miss), DET_CHUNK):
-                h[miss[i : i + DET_CHUNK]] = self.index(cofactor_normals(self.ctx, sets[i : i + DET_CHUNK]))
+            for at in (miss[i : i + DET_CHUNK] for i in range(0, len(miss), DET_CHUNK)):
+                h[at] = self.index(cofactor_normals(self.ctx, self._vectors[flat[at]]))
             self._slots[slot[miss]] = np.column_stack([flat[miss], h[miss]])
         new = np.flatnonzero((np.bincount(h, minlength=len(self._filled)) > 0) & ~self._filled)
         pts = self._vectors[: len(self.points)]
@@ -411,10 +411,10 @@ def _orbit_sizes(ctx, symmetries, ids, vectors):
 
 @dataclass(frozen=True)
 class SearchResult:
-    complete_sizes: tuple | None
-    arcs: tuple | np.ndarray | None
+    complete_sizes: tuple | None  # without a target
+    arcs: np.ndarray | None       # with one: the (found, target, k) points of the arcs found
     nodes: int
-    orbit_sizes: np.ndarray | None = None  # of the arcs, under symmetries
+    orbit_sizes: np.ndarray | None = None  # of the arcs, 1 each without symmetries
 
 
 def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000, *, symmetries=None) -> SearchResult:
@@ -422,9 +422,9 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000, *, symme
 
     Without a target, returns the sorted sizes of all complete arcs
     containing the input.  With a target, returns every arc of exactly
-    that size containing the input, as full point tuples, each extension
-    set enumerated once in candidate order; a target must lie in
-    |G|..q+k-1, or ArcInputError is raised.  Raises BudgetExceededError
+    that size containing the input, as one (arcs, target, k) array, each
+    extension set enumerated once in candidate order; a target must lie
+    in |G|..q+k-1, or ArcInputError is raised.  Raises BudgetExceededError
     when the node count exceeds the budget, so a returned result is an
     exhaustion proof.
 
@@ -432,7 +432,7 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000, *, symme
     onto itself (else InvariantError), keeps a child only if the ids of
     its points outside the input are the least of its images, as they are
     then without its largest point: the DFS meets each orbit once, counts
-    it as its size and returns one (arcs, target, k) array and the sizes.
+    it as its size and returns one arc per orbit with the orbit sizes.
 
     Candidates are bitsets over ``projective_points``: adding v removes
     the points on each hyperplane <v, S>, S a (k-2)-subset of the current
@@ -442,11 +442,12 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000, *, symme
     the masks of every <w, S>.  Each entry becomes a child, cands & cut
     without w, whose grandchildren are its candidates above w: a popcount
     counts them against the budget before a bit test per pair of entries
-    of a node makes them.  Children with grandchildren go on a stack in
-    batches of whole nodes and at most BATCH_ENTRIES entries, a grandchild's
-    cut being a row of its parent batch's cuts.  Sorting the id paths of
-    the arcs found gives DFS preorder, and one gather of the point vectors
-    over the sorted ids gives the arcs.
+    of a node makes them, about MASK_CELLS pairs at a time.  Children with
+    grandchildren go on a stack in batches of whole nodes and at most
+    BATCH_ENTRIES entries, a grandchild's cut being a row of its parent
+    batch's cuts.  Sorting the id paths of the arcs found gives DFS
+    preorder, and one gather of the point vectors over the sorted ids
+    gives the arcs.
     """
     ctx, k = arc.ctx, arc.k
     if target_size is not None and target_size > ctx.q + k - 1:
@@ -498,14 +499,21 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000, *, symme
         made += int(_POP[above.view(np.uint8)].sum())
         if made > budget:
             break
-        # the pairs e < f of entries of one node, e a kept child with grandchildren, then those e keeps
+        # the pairs e < f of entries of one node, e a kept child with grandchildren, then those e
+        # keeps, made for runs of entries of about MASK_CELLS pairs: pair i of e has f = e + 1 + i
         has = above.any(1) & (orbit > 0)
         stop = np.append(np.flatnonzero(np.diff(node)) + 1, len(node))
         more = np.where(has, stop[node] - np.arange(len(node)) - 1, 0)
-        e = np.repeat(np.arange(len(node)), more)
-        f = e + 1 + np.arange(len(e)) - np.repeat(np.cumsum(more) - more, more)
-        keep = children[e, ws[f] >> 6] & _BIT[ws[f] & 63] != 0
-        e, f = e[keep], f[keep]
+        ends = np.cumsum(more)
+        first, pairs, lo = ends - more, [], 0
+        while lo < len(node):
+            hi = max(lo + 1, int(np.searchsorted(ends, first[lo] + MASK_CELLS, side="right")))
+            e = np.repeat(np.arange(lo, hi), more[lo:hi])
+            f = e + 1 + np.arange(len(e)) - np.repeat(first[lo:hi] - first[lo], more[lo:hi])
+            keep = children[e, ws[f] >> 6] & _BIT[ws[f] & 63] != 0
+            pairs.append((e[keep], f[keep]))
+            lo = hi
+        e, f = (np.concatenate(x) for x in zip(*pairs))
         at = np.flatnonzero(has)  # the kept children with grandchildren
         paths, cands, node, ws = ext[at], children[at], np.searchsorted(at, e), ws[f]
         # batches of whole nodes and at most BATCH_ENTRIES entries, the first on top
@@ -523,10 +531,7 @@ def complete_search(arc: ArcConfig, target_size=None, budget=2_000_000, *, symme
         return SearchResult(tuple(sorted(sizes)), None, nodes)
     ids = np.concatenate(found) if found else np.zeros((0, target_size + 1), dtype=np.int64)
     ids = ids[np.lexsort(ids[:, :-1].T[::-1])]
-    arcs = inc._vectors[ids[:, :-1]]
-    if symmetries is not None:
-        return SearchResult(None, arcs, nodes, ids[:, -1])
-    return SearchResult(None, tuple(tuple(map(tuple, pts)) for pts in arcs.tolist()), nodes)
+    return SearchResult(None, inc._vectors[ids[:, :-1]], nodes, ids[:, -1])
 
 
 # ----------------------------------------------------------------------

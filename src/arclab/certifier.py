@@ -209,7 +209,7 @@ def _mn_data(ctx, index, beta, n: int):
 
 # cells of the largest table that M_n's answers need (128 MiB of int64): the
 # star table D or the residual's [R | I] work array, never smaller than the
-# seed expansion P of ``null_basis`` (``build_Mn``), or recovery's values of
+# seed expansion P of ``_null_bases`` (``build_Mn``), or recovery's values of
 # every f_A on PG(1, q) (``_recover``)
 MN_CELLS = 1 << 24
 
@@ -285,7 +285,7 @@ def _fill_waves(ops, V, waves):
 
 
 def _star_residual(ctx, index, D, n: int):
-    """P, R and the waves of ``null_basis`` for each arc of a stack of
+    """P, R and the waves of ``_null_bases`` for each arc of a stack of
     star tables D, (B, subsets, |G|-k+2, |G|-k+2), all of one size:
     P (B, rows, d) expands the seed values, R (B, d, columns) is the
     residual and each wave is (the rows it fills, their maps (B, filled,
@@ -319,11 +319,12 @@ def _star_residual(ctx, index, D, n: int):
     return P, R, waves
 
 
-def null_basis(M: CertMatrix) -> LeftNullBasis:
-    """The left null basis of M_n in canonical form, 1 at its own
-    dependent row and 0 at the other dependent rows, read off the star
-    geometry instead of eliminating [M | I].  It is computed once per M_n
-    and kept on M, and every answer taken from M_n reads it.
+def _null_bases(ctx, index, D, n: int):
+    """M_n's left null basis in canonical form, 1 at its own dependent row
+    and 0 at the other dependent rows, for each arc of a stack of star
+    tables D, (B, subsets, |G|-k+2, |G|-k+2), all of one size: a (B, r,
+    rows) array, zero rows padding each basis to the largest nullity r,
+    and the (B,) nullities.
 
     Seeds.  Let S be the first |G|-n-1 points.  The d = C(|G|-n-1, k-1)
     rows inside S are the first d rows (colex), and a null vector v is
@@ -339,30 +340,41 @@ def null_basis(M: CertMatrix) -> LeftNullBasis:
     n+1 rows right.  R (d x cols) holds each such prediction minus the
     filled value, except where the star filled the row itself; its
     columns run in lex order of A, the order of least fill.
-    ``_star_residual`` builds P, R and the waves, for a stack of arcs;
-    here the stack holds one.
-    Canonical form.  ``left_null_basis`` gives R's null basis X with 1 at
-    each dependent row and 0 at the other dependent rows.  P is the
-    identity on the seeds, which come first, so X P^T has that form too,
-    and M_n's null space has one basis of that form.  X P^T is a second
-    wave pass on X's seed values.  At even q, R is zero and X the
-    reversed identity, so X P^T is P^T reversed.
+    ``_star_residual`` builds P, R and the waves.
+    Canonical form.  R's null basis X of that form is the reversed
+    identity where R is zero (even q), empty where R is one nonzero row
+    (d = 1), else one ``left_null_basis`` call.  P is the identity on the
+    seeds, which come first, so X P^T has that form too, and M_n's null
+    space has one basis of that form.  X P^T is one wave pass on X's seed
+    values, skipped when every nullity is 0; where every R is zero it is
+    P^T reversed.
     """
-    if M._null is not None:
-        return M._null
-    ctx = M.ctx
-    P, R, waves = _star_residual(ctx, M.index, M.D[None], M.n)
-    d = R.shape[1]
-    X = left_null_basis(GFMatrix(ctx, R[0])).basis
-    if len(X) == d:
-        # R is zero (even q) and X the reversed identity
-        basis = P[0, :, ::-1].T
-    else:
-        del P
-        V = np.zeros((1, len(M.rows), len(X)), dtype=np.int64)
-        V[0, :d] = X.T
-        basis = _fill_waves(ctx.vec_ops(), V, waves if len(X) else ())[0].T
-    M._null = LeftNullBasis(ctx, basis.copy())
+    P, R, waves = _star_residual(ctx, index, D, n)
+    b, d, _ = R.shape
+    live = np.flatnonzero(R.any((1, 2))).tolist()  # the arcs whose R is not zero
+    nullity = np.full(b, d)
+    if not live:
+        return P[:, :, ::-1].swapaxes(1, 2), nullity
+    del P
+    X = [left_null_basis(GFMatrix(ctx, R[i])).basis for i in live] if d > 1 else []
+    nullity[live] = [len(x) for x in X] if X else 0
+    # V's seed rows hold X^T; a zero R, the only kind of nullity d, has the reversed identity
+    V = np.zeros((b, len(index[0]), nullity.max()), dtype=np.int64)
+    if len(live) < b:
+        V[nullity == d, :d] = np.eye(d, dtype=np.int64)[::-1]
+    for i, x in zip(live, X):
+        V[i, :d, : len(x)] = x.T
+    return _fill_waves(ctx.vec_ops(), V, waves if V.shape[2] else ()).swapaxes(1, 2), nullity
+
+
+def null_basis(M: CertMatrix) -> LeftNullBasis:
+    """The left null basis of M_n in canonical form (``_null_bases`` on a
+    stack of one), read off the star geometry instead of eliminating
+    [M | I].  It is computed once per M_n and kept on M, and every answer
+    taken from M_n reads it."""
+    if M._null is None:
+        basis, nullity = _null_bases(M.ctx, M.index, M.D[None], M.n)
+        M._null = LeftNullBasis(M.ctx, basis[0, : nullity[0]].copy())
     return M._null
 
 
@@ -491,16 +503,16 @@ def recover_cosecants(M: CertMatrix) -> CosecantPrediction:
     """
     if M.t < 1:
         raise SizeOutOfRangeError(f"recovery needs t = |G|-k-n >= 1, got {M.t}")
-    null = null_basis(M).basis
-    zero = np.flatnonzero(~null.any(0))
-    if zero.size:
-        raise PropertyWMissingError(f"zero left-null basis column at row {M.rows[zero[0]]}: it fixes no ratio")
-    if len(null) > 1:
+    null = null_basis(M)
+    zero = null.weight_one()
+    if zero is not None:
+        raise PropertyWMissingError(f"zero left-null basis column at row {M.rows[zero]}: it fixes no ratio")
+    if null.nullity > 1:
         missing = property_w(M).missing
         if not missing:
             raise InvariantError("Property W holds on a left null space of two or more vectors")
         raise PropertyWMissingError(f"Property W fails for {len(missing)} subsets, e.g. {missing[0]}")
-    return _recover(M, null[0])
+    return _recover(M, null.basis[0])
 
 
 def _recover(M: CertMatrix, v) -> CosecantPrediction:
@@ -604,34 +616,18 @@ def _random_arc(inc: HyperplaneIncidence, size, rng):
 
 def _certified(ctx, k: int, n: int, arcs) -> np.ndarray:
     """Whether ``theorem1_test`` certifies each arc of a (B, |G|, k) array
-    of points, or a list of point tuples: one ``_star_points`` and one
-    ``_star_residual`` call per chunk of about SCAN_CELLS star-table cells.
-
-    The weight-one rows are the zero columns of X P^T for any basis X of
-    R's left null space, so no canonical form is needed.  Where R is zero
-    X is the identity, and a nonzero R of one row (k = 3, where d = 1) has
-    no left null vector, so only the other arcs make a ``left_null_basis``
-    call, one each on their d-row residual.  X is padded with zero rows
-    to d x d, which adds no nonzero column."""
+    of points: whether its zero-padded basis from ``_null_bases`` has a
+    zero column, from one ``_star_points`` and one ``_null_bases`` call
+    per chunk of about SCAN_CELLS star-table cells."""
     out = np.zeros(len(arcs), dtype=bool)
     if not len(arcs):
         return out
-    ops = ctx.vec_ops()
-    index = _star_index(len(arcs[0]), k)
+    index = _star_index(arcs.shape[1], k)
     others = index[2]  # (subsets, |G|-k+2)
     step = max(1, SCAN_CELLS // (others.size * others.shape[1]))
     for lo in range(0, len(arcs), step):
-        points = np.asarray(arcs[lo : lo + step], dtype=np.int64)
-        P, R, _ = _star_residual(ctx, index, _star_points(ctx, index, points)[2], n)
-        b, d, _ = R.shape
-        zero = ~R.any((1, 2))
-        X = np.zeros((b, d, d), dtype=np.int64)
-        X[zero] = np.eye(d, dtype=np.int64)
-        if d > 1:
-            for i in (~zero).nonzero()[0]:
-                basis = left_null_basis(GFMatrix(ctx, R[i])).basis
-                X[i, : len(basis)] = basis
-        out[lo : lo + step] = (~ops.matmul(X, P.swapaxes(1, 2)).any(1)).any(1)
+        basis, _ = _null_bases(ctx, index, _star_points(ctx, index, arcs[lo : lo + step])[2], n)
+        out[lo : lo + step] = (~basis.any(1)).any(1)
     return out
 
 

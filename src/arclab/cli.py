@@ -275,10 +275,10 @@ def cmd_search(arc: ArcConfig, target=None, budget=2_000_000) -> dict:
         body["verdict"] = f"complete arcs containing the input have sizes {list(res.complete_sizes)}"
     else:
         body["found"] = len(res.arcs)
-        body["arcs"] = [[_fmt_point(arc.ctx, pt) for pt in pts] for pts in res.arcs]
+        body["arcs"] = [[_fmt_point(arc.ctx, pt) for pt in pts] for pts in res.arcs.tolist()]
         body["verdict"] = (
             f"{len(res.arcs)} arcs of size {target} contain the input"
-            if res.arcs
+            if len(res.arcs)
             else f"exhaustive: no arc of size {target} contains the input"
         )
     return _report("search", t0, arc, **body)

@@ -3,15 +3,16 @@
 Matrices hold element codes in a numpy int64 array and never mutate after
 construction; elimination works on a private copy.  Column-space
 membership questions (weight-one / weight-two vectors) are answered
-through one left null basis per matrix, cached on the matrix, since the
-certifier asks many such questions against the same matrix: the column
-space is exactly the annihilator of the left null space, so no rank,
-echelon form or solve is needed.  M_n's basis comes from star
-interpolation (``certifier.null_basis``), which builds no dense M_n and
-keeps the basis on the certification matrix, and ``left_null_basis``
-eliminates the residual that leaves; the conjecture scan eliminates in
-the same way the residual of each arc its orderly search lists, one per
-frame-symmetry orbit (``certifier._certified``).
+through a left null basis: the column space is exactly the annihilator of
+the left null space, so no rank, echelon form or solve is needed.  M_n's
+basis comes from star interpolation (``certifier._null_bases``), which
+builds no dense M_n, and stays on the certification matrix for every
+question about that M_n.  Of the residuals that star interpolation
+leaves, that of an M_n or of each arc the conjecture scan certifies
+(``certifier._certified``), ``left_null_basis`` eliminates each nonzero
+one of two or more rows, once.
+A ``GFMatrix`` keeps its basis (``_null``), so asking one matrix again,
+as the tests' dense references do, eliminates nothing.
 """
 
 from __future__ import annotations
@@ -95,9 +96,8 @@ class LeftNullBasis:
 
 def left_null_basis(matrix: GFMatrix) -> LeftNullBasis:
     """Left null basis via forward elimination of [M | I]: the kernel that
-    ``certifier.null_basis`` runs on the residual of M_n's star
-    interpolation, whose basis becomes M_n's, and that the conjecture scan
-    runs on each arc's residual.
+    ``certifier._null_bases`` runs on the residual of each M_n's star
+    interpolation, whose basis becomes M_n's.
 
     Rows whose M-part reduces to zero carry the combining coefficients in
     the identity block, so the surviving right-hand rows form the basis.

@@ -507,8 +507,20 @@ def ref_complete_search(arc, target_size=None, budget=2_000_000):
 
     dfs(list(arc.points), ref_extensions_of(arc), 0)
     if target_size is not None:
-        return SearchResult(None, tuple(found), nodes)
+        arcs = np.array(found, dtype=np.int64).reshape(len(found), target_size, k)
+        return SearchResult(None, arcs, nodes, np.ones(len(found), dtype=np.int64))
     return SearchResult(tuple(sorted(sizes)), None, nodes)
+
+
+def same_search(got, want):
+    """Whether two search results agree: the complete sizes and node
+    counts, and the arcs and orbit sizes as int64 arrays of one shape."""
+    arrays = ((got.arcs, want.arcs), (got.orbit_sizes, want.orbit_sizes))
+    return (got.complete_sizes, got.nodes) == (want.complete_sizes, want.nodes) and all(
+        a is None and b is None or a is not None and b is not None and a.dtype == b.dtype == np.int64
+        and np.array_equal(a, b)
+        for a, b in arrays
+    )
 
 
 def ref_random_arc(ctx, k, size, rng, attempts):

@@ -45,6 +45,7 @@ from conftest import (
     ref_extension_mask,
     ref_pencil_through,
     ref_validate_arc,
+    same_search,
     shuffled_nrc,
 )
 
@@ -240,12 +241,12 @@ def test_complete_search_sizes(arc_q13_size6, arc_q11, hyperconic_f8):
 
 def test_complete_search_target_mode(arc_q13_size6, arc_q11, F5):
     none11 = complete_search(arc_q11, target_size=11)
-    assert none11.arcs == ()
+    assert none11.arcs.shape == (0, 11, 3) and none11.orbit_sizes.shape == (0,)
     conics = complete_search(arc_q13_size6, target_size=14)
     assert len(conics.arcs) == 1
     # determinism
     again = complete_search(arc_q13_size6, target_size=14)
-    assert conics.arcs == again.arcs and conics.nodes == again.nodes
+    assert same_search(conics, again)
     # a frame of V_3(F_5) completes to arcs of size 6 = q+1
     frame = ArcConfig(F5, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     assert 6 in complete_search(frame).complete_sizes
@@ -349,7 +350,7 @@ def test_complete_search_matches_reference(p, h, k, g, target):
     results = []
     for arc, ref in _search_case(p, h, k, g, target):
         got = complete_search(arc, target_size=target)
-        assert got == ref
+        assert same_search(got, ref)
         assert extensions(arc) == ref_extension_mask(arc)
         results.append(got)
     # node counts and complete sizes are projective invariants
@@ -359,14 +360,16 @@ def test_complete_search_matches_reference(p, h, k, g, target):
 
 @pytest.mark.parametrize("p,h,k,g,target", SEARCH_CASES)
 def test_search_batch_cap_invariance(p, h, k, g, target, monkeypatch):
-    # one node per batch, or every node of a level in one: the same arcs
-    # in the same order, and at cap 1 the same exact budget
-    for cap in (1, 10**9):
+    # one node per batch, or every node of a level in one, also with the
+    # pairs of entries made one entry at a time: the same arcs in the same
+    # order, and at cap 1 the same exact budget
+    for cap, cells in ((1, arcgeom.MASK_CELLS), (10**9, arcgeom.MASK_CELLS), (10**9, 1)):
         monkeypatch.setattr(arcgeom, "BATCH_ENTRIES", cap)
+        monkeypatch.setattr(arcgeom, "MASK_CELLS", cells)
         for arc, ref in _search_case(p, h, k, g, target):
-            assert complete_search(arc, target_size=target) == ref
+            assert same_search(complete_search(arc, target_size=target), ref)
             if cap == 1:
-                assert complete_search(arc, target_size=target, budget=ref.nodes) == ref
+                assert same_search(complete_search(arc, target_size=target, budget=ref.nodes), ref)
                 with pytest.raises(BudgetExceededError):
                     complete_search(arc, target_size=target, budget=ref.nodes - 1)
 
@@ -391,7 +394,7 @@ def test_search_on_short_and_dependent_inputs(F5, F7):
     # rescaled base point included, and that one then leaves no candidate
     one = ArcConfig(F5, 3, [(2, 0, 0)])
     assert extensions(one) == ref_extension_mask(one) == (1 << 31) - 1
-    assert complete_search(one, target_size=3) == ref_complete_search(one, target_size=3)
+    assert same_search(complete_search(one, target_size=3), ref_complete_search(one, target_size=3))
     # k-1 dependent vectors pass validation (no k-subset) and block everything
     flat = ArcConfig(F7, 3, [(1, 2, 3), (2, 4, 6)])
     assert extensions(flat) == ref_extension_mask(flat) == 0
@@ -451,6 +454,24 @@ def test_search_over_budget_allocates_no_grandchild_cuts():
     assert peak < 4 * 2**20
 
 
+def test_search_pairs_take_memory_bounded_by_the_budget():
+    # the 6-point frame of PG(4, 9) to size 8: the root's 840 entries make
+    # 343,136 pairs of entries for 3,780 grandchildren.  Made at once they
+    # peaked at 24.0 MiB under tracemalloc (6.5 MiB table, point tuples as
+    # the result); made about MASK_CELLS pairs at a time, and with the
+    # result one array, the peak is about 16 MiB
+    ctx = FieldCtx(3, 2)
+    frame = ArcConfig(ctx, 5, [tuple(int(i == j) for i in range(5)) for j in range(5)] + [(1,) * 5])
+    tracemalloc.start()
+    try:
+        res = complete_search(frame, target_size=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.nodes == 4621 and res.arcs.shape == (3780, 8, 5)
+    assert peak < 20 * 2**20, peak
+
+
 def test_search_past_the_table_cap_allocates_nothing(arc_q81):
     # PG(5, 81) has about 3.5 * 10^9 points, whose hyperplane table would
     # take 10^17 bytes: the search raises before it lists a single point
@@ -484,7 +505,8 @@ def test_search_results_pinned_above_desk_scale():
     # in the order of projective_points
     conic = set(moment_curve(F17, 3, range(17), infinity=True))
     rest = tuple(v for v in projective_points(F17, 3) if v in conic and v not in nrc17.points)
-    assert complete_search(nrc17, target_size=18) == SearchResult(None, (nrc17.points + rest,), 11570)
+    conics = SearchResult(None, np.array([nrc17.points + rest], dtype=np.int64), 11570, np.ones(1, dtype=np.int64))
+    assert same_search(complete_search(nrc17, target_size=18), conics)
     F19 = FieldCtx(19)
     prefix = ArcConfig(F19, 3, shuffled_nrc(F19, 3, 5)[:7])
     assert complete_search(prefix) == SearchResult((10, 11, 12, 13, 14, 20), None, 111230)
@@ -599,7 +621,7 @@ def test_row_cache_collisions_change_no_cut(F7, F9, monkeypatch):
     monkeypatch.setattr(arcgeom, "ROW_CACHE_SLOTS", 1)
     for p, h, k, g, target in ((3, 2, 3, 5, None), (7, 1, 4, 6, 7)):
         for arc, ref in _search_case(p, h, k, g, target):
-            assert complete_search(arc, target_size=target) == ref
+            assert same_search(complete_search(arc, target_size=target), ref)
 
 
 # ----------------------------------------------------------------------

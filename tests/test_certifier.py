@@ -301,6 +301,59 @@ def test_star_interpolation_basis_on_gf81_curve_prefixes(F81, g, n):
     assert_production_basis(ArcConfig(F81, 6, shuffled_nrc(F81, 6, 13)[:g], check=False), n)
 
 
+@pytest.mark.parametrize("p,h,k,g,n,nullities", [
+    (2, 3, 4, 7, 1, [10] * 5),            # even q: every residual is zero, nullity d = 10
+    (11, 1, 3, 7, 4, [0] * 5),            # k = 3, t = 0: d = 1, every nullity 0, no kernel call
+    (13, 1, 3, 8, 3, [3, 3, 0, 1, 0]),
+    (3, 2, 4, 8, 1, [10, 10, 6, 5, 4]),
+    (3, 2, 4, 8, 3, [0] * 5),             # k = 4, nullity 0 from the kernel
+    (11, 1, 5, 9, 1, [1] * 5),
+])
+def test_null_bases_of_a_stack_are_each_arcs_null_basis(p, h, k, g, n, nullities, monkeypatch):
+    # one _null_bases call on a stack of two curve prefixes and three greedy
+    # arcs gives each arc's canonical basis, that of null_basis and of the
+    # kernel on M_n's data, bit for bit, padded with zero rows; only a
+    # nonzero residual of two or more rows makes a kernel call
+    ctx = FieldCtx(p, h)
+    inc, rng = HyperplaneIncidence(ctx, k), random.Random(g)
+    arcs = [shuffled_nrc(ctx, k, s)[:g] for s in range(2)] + [_random_arc(inc, g, rng) for _ in range(3)]
+    Ms = [build_Mn(ArcConfig(ctx, k, pts), n) for pts in arcs]
+    kernel, calls = certifier.left_null_basis, []
+    monkeypatch.setattr(certifier, "left_null_basis", lambda matrix: calls.append(matrix) or kernel(matrix))
+    basis, nullity = certifier._null_bases(ctx, Ms[0].index, np.stack([M.D for M in Ms]), n)
+    monkeypatch.undo()
+    assert len(calls) == (0 if p == 2 or comb(g - n - 1, k - 1) == 1 else 5)
+    assert nullity.tolist() == nullities
+    assert basis.shape == (5, max(nullities), comb(g, k - 1))
+    for got, r, M in zip(basis, nullities, Ms):
+        assert np.array_equal(got[:r], null_basis(M).basis) and not got[r:].any()
+        assert np.array_equal(got[:r], left_null_basis(M.matrix).basis)
+
+
+def test_null_bases_of_a_stack_mixing_zero_and_nonzero_residuals(monkeypatch):
+    # even-q residuals are zero and the odd-q ones sampled are not, so the
+    # first arc's is zeroed: its basis is then X P^T with X the reversed
+    # identity, P^T reversed, and the others keep theirs, padded to its
+    # nullity d
+    ctx = FieldCtx(13)
+    Ms = [build_Mn(ArcConfig(ctx, 3, shuffled_nrc(ctx, 3, s)[:8]), 3) for s in range(3)]
+    residual, kept = certifier._star_residual, []
+
+    def zeroing(ctx, index, D, n):
+        P, R, waves = residual(ctx, index, D, n)
+        R[0] = 0
+        kept.append(P.copy())
+        return P, R, waves
+
+    monkeypatch.setattr(certifier, "_star_residual", zeroing)
+    basis, nullity = certifier._null_bases(ctx, Ms[0].index, np.stack([M.D for M in Ms]), 3)
+    monkeypatch.undo()
+    assert nullity.tolist() == [6, 3, 3] and basis.shape == (3, 6, 28)
+    assert np.array_equal(basis[0], kept[0][0, :, ::-1].T)
+    for got, M in zip(basis[1:], Ms[1:]):
+        assert np.array_equal(got[:3], null_basis(M).basis) and not got[3:].any()
+
+
 def test_gf81_null_basis_builds_no_dense_mn(F81):
     # build_Mn and null_basis on the seed-13 GF(81) curve prefix at
     # |G| = 14, n = 3, whose M_3 would be 2,002 x 4,004 int64 (64 MB):
@@ -917,9 +970,14 @@ def test_conjecture_scan_above_q_plus_k_minus_1():
 
 def frame_completions(ctx, k, size):
     """The arcs an exhaustive conjecture scan tests: every arc of the size
-    that contains the frame prefix, in search order."""
+    that contains the frame prefix, in search order, as an array."""
     frame = [tuple(int(i == j) for i in range(k)) for j in range(k)] + [(1,) * k]
     return complete_search(ArcConfig(ctx, k, frame[: min(size, k + 1)]), target_size=size).arcs
+
+
+def point_tuples(arcs):
+    """An array of arcs, or a list of them, as a list of point tuples."""
+    return [tuple(map(tuple, pts)) for pts in np.asarray(arcs).tolist()]
 
 
 def plain_weight_one(ctx, k, n, pts):
@@ -953,7 +1011,7 @@ def test_stacked_weight_one_matches_theorem1_test(monkeypatch):
     for p, h, k, size, certified in [(7, 1, 3, 6, 14), (3, 2, 3, 6, 16), (3, 2, 4, 8, 15)]:
         ctx = FieldCtx(p, h)
         inc, rng = HyperplaneIncidence(ctx, k), random.Random(1)
-        want = add(ctx, k, 2, [tuple(_random_arc(inc, size, rng)) for _ in range(20)])
+        want = add(ctx, k, 2, np.array([_random_arc(inc, size, rng) for _ in range(20)]))
         assert sum(want) == certified
     for cells in (certifier.SCAN_CELLS, 1, 1 << 40):  # default, one arc per chunk, one chunk
         monkeypatch.setattr(certifier, "SCAN_CELLS", cells)
@@ -962,7 +1020,7 @@ def test_stacked_weight_one_matches_theorem1_test(monkeypatch):
             if len(arcs[0]) == 2 * k - 3 + n:
                 res = conjecture_scan(ctx, k, n)
                 assert (res.mode, res.total, res.certified) == ("exhaustive", len(want), sum(want))
-                missed = tuple(pts for pts, ok in zip(arcs, want) if not ok)
+                missed = tuple(pts for pts, ok in zip(point_tuples(arcs), want) if not ok)
                 assert res.counterexamples == (missed if res.in_range else ())
 
 
@@ -1110,18 +1168,19 @@ def test_orderly_search_finds_the_least_member_of_each_orbit(p, h, k, n, total, 
     # and the scan's totals are the weighted ones
     ctx = FieldCtx(p, h)
     size = 2 * k - 3 + n
-    arcs = list(frame_completions(ctx, k, size))
+    arcs = frame_completions(ctx, k, size)
     keys = orbit_keys(ctx, k, arcs)
     counts = collections.Counter(keys)
-    least = [(pts, counts[key]) for pts, key in zip(arcs, keys) if tuple(pts[k + 1 :]) == key]
+    is_least = np.array([pts[k + 1 :] == key for pts, key in zip(point_tuples(arcs), keys)])
+    least, sizes = arcs[is_least], [counts[key] for key, ok in zip(keys, is_least) if ok]
     frame = ArcConfig(ctx, k, arcs[0][: k + 1])
     nodes = complete_search(frame, target_size=size).nodes
     for cap, cells in [(arcgeom.BATCH_ENTRIES, arcgeom.MASK_CELLS), (1, 1)]:
         monkeypatch.setattr(arcgeom, "BATCH_ENTRIES", cap)
         monkeypatch.setattr(arcgeom, "MASK_CELLS", cells)
         res = complete_search(frame, target_size=size, symmetries=certifier._frame_symmetries(ctx, k, k + 1))
-        assert [tuple(map(tuple, pts)) for pts in res.arcs.tolist()] == [pts for pts, _ in least]
-        assert res.orbit_sizes.tolist() == [c for _, c in least]
+        assert np.array_equal(res.arcs, least)
+        assert res.orbit_sizes.tolist() == sizes
         assert res.nodes == nodes
     monkeypatch.undo()
     assert (len(arcs), len(least)) == (total, orbits)
@@ -1147,8 +1206,25 @@ def test_orderly_search_refuses_symmetries_that_move_the_input():
         complete_search(ArcConfig(ctx, 3, frame), symmetries=group)
     plain = complete_search(ArcConfig(ctx, 3, frame[:3]), target_size=5)
     alone = complete_search(ArcConfig(ctx, 3, frame[:3]), target_size=5, symmetries=[x[:1] for x in group])
-    assert alone.nodes == plain.nodes and alone.orbit_sizes.tolist() == [1] * len(plain.arcs)
-    assert [tuple(map(tuple, pts)) for pts in alone.arcs.tolist()] == list(plain.arcs)
+    assert alone.nodes == plain.nodes
+    assert alone.orbit_sizes.tolist() == plain.orbit_sizes.tolist() == [1] * len(plain.arcs)
+    assert plain.arcs.shape[1:] == (5, 3) and np.array_equal(alone.arcs, plain.arcs)
+
+
+def test_plain_search_returns_the_identity_group_search():
+    # the 5-point frame of PG(3, 13) to size 7: the plain search gives the
+    # same (arcs, 7, 4) array as the orderly search under the identity
+    # alone, with orbit sizes of 1 and the same node count
+    ctx = FieldCtx(13)
+    frame = ArcConfig(ctx, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)])
+    identity = [x[:1] for x in certifier._frame_symmetries(ctx, 4, 5)]
+    assert identity[0][0].tolist() == np.eye(4, dtype=np.int64).tolist()
+    plain = complete_search(frame, target_size=7)
+    alone = complete_search(frame, target_size=7, symmetries=identity)
+    assert plain.arcs.dtype == plain.orbit_sizes.dtype == np.int64
+    assert plain.arcs.shape == (161_880, 7, 4) and np.array_equal(plain.arcs, alone.arcs)
+    assert (plain.orbit_sizes == 1).all() and np.array_equal(plain.orbit_sizes, alone.orbit_sizes)
+    assert plain.nodes == alone.nodes
 
 
 PINNED_SCANS = [(5, 1, 3, 2), (7, 1, 4, 1), (2, 3, 3, 2), (3, 2, 3, 3), (13, 1, 3, 3), (11, 1, 4, 2), (7, 1, 5, 1),
@@ -1189,14 +1265,14 @@ def test_folded_scan_keeps_every_arc_and_the_counterexample_order(monkeypatch):
     # must report the rule's answer for every arc, in list order, while it
     # asks only one arc per orbit
     ctx = FieldCtx(13)
-    arcs = list(frame_completions(ctx, 3, 6))
+    arcs = point_tuples(frame_completions(ctx, 3, 6))
     keys = dict(zip(arcs, orbit_keys(ctx, 3, arcs)))
     asked = []
 
     def rule(ctx, k, n, batch):
         # the scan passes an array of arcs
         asked.append(len(batch))
-        batch = [tuple(map(tuple, pts)) for pts in np.asarray(batch).tolist()]
+        batch = point_tuples(batch)
         return np.array([sum(map(sum, keys[pts])) % 3 != 0 for pts in batch], dtype=bool)
 
     want = rule(ctx, 3, 3, arcs)
@@ -1218,7 +1294,8 @@ def test_scan_expands_every_missed_orbit(monkeypatch):
         ctx = FieldCtx(p, h)
         res = conjecture_scan(ctx, k, n)
         assert res.in_range and res.certified == 0
-        assert res.counterexamples == frame_completions(ctx, k, 2 * k - 3 + n)
+        size = 2 * k - 3 + n
+        assert np.array_equal(np.array(res.counterexamples).reshape(-1, size, k), frame_completions(ctx, k, size))
 
 
 def test_scan_reports_the_arcs_it_certified():
@@ -1297,7 +1374,7 @@ def test_certificates_never_contradicted_by_search():
                 cert = theorem1_test(build_Mn(G, n))
                 if cert is not None and cert.forbidden_size <= ctx.q + 2:
                     res = complete_search(G, target_size=cert.forbidden_size)
-                    assert res.arcs == (), (q, cur, n, cert)
+                    assert res.arcs.shape == (0, cert.forbidden_size, 3), (q, cur, n, cert)
 
 
 def test_property_w_trivial_even_q(hyperconic_f4):
